@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Default circuit pool: small enough to optimize quickly at the CI leg's
-#: n=2/q=2 scale, more names than default concurrency so distinct circuits
-#: co-batch, few enough that a seeded draw of 20 repeats some (cache hits).
+#: n=2/q=2 scale, few enough that a seeded draw of 20 repeats some (cache
+#: hits).
 DEFAULT_CIRCUITS = ("tof_3", "barenco_tof_3", "mod5_4")
 
 
@@ -152,8 +152,6 @@ def run_load(
         "mean_seconds": sum(latencies) / len(latencies) if latencies else 0.0,
         "total_wall_seconds": wall_seconds,
         "throughput_rps": requests / wall_seconds if wall_seconds else 0.0,
-        "batch_occupancy": float(stats.get("service.batch.occupancy", 0)),
-        "shared_gate_calls": float(stats.get("service.batch.shared_gate_calls", 0)),
     }
     return entry
 
@@ -209,8 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"p95 {entry['p95_seconds']:.3f}s  p99 {entry['p99_seconds']:.3f}s  "
         f"{entry['throughput_rps']:.2f} req/s  "
         f"{entry['ok_responses']}/{entry['requests']} 2xx  "
-        f"{entry['cache_hits_observed']:.0f} cache hits  "
-        f"occupancy {entry['batch_occupancy']:.0f}"
+        f"{entry['cache_hits_observed']:.0f} cache hits"
     )
     if args.json_out:
         out = Path(args.json_out)

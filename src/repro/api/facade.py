@@ -47,7 +47,6 @@ from repro.perf import PerfRecorder
 from repro.preprocess import SUPPORTED_GATE_SETS as PREPROCESS_GATE_SETS
 from repro.preprocess import preprocess as run_preprocess
 from repro.semantics.backend import (
-    circuits_equivalent_statevector,
     circuits_equivalent_statevector_batched,
     get_backend,
 )
@@ -481,16 +480,13 @@ class Superoptimizer:
     def verify(self, circuit_a: Circuit, circuit_b: Circuit) -> bool:
         """Random-state equivalence screen on this facade's backend.
 
-        On a batched facade the trials share one parameter draw and ride
-        ``apply_circuit_batch`` as a single state stack; the verdict is
-        identical to the per-trial path (same seeded draws, same tolerance
-        — asserted by the backend test suite).
+        The trials share one seeded parameter draw and ride
+        ``apply_circuit_batch`` as a single state stack, whatever the
+        ``batched`` knob says (it only selects the fingerprint path); the
+        verdict agrees with the per-trial reference screen (asserted by
+        the backend test suite).
         """
-        if self._batched:
-            return circuits_equivalent_statevector_batched(
-                circuit_a, circuit_b, backend=self._backend_name
-            )
-        return circuits_equivalent_statevector(
+        return circuits_equivalent_statevector_batched(
             circuit_a, circuit_b, backend=self._backend_name
         )
 

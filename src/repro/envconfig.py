@@ -45,10 +45,6 @@ the semantics of a knob cannot drift between call sites:
   values below 2 (the default) run jobs in the server process, 2+ spins a
   persistent warm :class:`~repro.workerpool.ResilientPool` (same parsing
   rules as ``REPRO_GEN_WORKERS``);
-* ``REPRO_SERVICE_BATCH_WINDOW_MS`` — how long the service's batching
-  dispatcher holds a verification flush open for co-batching, in
-  milliseconds; ``0`` flushes immediately, invalid/negative values warn
-  and use the default;
 * ``REPRO_SERVICE_MAX_QUEUE`` — bound on the service's job queue; a full
   queue answers 429 (invalid or non-positive values warn and use the
   default);
@@ -87,7 +83,6 @@ MICROBENCH_ENV_VAR = "REPRO_MICROBENCH"
 MICROBENCH_JSON_ENV_VAR = "REPRO_MICROBENCH_JSON"
 SERVICE_PORT_ENV_VAR = "REPRO_SERVICE_PORT"
 SERVICE_WORKERS_ENV_VAR = "REPRO_SERVICE_WORKERS"
-SERVICE_BATCH_WINDOW_ENV_VAR = "REPRO_SERVICE_BATCH_WINDOW_MS"
 SERVICE_MAX_QUEUE_ENV_VAR = "REPRO_SERVICE_MAX_QUEUE"
 
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -96,12 +91,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: registered/common development ranges; override with
 #: ``REPRO_SERVICE_PORT`` or ``--port``).
 DEFAULT_SERVICE_PORT = 8321
-
-#: Default co-batching window of the service's verification dispatcher in
-#: milliseconds: long enough that requests arriving together share
-#: ``apply_gate_batch`` stacks, short enough to be invisible next to an
-#: optimize call.
-DEFAULT_SERVICE_BATCH_WINDOW_MS = 25.0
 
 #: Default bound on the service's job queue (a full queue answers 429).
 DEFAULT_SERVICE_MAX_QUEUE = 64
@@ -454,46 +443,6 @@ def env_service_workers(*, default: int = 1) -> int:
     if raw is None:
         return default
     return parse_workers(raw, source=SERVICE_WORKERS_ENV_VAR)
-
-
-def parse_service_batch_window_ms(
-    raw: str, *, default: float = DEFAULT_SERVICE_BATCH_WINDOW_MS
-) -> float:
-    """Parse the co-batching window (ms): ``0`` flushes immediately.
-
-    Negative and non-numeric values warn and use the default — a malformed
-    knob must not silently disable cross-request batching.
-    """
-    text = raw.strip()
-    try:
-        window = float(text) if text else default
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-numeric {SERVICE_BATCH_WINDOW_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if window < 0:
-        warnings.warn(
-            f"ignoring negative {SERVICE_BATCH_WINDOW_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return window
-
-
-def env_service_batch_window_ms(
-    *, default: float = DEFAULT_SERVICE_BATCH_WINDOW_MS
-) -> float:
-    """Co-batching window (ms) from ``REPRO_SERVICE_BATCH_WINDOW_MS``."""
-    raw = os.environ.get(SERVICE_BATCH_WINDOW_ENV_VAR)
-    if raw is None:
-        return default
-    return parse_service_batch_window_ms(raw, default=default)
 
 
 def parse_service_max_queue(

@@ -11,7 +11,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.circuit import Circuit, Instruction
 
@@ -32,6 +32,9 @@ class CircuitDAG:
         # For each qubit, node ids in wire order.
         self.wires: List[List[int]] = [[] for _ in range(num_qubits)]
         self._next_id = 0
+        # Reachability bitmasks, computed on first use (see
+        # reachability_masks) and dropped whenever a node is added.
+        self._masks: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -45,6 +48,7 @@ class CircuitDAG:
     def add_instruction(self, inst: Instruction) -> int:
         node_id = self._next_id
         self._next_id += 1
+        self._masks = None
         self.nodes[node_id] = inst
         self.successors[node_id] = set()
         self.predecessors[node_id] = set()
@@ -139,8 +143,11 @@ class CircuitDAG:
         (strict) descendant of ``n``.  Node ids are used as bit positions,
         which is valid because ids are small consecutive integers.  The
         matcher uses these to run thousands of convexity checks per circuit
-        as a handful of integer operations each.
+        as a handful of integer operations each.  The masks are cached
+        until the next :meth:`add_instruction`.
         """
+        if self._masks is not None:
+            return self._masks
         order = self.topological_order()
         descendants_mask: Dict[int, int] = {}
         for node_id in reversed(order):
@@ -154,7 +161,8 @@ class CircuitDAG:
             for predecessor in self.predecessors[node_id]:
                 mask |= (1 << predecessor) | ancestors_mask[predecessor]
             ancestors_mask[node_id] = mask
-        return descendants_mask, ancestors_mask
+        self._masks = (descendants_mask, ancestors_mask)
+        return self._masks
 
     def is_convex_masked(
         self,
@@ -187,18 +195,25 @@ class CircuitDAG:
         their relative order and are emitted first, then the replacement,
         then everything else — valid because the matched set is convex.
         """
-        members = set(matched)
-        if not self.is_convex(members):
+        descendants_mask, ancestors_mask = self.reachability_masks()
+        if not self.is_convex_masked(matched, descendants_mask, ancestors_mask):
             raise ValueError("cannot splice a non-convex node set")
-        before = self.ancestors(members) - members
-        instructions: List[Instruction] = []
-        for node_id in self.topological_order():
-            if node_id in before:
-                instructions.append(self.nodes[node_id])
+        members = 0
+        above = 0
+        for node_id in matched:
+            members |= 1 << node_id
+            above |= ancestors_mask[node_id]
+        before = above & ~members
+        order = self.topological_order()
+        nodes = self.nodes
+        instructions: List[Instruction] = [
+            nodes[node_id] for node_id in order if before >> node_id & 1
+        ]
         instructions.extend(replacement)
-        for node_id in self.topological_order():
-            if node_id not in before and node_id not in members:
-                instructions.append(self.nodes[node_id])
+        placed = before | members
+        instructions.extend(
+            nodes[node_id] for node_id in order if not placed >> node_id & 1
+        )
         return Circuit(self.num_qubits, instructions, self.num_params)
 
     def __repr__(self) -> str:

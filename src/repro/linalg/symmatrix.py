@@ -14,6 +14,11 @@ from typing import Callable, List, Sequence
 from repro.linalg.cnumber import CNumber
 from repro.linalg.trigpoly import TrigPoly
 
+# TrigPoly values are never mutated, so every zero entry of a product can
+# share one instance; products of gate matrices are mostly zeros, and a
+# fresh object per zero would dominate the verifier's matrix cache.
+_ZERO = TrigPoly.zero()
+
 
 class SymMatrix:
     """A dense matrix whose entries are :class:`TrigPoly` values."""
@@ -77,20 +82,22 @@ class SymMatrix:
             raise ValueError(
                 f"shape mismatch: {self.shape()} @ {other.shape()}"
             )
+        other_rows = other.rows
         result = []
-        for i in range(self.num_rows):
+        for left_row in self.rows:
+            # Gate matrices are mostly zeros: walk only the nonzero entries
+            # of the left row instead of the whole inner dimension.
+            nonzero = [(k, left) for k, left in enumerate(left_row) if left.terms]
             row = []
             for j in range(other.num_cols):
-                acc = TrigPoly.zero()
-                for k in range(self.num_cols):
-                    left = self.rows[i][k]
-                    if left.is_zero():
+                acc = None
+                for k, left in nonzero:
+                    right = other_rows[k][j]
+                    if not right.terms:
                         continue
-                    right = other.rows[k][j]
-                    if right.is_zero():
-                        continue
-                    acc = acc + left * right
-                row.append(acc)
+                    product = left * right
+                    acc = product if acc is None else acc + product
+                row.append(_ZERO if acc is None else acc)
             result.append(row)
         return SymMatrix(result)
 

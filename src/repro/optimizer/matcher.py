@@ -77,14 +77,17 @@ class PatternMatcher:
         """Return matches of ``pattern`` as convex subcircuits of the circuit."""
         if len(pattern) == 0 or len(pattern) > len(self.circuit):
             return []
-        pattern_insts = pattern.instructions
-        num_pattern = len(pattern_insts)
+        plan = _match_plan(pattern)
+        num_pattern = len(plan)
         matches: List[Match] = []
         assignment: List[int] = []
         qubit_map: Dict[int, int] = {}
         used_circuit_qubits: set[int] = set()
         used_nodes: set[int] = set()
         nodes = self.dag.nodes
+        wires = self.dag.wires
+        wire_pos = self._wire_pos
+        nodes_by_gate = self._nodes_by_gate
 
         def backtrack(position: int) -> bool:
             """Returns True when the match limit has been reached."""
@@ -95,11 +98,26 @@ class PatternMatcher:
                 if match is not None:
                     matches.append(match)
                 return max_matches is not None and len(matches) >= max_matches
-            pattern_inst = pattern_insts[position]
-            pattern_qubits = pattern_inst.qubits
-            for node_id in self._candidate_nodes(
-                pattern, position, assignment, qubit_map
-            ):
+            gate_name, pattern_qubits, anchor, order_checks = plan[position]
+            candidates: Sequence[int]
+            if anchor is None:
+                candidates = nodes_by_gate.get(gate_name, ())
+            else:
+                # The instruction shares a wire with an earlier matched one,
+                # and the only candidate is the *next* node on that wire: a
+                # gate in between would either sit unmatched on a path
+                # between two matched gates (not convex) or be matched out
+                # of the pattern's wire order.
+                anchor_qubit, earlier = anchor
+                circuit_qubit = qubit_map[anchor_qubit]
+                wire = wires[circuit_qubit]
+                next_position = wire_pos[assignment[earlier]][circuit_qubit] + 1
+                if next_position >= len(wire):
+                    return False
+                candidates = (wire[next_position],)
+                if nodes[candidates[0]].gate.name != gate_name:
+                    return False
+            for node_id in candidates:
                 if node_id in used_nodes:
                     continue
                 node_inst = nodes[node_id]
@@ -123,9 +141,15 @@ class PatternMatcher:
                         used_circuit_qubits.add(circuit_qubit)
                         new_bindings.append(pattern_qubit)
                 if compatible:
-                    compatible = self._wire_order_ok(
-                        pattern, position, node_id, assignment, qubit_map
-                    )
+                    # Matched gates must appear on every shared wire in
+                    # pattern order (the anchor wire holds by construction).
+                    node_positions = wire_pos[node_id]
+                    for pattern_qubit, earlier in order_checks:
+                        circuit_qubit = qubit_map[pattern_qubit]
+                        earlier_position = wire_pos[assignment[earlier]][circuit_qubit]
+                        if not 0 <= earlier_position < node_positions[circuit_qubit]:
+                            compatible = False
+                            break
                 if not compatible:
                     for pattern_qubit in new_bindings:
                         used_circuit_qubits.remove(qubit_map.pop(pattern_qubit))
@@ -143,79 +167,6 @@ class PatternMatcher:
 
         backtrack(0)
         return matches
-
-    def _candidate_nodes(
-        self,
-        pattern: Circuit,
-        position: int,
-        assignment: Sequence[int],
-        qubit_map: Dict[int, int],
-    ) -> Sequence[int]:
-        """Candidate circuit nodes for the pattern instruction at ``position``.
-
-        When the instruction shares a qubit with an already-matched pattern
-        instruction, every valid match must lie strictly after that match on
-        the corresponding circuit wire, so only that wire suffix (filtered
-        by gate name) is enumerated instead of every node with the right
-        gate.  Disconnected pattern prefixes fall back to the gate index.
-        """
-        pattern_inst = pattern.instructions[position]
-        gate_name = pattern_inst.gate.name
-        for pattern_qubit in pattern_inst.qubits:
-            circuit_qubit = qubit_map.get(pattern_qubit)
-            if circuit_qubit is None:
-                continue
-            for earlier in range(position - 1, -1, -1):
-                if pattern_qubit in pattern.instructions[earlier].qubits:
-                    earlier_position = self._wire_pos[assignment[earlier]][
-                        circuit_qubit
-                    ]
-                    if earlier_position < 0:
-                        return ()
-                    wire = self.dag.wires[circuit_qubit]
-                    nodes = self.dag.nodes
-                    # Wire-order pruning on one shared wire is sound: the
-                    # remaining constraints are re-checked during binding
-                    # and by _wire_order_ok.
-                    return [
-                        node_id
-                        for node_id in wire[earlier_position + 1 :]
-                        if nodes[node_id].gate.name == gate_name
-                    ]
-            # A mapped qubit with no earlier pattern instruction on it cannot
-            # happen (the mapping was created by an earlier instruction), but
-            # fall through defensively.
-        return self._nodes_by_gate.get(gate_name, ())
-
-    def _wire_order_ok(
-        self,
-        pattern: Circuit,
-        position: int,
-        node_id: int,
-        assignment: Sequence[int],
-        qubit_map: Dict[int, int],
-    ) -> bool:
-        """Matched gates must appear on every shared wire in pattern order.
-
-        ``qubit_map`` already contains the bindings introduced by the
-        instruction at ``position`` (the caller binds eagerly).
-        """
-        wire_pos = self._wire_pos
-        node_positions = wire_pos[node_id]
-        pattern_inst = pattern.instructions[position]
-        for pattern_qubit in pattern_inst.qubits:
-            circuit_qubit = qubit_map[pattern_qubit]
-            node_position = node_positions[circuit_qubit]
-            if node_position < 0:
-                return False
-            # Find the most recent earlier pattern instruction on this qubit.
-            for earlier in range(position - 1, -1, -1):
-                if pattern_qubit in pattern.instructions[earlier].qubits:
-                    earlier_position = wire_pos[assignment[earlier]][circuit_qubit]
-                    if earlier_position < 0 or earlier_position >= node_position:
-                        return False
-                    break
-        return True
 
     def _finalize(
         self,
@@ -359,9 +310,43 @@ class PatternMatcher:
             new_circuit = self.apply(transformation, match)
             if new_circuit is None:
                 continue
-            key = new_circuit.canonical_key()
-            if key in seen_keys:
+            # One hash per key: canonical keys nest Fractions, whose hash
+            # is computed in Python on every lookup.
+            seen_before = len(seen_keys)
+            seen_keys.add(new_circuit.canonical_key())
+            if len(seen_keys) == seen_before:
                 continue
-            seen_keys.add(key)
             results.append(new_circuit)
         return results
+
+
+def _match_plan(pattern: Circuit) -> List[tuple]:
+    """Per-instruction matching steps of ``pattern``, in pattern order.
+
+    Step ``i`` is ``(gate_name, qubits, anchor, order_checks)``.  For each
+    pattern qubit the most recent earlier instruction on it is fixed by the
+    pattern alone, and so is whether the qubit is already bound when step
+    ``i`` runs (bindings come from earlier instructions).  ``anchor`` is
+    ``(pattern_qubit, earlier_step)`` for the first operand that has an
+    earlier instruction — its wire yields the only candidate — or ``None``
+    when the instruction starts a disconnected part of the pattern and the
+    gate index is scanned instead.  ``order_checks`` lists the same pair for
+    every other such operand; the matched nodes must keep that wire order.
+    """
+    plan: List[tuple] = []
+    last_on_qubit: Dict[int, int] = {}
+    for position, inst in enumerate(pattern.instructions):
+        anchor = None
+        order_checks = []
+        for pattern_qubit in inst.qubits:
+            earlier = last_on_qubit.get(pattern_qubit)
+            if earlier is None:
+                continue
+            if anchor is None:
+                anchor = (pattern_qubit, earlier)
+            else:
+                order_checks.append((pattern_qubit, earlier))
+        for pattern_qubit in inst.qubits:
+            last_on_qubit[pattern_qubit] = position
+        plan.append((inst.gate.name, inst.qubits, anchor, tuple(order_checks)))
+    return plan

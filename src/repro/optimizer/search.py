@@ -177,11 +177,12 @@ class BacktrackingOptimizer:
                         if time.perf_counter() - start > timeout_seconds:
                             timed_out = True
                             break
-                    key = new_circuit.canonical_key()
-                    if key in seen:
+                    # Add-and-compare hashes the canonical key once.
+                    seen_before = len(seen)
+                    seen.add(new_circuit.canonical_key())
+                    if len(seen) == seen_before:
                         perf.count("search.seen_rejects")
                         continue
-                    seen.add(key)
                     new_cost = self.cost_model.cost(new_circuit)
                     if new_cost >= self.gamma * best_cost:
                         perf.count("search.cost_rejects")

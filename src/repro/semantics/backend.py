@@ -283,9 +283,9 @@ def circuits_equivalent_statevector(
     this never forms a full unitary: both circuits are applied to random
     statevectors and the results compared up to a global phase via
     ``| <a|b> | = 1`` (both are normalized images of the same unit vector),
-    so it stays cheap on wide circuits.  Used by the
-    :class:`repro.api.Superoptimizer` facade to sanity-check every
-    optimization output.
+    so it stays cheap on wide circuits.  It is the per-trial reference
+    that :func:`circuits_equivalent_statevector_batched`, the screen the
+    :class:`repro.api.Superoptimizer` facade runs, must agree with.
     """
     if circuit_a.num_qubits != circuit_b.num_qubits:
         return False
@@ -319,10 +319,7 @@ def equivalence_trial_inputs(
     ``apply_circuit`` per trial state), the parameters are drawn once and
     every trial state is drawn afterwards from the same seeded stream — so
     all trials of one circuit ride a single
-    :meth:`SimulatorBackend.apply_circuit_batch` call.  Deliberately a
-    public seam: the optimization service's cross-request batching
-    dispatcher uses exactly these inputs, which is what makes a co-batched
-    verification byte-identical to a lone one.
+    :meth:`SimulatorBackend.apply_circuit_batch` call.
     """
     resolved = get_backend(backend)
     rng = np.random.default_rng(seed)
@@ -331,22 +328,6 @@ def equivalence_trial_inputs(
         [resolved.random_state(num_qubits, rng) for _ in range(num_trials)]
     )
     return params, states
-
-
-def equivalence_verdict_from_images(
-    images_a: np.ndarray, images_b: np.ndarray, *, tol: float = 1e-8
-) -> bool:
-    """Per-trial global-phase comparison of two evolved state stacks.
-
-    Row ``i`` of each stack is the image of the same unit input state under
-    circuit A resp. B; equivalence up to a global phase means
-    ``| <a_i|b_i> | = 1`` for every trial.  One ``np.vdot`` per row — the
-    exact float reduction of the per-trial path.
-    """
-    for image_a, image_b in zip(images_a, images_b):
-        if abs(abs(np.vdot(image_a, image_b)) - 1.0) > tol:
-            return False
-    return True
 
 
 def circuits_equivalent_statevector_batched(
@@ -369,8 +350,8 @@ def circuits_equivalent_statevector_batched(
     path's (params per trial there, once here), so the float streams are
     not comparable — but the *verdict* agrees, which is what
     ``tests/test_backends.py`` pins over equivalent and inequivalent
-    pairs.  Used by the facade whenever batching is enabled, and by the
-    optimization service's cross-request batching dispatcher.
+    pairs.  It is the output screen of every
+    :class:`repro.api.Superoptimizer` run.
     """
     if circuit_a.num_qubits != circuit_b.num_qubits:
         return False
@@ -387,7 +368,12 @@ def circuits_equivalent_statevector_batched(
     resolved = get_backend(backend)
     images_a = resolved.apply_circuit_batch(circuit_a, states, params)
     images_b = resolved.apply_circuit_batch(circuit_b, states, params)
-    return equivalence_verdict_from_images(images_a, images_b, tol=tol)
+    # Row i of each stack is the image of the same unit input state, so
+    # equivalence up to a global phase means |<a_i|b_i>| = 1 per trial.
+    for image_a, image_b in zip(images_a, images_b):
+        if abs(abs(np.vdot(image_a, image_b)) - 1.0) > tol:
+            return False
+    return True
 
 
 def _make_numba_backend() -> SimulatorBackend:

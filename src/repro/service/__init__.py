@@ -8,25 +8,20 @@ is that layer over the :class:`repro.api.Superoptimizer` facade:
   (``REPRO_SERVICE_*``) plus the base run configuration;
 * :class:`~repro.service.jobs.JobManager` — bounded queue, warm
   executors, content-hash result memoization, in-flight dedupe;
-* :class:`~repro.service.batching.BatchingDispatcher` — cross-request
-  coalescing of verification state evolution into shared
-  ``apply_gate_batch`` stacks (bit-identical per request by the PR 5
-  kernel contract);
 * :class:`~repro.service.http.OptimizationHTTPServer` — the stdlib-only
   asyncio HTTP front (``python -m repro.service`` to run it).
 
-Everything heavy stays in the library; the service adds scheduling,
-memoization and the wire protocol — and its ``result`` blocks are
-byte-identical to direct facade runs, co-batched or not.
+Everything heavy stays in the library, output verification included: a
+job is a plain facade run.  The service adds scheduling, memoization and
+the wire protocol, and its ``result`` blocks are byte-identical to direct
+facade runs.
 """
 
-from repro.service.batching import BatchingDispatcher
 from repro.service.config import ServiceConfig
 from repro.service.http import OptimizationHTTPServer
 from repro.service.jobs import Job, JobManager
 
 __all__ = [
-    "BatchingDispatcher",
     "Job",
     "JobManager",
     "OptimizationHTTPServer",

@@ -47,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=None,
-        help="cross-request co-batching window (default: REPRO_SERVICE_BATCH_WINDOW_MS)",
-    )
-    parser.add_argument(
         "--max-queue",
         type=int,
         default=None,
@@ -76,8 +70,6 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         service_overrides["port"] = args.port
     if args.service_workers is not None:
         service_overrides["workers"] = max(args.service_workers, 1)
-    if args.batch_window_ms is not None:
-        service_overrides["batch_window_ms"] = max(args.batch_window_ms, 0.0)
     if args.max_queue is not None:
         service_overrides["max_queue"] = max(args.max_queue, 1)
     config = ServiceConfig.from_env(**service_overrides)
@@ -98,8 +90,7 @@ async def _serve(config: ServiceConfig) -> None:
     await server.start()
     print(
         f"repro.service listening on http://{config.host}:{server.port} "
-        f"(workers={config.workers}, window={config.batch_window_ms}ms, "
-        f"max_queue={config.max_queue})",
+        f"(workers={config.workers}, max_queue={config.max_queue})",
         flush=True,
     )
     loop = asyncio.get_running_loop()

@@ -2,10 +2,10 @@
 
 :class:`ServiceConfig` is the service-layer sibling of
 :class:`repro.api.RunConfig`: a frozen snapshot of every serving knob
-(bind address, worker mode, co-batching window, queue bound) plus the
-*base* :class:`~repro.api.RunConfig` each request's overrides are layered
-onto.  Like ``RunConfig.from_env`` it is the single place the service
-reads the environment — parsing itself lives in :mod:`repro.envconfig`
+(bind address, worker mode, queue bound) plus the *base*
+:class:`~repro.api.RunConfig` each request's overrides are layered onto.
+Like ``RunConfig.from_env`` it is the single place the service reads the
+environment — parsing itself lives in :mod:`repro.envconfig`
 (rule R002), and the snapshot happens once at server start so a running
 service cannot drift if the environment changes underneath it.
 
@@ -26,7 +26,6 @@ from typing import Any
 
 from repro.api.config import RunConfig
 from repro.envconfig import (
-    env_service_batch_window_ms,
     env_service_max_queue,
     env_service_port,
     env_service_workers,
@@ -56,12 +55,6 @@ class ServiceConfig:
     #: many worker processes (warm facades, ECC caches and verifier state
     #: survive across requests in both modes).
     workers: int = 1
-    #: Co-batching window in milliseconds: a verification batch flushes
-    #: when this much time has passed since its first item (or earlier,
-    #: when the size threshold is hit).  0 flushes as soon as the
-    #: dispatcher thread is free — late arrivals still coalesce while a
-    #: previous flush is running.
-    batch_window_ms: float = 25.0
     #: Bound on queued-but-not-yet-running jobs; submissions beyond it are
     #: rejected with :class:`repro.errors.QueueFull` (HTTP 429).
     max_queue: int = 64
@@ -87,7 +80,6 @@ class ServiceConfig:
         config = cls(
             port=env_service_port(),
             workers=env_service_workers(),
-            batch_window_ms=env_service_batch_window_ms(),
             max_queue=env_service_max_queue(),
             run_config=run_config,
         )
@@ -102,7 +94,8 @@ class ServiceConfig:
     def executor_slots(self) -> int:
         """Concurrent job executions the manager drives.
 
-        Always at least 2, so cross-request co-batching is live even in
-        the default in-process mode; in pool mode one slot per worker.
+        Always at least 2, so in the default in-process mode a long
+        search does not hold every other request behind it; in pool mode
+        one slot per worker.
         """
         return max(2, self.workers)

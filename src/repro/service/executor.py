@@ -28,10 +28,9 @@ Two executors share that entry point:
   base-config spec, mirroring ``generator/parallel.py``).  Because
   ``run_chunks`` is a synchronous wave primitive, a dedicated dispatch
   thread gathers concurrently submitted jobs into one wave of up to
-  ``workers`` single-job chunks — concurrent requests ride one wave and
-  finish together, which is what feeds the cross-request verification
-  batcher.  A wave that exhausts its retries fails every job in it with
-  the :class:`~repro.errors.RetryExhausted` it raised.
+  ``workers`` single-job chunks, so concurrent requests run in parallel
+  on separate workers.  A wave that exhausts its retries fails every job
+  in it with the :class:`~repro.errors.RetryExhausted` it raised.
 """
 
 from __future__ import annotations
@@ -83,10 +82,8 @@ def facade_for_config(config_dict: Dict[str, Any]) -> Superoptimizer:
 def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job payload through its warm facade; returns the report JSON.
 
-    The payload's config is expected to carry ``verify_output=False``:
-    the service verifies parent-side through the co-batching dispatcher
-    (see :mod:`repro.service.batching`), so in-worker verification would
-    be redundant work.
+    The facade runs unchanged, output screen included, so the report's
+    ``verified`` is the one a direct ``Superoptimizer.optimize`` gives.
     """
     facade = facade_for_config(payload["config"])
     report: RunReport = facade.optimize(payload["qasm"])

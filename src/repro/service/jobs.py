@@ -19,17 +19,17 @@ the tests drive it directly.  Lifecycle of a submission:
    :class:`~repro.errors.QueueFull` (HTTP 429) past that.
 4. **Execute** — ``executor_slots`` threads drain the queue through the
    warm executor (in-process or multiprocess, see
-   :mod:`repro.service.executor`) with ``verify_output`` forced off: the
-   run itself never verifies.
-5. **Verify** — the manager verifies parent-side through the co-batching
-   :class:`~repro.service.batching.BatchingDispatcher`, so concurrent
-   jobs' verification states share ``apply_gate_batch`` stacks.  The same
-   guard the facade applies (``VERIFY_MAX_QUBITS``) keeps verdicts
-   identical to a direct ``Superoptimizer`` run.
+   :mod:`repro.service.executor`).  A job is a plain facade run, output
+   screen included, so its ``verified`` is the facade's own verdict.
+5. **Memoize** — a completed result is kept only if it depends on
+   nothing but (circuit, config) and was not refuted: a search stopped by
+   the wall-clock cap depends on machine load, and a refuted output
+   (``verified`` is ``False``) must never be served as canonical, so a
+   repeat of either runs again.
 
 Responses split determinism from observability: a job's ``result`` block
 is a pure function of (circuit, config) — byte-identical whether the job
-ran alone, co-batched, memoized or retried — while timings and the
+ran alone, concurrently, memoized or retried — while timings and the
 ``service.*`` counters ride in separate fields.  The cross-request
 acceptance test keys on exactly this split.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.config import RunConfig
-from repro.api.facade import VERIFY_MAX_QUBITS, Superoptimizer
+from repro.api.facade import Superoptimizer
 from repro.errors import (
     InvalidRequest,
     JobNotFound,
@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.ir.gatesets import GateSet, get_gate_set
 from repro.ir.qasm import QasmError, parse_qasm, to_qasm
-from repro.service.batching import BatchingDispatcher
 from repro.service.config import ServiceConfig
 from repro.service.executor import InlineExecutor, PoolExecutor
 
@@ -75,9 +74,6 @@ class Job:
     id: str
     key: str
     canonical_qasm: str
-    num_qubits: int
-    verify_wanted: bool
-    backend_name: str
     payload: Dict[str, Any]
     status: str = "queued"
     cached: bool = False
@@ -115,9 +111,7 @@ class Job:
         return out
 
 
-def _result_block(
-    report: Dict[str, Any], verified: Optional[bool]
-) -> Dict[str, Any]:
+def _result_block(report: Dict[str, Any]) -> Dict[str, Any]:
     """The deterministic slice of a report: no timings, no counters."""
     circuits = report["circuits"]
     search = report["search"]
@@ -132,19 +126,23 @@ def _result_block(
         "iterations": search["iterations"],
         "circuits_explored": search["circuits_explored"],
         "num_transformations": report["num_transformations"],
-        "verified": verified,
+        "verified": report["verified"],
     }
 
 
+def _memoizable(report: Dict[str, Any]) -> bool:
+    """Whether a report depends only on (circuit, config) and was not refuted."""
+    return not report["search"]["timed_out"] and report["verified"] is not False
+
+
 class JobManager:
-    """Queue, execute, verify and memoize optimization jobs (thread-safe)."""
+    """Queue, execute and memoize optimization jobs (thread-safe)."""
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
         executor: Optional[Any] = None,
-        dispatcher: Optional[BatchingDispatcher] = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self._base = self.config.run_config
@@ -167,15 +165,12 @@ class JobManager:
             "service.dedupe.hits": 0,
             "service.queue.rejected": 0,
         }
-        self.dispatcher = dispatcher or BatchingDispatcher(
-            window_ms=self.config.batch_window_ms
-        )
         generation = self._base.generation
         if executor is not None:
             self.executor = executor
         elif self.config.pooled:
             self.executor = PoolExecutor(
-                self._exec_config(self._base).as_dict(),
+                self._validated(self._base).as_dict(),
                 self.config.workers,
                 chunk_timeout=generation.chunk_timeout,
                 chunk_retries=generation.chunk_retries,
@@ -209,11 +204,10 @@ class JobManager:
             circuit = parse_qasm(qasm)
         except QasmError as error:
             raise InvalidRequest(f"malformed QASM: {error}") from error
-        effective = self._effective_config(overrides)
+        effective = self._validated(self._effective_config(overrides))
         canonical = to_qasm(circuit)
-        exec_config = self._exec_config(effective)
         key = _content_key(canonical, effective)
-        payload = {"qasm": canonical, "config": exec_config.as_dict()}
+        payload = {"qasm": canonical, "config": effective.as_dict()}
 
         with self._wake:
             if self._closed:
@@ -222,7 +216,7 @@ class JobManager:
             memoized = self._memo.get(key)
             if memoized is not None:
                 self._counters["service.cache.hits"] += 1
-                job = self._new_job(key, canonical, circuit, effective, payload)
+                job = self._new_job(key, canonical, payload)
                 job.cached = True
                 result, report = memoized
                 job.result = dict(result)
@@ -240,7 +234,7 @@ class JobManager:
                 raise QueueFull(
                     f"job queue is full ({self.config.max_queue} pending)"
                 )
-            job = self._new_job(key, canonical, circuit, effective, payload)
+            job = self._new_job(key, canonical, payload)
             self._active[key] = job
             self._queue.append(job)
             self._wake.notify_all()
@@ -259,7 +253,6 @@ class JobManager:
             counters = dict(self._counters)
             depth = len(self._queue)
             active = len(self._active)
-        counters.update(self.dispatcher.snapshot())
         counters["service.queue.depth"] = depth
         counters["service.jobs.active"] = active
         return counters
@@ -287,7 +280,6 @@ class JobManager:
             self._wake.notify_all()
         for thread in self._threads:
             thread.join(timeout)
-        self.dispatcher.close()
         self.executor.close()
 
     def __enter__(self) -> "JobManager":
@@ -312,36 +304,25 @@ class JobManager:
         except (TypeError, ValueError) as error:
             raise InvalidRequest(f"bad config override: {error}") from error
 
-    def _exec_config(self, effective: RunConfig) -> RunConfig:
-        """The config a job executes under: resolvable names, no verify.
+    def _validated(self, config: RunConfig) -> RunConfig:
+        """``config`` itself, once its names are known to resolve.
 
         Eager resolution turns unknown backend/strategy/gate-set names
         into a 400 here instead of a failed job later.
         """
-        exec_config = effective.with_overrides(verify_output=False)
         try:
-            if not isinstance(exec_config.gate_set, GateSet):
-                get_gate_set(exec_config.gate_set_name)
-            Superoptimizer(exec_config)
+            if not isinstance(config.gate_set, GateSet):
+                get_gate_set(config.gate_set_name)
+            Superoptimizer(config)
         except (KeyError, ValueError, TypeError) as error:
             raise InvalidRequest(f"bad configuration: {error}") from error
-        return exec_config
+        return config
 
-    def _new_job(
-        self,
-        key: str,
-        canonical: str,
-        circuit: Any,
-        effective: RunConfig,
-        payload: Dict[str, Any],
-    ) -> Job:
+    def _new_job(self, key: str, canonical: str, payload: Dict[str, Any]) -> Job:
         job = Job(
             id=f"job-{self._next_id}",
             key=key,
             canonical_qasm=canonical,
-            num_qubits=circuit.num_qubits,
-            verify_wanted=bool(effective.verify_output),
-            backend_name=str(payload["config"]["backend"]),
             payload=payload,
             created=time.monotonic(),
         )
@@ -380,9 +361,7 @@ class JobManager:
     def _run_job(self, job: Job) -> None:
         try:
             report = self.executor.run(job.payload)
-            verified = self._verify(job, report)
-            report["verified"] = verified
-            result = _result_block(report, verified)
+            result = _result_block(report)
         except ReproError as error:
             with self._lock:
                 self._active.pop(job.key, None)
@@ -399,30 +378,12 @@ class JobManager:
         with self._lock:
             job.result = result
             job.report = report
-            self._memo[job.key] = (dict(result), dict(report))
-            while len(self._memo) > RESULT_MEMO_CAPACITY:
-                self._memo.popitem(last=False)
+            if _memoizable(report):
+                self._memo[job.key] = (dict(result), dict(report))
+                while len(self._memo) > RESULT_MEMO_CAPACITY:
+                    self._memo.popitem(last=False)
             self._active.pop(job.key, None)
             self._finish(job, "completed")
-
-    def _verify(self, job: Job, report: Dict[str, Any]) -> Optional[bool]:
-        """Parent-side output verification through the co-batcher.
-
-        Mirrors the facade's guard exactly, so ``verified`` is identical
-        to what a direct ``Superoptimizer.optimize`` would report.
-        """
-        if not job.verify_wanted or job.num_qubits > VERIFY_MAX_QUBITS:
-            return None
-        with self._lock:
-            self._event(job, "verifying")
-        circuits = report["circuits"]
-        future = self.dispatcher.submit_pair(
-            parse_qasm(circuits["input_qasm"]),
-            parse_qasm(circuits["optimized_qasm"]),
-            backend=str(report["provenance"].get("backend", job.backend_name)),
-            job_key=job.id,
-        )
-        return bool(future.result())
 
 
 def _content_key(canonical_qasm: str, effective: RunConfig) -> str:

@@ -326,13 +326,13 @@ class TestLegacyShims:
 
     def test_quartz_optimize_skips_output_verification(self, monkeypatch):
         """The legacy wrapper stays cost-identical to the pre-facade flow."""
-        from repro.api import facade
         from repro.experiments.runner import quartz_optimize
 
         def _fail(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("legacy quartz_optimize must not verify")
 
-        monkeypatch.setattr(facade, "circuits_equivalent_statevector", _fail)
+        # ``Superoptimizer.verify`` is the facade's one output screen.
+        monkeypatch.setattr(Superoptimizer, "verify", _fail)
         clear_memory_caches()
         quartz_optimize(
             benchmark_circuit("tof_3"), "nam", n=1, q=1,

@@ -261,10 +261,10 @@ class TestNumbaBackendEndToEnd:
 class TestBatchedVerdictIdentity:
     """The batched verifier path must agree with the per-trial one.
 
-    ``circuits_equivalent_statevector_batched`` is the seam the facade and
-    the service ride (PR 8): same trial draws (``equivalence_trial_inputs``),
-    same tolerance, one ``apply_circuit_batch`` instead of per-trial calls —
-    so its *verdict* must be indistinguishable from the scalar path.
+    ``circuits_equivalent_statevector_batched`` is the facade's output
+    screen: same trial draws (``equivalence_trial_inputs``), same
+    tolerance, one ``apply_circuit_batch`` instead of per-trial calls — so
+    its *verdict* must be indistinguishable from the scalar path.
     """
 
     def _pairs(self):

@@ -291,24 +291,6 @@ class TestServiceKnobs:
         with pytest.warns(RuntimeWarning):
             assert envconfig.env_service_workers() == 1
 
-    def test_batch_window_default_valid_zero_and_invalid(self, monkeypatch):
-        monkeypatch.delenv(envconfig.SERVICE_BATCH_WINDOW_ENV_VAR, raising=False)
-        assert (
-            envconfig.env_service_batch_window_ms()
-            == envconfig.DEFAULT_SERVICE_BATCH_WINDOW_MS
-        )
-        monkeypatch.setenv(envconfig.SERVICE_BATCH_WINDOW_ENV_VAR, "12.5")
-        assert envconfig.env_service_batch_window_ms() == 12.5
-        monkeypatch.setenv(envconfig.SERVICE_BATCH_WINDOW_ENV_VAR, "0")
-        assert envconfig.env_service_batch_window_ms() == 0.0
-        for raw in ("soon", "-5"):
-            monkeypatch.setenv(envconfig.SERVICE_BATCH_WINDOW_ENV_VAR, raw)
-            with pytest.warns(RuntimeWarning):
-                assert (
-                    envconfig.env_service_batch_window_ms()
-                    == envconfig.DEFAULT_SERVICE_BATCH_WINDOW_MS
-                )
-
     def test_max_queue_default_valid_and_invalid(self, monkeypatch):
         monkeypatch.delenv(envconfig.SERVICE_MAX_QUEUE_ENV_VAR, raising=False)
         assert envconfig.env_service_max_queue() == envconfig.DEFAULT_SERVICE_MAX_QUEUE
@@ -327,15 +309,9 @@ class TestServiceKnobs:
 
         monkeypatch.setenv(envconfig.SERVICE_PORT_ENV_VAR, "9100")
         monkeypatch.setenv(envconfig.SERVICE_WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(envconfig.SERVICE_BATCH_WINDOW_ENV_VAR, "40")
         monkeypatch.setenv(envconfig.SERVICE_MAX_QUEUE_ENV_VAR, "9")
         config = ServiceConfig.from_env()
-        assert (config.port, config.workers, config.batch_window_ms, config.max_queue) == (
-            9100,
-            3,
-            40.0,
-            9,
-        )
+        assert (config.port, config.workers, config.max_queue) == (9100, 3, 9)
         assert config.pooled and config.executor_slots == 3
         assert config.run_config.generation.resume is True  # service default
         overridden = ServiceConfig.from_env(port=0, workers=1)

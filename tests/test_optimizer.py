@@ -1,10 +1,13 @@
 """Tests for transformations, the pattern matcher and the backtracking search."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.ir import Circuit
+from repro.ir.circuit import Instruction
 from repro.ir.params import Angle
 from repro.optimizer import (
     BacktrackingOptimizer,
@@ -135,6 +138,108 @@ class TestPatternMatcher:
 
     def test_empty_pattern_has_no_matches(self):
         assert PatternMatcher(Circuit(1).h(0)).find_matches(Circuit(1)) == []
+
+    def test_matches_equal_exhaustive_reference(self):
+        # The matcher follows only the next node on a shared wire; on random
+        # circuits it must still return exactly the matches, in the same
+        # order, of an exhaustive scan over every node assignment.
+        rng = random.Random(20220433)
+        compared = 0
+        for _ in range(200):
+            circuit = _random_circuit(rng, num_qubits=3, length=rng.randint(5, 9))
+            matcher = PatternMatcher(circuit)
+            patterns = [_random_pattern(rng) for _ in range(6)]
+            start = rng.randrange(len(circuit) - 1)
+            patterns.append(_window_pattern(circuit, start, rng.randint(2, 3)))
+            for pattern in patterns:
+                expected = _reference_matches(circuit, pattern)
+                found = [
+                    (m.node_ids, m.qubit_map, m.param_assignment)
+                    for m in matcher.find_matches(pattern)
+                ]
+                assert found == expected
+                limited = matcher.find_matches(pattern, max_matches=1)
+                assert [m.node_ids for m in limited] == [e[0] for e in expected[:1]]
+                compared += len(expected)
+        assert compared > 100
+
+
+def _random_instruction(rng, num_qubits, concrete):
+    gate = rng.choice(["h", "x", "cx", "rz"])
+    if gate == "cx":
+        return Instruction("cx", rng.sample(range(num_qubits), 2))
+    qubit = rng.randrange(num_qubits)
+    if gate == "rz":
+        angle = Angle.pi(Fraction(rng.randint(1, 3), 4)) if concrete else Angle.param(0)
+        return Instruction("rz", [qubit], [angle])
+    return Instruction(gate, [qubit])
+
+
+def _random_circuit(rng, num_qubits, length):
+    return Circuit(
+        num_qubits, [_random_instruction(rng, num_qubits, True) for _ in range(length)]
+    )
+
+
+def _random_pattern(rng):
+    length = rng.randint(2, 3)
+    return Circuit(
+        2, [_random_instruction(rng, 2, False) for _ in range(length)], num_params=1
+    )
+
+
+def _window_pattern(circuit, start, length):
+    """Consecutive instructions of ``circuit`` relabelled onto qubits 0..k-1,
+    with every angle replaced by its own parameter."""
+    window = circuit.instructions[start : start + length]
+    relabel = {}
+    for inst in window:
+        for qubit in inst.qubits:
+            relabel.setdefault(qubit, len(relabel))
+    instructions = []
+    num_params = 0
+    for inst in window:
+        params = [Angle.param(num_params + i) for i in range(len(inst.params))]
+        num_params += len(params)
+        instructions.append(
+            Instruction(inst.gate, [relabel[q] for q in inst.qubits], params)
+        )
+    return Circuit(len(relabel), instructions, num_params=num_params)
+
+
+def _reference_matches(circuit, pattern):
+    """Every injective node assignment in lexicographic order, filtered by
+    gate names, an injective operand-preserving qubit map, the pattern's
+    wire order, set-based convexity and parameter unification."""
+    matcher = PatternMatcher(circuit)
+    dag = matcher.dag
+    found = []
+    for node_ids in itertools.permutations(sorted(dag.nodes), len(pattern)):
+        qubit_map = {}
+        consistent = True
+        for pattern_inst, node_id in zip(pattern.instructions, node_ids):
+            node_inst = dag.nodes[node_id]
+            if node_inst.gate.name != pattern_inst.gate.name:
+                consistent = False
+                break
+            for pattern_qubit, circuit_qubit in zip(pattern_inst.qubits, node_inst.qubits):
+                if qubit_map.setdefault(pattern_qubit, circuit_qubit) != circuit_qubit:
+                    consistent = False
+        if not consistent or len(set(qubit_map.values())) != len(qubit_map):
+            continue
+        # Node ids follow program order, so on one wire they give its order.
+        last_on_qubit = {}
+        for pattern_inst, node_id in zip(pattern.instructions, node_ids):
+            for pattern_qubit in pattern_inst.qubits:
+                if last_on_qubit.get(pattern_qubit, -1) >= node_id:
+                    consistent = False
+                last_on_qubit[pattern_qubit] = node_id
+        if not consistent or not dag.is_convex(node_ids):
+            continue
+        params = matcher._solve_params(pattern, node_ids)
+        if params is not None:
+            found.append((node_ids, qubit_map, params))
+    return found
 
 
 class TestBacktrackingSearch:

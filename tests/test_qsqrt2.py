@@ -97,6 +97,22 @@ class TestFieldProperties:
         assert math.isclose(float(x + y), float(x) + float(y), abs_tol=1e-6)
 
     @settings(max_examples=50, deadline=None)
+    @given(elements, elements)
+    def test_matches_fraction_reference(self, x, y):
+        # The integer normal form must agree with plain Fraction arithmetic
+        # on the (a, b) coordinates, and hash and float as that pair did.
+        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        assert ((x + y).a, (x + y).b) == (a1 + a2, b1 + b2)
+        assert ((x - y).a, (x - y).b) == (a1 - a2, b1 - b2)
+        assert ((x * y).a, (x * y).b) == (a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)
+        if not y.is_zero():
+            norm = a2 * a2 - 2 * b2 * b2
+            assert (y.inverse().a, y.inverse().b) == (a2 / norm, -b2 / norm)
+        assert x == QSqrt2(a1, b1)
+        assert hash(x) == hash((a1, b1))
+        assert float(x) == float(a1) + float(b1) * math.sqrt(2.0)
+
+    @settings(max_examples=50, deadline=None)
     @given(elements)
     def test_subtraction_roundtrip(self, x):
         assert (x - x).is_zero()

@@ -1,14 +1,13 @@
-"""The optimization service: batching, determinism, errors, the wire.
+"""The optimization service: determinism, memoization, errors, the wire.
 
-The acceptance property of the service PR is at the top: N concurrent
-*distinct* circuits must co-batch (``service.batch.occupancy`` > 1) while
-every job's deterministic ``result`` block stays **byte-identical** to a
-serial, direct :class:`~repro.api.Superoptimizer` run of the same circuit
-and config.  The rest covers the dispatcher's verdict semantics, the
-content-hash cache and in-flight dedupe, the typed error paths (400 /
-429 + ``Retry-After`` / 404 / worker-crash retries ending in 500
-``RetryExhausted``), graceful drain, and the stdlib HTTP front end-to-end
-on an ephemeral port.
+The acceptance property is at the top: N concurrent *distinct* circuits
+each get a deterministic ``result`` block **byte-identical** to a serial,
+direct :class:`~repro.api.Superoptimizer` run of the same circuit and
+config, output verification included.  The rest covers the content-hash
+cache (and what it must not keep: timed-out or refuted results), in-flight
+dedupe, the typed error paths (400 / 429 + ``Retry-After`` / 404 /
+worker-crash retries ending in 500 ``RetryExhausted``), graceful drain,
+and the stdlib HTTP front end-to-end on an ephemeral port.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import contextlib
 import http.client
 import json
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import pytest
 
@@ -32,8 +31,8 @@ from repro.errors import (
     RetryExhausted,
     ServiceClosed,
 )
-from repro.ir.qasm import parse_qasm, to_qasm
-from repro.service import BatchingDispatcher, JobManager, OptimizationHTTPServer, ServiceConfig
+from repro.ir.qasm import to_qasm
+from repro.service import Job, JobManager, OptimizationHTTPServer, ServiceConfig
 from repro.service.executor import InlineExecutor, execute_job
 from repro.service.jobs import _result_block
 
@@ -42,12 +41,6 @@ from repro.service.jobs import _result_block
 BASE_RUN = RunConfig().with_overrides(n=2, q=2, cache_enabled=False, verify_output=True)
 
 CIRCUITS = ("tof_3", "barenco_tof_3", "mod5_4")
-
-QASM_1Q_H = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n'
-QASM_1Q_HH = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\nh q[0];\n'
-QASM_1Q_EMPTY = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
-QASM_1Q_X = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nx q[0];\n'
-QASM_2Q = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n'
 
 
 def qasm_for(name: str) -> str:
@@ -62,61 +55,25 @@ def manager(**service_kwargs: Any) -> JobManager:
 def serial_result_block(name: str) -> Dict[str, Any]:
     """What a direct facade run reports, shaped as the service's block."""
     report = Superoptimizer(BASE_RUN).optimize(benchmark_circuit(name)).to_json_dict()
-    return _result_block(report, report["verified"])
-
-
-class TestBatchingDispatcher:
-    def test_verdicts_match_facade_semantics(self):
-        with BatchingDispatcher(window_ms=1.0) as dispatcher:
-            equivalent = dispatcher.submit_pair(
-                parse_qasm(QASM_1Q_HH), parse_qasm(QASM_1Q_EMPTY), job_key="eq"
-            )
-            different = dispatcher.submit_pair(
-                parse_qasm(QASM_1Q_H), parse_qasm(QASM_1Q_X), job_key="ne"
-            )
-            mismatch = dispatcher.submit_pair(
-                parse_qasm(QASM_1Q_H), parse_qasm(QASM_2Q), job_key="mm"
-            )
-            assert equivalent.result(10) is True
-            assert different.result(10) is False
-            assert mismatch.result(10) is False
-
-    def test_concurrent_pairs_share_a_flush(self):
-        with BatchingDispatcher(window_ms=250.0) as dispatcher:
-            first = dispatcher.submit_pair(
-                parse_qasm(QASM_1Q_HH), parse_qasm(QASM_1Q_EMPTY), job_key="job-a"
-            )
-            second = dispatcher.submit_pair(
-                parse_qasm(QASM_1Q_H), parse_qasm(QASM_1Q_X), job_key="job-b"
-            )
-            assert first.result(10) is True
-            assert second.result(10) is False
-            snapshot = dispatcher.snapshot()
-        assert snapshot["service.batch.occupancy"] == 2
-        assert snapshot["service.batch.flushes"] == 1
-        assert snapshot["service.batch.pairs"] == 2
+    return _result_block(report)
 
 
 class TestCrossRequestByteIdentity:
-    """The acceptance test: co-batching must not change a single byte."""
+    """The acceptance test: serving must not change a single byte."""
 
-    def test_concurrent_distinct_circuits_cobatch_and_match_serial(self):
+    def test_concurrent_distinct_circuits_match_serial(self):
         serial = {name: serial_result_block(name) for name in CIRCUITS}
-        # A generous window so all verifications land in one flush even on
-        # a loaded machine; executor_slots >= 2 runs jobs concurrently.
-        with manager(batch_window_ms=400.0) as service:
+        # executor_slots >= 2 runs jobs concurrently.
+        with manager() as service:
             jobs = {name: service.submit(qasm_for(name)) for name in CIRCUITS}
             for job in jobs.values():
                 assert job.wait(120)
-            stats = service.stats()
         for name, job in jobs.items():
             assert job.status == "completed"
             assert job.result["verified"] is True
             assert json.dumps(job.result, sort_keys=True) == json.dumps(
                 serial[name], sort_keys=True
             )
-        assert stats["service.batch.occupancy"] > 1
-        assert stats["service.batch.shared_gate_calls"] > 0
 
     def test_cache_hit_returns_identical_result(self):
         with manager() as service:
@@ -137,6 +94,68 @@ class TestCrossRequestByteIdentity:
             assert first.wait(120)
             noisy = qasm.replace(";\n", ";\n\n")  # same circuit, other bytes
             assert service.submit(noisy).cached
+
+
+class TestMemoization:
+    """Only results of (circuit, config) alone, never refuted, are kept."""
+
+    @staticmethod
+    def _submit_twice(
+        edit: Callable[[Dict[str, Any]], None],
+    ) -> Tuple[Job, Job, Dict[str, Any], int]:
+        """Run ``tof_3`` twice through a runner that edits the real report."""
+        runs = []
+
+        def runner(payload: Dict[str, Any]) -> Dict[str, Any]:
+            report = execute_job(payload)
+            edit(report)
+            runs.append(payload)
+            return report
+
+        service = JobManager(
+            ServiceConfig(run_config=BASE_RUN),
+            executor=InlineExecutor(runner=runner),
+        )
+        with service:
+            first = service.submit(qasm_for("tof_3"))
+            assert first.wait(120)
+            again = service.submit(qasm_for("tof_3"))
+            assert again.wait(120)
+            stats = service.stats()
+        assert first.status == again.status == "completed"
+        return first, again, stats, len(runs)
+
+    def test_search_stopped_by_the_clock_is_not_memoized(self):
+        def hit_the_wall_clock_cap(report: Dict[str, Any]) -> None:
+            report["search"]["timed_out"] = True
+
+        first, again, stats, runs = self._submit_twice(hit_the_wall_clock_cap)
+        assert again is not first and not again.cached
+        assert stats["service.cache.hits"] == 0
+        assert runs == 2
+
+    def test_refuted_output_is_not_memoized(self):
+        def refute(report: Dict[str, Any]) -> None:
+            report["verified"] = False
+
+        first, again, stats, runs = self._submit_twice(refute)
+        assert first.result["verified"] is False
+        assert again is not first and not again.cached
+        assert stats["service.cache.hits"] == 0
+        assert runs == 2
+
+    def test_verify_output_override_is_a_distinct_job(self):
+        with manager() as service:
+            default = service.submit(qasm_for("tof_3"))
+            assert default.wait(120)
+            unverified = service.submit(qasm_for("tof_3"), {"verify_output": False})
+            assert unverified.wait(120)
+            stats = service.stats()
+        assert default.result["verified"] is True
+        assert unverified.status == "completed"
+        assert unverified.result["verified"] is None
+        assert not unverified.cached
+        assert stats["service.cache.hits"] == 0
 
 
 class _BlockingExecutor:
@@ -303,6 +322,7 @@ class TestPoolMode:
                 assert job.wait(240)
         for name, job in jobs.items():
             assert job.status == "completed", (job.status, job.error)
+            assert job.result["verified"] is True
             assert json.dumps(job.result, sort_keys=True) == json.dumps(
                 serial[name], sort_keys=True
             )
@@ -374,7 +394,7 @@ class _ServerThread:
 
 @pytest.fixture(scope="module")
 def http_server():
-    config = ServiceConfig(port=0, batch_window_ms=50.0, run_config=BASE_RUN)
+    config = ServiceConfig(port=0, run_config=BASE_RUN)
     with _ServerThread(config) as server:
         yield server
 
@@ -389,10 +409,11 @@ class TestHTTPServer:
         status, _, record = http_server.request("GET", f"/v1/jobs/{job_id}?wait=120")
         assert status == 200
         assert record["status"] == "completed"
+        assert record["result"]["verified"] is True
         assert json.dumps(record["result"], sort_keys=True) == json.dumps(
             serial_result_block("tof_3"), sort_keys=True
         )
-        assert "service.batch.flushes" in record["service"]
+        assert "service.jobs.completed" in record["service"]
 
     def test_raw_qasm_body_is_accepted(self, http_server):
         status, _, submitted = http_server.request(
@@ -434,7 +455,7 @@ class TestHTTPServer:
         for key in (
             "service.jobs.submitted",
             "service.cache.hits",
-            "service.batch.occupancy",
+            "service.jobs.active",
             "service.queue.depth",
         ):
             assert key in stats
