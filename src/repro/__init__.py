@@ -73,7 +73,6 @@ from repro.optimizer import (
     GateCountCost,
     OptimizationResult,
     Transformation,
-    greedy_optimize,
     transformations_from_ecc_set,
 )
 from repro.preprocess import preprocess
@@ -115,7 +114,6 @@ __all__ = [
     "GateCountCost",
     "OptimizationResult",
     "Transformation",
-    "greedy_optimize",
     "transformations_from_ecc_set",
     "preprocess",
     "EquivalenceVerifier",

@@ -274,8 +274,10 @@ class ECCCache:
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.directory, prefix=path.name, suffix=".tmp"
             )
+            # One json.dumps call: json.dump always takes the pure-Python
+            # encoder, the one-shot form the C one (same text).
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle)
+                handle.write(json.dumps(envelope))
             os.replace(tmp_name, path)
         except OSError as error:
             # A read-only or full cache directory must not break generation

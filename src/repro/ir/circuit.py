@@ -64,6 +64,25 @@ class Instruction:
                 f"got {len(self.params)}"
             )
 
+    @classmethod
+    def _trusted(
+        cls, gate: Gate, qubits: Tuple[int, ...], params: Tuple[Angle, ...]
+    ) -> "Instruction":
+        """An instruction built without the checks of ``__init__``.
+
+        The caller guarantees them: ``qubits`` is a tuple of distinct ints of
+        the gate's arity and ``params`` a tuple of the gate's number of
+        :class:`Angle` values.  The matcher instantiates replacement gates
+        this way from a validated target circuit through an injective qubit
+        map.
+        """
+        inst = cls.__new__(cls)
+        inst.gate = gate
+        inst.qubits = qubits
+        inst.params = params
+        inst._sort_key = None
+        return inst
+
     def sort_key(self) -> tuple:
         """A total order on instructions used by Definition 3 and hashing.
 
@@ -146,6 +165,32 @@ class Circuit:
             self._check_instruction(inst)
             self.instructions.append(inst)
             self._count_gate(inst)
+
+    @classmethod
+    def _trusted(
+        cls,
+        num_qubits: int,
+        instructions: List[Instruction],
+        num_params: int,
+        gate_counts: Dict[str, int],
+    ) -> "Circuit":
+        """A circuit built from parts the caller has already checked.
+
+        ``instructions`` is taken as given (not copied or re-validated) and
+        ``gate_counts`` must be its gate-name histogram without zero
+        entries.  :meth:`CircuitDAG.splice` builds every search successor
+        this way: the parent's instructions were validated when the parent
+        was built, and splice checks the replacement's qubits itself.
+        """
+        circuit = cls.__new__(cls)
+        circuit.num_qubits = num_qubits
+        circuit.num_params = num_params
+        circuit.instructions = instructions
+        circuit._gate_counts = gate_counts
+        circuit._sequence_key = None
+        circuit._canonical_key = None
+        circuit._hash = None
+        return circuit
 
     # -- construction -------------------------------------------------------
 

@@ -11,7 +11,8 @@ order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.ir.circuit import Circuit, Instruction
 
@@ -32,6 +33,10 @@ class CircuitDAG:
         # For each qubit, node ids in wire order.
         self.wires: List[List[int]] = [[] for _ in range(num_qubits)]
         self._next_id = 0
+        # Instructions in node-id order, and their gate-name histogram:
+        # splice builds successors from these without re-validating them.
+        self._instructions: List[Instruction] = []
+        self._gate_counts: Dict[str, int] = {}
         # Reachability bitmasks, computed on first use (see
         # reachability_masks) and dropped whenever a node is added.
         self._masks: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
@@ -50,6 +55,9 @@ class CircuitDAG:
         self._next_id += 1
         self._masks = None
         self.nodes[node_id] = inst
+        self._instructions.append(inst)
+        name = inst.gate.name
+        self._gate_counts[name] = self._gate_counts.get(name, 0) + 1
         self.successors[node_id] = set()
         self.predecessors[node_id] = set()
         for qubit in inst.qubits:
@@ -186,6 +194,7 @@ class CircuitDAG:
         self,
         matched: Sequence[int],
         replacement: Sequence[Instruction],
+        replacement_counts: Optional[Mapping[str, int]] = None,
     ) -> Circuit:
         """Return a new circuit with the convex set ``matched`` replaced.
 
@@ -194,27 +203,58 @@ class CircuitDAG:
         Nodes that must come before the matched set (its ancestors) keep
         their relative order and are emitted first, then the replacement,
         then everything else — valid because the matched set is convex.
+
+        The unchanged instructions were validated when the circuit was
+        built, so only the replacement's qubits are range-checked, and the
+        gate counts are this DAG's minus the matched gates plus
+        ``replacement_counts`` (the replacement's histogram, counted here
+        when not given).
         """
+        num_qubits = self.num_qubits
+        for inst in replacement:
+            for qubit in inst.qubits:
+                if not 0 <= qubit < num_qubits:
+                    raise ValueError(
+                        f"qubit {qubit} out of range for circuit with {num_qubits} qubits"
+                    )
         descendants_mask, ancestors_mask = self.reachability_masks()
         if not self.is_convex_masked(matched, descendants_mask, ancestors_mask):
             raise ValueError("cannot splice a non-convex node set")
+        nodes = self.nodes
+        counts = dict(self._gate_counts)
         members = 0
         above = 0
+        last = -1
         for node_id in matched:
             members |= 1 << node_id
             above |= ancestors_mask[node_id]
+            counts[nodes[node_id].gate.name] -= 1
+            if node_id > last:
+                last = node_id
+        if replacement_counts is None:
+            replacement_counts = Counter(inst.gate.name for inst in replacement)
+        for name, count in replacement_counts.items():
+            counts[name] = counts.get(name, 0) + count
+        # Node ids follow a topological order, so no node after the last
+        # matched one is an ancestor of the match: that suffix stays as is.
+        order = self._instructions
+        head = order[: last + 1]
         before = above & ~members
-        order = self.topological_order()
-        nodes = self.nodes
-        instructions: List[Instruction] = [
-            nodes[node_id] for node_id in order if before >> node_id & 1
-        ]
-        instructions.extend(replacement)
         placed = before | members
-        instructions.extend(
-            nodes[node_id] for node_id in order if not placed >> node_id & 1
+        instructions = [
+            inst for node_id, inst in enumerate(head) if before >> node_id & 1
+        ]
+        instructions += replacement
+        instructions += [
+            inst for node_id, inst in enumerate(head) if not placed >> node_id & 1
+        ]
+        instructions += order[last + 1 :]
+        return Circuit._trusted(
+            num_qubits,
+            instructions,
+            self.num_params,
+            {name: count for name, count in counts.items() if count},
         )
-        return Circuit(self.num_qubits, instructions, self.num_params)
 
     def __repr__(self) -> str:
         return (

@@ -23,16 +23,44 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
 
+def exact_key(value: Fraction) -> Union[float, Fraction]:
+    """``value`` as a float when that float equals it exactly, else ``value``.
+
+    Only dyadic rationals can be floats, and only those whose numerator and
+    exponent fit a double: ``Fraction(1, 2**1100)`` would underflow to
+    ``0.0`` and ``Fraction(2**53 + 1)`` would round, so both stay
+    Fractions.  Python guarantees that a float and a Fraction of equal value
+    compare equal, order exactly against each other and hash alike, so a
+    key built from either is the same key; the float just hashes and
+    compares in C instead of in ``fractions.py``.
+    """
+    denominator = value.denominator
+    if denominator & (denominator - 1):
+        return value
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return value
+    # ``float(value) == value``, compared without building a Fraction.
+    if as_float.as_integer_ratio() == (value.numerator, denominator):
+        return as_float
+    return value
+
+
 class Angle:
     """An exact angle: a rational multiple of pi plus a rational combination
-    of symbolic parameters."""
+    of symbolic parameters.
 
-    __slots__ = ("pi_multiple", "coefficients")
+    Angles are immutable values: their sort key is computed once and
+    cached.
+    """
+
+    __slots__ = ("pi_multiple", "coefficients", "_sort_key")
 
     def __init__(
         self,
@@ -47,6 +75,7 @@ class Angle:
                 if value != 0:
                     coeffs[int(index)] = value
         self.coefficients: Dict[int, Fraction] = coeffs
+        self._sort_key: Optional[tuple] = None
 
     # -- constructors -----------------------------------------------------
 
@@ -122,14 +151,33 @@ class Angle:
         return Angle(self.pi_multiple % 2, self.coefficients)
 
     def substitute(self, assignment: Mapping[int, "Angle"]) -> "Angle":
-        """Replace parameters by angles (used when instantiating patterns)."""
-        result = Angle(self.pi_multiple)
+        """Replace parameters by angles (used when instantiating patterns).
+
+        Equal to adding up ``assignment[i].scale(c)`` (or ``c * p_i`` for an
+        unassigned ``i``) term by term, coefficient order included, but
+        without an intermediate Angle per term.
+        """
+        pi_multiple = self.pi_multiple
+        coefficients: Dict[int, Fraction] = {}
         for index, coefficient in self.coefficients.items():
-            if index in assignment:
-                result = result + assignment[index].scale(coefficient)
+            value = assignment.get(index)
+            if value is None:
+                terms: Iterable[Tuple[int, Fraction]] = ((index, coefficient),)
+            elif coefficient == 1:
+                pi_multiple += value.pi_multiple
+                terms = value.coefficients.items()
             else:
-                result = result + Angle.param(index, coefficient)
-        return result
+                pi_multiple += value.pi_multiple * coefficient
+                terms = [(i, c * coefficient) for i, c in value.coefficients.items()]
+            for term_index, term in terms:
+                total = coefficients.get(term_index, 0) + term
+                if total:
+                    coefficients[term_index] = total
+                else:
+                    # A term that cancels leaves the sum; a later one
+                    # re-enters it last, as a new key of the sum would.
+                    del coefficients[term_index]
+        return Angle(pi_multiple, coefficients)
 
     # -- conversions --------------------------------------------------------
 
@@ -147,10 +195,23 @@ class Angle:
     # -- ordering / hashing ---------------------------------------------------
 
     def sort_key(self) -> tuple:
-        return (
-            self.pi_multiple,
-            tuple(sorted(self.coefficients.items())),
-        )
+        """``(pi multiple, sorted (index, coefficient) pairs)``.
+
+        Each rational goes through :func:`exact_key`, so the key equals the
+        all-Fraction key, with the same hash and order, but hashes without
+        ``Fraction.__hash__``.
+        """
+        key = self._sort_key
+        if key is None:
+            key = (
+                exact_key(self.pi_multiple),
+                tuple(
+                    (index, exact_key(coefficient))
+                    for index, coefficient in sorted(self.coefficients.items())
+                ),
+            )
+            self._sort_key = key
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Angle):
@@ -161,7 +222,7 @@ class Angle:
         )
 
     def __hash__(self) -> int:
-        return hash((self.pi_multiple, tuple(sorted(self.coefficients.items()))))
+        return hash(self.sort_key())
 
     def __repr__(self) -> str:
         if self.is_constant():

@@ -3,7 +3,7 @@
 from repro.optimizer.cost import CostModel, GateCountCost, TwoQubitCountCost, TCountCost, DepthCost
 from repro.optimizer.xfer import Transformation, transformations_from_ecc_set
 from repro.optimizer.matcher import PatternMatcher, Match
-from repro.optimizer.search import BacktrackingOptimizer, OptimizationResult, greedy_optimize
+from repro.optimizer.search import BacktrackingOptimizer, OptimizationResult
 from repro.optimizer.strategies import (
     SearchStrategy,
     available_strategies,
@@ -27,5 +27,4 @@ __all__ = [
     "Match",
     "BacktrackingOptimizer",
     "OptimizationResult",
-    "greedy_optimize",
 ]

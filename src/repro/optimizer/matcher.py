@@ -18,19 +18,27 @@ three families of constraints:
 Applying a match instantiates the transformation's target circuit with the
 solved parameters and the match's qubit mapping, and splices it into the
 circuit in place of the matched gates.
+
+Both halves are compiled once per transformation and cached on it: the
+source pattern into a :class:`MatchPlan` (which operands each step checks
+against earlier bindings and which it binds), the target into a
+:class:`TargetTemplate` (which gates need their parameters substituted).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.dag import CircuitDAG
+from repro.ir.gates import Gate
 from repro.ir.params import Angle
 from repro.perf import NULL_RECORDER, PerfRecorder
-from repro.optimizer.xfer import Transformation
+
+if TYPE_CHECKING:
+    from repro.optimizer.xfer import Transformation
 
 
 @dataclass
@@ -42,6 +50,101 @@ class Match:
     param_assignment: Dict[int, Angle]
 
 
+class MatchPlan(NamedTuple):
+    """A source pattern compiled for :meth:`PatternMatcher.find_matches`.
+
+    Step ``i`` is ``(gate_name, anchor, checks, binds, order_checks)`` for
+    pattern instruction ``i``.  Whether a pattern qubit is already bound
+    when a step runs is fixed by the pattern alone (bindings come from
+    earlier instructions), so each step lists its operands as ``checks``,
+    ``(operand, pattern_qubit)`` pairs whose circuit qubit must equal the
+    binding, and ``binds``, pairs whose circuit qubit must still be unused
+    and is bound here.  ``anchor`` is ``(pattern_qubit, earlier_step)`` for
+    the first bound operand — the next node on its wire after the node
+    matched at ``earlier_step`` is the only candidate — or ``None`` when the
+    instruction starts a disconnected part of the pattern and the gate
+    index is scanned instead.  ``order_checks`` lists the same pair for
+    every other bound operand; the matched nodes must keep that wire order.
+    """
+
+    steps: Tuple[tuple, ...]
+    #: Pattern qubits in the order the steps bind them.
+    bound_qubits: Tuple[int, ...]
+    num_qubits: int
+    #: False when no pattern gate takes a parameter: every match then has
+    #: the empty assignment, and unification is skipped.
+    has_params: bool
+
+
+def compile_match_plan(pattern: Circuit) -> MatchPlan:
+    """Compile ``pattern`` into the steps :meth:`~PatternMatcher.find_matches` runs."""
+    steps: List[tuple] = []
+    bound_qubits: List[int] = []
+    last_on_qubit: Dict[int, int] = {}
+    for position, inst in enumerate(pattern.instructions):
+        anchor = None
+        checks = []
+        binds = []
+        order_checks = []
+        for operand, pattern_qubit in enumerate(inst.qubits):
+            earlier = last_on_qubit.get(pattern_qubit)
+            if earlier is None:
+                binds.append((operand, pattern_qubit))
+                bound_qubits.append(pattern_qubit)
+                continue
+            checks.append((operand, pattern_qubit))
+            if anchor is None:
+                anchor = (pattern_qubit, earlier)
+            else:
+                order_checks.append((pattern_qubit, earlier))
+        for pattern_qubit in inst.qubits:
+            last_on_qubit[pattern_qubit] = position
+        steps.append(
+            (inst.gate.name, anchor, tuple(checks), tuple(binds), tuple(order_checks))
+        )
+    return MatchPlan(
+        tuple(steps),
+        tuple(bound_qubits),
+        pattern.num_qubits,
+        any(inst.params for inst in pattern.instructions),
+    )
+
+
+class TargetTemplate(NamedTuple):
+    """A transformation's target compiled for :meth:`PatternMatcher.apply`.
+
+    ``instructions`` holds ``(gate, pattern_qubits, params, constant)`` per
+    target gate; ``constant`` is True when no param mentions a pattern
+    parameter, so the params are reused as they are.  ``extra_qubits`` and
+    ``extra_params`` are the target's pattern qubits and parameters that
+    the source does not mention (no match binds them), and ``gate_counts``
+    is the target's gate-name histogram.
+    """
+
+    instructions: Tuple[Tuple[Gate, Tuple[int, ...], Tuple[Angle, ...], bool], ...]
+    extra_qubits: Tuple[int, ...]
+    extra_params: Tuple[int, ...]
+    gate_counts: Dict[str, int]
+
+
+def compile_target_template(source: Circuit, target: Circuit) -> TargetTemplate:
+    """Compile the target of the rewrite ``source -> target``."""
+    return TargetTemplate(
+        tuple(
+            (
+                inst.gate,
+                inst.qubits,
+                inst.params,
+                all(param.is_constant() for param in inst.params),
+            )
+            for inst in target.instructions
+        ),
+        tuple(sorted(target.used_qubits() - source.used_qubits())),
+        tuple(sorted(target.used_params() - source.used_params())),
+        target.gate_counts(),
+    )
+
+
 class PatternMatcher:
     """Finds and applies transformation matches on a fixed circuit."""
 
@@ -49,13 +152,19 @@ class PatternMatcher:
         self.circuit = circuit
         self.perf = perf if perf is not None else NULL_RECORDER
         self.dag = CircuitDAG.from_circuit(circuit)
+        # Node ids are consecutive integers in program order, so per-node
+        # facts live in flat lists indexed by node id.
+        self._node_names: List[str] = []
+        self._node_qubits: List[Tuple[int, ...]] = []
         # Index DAG nodes by gate name for fast candidate lookup.
         self._nodes_by_gate: Dict[str, List[int]] = {}
         for node_id, inst in self.dag.nodes.items():
-            self._nodes_by_gate.setdefault(inst.gate.name, []).append(node_id)
+            name = inst.gate.name
+            self._node_names.append(name)
+            self._node_qubits.append(inst.qubits)
+            self._nodes_by_gate.setdefault(name, []).append(node_id)
         # Position of each node on each of its wires (-1 when the node does
-        # not touch the wire); indexed as [node_id][qubit] — node ids are
-        # consecutive integers, so flat lists beat tuple-keyed dicts here.
+        # not touch the wire); indexed as [node_id][qubit].
         self._wire_pos: List[List[int]] = [
             [-1] * circuit.num_qubits for _ in range(len(self.dag.nodes))
         ]
@@ -72,33 +181,39 @@ class PatternMatcher:
     # -- matching -----------------------------------------------------------
 
     def find_matches(
-        self, pattern: Circuit, max_matches: Optional[int] = None
+        self,
+        pattern: Circuit,
+        max_matches: Optional[int] = None,
+        plan: Optional[MatchPlan] = None,
     ) -> List[Match]:
-        """Return matches of ``pattern`` as convex subcircuits of the circuit."""
+        """Return matches of ``pattern`` as convex subcircuits of the circuit.
+
+        ``plan`` is ``pattern`` compiled by :func:`compile_match_plan`;
+        :meth:`matches_for` passes the one cached on the transformation, and
+        it is compiled here when not given.
+        """
         if len(pattern) == 0 or len(pattern) > len(self.circuit):
             return []
-        plan = _match_plan(pattern)
-        num_pattern = len(plan)
+        if max_matches is not None and max_matches <= 0:
+            return []
+        if plan is None:
+            plan = compile_match_plan(pattern)
+        steps = plan.steps
+        last_step = len(steps) - 1
         matches: List[Match] = []
         assignment: List[int] = []
-        qubit_map: Dict[int, int] = {}
-        used_circuit_qubits: set[int] = set()
+        qubit_map = [-1] * plan.num_qubits
+        used_qubits = [False] * self.circuit.num_qubits
         used_nodes: set[int] = set()
-        nodes = self.dag.nodes
+        node_names = self._node_names
+        node_qubits = self._node_qubits
         wires = self.dag.wires
         wire_pos = self._wire_pos
         nodes_by_gate = self._nodes_by_gate
 
         def backtrack(position: int) -> bool:
             """Returns True when the match limit has been reached."""
-            if max_matches is not None and len(matches) >= max_matches:
-                return True
-            if position == num_pattern:
-                match = self._finalize(pattern, assignment, dict(qubit_map))
-                if match is not None:
-                    matches.append(match)
-                return max_matches is not None and len(matches) >= max_matches
-            gate_name, pattern_qubits, anchor, order_checks = plan[position]
+            gate_name, anchor, checks, binds, order_checks = steps[position]
             candidates: Sequence[int]
             if anchor is None:
                 candidates = nodes_by_gate.get(gate_name, ())
@@ -114,35 +229,32 @@ class PatternMatcher:
                 next_position = wire_pos[assignment[earlier]][circuit_qubit] + 1
                 if next_position >= len(wire):
                     return False
-                candidates = (wire[next_position],)
-                if nodes[candidates[0]].gate.name != gate_name:
+                node_id = wire[next_position]
+                if node_names[node_id] != gate_name:
                     return False
+                candidates = (node_id,)
             for node_id in candidates:
                 if node_id in used_nodes:
                     continue
-                node_inst = nodes[node_id]
-                # Bind qubits eagerly (rolled back below): the mapping must
-                # stay injective and agree with previous bindings.
-                new_bindings: List[int] = []
+                qubits = node_qubits[node_id]
+                # Operands bound by earlier steps must agree, and the ones
+                # bound here must keep the qubit mapping injective.
                 compatible = True
-                for pattern_qubit, circuit_qubit in zip(
-                    pattern_qubits, node_inst.qubits
-                ):
-                    bound = qubit_map.get(pattern_qubit)
-                    if bound is not None:
-                        if bound != circuit_qubit:
-                            compatible = False
-                            break
-                    elif circuit_qubit in used_circuit_qubits:
+                for operand, pattern_qubit in checks:
+                    if qubits[operand] != qubit_map[pattern_qubit]:
                         compatible = False
                         break
-                    else:
-                        qubit_map[pattern_qubit] = circuit_qubit
-                        used_circuit_qubits.add(circuit_qubit)
-                        new_bindings.append(pattern_qubit)
-                if compatible:
-                    # Matched gates must appear on every shared wire in
-                    # pattern order (the anchor wire holds by construction).
+                if not compatible:
+                    continue
+                for operand, _ in binds:
+                    if used_qubits[qubits[operand]]:
+                        compatible = False
+                        break
+                if not compatible:
+                    continue
+                # Matched gates must appear on every shared wire in pattern
+                # order (the anchor wire holds by construction).
+                if order_checks:
                     node_positions = wire_pos[node_id]
                     for pattern_qubit, earlier in order_checks:
                         circuit_qubit = qubit_map[pattern_qubit]
@@ -150,17 +262,26 @@ class PatternMatcher:
                         if not 0 <= earlier_position < node_positions[circuit_qubit]:
                             compatible = False
                             break
-                if not compatible:
-                    for pattern_qubit in new_bindings:
-                        used_circuit_qubits.remove(qubit_map.pop(pattern_qubit))
-                    continue
+                    if not compatible:
+                        continue
+                for operand, pattern_qubit in binds:
+                    circuit_qubit = qubits[operand]
+                    qubit_map[pattern_qubit] = circuit_qubit
+                    used_qubits[circuit_qubit] = True
                 assignment.append(node_id)
-                used_nodes.add(node_id)
-                stop = backtrack(position + 1)
-                used_nodes.remove(node_id)
+                if position == last_step:
+                    match = self._finalize(pattern, plan, tuple(assignment), qubit_map)
+                    stop = False
+                    if match is not None:
+                        matches.append(match)
+                        stop = max_matches is not None and len(matches) >= max_matches
+                else:
+                    used_nodes.add(node_id)
+                    stop = backtrack(position + 1)
+                    used_nodes.remove(node_id)
                 assignment.pop()
-                for pattern_qubit in new_bindings:
-                    used_circuit_qubits.remove(qubit_map.pop(pattern_qubit))
+                for operand, _ in binds:
+                    used_qubits[qubits[operand]] = False
                 if stop:
                     return True
             return False
@@ -171,18 +292,23 @@ class PatternMatcher:
     def _finalize(
         self,
         pattern: Circuit,
-        assignment: Sequence[int],
-        qubit_map: Dict[int, int],
+        plan: MatchPlan,
+        node_ids: Tuple[int, ...],
+        qubit_map: List[int],
     ) -> Optional[Match]:
-        node_ids = tuple(assignment)
         if not self.dag.is_convex_masked(
             node_ids, self._descendants_mask, self._ancestors_mask
         ):
             return None
-        param_assignment = self._solve_params(pattern, node_ids)
-        if param_assignment is None:
-            return None
-        return Match(node_ids, qubit_map, param_assignment)
+        if plan.has_params:
+            param_assignment = self._solve_params(pattern, node_ids)
+            if param_assignment is None:
+                return None
+        else:
+            param_assignment = {}
+        return Match(
+            node_ids, {q: qubit_map[q] for q in plan.bound_qubits}, param_assignment
+        )
 
     # -- parameter unification -------------------------------------------------
 
@@ -251,32 +377,47 @@ class PatternMatcher:
     # -- application -------------------------------------------------------------
 
     def apply(self, transformation: Transformation, match: Match) -> Optional[Circuit]:
-        """Instantiate the transformation at ``match`` and splice it in."""
-        target = transformation.target
-        qubit_map = dict(match.qubit_map)
+        """Instantiate the transformation at ``match`` and splice it in.
+
+        The target is instantiated from its compiled template: qubits are
+        mapped, and only parameters that mention a pattern parameter are
+        substituted; the splice keeps every other gate of the circuit.
+        """
+        template = transformation.target_template
+        qubit_map = match.qubit_map
 
         # The target may touch pattern qubits the source never mentions; map
         # them to circuit qubits that are not already claimed by the match.
-        unmapped = sorted(target.used_qubits() - set(qubit_map))
-        if unmapped:
+        if template.extra_qubits:
+            claimed = set(qubit_map.values())
             available = [
-                q for q in range(self.circuit.num_qubits) if q not in qubit_map.values()
+                q for q in range(self.circuit.num_qubits) if q not in claimed
             ]
-            if len(available) < len(unmapped):
+            if len(available) < len(template.extra_qubits):
                 return None
-            for pattern_qubit, circuit_qubit in zip(unmapped, available):
+            qubit_map = dict(qubit_map)
+            for pattern_qubit, circuit_qubit in zip(template.extra_qubits, available):
                 qubit_map[pattern_qubit] = circuit_qubit
 
         # Likewise, parameters used only by the target default to zero.
-        assignment = dict(match.param_assignment)
-        for index in target.used_params():
-            assignment.setdefault(index, Angle.zero())
+        assignment = match.param_assignment
+        if template.extra_params:
+            assignment = dict(assignment)
+            for index in template.extra_params:
+                assignment.setdefault(index, Angle.zero())
 
-        instantiated = target.substitute_params(assignment)
-        replacement = [
-            inst.remap_qubits(qubit_map) for inst in instantiated.instructions
-        ]
-        return self.dag.splice(match.node_ids, replacement)
+        trusted = Instruction._trusted
+        replacement = []
+        for gate, pattern_qubits, params, constant in template.instructions:
+            if not constant:
+                params = tuple(
+                    param if param.is_constant() else param.substitute(assignment)
+                    for param in params
+                )
+            replacement.append(
+                trusted(gate, tuple([qubit_map[q] for q in pattern_qubits]), params)
+            )
+        return self.dag.splice(match.node_ids, replacement, template.gate_counts)
 
     def matches_for(
         self,
@@ -294,7 +435,11 @@ class PatternMatcher:
             self.perf.count("matcher.match_cache.hits")
             return cached
         self.perf.count("matcher.match_cache.misses")
-        matches = self.find_matches(transformation.source, max_matches=max_matches)
+        matches = self.find_matches(
+            transformation.source,
+            max_matches=max_matches,
+            plan=transformation.match_plan,
+        )
         self._match_cache[cache_key] = matches
         return matches
 
@@ -310,8 +455,8 @@ class PatternMatcher:
             new_circuit = self.apply(transformation, match)
             if new_circuit is None:
                 continue
-            # One hash per key: canonical keys nest Fractions, whose hash
-            # is computed in Python on every lookup.
+            # One hash per key: add-and-compare instead of a lookup and an
+            # add.
             seen_before = len(seen_keys)
             seen_keys.add(new_circuit.canonical_key())
             if len(seen_keys) == seen_before:
@@ -319,34 +464,3 @@ class PatternMatcher:
             results.append(new_circuit)
         return results
 
-
-def _match_plan(pattern: Circuit) -> List[tuple]:
-    """Per-instruction matching steps of ``pattern``, in pattern order.
-
-    Step ``i`` is ``(gate_name, qubits, anchor, order_checks)``.  For each
-    pattern qubit the most recent earlier instruction on it is fixed by the
-    pattern alone, and so is whether the qubit is already bound when step
-    ``i`` runs (bindings come from earlier instructions).  ``anchor`` is
-    ``(pattern_qubit, earlier_step)`` for the first operand that has an
-    earlier instruction — its wire yields the only candidate — or ``None``
-    when the instruction starts a disconnected part of the pattern and the
-    gate index is scanned instead.  ``order_checks`` lists the same pair for
-    every other such operand; the matched nodes must keep that wire order.
-    """
-    plan: List[tuple] = []
-    last_on_qubit: Dict[int, int] = {}
-    for position, inst in enumerate(pattern.instructions):
-        anchor = None
-        order_checks = []
-        for pattern_qubit in inst.qubits:
-            earlier = last_on_qubit.get(pattern_qubit)
-            if earlier is None:
-                continue
-            if anchor is None:
-                anchor = (pattern_qubit, earlier)
-            else:
-                order_checks.append((pattern_qubit, earlier))
-        for pattern_qubit in inst.qubits:
-            last_on_qubit[pattern_qubit] = position
-        plan.append((inst.gate.name, inst.qubits, anchor, tuple(order_checks)))
-    return plan

@@ -216,41 +216,3 @@ class BacktrackingOptimizer:
             perf=perf.snapshot(),
             cancelled=cancelled,
         )
-
-
-def greedy_optimize(
-    circuit: Circuit,
-    transformations: Sequence[Transformation],
-    cost_model: Optional[CostModel] = None,
-    *,
-    max_iterations: Optional[int] = None,
-    timeout_seconds: Optional[float] = None,
-) -> OptimizationResult:
-    """Greedy search: only strictly cost-decreasing rewrites (gamma = 1).
-
-    .. deprecated:: 0.2
-        ``greedy_optimize`` is a thin shim over the ``"greedy"`` entry of
-        the strategy registry; use
-        ``repro.api.Superoptimizer(search=SearchConfig(strategy="greedy"))``
-        or ``repro.optimizer.strategies.get_strategy("greedy")`` instead.
-        The shim stays for one release of grace and returns exactly what it
-        always returned (Algorithm 2 with gamma = 1 and a small queue).
-    """
-    import warnings
-
-    warnings.warn(
-        "greedy_optimize is deprecated; use repro.api.Superoptimizer with "
-        "SearchConfig(strategy='greedy'), or "
-        "repro.optimizer.strategies.get_strategy('greedy')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.optimizer.strategies import get_strategy
-
-    return get_strategy("greedy").run(
-        circuit,
-        transformations,
-        cost_model,
-        timeout_seconds=timeout_seconds,
-        max_iterations=max_iterations,
-    )

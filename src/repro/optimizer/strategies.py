@@ -10,8 +10,7 @@ registry, so new scenarios plug in a strategy instead of forking
 * ``"backtracking"`` — :class:`~repro.optimizer.search.BacktrackingOptimizer`
   (the paper's Algorithm 2; the default);
 * ``"greedy"``       — gamma = 1 with a small queue: only strictly
-  cost-decreasing rewrites (the behaviour of the legacy
-  :func:`~repro.optimizer.search.greedy_optimize`, which now routes here);
+  cost-decreasing rewrites;
 * ``"beam"``         — fixed-width frontier: every iteration expands the
   whole beam by every applicable transformation and keeps the cheapest
   ``beam_width`` distinct successors, which tolerates cost-preserving moves
@@ -123,12 +122,7 @@ class BacktrackingStrategy(SearchStrategy):
 
 
 class GreedyStrategy(BacktrackingStrategy):
-    """Gamma = 1 with a small queue: only strictly cost-decreasing rewrites.
-
-    Identical configuration to the legacy :func:`greedy_optimize` helper,
-    so routing that helper through the registry changes nothing about its
-    results.
-    """
+    """Gamma = 1 with a small queue: only strictly cost-decreasing rewrites."""
 
     name = "greedy"
 

@@ -15,6 +15,12 @@ from typing import Dict, List
 
 from repro.generator.ecc import ECCSet
 from repro.ir.circuit import Circuit
+from repro.optimizer.matcher import (
+    MatchPlan,
+    TargetTemplate,
+    compile_match_plan,
+    compile_target_template,
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,17 @@ class Transformation:
         """Identity of the source pattern; transformations extracted from the
         same ECC share sources, so the matcher caches matches under this."""
         return self.source.sequence_key()
+
+    @cached_property
+    def match_plan(self) -> MatchPlan:
+        """The source pattern compiled for the matcher (once per rule)."""
+        return compile_match_plan(self.source)
+
+    @cached_property
+    def target_template(self) -> TargetTemplate:
+        """The target compiled for instantiation at a match (once per rule),
+        including its gate counts for the successor's histogram."""
+        return compile_target_template(self.source, self.target)
 
     def __repr__(self) -> str:
         return (

@@ -285,28 +285,6 @@ class TestDiskCacheIntegration:
 
 
 class TestLegacyShims:
-    def test_greedy_optimize_warns_and_matches_strategy(self, nam_transformations_small):
-        import warnings
-
-        from repro.optimizer import greedy_optimize
-        from repro.optimizer.strategies import get_strategy
-
-        circuit = Circuit(2).h(0).h(0).cx(0, 1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = greedy_optimize(
-                circuit, nam_transformations_small, max_iterations=40
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) and "Superoptimizer" in str(w.message)
-            for w in caught
-        )
-        modern = get_strategy("greedy").run(
-            circuit, nam_transformations_small, max_iterations=40
-        )
-        assert legacy.final_cost == modern.final_cost
-        assert legacy.circuit == modern.circuit
-
     def test_runner_wrappers_still_work(self):
         from repro.experiments.runner import build_ecc_set, quartz_optimize
 

@@ -115,6 +115,15 @@ class TestRoundTrip:
         assert restored is not None
         assert restored.to_json() == nam_result.ecc_set.to_json()
 
+    def test_blob_text_is_one_shot_json_of_its_envelope(self, cache, nam_result):
+        # The store writes json.dumps(envelope); the text must be exactly
+        # what the default encoder gives for the envelope read back.
+        path = cache.store_generator_result(_key(), nam_result)
+        text = path.read_text(encoding="utf-8")
+        envelope = json.loads(text)
+        assert set(envelope) == {"schema", "key", "sha256", "body"}
+        assert text == json.dumps(envelope)
+
 
 class TestCorruptionTolerance:
     def test_truncated_blob_warns_and_misses(self, cache, nam_result):

@@ -91,6 +91,21 @@ class TestSplice:
         with pytest.raises(ValueError):
             dag.splice([0, 2], [])
 
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_splice_rejects_out_of_range_replacement(self, qubit):
+        dag = CircuitDAG.from_circuit(Circuit(2).h(0).h(0).cx(0, 1))
+        with pytest.raises(ValueError, match="out of range"):
+            dag.splice([0, 1], [Instruction("z", (qubit,))])
+
+    def test_splice_gate_counts(self):
+        # The counts come from the DAG's, not from a recount of the result:
+        # matched gates leave, replacement gates arrive, zeros are dropped.
+        circuit = Circuit(2).x(1).h(0).h(0).cx(0, 1).x(1)
+        dag = CircuitDAG.from_circuit(circuit)
+        new_circuit = dag.splice([1, 2], [Instruction("z", (0,)), Instruction("z", (0,))])
+        assert new_circuit.gate_counts() == {"x": 2, "z": 2, "cx": 1}
+        assert dag.splice([1, 2], []).gate_counts() == {"x": 2, "cx": 1}
+
     def test_splice_keeps_ancestors_before_replacement(self):
         circuit = Circuit(2).h(0).cx(0, 1).x(1)
         dag = CircuitDAG.from_circuit(circuit)

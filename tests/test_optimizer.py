@@ -16,10 +16,10 @@ from repro.optimizer import (
     TCountCost,
     Transformation,
     TwoQubitCountCost,
-    greedy_optimize,
     transformations_from_ecc_set,
 )
 from repro.optimizer.matcher import PatternMatcher
+from repro.optimizer.strategies import get_strategy
 from repro.semantics.simulator import circuits_equivalent_numeric
 
 
@@ -255,7 +255,9 @@ class TestBacktrackingSearch:
 
     def test_greedy_never_increases_cost(self, nam_transformations_small):
         circuit = Circuit(2).h(0).x(0).h(0).cx(0, 1).cx(0, 1)
-        result = greedy_optimize(circuit, nam_transformations_small, max_iterations=40)
+        result = get_strategy("greedy").run(
+            circuit, nam_transformations_small, max_iterations=40
+        )
         assert result.final_cost <= result.initial_cost
         assert circuits_equivalent_numeric(circuit, result.circuit)
 

@@ -1,6 +1,7 @@
 """Tests for exact angles and the parameter-expression specification Sigma."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,35 @@ class TestAngle:
         result = expr.substitute({0: Angle.pi(1)})
         assert result.coefficients == {1: Fraction(1)}
         assert result.pi_multiple == 1
+
+    def test_substitute_matches_term_by_term_sum(self):
+        # Reference: add each substituted term as its own Angle, which drops
+        # a cancelled coefficient and appends it again if a later term
+        # brings it back; coefficient order is the order to_float sums in.
+        def reference(angle, assignment):
+            result = Angle(angle.pi_multiple)
+            for index, coefficient in angle.coefficients.items():
+                if index in assignment:
+                    result = result + assignment[index].scale(coefficient)
+                else:
+                    result = result + Angle.param(index, coefficient)
+            return result
+
+        rng = random.Random(7)
+
+        def rational():
+            return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4]))
+
+        def angle():
+            return Angle(rational(), {rng.randrange(4): rational() for _ in range(3)})
+
+        for _ in range(2000):
+            expr = angle()
+            assignment = {i: angle() for i in range(4) if rng.random() < 0.6}
+            result = expr.substitute(assignment)
+            expected = reference(expr, assignment)
+            assert result == expected
+            assert list(result.coefficients.items()) == list(expected.coefficients.items())
 
     def test_equality_and_hash(self):
         assert Angle.pi(1) == Angle.pi(1)
