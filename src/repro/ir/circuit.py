@@ -135,15 +135,26 @@ class Instruction:
         return f"{self.gate.name} {list(self.qubits)}"
 
 
+def wire_key_of(num_qubits: int, instructions: Iterable[Instruction]) -> tuple:
+    """The :meth:`Circuit.wire_key` of ``instructions`` over ``num_qubits``."""
+    wires: List[List[tuple]] = [[] for _ in range(num_qubits)]
+    for inst in instructions:
+        sort_key = inst.sort_key()
+        for qubit in inst.qubits:
+            wires[qubit].append(sort_key)
+    return tuple(map(tuple, wires))
+
+
 class Circuit:
     """A symbolic quantum circuit in sequence representation.
 
     Circuits follow a build-then-freeze discipline: the builder API
     (``append`` and friends) may mutate the instruction list freely, but as
-    soon as a hash key is computed (``sequence_key``, ``canonical_key`` or
-    ``hash()``) the key is cached on the circuit and the circuit becomes
-    *logically immutable* — further mutation would silently corrupt every
-    hash table the circuit sits in, so it raises instead.
+    soon as a hash key is computed (``sequence_key``, ``wire_key``,
+    ``canonical_key`` or ``hash()``) the key is cached on the circuit and
+    the circuit becomes *logically immutable* — further mutation would
+    silently corrupt every hash table the circuit sits in, so it raises
+    instead.
     """
 
     def __init__(
@@ -159,6 +170,7 @@ class Circuit:
         self.instructions: List[Instruction] = []
         self._gate_counts: Dict[str, int] = {}
         self._sequence_key: Optional[tuple] = None
+        self._wire_key: Optional[tuple] = None
         self._canonical_key: Optional[tuple] = None
         self._hash: Optional[int] = None
         for inst in instructions:
@@ -173,14 +185,17 @@ class Circuit:
         instructions: List[Instruction],
         num_params: int,
         gate_counts: Dict[str, int],
+        wire_key: tuple,
     ) -> "Circuit":
         """A circuit built from parts the caller has already checked.
 
-        ``instructions`` is taken as given (not copied or re-validated) and
+        ``instructions`` is taken as given (not copied or re-validated),
         ``gate_counts`` must be its gate-name histogram without zero
-        entries.  :meth:`CircuitDAG.splice` builds every search successor
-        this way: the parent's instructions were validated when the parent
-        was built, and splice checks the replacement's qubits itself.
+        entries and ``wire_key`` its :meth:`wire_key`, which is cached, so
+        the circuit is born frozen.  :meth:`CircuitDAG.splice` builds every
+        search successor this way: the parent's instructions were validated
+        when the parent was built, splice checks the replacement's qubits
+        itself, and it derives the wire key from the parent's.
         """
         circuit = cls.__new__(cls)
         circuit.num_qubits = num_qubits
@@ -188,6 +203,7 @@ class Circuit:
         circuit.instructions = instructions
         circuit._gate_counts = gate_counts
         circuit._sequence_key = None
+        circuit._wire_key = wire_key
         circuit._canonical_key = None
         circuit._hash = None
         return circuit
@@ -218,6 +234,7 @@ class Circuit:
         """True once a hash key has been computed and cached."""
         return (
             self._sequence_key is not None
+            or self._wire_key is not None
             or self._canonical_key is not None
             or self._hash is not None
         )
@@ -409,16 +426,38 @@ class Circuit:
 
     # -- canonicalization ------------------------------------------------------
 
-    def canonical_key(self) -> tuple:
+    def wire_key(self) -> tuple:
         """A hashable key invariant under reordering of independent gates.
+
+        One tuple per qubit: the :meth:`Instruction.sort_key` of every
+        instruction on that qubit, in program order.  Reordering gates on
+        disjoint qubits leaves every wire's sequence as it is, and by the
+        projection lemma of trace theory two circuits whose wires all agree
+        differ only by such reorderings, so two circuits share a wire key
+        iff they share a :meth:`canonical_key`.  The search's seen-sets use
+        this key because :meth:`CircuitDAG.splice` derives a successor's
+        from its parent's by re-slicing only the wires the rewrite touches.
+
+        Cached on the circuit; computing it freezes the circuit.
+        """
+        key = self._wire_key
+        if key is None:
+            key = wire_key_of(self.num_qubits, self.instructions)
+            self._wire_key = key
+        return key
+
+    def canonical_key(self) -> tuple:
+        """A hashable, ordered key invariant under reordering of independent gates.
 
         The key is the sequence key of the canonical topological order: among
         all instructions whose qubit predecessors have already been emitted,
         the one with the smallest :meth:`Instruction.sort_key` is emitted
         first.  Two circuits that differ only by commuting *independent*
-        (disjoint-qubit) gates therefore share a key, which is how the
-        optimizer's seen-set and the generator's hash table avoid revisiting
-        trivially equal circuits.
+        (disjoint-qubit) gates therefore share a key, and keys of distinct
+        classes compare in a fixed total order, which is how the parallel
+        search breaks ties between equal-cost best circuits
+        deterministically.  Circuits hash by it too.  The search's seen-sets
+        use the cheaper :meth:`wire_key`, which has the same classes.
 
         Implemented as heap-based Kahn topological sorting (O(n log n + E)
         instead of the quadratic min-over-ready scan) and cached on the

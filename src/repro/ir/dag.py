@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.ir.circuit import Circuit, Instruction
+from repro.ir.circuit import Circuit, Instruction, wire_key_of
 
 
 class CircuitDAG:
@@ -32,6 +32,9 @@ class CircuitDAG:
         self.predecessors: Dict[int, Set[int]] = {}
         # For each qubit, node ids in wire order.
         self.wires: List[List[int]] = [[] for _ in range(num_qubits)]
+        # For each node, its position on each wire (-1 when the node does
+        # not touch the wire); indexed as [node_id][qubit].
+        self.wire_positions: List[List[int]] = []
         self._next_id = 0
         # Instructions in node-id order, and their gate-name histogram:
         # splice builds successors from these without re-validating them.
@@ -40,6 +43,10 @@ class CircuitDAG:
         # Reachability bitmasks, computed on first use (see
         # reachability_masks) and dropped whenever a node is added.
         self._masks: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
+        # Circuit.wire_key of the instructions, which splice derives every
+        # successor's from; computed on first use (or taken from the
+        # circuit) and dropped whenever a node is added.
+        self._wire_key: Optional[tuple] = None
 
     # -- construction -------------------------------------------------------
 
@@ -48,25 +55,32 @@ class CircuitDAG:
         dag = CircuitDAG(circuit.num_qubits, circuit.num_params)
         for inst in circuit.instructions:
             dag.add_instruction(inst)
+        # Only a key the circuit already caches: computing one here would
+        # freeze the circuit.
+        dag._wire_key = circuit._wire_key
         return dag
 
     def add_instruction(self, inst: Instruction) -> int:
         node_id = self._next_id
         self._next_id += 1
         self._masks = None
+        self._wire_key = None
         self.nodes[node_id] = inst
         self._instructions.append(inst)
         name = inst.gate.name
         self._gate_counts[name] = self._gate_counts.get(name, 0) + 1
         self.successors[node_id] = set()
         self.predecessors[node_id] = set()
+        positions = [-1] * self.num_qubits
         for qubit in inst.qubits:
             wire = self.wires[qubit]
             if wire:
                 prev = wire[-1]
                 self.successors[prev].add(node_id)
                 self.predecessors[node_id].add(prev)
+            positions[qubit] = len(wire)
             wire.append(node_id)
+        self.wire_positions.append(positions)
         return node_id
 
     # -- queries --------------------------------------------------------------
@@ -88,10 +102,18 @@ class CircuitDAG:
             self.num_params,
         )
 
+    def _wire_position(self, node_id: int, qubit: int) -> int:
+        """``node_id``'s index on ``qubit``'s wire; ValueError when it is not on it."""
+        if node_id in self.nodes:
+            position = self.wire_positions[node_id][qubit]
+            if position >= 0:
+                return position
+        raise ValueError(f"node {node_id} is not on wire {qubit}")
+
     def next_on_wire(self, node_id: int, qubit: int) -> int | None:
         """Return the node that follows ``node_id`` on ``qubit``'s wire."""
         wire = self.wires[qubit]
-        index = wire.index(node_id)
+        index = self._wire_position(node_id, qubit)
         if index + 1 < len(wire):
             return wire[index + 1]
         return None
@@ -99,7 +121,7 @@ class CircuitDAG:
     def prev_on_wire(self, node_id: int, qubit: int) -> int | None:
         """Return the node that precedes ``node_id`` on ``qubit``'s wire."""
         wire = self.wires[qubit]
-        index = wire.index(node_id)
+        index = self._wire_position(node_id, qubit)
         if index > 0:
             return wire[index - 1]
         return None
@@ -209,6 +231,15 @@ class CircuitDAG:
         gate counts are this DAG's minus the matched gates plus
         ``replacement_counts`` (the replacement's histogram, counted here
         when not given).
+
+        The new circuit is born with its :meth:`Circuit.wire_key`, derived
+        from this DAG's.  On each wire the match touches, its nodes form
+        one contiguous run (a gate between two matched gates on a wire lies
+        on a path between them), which the replacement's gates on that
+        wire take the place of.  On a wire only the replacement touches,
+        they follow the match's ancestors on it, which are a prefix of the
+        wire.  This is the order the instruction list is built in, and
+        every other wire's tuple is shared with this DAG's key.
         """
         num_qubits = self.num_qubits
         for inst in replacement:
@@ -221,16 +252,30 @@ class CircuitDAG:
         if not self.is_convex_masked(matched, descendants_mask, ancestors_mask):
             raise ValueError("cannot splice a non-convex node set")
         nodes = self.nodes
+        wire_positions = self.wire_positions
         counts = dict(self._gate_counts)
         members = 0
         above = 0
         last = -1
+        # qubit -> [start, stop) of the matched run on its wire.
+        runs: Dict[int, List[int]] = {}
         for node_id in matched:
             members |= 1 << node_id
             above |= ancestors_mask[node_id]
-            counts[nodes[node_id].gate.name] -= 1
+            inst = nodes[node_id]
+            counts[inst.gate.name] -= 1
             if node_id > last:
                 last = node_id
+            positions = wire_positions[node_id]
+            for qubit in inst.qubits:
+                position = positions[qubit]
+                run = runs.get(qubit)
+                if run is None:
+                    runs[qubit] = [position, position + 1]
+                elif position < run[0]:
+                    run[0] = position
+                elif position >= run[1]:
+                    run[1] = position + 1
         if replacement_counts is None:
             replacement_counts = Counter(inst.gate.name for inst in replacement)
         for name, count in replacement_counts.items():
@@ -249,11 +294,38 @@ class CircuitDAG:
             inst for node_id, inst in enumerate(head) if not placed >> node_id & 1
         ]
         instructions += order[last + 1 :]
+
+        parent_key = self._wire_key
+        if parent_key is None:
+            parent_key = self._wire_key = wire_key_of(num_qubits, order)
+        inserted: Dict[int, List[tuple]] = {}
+        for inst in replacement:
+            sort_key = inst.sort_key()
+            for qubit in inst.qubits:
+                inserted.setdefault(qubit, []).append(sort_key)
+        wire_key = list(parent_key)
+        for qubit, (start, stop) in runs.items():
+            keys = inserted.pop(qubit, None)
+            wire = parent_key[qubit]
+            if keys is None:
+                wire_key[qubit] = wire[:start] + wire[stop:]
+            else:
+                wire_key[qubit] = wire[:start] + tuple(keys) + wire[stop:]
+        for qubit, keys in inserted.items():
+            # A wire the match does not touch: count its leading ancestors
+            # of the match.
+            wire_nodes = self.wires[qubit]
+            start = 0
+            while start < len(wire_nodes) and before >> wire_nodes[start] & 1:
+                start += 1
+            wire = parent_key[qubit]
+            wire_key[qubit] = wire[:start] + tuple(keys) + wire[start:]
         return Circuit._trusted(
             num_qubits,
             instructions,
             self.num_params,
             {name: count for name, count in counts.items() if count},
+            tuple(wire_key),
         )
 
     def __repr__(self) -> str:

@@ -163,14 +163,6 @@ class PatternMatcher:
             self._node_names.append(name)
             self._node_qubits.append(inst.qubits)
             self._nodes_by_gate.setdefault(name, []).append(node_id)
-        # Position of each node on each of its wires (-1 when the node does
-        # not touch the wire); indexed as [node_id][qubit].
-        self._wire_pos: List[List[int]] = [
-            [-1] * circuit.num_qubits for _ in range(len(self.dag.nodes))
-        ]
-        for qubit, wire in enumerate(self.dag.wires):
-            for position, node_id in enumerate(wire):
-                self._wire_pos[node_id][qubit] = position
         # Matches keyed by (pattern identity, match limit): many
         # transformations extracted from one ECC share a source pattern, so
         # the backtracking search runs once per distinct pattern.
@@ -208,7 +200,7 @@ class PatternMatcher:
         node_names = self._node_names
         node_qubits = self._node_qubits
         wires = self.dag.wires
-        wire_pos = self._wire_pos
+        wire_pos = self.dag.wire_positions
         nodes_by_gate = self._nodes_by_gate
 
         def backtrack(position: int) -> bool:
@@ -448,7 +440,12 @@ class PatternMatcher:
         transformation: Transformation,
         max_matches: Optional[int] = None,
     ) -> List[Circuit]:
-        """All distinct circuits obtainable by applying ``transformation``."""
+        """All distinct circuits obtainable by applying ``transformation``.
+
+        Successors are distinct up to reordering independent gates: they
+        are deduplicated by :meth:`Circuit.wire_key`, which each is born
+        with, and the first of each class (in match order) is kept.
+        """
         results: List[Circuit] = []
         seen_keys: set = set()
         for match in self.matches_for(transformation, max_matches=max_matches):
@@ -458,7 +455,7 @@ class PatternMatcher:
             # One hash per key: add-and-compare instead of a lookup and an
             # add.
             seen_before = len(seen_keys)
-            seen_keys.add(new_circuit.canonical_key())
+            seen_keys.add(new_circuit.wire_key())
             if len(seen_keys) == seen_before:
                 continue
             results.append(new_circuit)

@@ -6,9 +6,11 @@ transformation at every match, and enqueues the new circuits whose cost stays
 below ``gamma`` times the best cost seen so far.  ``gamma = 1`` degenerates
 to greedy search; ``gamma`` slightly above 1 (the paper uses 1.0001) admits
 cost-preserving moves, which is what enables rewrites like the CNOT-flip
-sequence of Figure 6.  A seen-set of canonical circuit keys avoids revisiting
-circuits, and the queue is pruned to its best half whenever it exceeds a
-capacity bound (2,000 -> 1,000 in the paper).
+sequence of Figure 6.  A seen-set of wire keys (:meth:`Circuit.wire_key`:
+each qubit's gate sequence, equal exactly for circuits that differ only by
+reordering independent gates) avoids revisiting circuits, and the queue is
+pruned to its best half whenever it exceeds a capacity bound (2,000 -> 1,000
+in the paper).
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ class BacktrackingOptimizer:
         cost_trace: List[Tuple[float, float]] = [(0.0, best_cost)]
 
         queue: List[Tuple[float, int, Circuit]] = [(initial_cost, next(counter), circuit)]
-        seen: set = {circuit.canonical_key()}
+        # Keying the input caches its wire key, which every successor's is
+        # derived from.
+        seen: set = {circuit.wire_key()}
 
         iterations = 0
         explored = 1
@@ -177,9 +181,9 @@ class BacktrackingOptimizer:
                         if time.perf_counter() - start > timeout_seconds:
                             timed_out = True
                             break
-                    # Add-and-compare hashes the canonical key once.
+                    # Add-and-compare hashes the wire key once.
                     seen_before = len(seen)
-                    seen.add(new_circuit.canonical_key())
+                    seen.add(new_circuit.wire_key())
                     if len(seen) == seen_before:
                         perf.count("search.seen_rejects")
                         continue

@@ -145,12 +145,12 @@ class BeamStrategy(SearchStrategy):
     CNOT-flip style detours remain reachable with a frontier of bounded
     width.
 
-    Dedup semantics: circuits that have ever been *admitted to the beam*
-    are never revisited (this is what guarantees termination when the
-    rewrite space is finite); successors that were generated but cut by the
-    width bound are only deduped within their own generation, so a later
-    beam can rediscover them when they become the gateway to an
-    improvement.
+    Dedup semantics (by :meth:`Circuit.wire_key`): circuits that have ever
+    been *admitted to the beam* are never revisited (this is what
+    guarantees termination when the rewrite space is finite); successors
+    that were generated but cut by the width bound are only deduped within
+    their own generation, so a later beam can rediscover them when they
+    become the gateway to an improvement.
     """
 
     name = "beam"
@@ -187,7 +187,7 @@ class BeamStrategy(SearchStrategy):
         cost_trace: List[Tuple[float, float]] = [(0.0, best_cost)]
 
         beam: List[Circuit] = [circuit]
-        admitted: set = {circuit.canonical_key()}
+        admitted: set = {circuit.wire_key()}
         iterations = 0
         explored = 1
         timed_out = False
@@ -226,7 +226,7 @@ class BeamStrategy(SearchStrategy):
                     for new_circuit in matcher.apply_all(
                         transformation, max_matches=max_matches
                     ):
-                        key = new_circuit.canonical_key()
+                        key = new_circuit.wire_key()
                         if key in admitted or key in generation_seen:
                             perf.count("search.seen_rejects")
                             continue

@@ -128,6 +128,18 @@ class TestKeyCachingAndImmutability:
         first = circuit.canonical_key()
         assert circuit.canonical_key() is first
 
+    def test_wire_key_is_cached_and_freezes(self):
+        circuit = small_circuit()
+        first = circuit.wire_key()
+        assert circuit.wire_key() is first
+        assert circuit.is_frozen
+        with pytest.raises(RuntimeError):
+            circuit.x(0)
+        copy = circuit.copy()
+        assert not copy.is_frozen
+        copy.x(0)
+        assert copy.wire_key() != first
+
     def test_sequence_key_is_cached(self):
         circuit = small_circuit()
         assert circuit.sequence_key() is circuit.sequence_key()

@@ -1,4 +1,4 @@
-"""Tests for the DAG representation: convexity and splicing."""
+"""Tests for the DAG representation: convexity, splicing and wire keys."""
 
 import pytest
 
@@ -34,6 +34,17 @@ class TestConstruction:
         assert dag.prev_on_wire(2, 0) == 1
         assert dag.next_on_wire(2, 0) is None
         assert dag.prev_on_wire(0, 0) is None
+        assert dag.next_on_wire(1, 1) is None
+        assert dag.wire_positions == [[0, -1], [1, 0], [2, -1]]
+
+    @pytest.mark.parametrize("node_id", [2, 3, -1])
+    def test_node_off_the_wire(self, node_id):
+        # Node 2 is on wire 0 only; 3 and -1 are not nodes.
+        dag = CircuitDAG.from_circuit(Circuit(2).h(0).cx(0, 1).x(0))
+        with pytest.raises(ValueError, match="not on wire 1"):
+            dag.next_on_wire(node_id, 1)
+        with pytest.raises(ValueError, match="not on wire 1"):
+            dag.prev_on_wire(node_id, 1)
 
     def test_predecessors_successors(self):
         circuit = Circuit(2).h(0).cx(0, 1).x(1)
@@ -112,3 +123,80 @@ class TestSplice:
         new_circuit = dag.splice([2], [Instruction("z", (1,))])
         names = [inst.gate.name for inst in new_circuit.instructions]
         assert names == ["h", "cx", "z"]
+
+
+def _key(*instructions):
+    return tuple(inst.sort_key() for inst in instructions)
+
+
+def _rebuilt_wire_key(circuit):
+    """The wire key of a validating rebuild, computed from scratch."""
+    return Circuit(
+        circuit.num_qubits, list(circuit.instructions), circuit.num_params
+    ).wire_key()
+
+
+class TestSpliceWireKey:
+    def test_empty_replacement_removes_the_run(self):
+        circuit = Circuit(3).x(2).h(0).cx(0, 1).cx(0, 1).h(1).x(0)
+        x2, h0, h1, x0 = circuit[0], circuit[1], circuit[4], circuit[5]
+        new_circuit = CircuitDAG.from_circuit(circuit).splice([2, 3], [])
+        assert new_circuit.wire_key() == (_key(h0, x0), _key(h1), _key(x2))
+        assert new_circuit.wire_key() == _rebuilt_wire_key(new_circuit)
+
+    def test_replacement_on_the_match_wires(self):
+        circuit = Circuit(2).x(1).h(0).h(0).cx(0, 1).x(1)
+        z0 = Instruction("z", (0,))
+        new_circuit = CircuitDAG.from_circuit(circuit).splice([1, 2], [z0, z0])
+        assert new_circuit.wire_key()[0] == _key(z0, z0, Instruction("cx", (0, 1)))
+        assert new_circuit.wire_key() == _rebuilt_wire_key(new_circuit)
+
+    def test_replacement_wire_after_the_match_ancestors(self):
+        # Wire 2 holds h and cx (ancestors of the matched h h on wire 0) and
+        # then x (not one); a gate only the replacement puts on wire 2 goes
+        # between them, as it does in the instruction list.
+        circuit = Circuit(3).h(2).cx(2, 0).x(2).h(0).h(0).x(1)
+        h2, cx, x2, x1 = circuit[0], circuit[1], circuit[2], circuit[5]
+        z2 = Instruction("z", (2,))
+        new_circuit = CircuitDAG.from_circuit(circuit).splice([3, 4], [z2])
+        assert new_circuit.instructions == [h2, cx, z2, x2, x1]
+        assert new_circuit.wire_key()[2] == _key(h2, cx, z2, x2)
+        assert new_circuit.wire_key()[0] == _key(cx)
+        assert new_circuit.wire_key() == _rebuilt_wire_key(new_circuit)
+
+    def test_replacement_wire_without_match_ancestors(self):
+        circuit = Circuit(3).h(0).h(0).x(2).cx(2, 1)
+        z2 = Instruction("z", (2,))
+        new_circuit = CircuitDAG.from_circuit(circuit).splice([0, 1], [z2])
+        assert new_circuit.wire_key()[2] == _key(
+            z2, Instruction("x", (2,)), Instruction("cx", (2, 1))
+        )
+        assert new_circuit.wire_key() == _rebuilt_wire_key(new_circuit)
+
+    def test_untouched_wires_are_shared(self):
+        circuit = Circuit(3).x(2).h(0).h(0).cx(0, 1).h(2)
+        parent_key = circuit.wire_key()
+        new_circuit = circuit.to_dag().splice([1, 2], [])
+        assert new_circuit.wire_key()[2] is parent_key[2]
+        assert new_circuit.wire_key()[1] is parent_key[1]
+        assert new_circuit.wire_key()[0] == _key(Instruction("cx", (0, 1)))
+
+    def test_successor_is_born_keyed(self):
+        circuit = Circuit(2).h(0).h(0).cx(0, 1)
+        new_circuit = circuit.to_dag().splice([0, 1], [])
+        assert new_circuit.is_frozen
+        with pytest.raises(RuntimeError):
+            new_circuit.x(0)
+
+    def test_dag_without_a_circuit(self):
+        dag = CircuitDAG(3)
+        for inst in Circuit(3).h(1).cx(1, 2).x(0).h(1).h(1).x(2):
+            dag.add_instruction(inst)
+        z0 = Instruction("z", (0,))
+        first = dag.splice([3, 4], [z0])
+        assert first.wire_key() == _rebuilt_wire_key(first)
+        # Adding a node drops the key splice computed and cached.
+        dag.add_instruction(Instruction("cx", (2, 0)))
+        second = dag.splice([3, 4], [z0])
+        assert second.wire_key() == _rebuilt_wire_key(second)
+        assert second.wire_key()[2][-1] == Instruction("cx", (2, 0)).sort_key()

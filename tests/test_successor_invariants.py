@@ -5,11 +5,16 @@
   the all-Fraction key, hash alike and sort alike.
 * **Trusted successors.**  ``CircuitDAG.splice`` builds successors without
   re-validating the parent's instructions and derives their gate counts
-  from the parent's.  Every successor must equal a validating rebuild.
+  and wire keys from the parent's.  Every successor must equal a
+  validating rebuild.
+* **Wire keys.**  The search's seen-sets key circuits by their per-qubit
+  gate sequences.  Two circuits must share a wire key iff they share a
+  canonical key, and keying must never happen behind a caller's back.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from repro.ir.circuit import Circuit, Instruction
@@ -154,11 +159,15 @@ class TestTrustedSuccessors:
     def test_successors_equal_validating_rebuild(
         self, nam_transformations_small, random_circuit_factory
     ):
+        # No generated rule has a qubit only its target touches, so one is
+        # built by hand: splice puts it after the match's ancestors.
+        target_only = Transformation(Circuit(2).h(0), Circuit(2).x(1).h(0).x(1))
+        transformations = list(nam_transformations_small) + [target_only]
         compared = 0
         for seed in range(10):
             circuit = preprocess(random_circuit_factory(3, 20, seed), "nam")
             matcher = PatternMatcher(circuit)
-            for transformation in nam_transformations_small:
+            for transformation in transformations:
                 for successor in matcher.apply_all(transformation, max_matches=16):
                     rebuild = Circuit(
                         successor.num_qubits,
@@ -172,6 +181,7 @@ class TestTrustedSuccessors:
                     assert counts == rebuild.gate_counts()
                     assert all(count > 0 for count in counts.values())
                     assert successor.canonical_key() == rebuild.canonical_key()
+                    assert successor.wire_key() == rebuild.wire_key()
                     compared += 1
         assert compared > 300
 
@@ -203,3 +213,75 @@ class TestTrustedSuccessors:
         # p0 + p1 = pi/4 + pi/2; p2 appears only in the target and is zero.
         assert successor == Circuit(2).h(1).rz(1, Fraction(3, 4)).rz(1, 1).rz(1, 0).x(1)
         assert successor.gate_counts() == {"h": 1, "rz": 3, "x": 1}
+
+
+def _alphabet():
+    """16 instructions on 3 qubits: h, x and rz(pi/4) per qubit, every cx
+    and one ccx."""
+    instructions = []
+    for qubit in range(3):
+        instructions.append(Instruction("h", (qubit,)))
+        instructions.append(Instruction("x", (qubit,)))
+        instructions.append(Instruction("rz", (qubit,), [Angle.pi(Fraction(1, 4))]))
+    for control, target in itertools.permutations(range(3), 2):
+        instructions.append(Instruction("cx", (control, target)))
+    instructions.append(Instruction("ccx", (0, 1, 2)))
+    return instructions
+
+
+class TestWireKey:
+    def test_classes_equal_canonical_key_classes(self):
+        # Every three-gate circuit over the alphabet: the wire key must
+        # induce exactly the canonical key's partition.
+        alphabet = _alphabet()
+        assert len(alphabet) == 16
+        canonical_of_wire = {}
+        wire_of_canonical = {}
+        circuits = 0
+        for word in itertools.product(alphabet, repeat=3):
+            circuit = Circuit(3, word)
+            wire = circuit.wire_key()
+            canonical = circuit.canonical_key()
+            assert canonical_of_wire.setdefault(wire, canonical) == canonical
+            assert wire_of_canonical.setdefault(canonical, wire) == wire
+            circuits += 1
+        assert circuits == 4096
+        assert len(canonical_of_wire) == len(wire_of_canonical)
+        # Reordering does merge circuits (h0 x1 == x1 h0), so the classes
+        # are not all singletons.
+        assert len(canonical_of_wire) < circuits
+
+    def test_adjacent_swaps(self, random_circuit_factory):
+        circuit = preprocess(random_circuit_factory(4, 40, 7, include_ccx=True), "nam")
+        key = circuit.wire_key()
+        instructions = circuit.instructions
+        disjoint = dependent = 0
+        for index in range(len(instructions) - 1):
+            first, second = instructions[index], instructions[index + 1]
+            swapped = list(instructions)
+            swapped[index], swapped[index + 1] = second, first
+            other = Circuit(circuit.num_qubits, swapped)
+            if not set(first.qubits) & set(second.qubits):
+                assert other.wire_key() == key
+                disjoint += 1
+            elif first.sort_key() != second.sort_key():
+                assert other.wire_key() != key
+                assert other.canonical_key() != circuit.canonical_key()
+                dependent += 1
+        assert disjoint > 5 and dependent > 5
+
+    def test_length_is_the_qubit_count(self):
+        h1 = Instruction("h", (1,))
+        assert Circuit(4, [h1]).wire_key() == ((), (h1.sort_key(),), (), ())
+        assert Circuit(2).wire_key() != Circuit(3).wire_key()
+
+    def test_dag_and_matcher_do_not_freeze(self, nam_transformations_small):
+        circuit = Circuit(2).h(0).h(0).cx(0, 1).x(1)
+        circuit.to_dag()
+        assert not circuit.is_frozen
+        matcher = PatternMatcher(circuit)
+        produced = sum(len(matcher.apply_all(t)) for t in nam_transformations_small)
+        assert produced > 0
+        assert not circuit.is_frozen
+        circuit.h(1)
+        assert circuit.gate_count == 5
