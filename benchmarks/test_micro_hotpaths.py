@@ -12,7 +12,9 @@ Two kinds of checks live here:
 
 * **Machine-independent component ratios.**  Incremental vs. full-replay
   fingerprinting and vectorized vs. per-entry gate embedding are compared
-  in-process, so these assertions hold on any machine.
+  in-process, so these assertions hold on any machine.  The shared
+  matching pass is compared with a per-rule loop the same way; its ratio
+  is recorded and only the identity of the two match tables is asserted.
 
 Every run emits a machine-readable JSON file (default
 ``.benchmarks/micro_hotpaths.json``, override with
@@ -487,6 +489,91 @@ def test_vectorized_embedding_matches_and_beats_reference():
     assert ratio >= 2.0, (
         f"vectorized embedding only {ratio:.2f}x faster than per-entry loop"
     )
+
+
+def test_shared_match_pass_vs_per_rule_loop(nam_q3_n3_generation, monkeypatch):
+    """One trie pass per circuit against one pass per source pattern.
+
+    Both sides run the same traversal over the circuits a 10-iteration
+    Nam (3, 3) ``mod5_4`` search pops: the shared side over the trie of
+    every rule, the per-rule side over a one-pattern trie per distinct
+    source whose gate multiset the circuit contains, with the search's
+    cap.  Rounds alternate which side runs first.  The match tables must
+    be identical; the timings and their ratio are recorded, not asserted.
+    """
+    from repro.optimizer.matcher import PatternMatcher, compile_match_trie
+
+    result, _ = nam_q3_n3_generation
+    ecc_set = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
+    transformations = transformations_from_ecc_set(ecc_set)
+    optimizer = BacktrackingOptimizer(transformations)
+    popped = []
+    build = PatternMatcher.__init__
+
+    def recording_init(self, circuit, *args, **kwargs):
+        popped.append(circuit)
+        build(self, circuit, *args, **kwargs)
+
+    monkeypatch.setattr(PatternMatcher, "__init__", recording_init)
+    optimizer.optimize(preprocess(benchmark_circuit("mod5_4"), "nam"), max_iterations=10)
+    monkeypatch.undo()
+
+    cap = optimizer.max_matches_per_transformation
+    trie = compile_match_trie(transformations)
+    sources = {t.source_key: t for t in transformations}
+    singles = [
+        (sources[key].source_gate_counts, compile_match_trie([sources[key]]))
+        for key in trie.index
+    ]
+    matchers = [PatternMatcher(circuit) for circuit in popped]
+
+    def shared():
+        return [matcher.match_trie(trie, cap) for matcher in matchers]
+
+    def per_rule():
+        return [
+            [
+                matcher.match_trie(single, cap)[0]
+                if matcher.circuit.contains_gate_counts(counts)
+                else []
+                for counts, single in singles
+            ]
+            for matcher in matchers
+        ]
+
+    sides = {"shared": shared, "per_rule": per_rule}
+    seconds = dict.fromkeys(sides, 0.0)
+    tables = {}
+    rounds = 3
+    for round_index in range(rounds):
+        order = list(sides) if round_index % 2 == 0 else list(reversed(sides))
+        for name in order:
+            start = time.perf_counter()
+            tables[name] = sides[name]()
+            seconds[name] += time.perf_counter() - start
+
+    def rows(table):
+        return [
+            [
+                [(m.node_ids, list(m.qubit_map.items()), m.param_assignment) for m in found]
+                for found in per_circuit
+            ]
+            for per_circuit in table
+        ]
+
+    assert rows(tables["shared"]) == rows(tables["per_rule"])
+    matches = sum(len(found) for per_circuit in tables["shared"] for found in per_circuit)
+    _RESULTS["match_shared_pass_mod5_4"] = {
+        "circuits": len(popped),
+        "rounds": rounds,
+        "patterns": len(trie.patterns),
+        "trie_nodes": len(trie.children) - 1,
+        "matches_per_round": matches,
+        "shared_seconds": seconds["shared"],
+        "per_rule_seconds": seconds["per_rule"],
+        "ratio_per_rule_over_shared": seconds["per_rule"] / seconds["shared"],
+    }
+    assert len(popped) == 10 and matches > 0
 
 
 def test_facade_end_to_end_timing(nam_q3_n3_generation):

@@ -23,6 +23,15 @@ Both halves are compiled once per transformation and cached on it: the
 source pattern into a :class:`MatchPlan` (which operands each step checks
 against earlier bindings and which it binds), the target into a
 :class:`TargetTemplate` (which gates need their parameters substituted).
+
+A search matches every rule against every circuit it pops, and many rules
+begin with the same gates.  :func:`compile_match_trie` merges the plans of
+all distinct source patterns into one :class:`MatchTrie`, keyed by step,
+after renumbering each pattern's qubits in the order its steps bind them,
+so patterns that differ only in qubit labels share their prefixes too.
+:class:`PatternMatcher` walks the trie in one backtracking pass per
+circuit, and each pattern's matches come out exactly as a search for that
+pattern alone would return them.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from repro.ir.circuit import Circuit, Instruction
 from repro.ir.dag import CircuitDAG
 from repro.ir.gates import Gate
 from repro.ir.params import Angle
-from repro.perf import NULL_RECORDER, PerfRecorder
 
 if TYPE_CHECKING:
     from repro.optimizer.xfer import Transformation
@@ -51,7 +59,7 @@ class Match:
 
 
 class MatchPlan(NamedTuple):
-    """A source pattern compiled for :meth:`PatternMatcher.find_matches`.
+    """A source pattern compiled into the steps of a :class:`MatchTrie`.
 
     Step ``i`` is ``(gate_name, anchor, checks, binds, order_checks)`` for
     pattern instruction ``i``.  Whether a pattern qubit is already bound
@@ -70,14 +78,13 @@ class MatchPlan(NamedTuple):
     steps: Tuple[tuple, ...]
     #: Pattern qubits in the order the steps bind them.
     bound_qubits: Tuple[int, ...]
-    num_qubits: int
     #: False when no pattern gate takes a parameter: every match then has
     #: the empty assignment, and unification is skipped.
     has_params: bool
 
 
 def compile_match_plan(pattern: Circuit) -> MatchPlan:
-    """Compile ``pattern`` into the steps :meth:`~PatternMatcher.find_matches` runs."""
+    """Compile ``pattern`` into the steps the matcher runs."""
     steps: List[tuple] = []
     bound_qubits: List[int] = []
     last_on_qubit: Dict[int, int] = {}
@@ -105,9 +112,102 @@ def compile_match_plan(pattern: Circuit) -> MatchPlan:
     return MatchPlan(
         tuple(steps),
         tuple(bound_qubits),
-        pattern.num_qubits,
         any(inst.params for inst in pattern.instructions),
     )
+
+
+class MatchTrie(NamedTuple):
+    """The match plans of many source patterns, merged on shared prefixes.
+
+    Node 0 is the root.  ``children[node]`` holds ``(step, child)`` pairs,
+    a step being a :class:`MatchPlan` step whose pattern qubits are
+    renumbered in the order the pattern binds them, so step ``i`` means
+    the same thing in every pattern whose first ``i`` steps agree.
+    ``terminals[node]`` lists the patterns whose last step leads to
+    ``node``.  Pattern ``p`` is ``patterns[p]``; its renumbered qubit
+    ``i`` is its qubit ``bound_qubits[p][i]``, and ``paths[p]`` lists the
+    nodes from the root to its terminal.  ``subtree_patterns[node]``
+    counts the patterns that end at or below ``node``.
+    """
+
+    children: Tuple[Tuple[Tuple[tuple, int], ...], ...]
+    terminals: Tuple[Tuple[int, ...], ...]
+    subtree_patterns: Tuple[int, ...]
+    patterns: Tuple[Circuit, ...]
+    bound_qubits: Tuple[Tuple[int, ...], ...]
+    has_params: Tuple[bool, ...]
+    paths: Tuple[Tuple[int, ...], ...]
+    #: Renumbered qubits of the widest pattern.
+    num_qubits: int
+    #: ``Transformation.source_key`` -> pattern index.
+    index: Dict[tuple, int]
+
+
+def _renumbered_steps(plan: MatchPlan) -> List[tuple]:
+    """``plan.steps`` with pattern qubit ``plan.bound_qubits[i]`` renamed ``i``."""
+    number = {qubit: i for i, qubit in enumerate(plan.bound_qubits)}
+    return [
+        (
+            gate_name,
+            None if anchor is None else (number[anchor[0]], anchor[1]),
+            tuple((operand, number[qubit]) for operand, qubit in checks),
+            tuple((operand, number[qubit]) for operand, qubit in binds),
+            tuple((number[qubit], earlier) for qubit, earlier in order_checks),
+        )
+        for gate_name, anchor, checks, binds, order_checks in plan.steps
+    ]
+
+
+def _build_trie(patterns: Dict[tuple, Tuple[Circuit, MatchPlan]]) -> MatchTrie:
+    """Merge ``{key: (pattern, plan)}``; pattern ``p`` is the ``p``-th entry."""
+    entries = list(patterns.values())
+    children: List[Dict[tuple, int]] = [{}]
+    terminals: List[List[int]] = [[]]
+    subtree_patterns = [0]
+    paths = []
+    for pattern_index, (_, plan) in enumerate(entries):
+        node = 0
+        path = [node]
+        for step in _renumbered_steps(plan):
+            child = children[node].get(step)
+            if child is None:
+                child = children[node][step] = len(children)
+                children.append({})
+                terminals.append([])
+                subtree_patterns.append(0)
+            node = child
+            path.append(node)
+        terminals[node].append(pattern_index)
+        for path_node in path:
+            subtree_patterns[path_node] += 1
+        paths.append(tuple(path))
+    return MatchTrie(
+        tuple(tuple(steps.items()) for steps in children),
+        tuple(tuple(ends) for ends in terminals),
+        tuple(subtree_patterns),
+        tuple(pattern for pattern, _ in entries),
+        tuple(plan.bound_qubits for _, plan in entries),
+        tuple(plan.has_params for _, plan in entries),
+        tuple(paths),
+        max((len(plan.bound_qubits) for _, plan in entries), default=0),
+        {key: index for index, key in enumerate(patterns)},
+    )
+
+
+def compile_match_trie(transformations: Sequence[Transformation]) -> MatchTrie:
+    """One trie over the match plans of every distinct source pattern.
+
+    Transformations that share a source (every ``C_1 -> C_i`` of one ECC)
+    share one pattern, in the order the sources first appear.
+    """
+    patterns: Dict[tuple, Tuple[Circuit, MatchPlan]] = {}
+    for transformation in transformations:
+        if transformation.source_key not in patterns:
+            patterns[transformation.source_key] = (
+                transformation.source,
+                transformation.match_plan,
+            )
+    return _build_trie(patterns)
 
 
 class TargetTemplate(NamedTuple):
@@ -146,11 +246,20 @@ def compile_target_template(source: Circuit, target: Circuit) -> TargetTemplate:
 
 
 class PatternMatcher:
-    """Finds and applies transformation matches on a fixed circuit."""
+    """Finds and applies transformation matches on a fixed circuit.
 
-    def __init__(self, circuit: Circuit, perf: Optional[PerfRecorder] = None) -> None:
+    ``trie`` is :func:`compile_match_trie` of the rules the caller will
+    match; a search compiles it once per run and hands it to the matcher
+    of every circuit it pops.
+    """
+
+    def __init__(self, circuit: Circuit, trie: Optional[MatchTrie] = None) -> None:
         self.circuit = circuit
-        self.perf = perf if perf is not None else NULL_RECORDER
+        self.trie = trie
+        # Per trie pattern, its matches: filled by the first matches_for
+        # call under the cap it passes.
+        self._table: Optional[List[List[Match]]] = None
+        self._table_cap: Optional[int] = None
         self.dag = CircuitDAG.from_circuit(circuit)
         # Node ids are consecutive integers in program order, so per-node
         # facts live in flat lists indexed by node id.
@@ -163,10 +272,6 @@ class PatternMatcher:
             self._node_names.append(name)
             self._node_qubits.append(inst.qubits)
             self._nodes_by_gate.setdefault(name, []).append(node_id)
-        # Matches keyed by (pattern identity, match limit): many
-        # transformations extracted from one ECC share a source pattern, so
-        # the backtracking search runs once per distinct pattern.
-        self._match_cache: Dict[tuple, List[Match]] = {}
         # Bitmask reachability for O(pattern-size) convexity checks.
         self._descendants_mask, self._ancestors_mask = self.dag.reachability_masks()
 
@@ -180,21 +285,39 @@ class PatternMatcher:
     ) -> List[Match]:
         """Return matches of ``pattern`` as convex subcircuits of the circuit.
 
-        ``plan`` is ``pattern`` compiled by :func:`compile_match_plan`;
-        :meth:`matches_for` passes the one cached on the transformation, and
-        it is compiled here when not given.
+        ``plan`` is ``pattern`` compiled by :func:`compile_match_plan`, and
+        it is compiled here when not given.  This is :meth:`match_trie` on
+        a trie of the one pattern.
         """
-        if len(pattern) == 0 or len(pattern) > len(self.circuit):
-            return []
-        if max_matches is not None and max_matches <= 0:
-            return []
         if plan is None:
             plan = compile_match_plan(pattern)
-        steps = plan.steps
-        last_step = len(steps) - 1
-        matches: List[Match] = []
+        return self.match_trie(_build_trie({(): (pattern, plan)}), max_matches)[0]
+
+    def match_trie(
+        self, trie: MatchTrie, max_matches: Optional[int] = None
+    ) -> List[List[Match]]:
+        """Per pattern of ``trie``, its first ``max_matches`` matches.
+
+        One depth-first pass over the trie: each node's step is tried on
+        the candidates its anchor allows, with every earlier step of the
+        path bound.  A pattern's matches therefore come out in the order
+        a pass over its own steps alone would find them, and each pattern
+        stops at its own cap; a subtree is skipped once every pattern in
+        it has reached its cap.
+        """
+        results: List[List[Match]] = [[] for _ in trie.patterns]
+        if max_matches is not None and max_matches <= 0:
+            return results
+        children = trie.children
+        terminals = trie.terminals
+        patterns = trie.patterns
+        bound_qubits = trie.bound_qubits
+        has_params = trie.has_params
+        paths = trie.paths
+        # Patterns per subtree still short of their cap.
+        open_patterns = list(trie.subtree_patterns)
         assignment: List[int] = []
-        qubit_map = [-1] * plan.num_qubits
+        qubit_map = [-1] * trie.num_qubits
         used_qubits = [False] * self.circuit.num_qubits
         used_nodes: set[int] = set()
         node_names = self._node_names
@@ -202,105 +325,114 @@ class PatternMatcher:
         wires = self.dag.wires
         wire_pos = self.dag.wire_positions
         nodes_by_gate = self._nodes_by_gate
+        is_convex = self.dag.is_convex_masked
+        descendants_mask = self._descendants_mask
+        ancestors_mask = self._ancestors_mask
+        solve_params = self._solve_params
 
-        def backtrack(position: int) -> bool:
-            """Returns True when the match limit has been reached."""
-            gate_name, anchor, checks, binds, order_checks = steps[position]
-            candidates: Sequence[int]
-            if anchor is None:
-                candidates = nodes_by_gate.get(gate_name, ())
-            else:
-                # The instruction shares a wire with an earlier matched one,
-                # and the only candidate is the *next* node on that wire: a
-                # gate in between would either sit unmatched on a path
-                # between two matched gates (not convex) or be matched out
-                # of the pattern's wire order.
-                anchor_qubit, earlier = anchor
-                circuit_qubit = qubit_map[anchor_qubit]
-                wire = wires[circuit_qubit]
-                next_position = wire_pos[assignment[earlier]][circuit_qubit] + 1
-                if next_position >= len(wire):
-                    return False
-                node_id = wire[next_position]
-                if node_names[node_id] != gate_name:
-                    return False
-                candidates = (node_id,)
-            for node_id in candidates:
-                if node_id in used_nodes:
+        def finalize(trie_node: int) -> None:
+            """Record the current assignment for each pattern ending here."""
+            node_ids: Optional[Tuple[int, ...]] = None
+            for pattern_index in terminals[trie_node]:
+                found = results[pattern_index]
+                if max_matches is not None and len(found) >= max_matches:
                     continue
-                qubits = node_qubits[node_id]
-                # Operands bound by earlier steps must agree, and the ones
-                # bound here must keep the qubit mapping injective.
-                compatible = True
-                for operand, pattern_qubit in checks:
-                    if qubits[operand] != qubit_map[pattern_qubit]:
-                        compatible = False
-                        break
-                if not compatible:
+                if node_ids is None:
+                    node_ids = tuple(assignment)
+                    if not is_convex(node_ids, descendants_mask, ancestors_mask):
+                        return
+                if has_params[pattern_index]:
+                    param_assignment = solve_params(patterns[pattern_index], node_ids)
+                    if param_assignment is None:
+                        continue
+                else:
+                    param_assignment = {}
+                # Renumbered qubit i is the pattern's bound_qubits[i].
+                found.append(
+                    Match(
+                        node_ids,
+                        dict(zip(bound_qubits[pattern_index], qubit_map)),
+                        param_assignment,
+                    )
+                )
+                if max_matches is not None and len(found) >= max_matches:
+                    for path_node in paths[pattern_index]:
+                        open_patterns[path_node] -= 1
+
+        def descend(trie_node: int) -> None:
+            for step, child in children[trie_node]:
+                if not open_patterns[child]:
                     continue
-                for operand, _ in binds:
-                    if used_qubits[qubits[operand]]:
-                        compatible = False
-                        break
-                if not compatible:
-                    continue
-                # Matched gates must appear on every shared wire in pattern
-                # order (the anchor wire holds by construction).
-                if order_checks:
-                    node_positions = wire_pos[node_id]
-                    for pattern_qubit, earlier in order_checks:
-                        circuit_qubit = qubit_map[pattern_qubit]
-                        earlier_position = wire_pos[assignment[earlier]][circuit_qubit]
-                        if not 0 <= earlier_position < node_positions[circuit_qubit]:
+                gate_name, anchor, checks, binds, order_checks = step
+                candidates: Sequence[int]
+                if anchor is None:
+                    candidates = nodes_by_gate.get(gate_name, ())
+                else:
+                    # The instruction shares a wire with an earlier matched
+                    # one, and the only candidate is the *next* node on that
+                    # wire: a gate in between would either sit unmatched on
+                    # a path between two matched gates (not convex) or be
+                    # matched out of the pattern's wire order.
+                    anchor_qubit, earlier = anchor
+                    circuit_qubit = qubit_map[anchor_qubit]
+                    wire = wires[circuit_qubit]
+                    next_position = wire_pos[assignment[earlier]][circuit_qubit] + 1
+                    if next_position >= len(wire):
+                        continue
+                    node_id = wire[next_position]
+                    if node_names[node_id] != gate_name:
+                        continue
+                    candidates = (node_id,)
+                for node_id in candidates:
+                    if node_id in used_nodes:
+                        continue
+                    qubits = node_qubits[node_id]
+                    # Operands bound by earlier steps must agree, and the
+                    # ones bound here must keep the qubit mapping injective.
+                    compatible = True
+                    for operand, pattern_qubit in checks:
+                        if qubits[operand] != qubit_map[pattern_qubit]:
                             compatible = False
                             break
                     if not compatible:
                         continue
-                for operand, pattern_qubit in binds:
-                    circuit_qubit = qubits[operand]
-                    qubit_map[pattern_qubit] = circuit_qubit
-                    used_qubits[circuit_qubit] = True
-                assignment.append(node_id)
-                if position == last_step:
-                    match = self._finalize(pattern, plan, tuple(assignment), qubit_map)
-                    stop = False
-                    if match is not None:
-                        matches.append(match)
-                        stop = max_matches is not None and len(matches) >= max_matches
-                else:
-                    used_nodes.add(node_id)
-                    stop = backtrack(position + 1)
-                    used_nodes.remove(node_id)
-                assignment.pop()
-                for operand, _ in binds:
-                    used_qubits[qubits[operand]] = False
-                if stop:
-                    return True
-            return False
+                    for operand, _ in binds:
+                        if used_qubits[qubits[operand]]:
+                            compatible = False
+                            break
+                    if not compatible:
+                        continue
+                    # Matched gates must appear on every shared wire in
+                    # pattern order (the anchor wire holds by construction).
+                    if order_checks:
+                        node_positions = wire_pos[node_id]
+                        for pattern_qubit, earlier in order_checks:
+                            circuit_qubit = qubit_map[pattern_qubit]
+                            earlier_position = wire_pos[assignment[earlier]][circuit_qubit]
+                            if not 0 <= earlier_position < node_positions[circuit_qubit]:
+                                compatible = False
+                                break
+                        if not compatible:
+                            continue
+                    for operand, pattern_qubit in binds:
+                        circuit_qubit = qubits[operand]
+                        qubit_map[pattern_qubit] = circuit_qubit
+                        used_qubits[circuit_qubit] = True
+                    assignment.append(node_id)
+                    if terminals[child]:
+                        finalize(child)
+                    if children[child] and open_patterns[child]:
+                        used_nodes.add(node_id)
+                        descend(child)
+                        used_nodes.remove(node_id)
+                    assignment.pop()
+                    for operand, _ in binds:
+                        used_qubits[qubits[operand]] = False
+                    if not open_patterns[child]:
+                        break
 
-        backtrack(0)
-        return matches
-
-    def _finalize(
-        self,
-        pattern: Circuit,
-        plan: MatchPlan,
-        node_ids: Tuple[int, ...],
-        qubit_map: List[int],
-    ) -> Optional[Match]:
-        if not self.dag.is_convex_masked(
-            node_ids, self._descendants_mask, self._ancestors_mask
-        ):
-            return None
-        if plan.has_params:
-            param_assignment = self._solve_params(pattern, node_ids)
-            if param_assignment is None:
-                return None
-        else:
-            param_assignment = {}
-        return Match(
-            node_ids, {q: qubit_map[q] for q in plan.bound_qubits}, param_assignment
-        )
+        descend(0)
+        return results
 
     # -- parameter unification -------------------------------------------------
 
@@ -416,24 +548,25 @@ class PatternMatcher:
         transformation: Transformation,
         max_matches: Optional[int] = None,
     ) -> List[Match]:
-        """Matches of the transformation's source pattern, cached by pattern.
+        """Matches of the transformation's source pattern.
 
-        Matches depend only on the source circuit, so transformations that
-        share a source (every ``C_1 -> C_i`` of one ECC) reuse one search.
+        With a trie, the first call matches every pattern of the trie in
+        one pass (:meth:`match_trie`) and fills the table every later call
+        reads; transformations that share a source (every ``C_1 -> C_i``
+        of one ECC) share its entry.  The transformation must be one the
+        trie was compiled from, and a call with another ``max_matches``
+        than the table's runs the pass again.  Without a trie, the one
+        source is matched on each call.
         """
-        cache_key = (transformation.source_key, max_matches)
-        cached = self._match_cache.get(cache_key)
-        if cached is not None:
-            self.perf.count("matcher.match_cache.hits")
-            return cached
-        self.perf.count("matcher.match_cache.misses")
-        matches = self.find_matches(
-            transformation.source,
-            max_matches=max_matches,
-            plan=transformation.match_plan,
-        )
-        self._match_cache[cache_key] = matches
-        return matches
+        trie = self.trie
+        if trie is None:
+            return self.find_matches(
+                transformation.source, max_matches, transformation.match_plan
+            )
+        if self._table is None or self._table_cap != max_matches:
+            self._table = self.match_trie(trie, max_matches)
+            self._table_cap = max_matches
+        return self._table[trie.index[transformation.source_key]]
 
     def apply_all(
         self,

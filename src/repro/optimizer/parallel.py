@@ -68,7 +68,7 @@ from repro.envconfig import (
 from repro.errors import PoolError
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
-from repro.optimizer.matcher import PatternMatcher
+from repro.optimizer.matcher import PatternMatcher, compile_match_trie
 from repro.optimizer.search import OptimizationResult
 from repro.optimizer.strategies import (
     SearchStrategy,
@@ -143,6 +143,9 @@ class ParallelSearchContext:
         self.transformations = list(transformations)
         self.cost_model = cost_model
         self.max_matches_per_transformation = max_matches_per_transformation
+        # Compiled where the context is built: once per run in the parent
+        # and once per worker, never shipped in the spec.
+        self.trie = compile_match_trie(self.transformations)
 
     def spec(self) -> dict:
         """The picklable worker-initializer payload (see ``from_spec``)."""
@@ -186,7 +189,7 @@ def _expand_circuit(
     no shared state — dedup against the seen-set happens at merge time in
     the parent, where it is ordered.
     """
-    matcher = PatternMatcher(circuit, perf=perf)
+    matcher = PatternMatcher(circuit, trie=context.trie)
     perf.count("search.matchers_built")
     successors: List[Tuple[float, tuple, Circuit]] = []
     max_matches = context.max_matches_per_transformation

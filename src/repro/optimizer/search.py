@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
-from repro.optimizer.matcher import PatternMatcher
+from repro.optimizer.matcher import PatternMatcher, compile_match_trie
 from repro.optimizer.xfer import Transformation
 from repro.perf import PerfRecorder
 
@@ -42,8 +42,9 @@ class OptimizationResult:
     # (elapsed seconds, best cost) samples recorded whenever the best improves,
     # used to draw the Figure 8 style time curves.
     cost_trace: List[Tuple[float, float]] = field(default_factory=list)
-    # Hot-path instrumentation: matcher calls, match cache hit rates,
-    # transformations skipped by the gate-multiset index (see repro.perf).
+    # Hot-path instrumentation: matchers built, transformations matched and
+    # skipped by the gate-multiset index, seen and cost rejects (see
+    # repro.perf).
     perf: Dict[str, float] = field(default_factory=dict)
     # True when a cooperative stop (portfolio early cancellation) ended the
     # search before its own budgets did.
@@ -124,6 +125,7 @@ class BacktrackingOptimizer:
         timed_out = False
         cancelled = False
         max_matches = self.max_matches_per_transformation
+        trie = compile_match_trie(self.transformations)
 
         while queue:
             # One clock read per iteration serves the timeout check and the
@@ -146,7 +148,7 @@ class BacktrackingOptimizer:
                 best_circuit = current
                 cost_trace.append((elapsed, best_cost))
 
-            matcher = PatternMatcher(current, perf=perf)
+            matcher = PatternMatcher(current, trie=trie)
             perf.count("search.matchers_built")
             transformations_since_check = 0
             for transformation in self.transformations:

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
-from repro.optimizer.matcher import PatternMatcher
+from repro.optimizer.matcher import PatternMatcher, compile_match_trie
 from repro.optimizer.search import BacktrackingOptimizer, OptimizationResult
 from repro.optimizer.xfer import Transformation
 from repro.perf import PerfRecorder
@@ -193,6 +193,7 @@ class BeamStrategy(SearchStrategy):
         timed_out = False
         cancelled = False
         max_matches = self.max_matches_per_transformation
+        trie = compile_match_trie(transformations)
 
         while beam:
             elapsed = time.perf_counter() - start
@@ -214,7 +215,7 @@ class BeamStrategy(SearchStrategy):
                 ):
                     timed_out = True
                     break
-                matcher = PatternMatcher(current, perf=perf)
+                matcher = PatternMatcher(current, trie=trie)
                 perf.count("search.matchers_built")
                 for transformation in transformations:
                     if not current.contains_gate_counts(

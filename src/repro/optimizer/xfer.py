@@ -54,7 +54,7 @@ class Transformation:
     @cached_property
     def source_key(self) -> tuple:
         """Identity of the source pattern; transformations extracted from the
-        same ECC share sources, so the matcher caches matches under this."""
+        same ECC share sources, so the match trie holds one pattern per key."""
         return self.source.sequence_key()
 
     @cached_property

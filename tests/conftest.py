@@ -14,7 +14,7 @@ import pytest
 
 from repro.generator import RepGen, prune_common_subcircuits, simplify_ecc_set
 from repro.ir import Circuit
-from repro.ir.gatesets import NAM
+from repro.ir.gatesets import NAM, RIGETTI
 from repro.optimizer import transformations_from_ecc_set
 
 
@@ -38,6 +38,26 @@ def nam_ecc_q2_n3():
 def nam_transformations_small(nam_ecc_q2_n3):
     """Transformations extracted from the (3, 2) Nam ECC set."""
     return transformations_from_ecc_set(nam_ecc_q2_n3)
+
+
+def _transformations_n3_q3(gate_set):
+    # No cache argument: generation runs from scratch and stores nothing.
+    result = RepGen(gate_set, num_qubits=3).generate(3)
+    return transformations_from_ecc_set(
+        prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
+    )
+
+
+@pytest.fixture(scope="session")
+def nam_transformations_n3_q3():
+    """Transformations of the pruned (3, 3) Nam ECC set the searches use."""
+    return _transformations_n3_q3(NAM)
+
+
+@pytest.fixture(scope="session")
+def rigetti_transformations_n3_q3():
+    """Transformations of the pruned (3, 3) Rigetti ECC set."""
+    return _transformations_n3_q3(RIGETTI)
 
 
 def random_clifford_t_circuit(

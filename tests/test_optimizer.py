@@ -18,7 +18,7 @@ from repro.optimizer import (
     TwoQubitCountCost,
     transformations_from_ecc_set,
 )
-from repro.optimizer.matcher import PatternMatcher
+from repro.optimizer.matcher import PatternMatcher, compile_match_trie
 from repro.optimizer.strategies import get_strategy
 from repro.semantics.simulator import circuits_equivalent_numeric
 
@@ -163,6 +163,43 @@ class TestPatternMatcher:
                 compared += len(expected)
         assert compared > 100
 
+    def test_shared_pass_equals_reference_per_pattern(self):
+        # One pass over the trie of a whole rule set must give every
+        # pattern exactly the matches of the exhaustive scan, in order and
+        # under each cap, with its own qubit labels in bind order.
+        rng = random.Random(20221115)
+        compared = 0
+        for _ in range(30):
+            circuit = _random_circuit(rng, num_qubits=3, length=rng.randint(6, 8))
+            transformations = [
+                Transformation(source, target)
+                for source in _rule_set_sources(rng, circuit)
+                # Two rules per source, as an ECC's C_1 -> C_i rules share one.
+                for target in (Circuit(source.num_qubits), source)
+            ]
+            trie = compile_match_trie(transformations)
+            assert len(trie.patterns) < len(transformations)
+            assert len(trie.children) - 1 < sum(len(p) for p in trie.patterns)
+            expected = {}
+            for transformation in transformations:
+                if transformation.source_key not in expected:
+                    expected[transformation.source_key] = [
+                        (node_ids, list(qubit_map.items()), params)
+                        for node_ids, qubit_map, params in _reference_matches(
+                            circuit, transformation.source
+                        )
+                    ]
+            for cap in (None, 1, 2):
+                matcher = PatternMatcher(circuit, trie=trie)
+                for transformation in transformations:
+                    found = [
+                        (m.node_ids, list(m.qubit_map.items()), m.param_assignment)
+                        for m in matcher.matches_for(transformation, max_matches=cap)
+                    ]
+                    assert found == expected[transformation.source_key][:cap]
+                    compared += len(found)
+        assert compared > 1000
+
 
 def _random_instruction(rng, num_qubits, concrete):
     gate = rng.choice(["h", "x", "cx", "rz"])
@@ -205,6 +242,47 @@ def _window_pattern(circuit, start, length):
             Instruction(inst.gate, [relabel[q] for q in inst.qubits], params)
         )
     return Circuit(len(relabel), instructions, num_params=num_params)
+
+
+def _mirrored(pattern, width):
+    """``pattern`` on ``width`` qubits with qubit ``q`` renamed ``width - 1 - q``."""
+    return Circuit(
+        width,
+        [
+            Instruction(inst.gate, [width - 1 - q for q in inst.qubits], inst.params)
+            for inst in pattern.instructions
+        ],
+        num_params=pattern.num_params,
+    )
+
+
+def _rule_set_sources(rng, circuit):
+    """Source patterns for one shared pass: random ones and a window of
+    ``circuit``, each with a qubit-renumbered twin, a one-gate extension
+    and its two-gate prefix; patterns that differ only in their params;
+    and disconnected patterns."""
+    bases = [_random_pattern(rng) for _ in range(4)]
+    bases.append(_window_pattern(circuit, rng.randrange(len(circuit) - 1), 3))
+    sources = []
+    for base in bases:
+        width = max(base.num_qubits, 2)
+        extension = base.instructions + [_random_instruction(rng, width, False)]
+        sources += [
+            base,
+            _mirrored(base, width),
+            Circuit(width, extension, num_params=max(base.num_params, 1)),
+            Circuit(width, base.instructions[:2], num_params=base.num_params),
+        ]
+    p0, p1, quarter = Angle.param(0), Angle.param(1), Angle.pi(Fraction(1, 4))
+    for first, second in [(p0, p1), (p0, p0), (p0, p0 + quarter), (quarter, p0)]:
+        sources.append(Circuit(2, num_params=2).rz(0, first).cx(0, 1).rz(0, second))
+    sources += [
+        Circuit(2).h(0).h(1),
+        Circuit(3).cx(0, 1).x(2),
+        Circuit(3).x(2).cx(1, 0).h(1),
+        Circuit(3).cx(2, 0).h(1).cx(1, 0),
+    ]
+    return sources
 
 
 def _reference_matches(circuit, pattern):

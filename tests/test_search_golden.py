@@ -19,30 +19,10 @@ import hashlib
 import pytest
 
 from repro.benchmarks_suite import benchmark_circuit
-from repro.generator import RepGen, prune_common_subcircuits, simplify_ecc_set
-from repro.ir.gatesets import NAM, RIGETTI
 from repro.ir.qasm import to_qasm
-from repro.optimizer import BacktrackingOptimizer, transformations_from_ecc_set
+from repro.optimizer import BacktrackingOptimizer
 from repro.optimizer.strategies import get_strategy
 from repro.preprocess import preprocess
-
-
-def _transformations(gate_set):
-    # No cache argument: generation runs from scratch and stores nothing.
-    result = RepGen(gate_set, num_qubits=3).generate(3)
-    return transformations_from_ecc_set(
-        prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
-    )
-
-
-@pytest.fixture(scope="session")
-def nam_transformations_n3_q3():
-    return _transformations(NAM)
-
-
-@pytest.fixture(scope="session")
-def rigetti_transformations_n3_q3():
-    return _transformations(RIGETTI)
 
 
 # (gate set, circuit, initial cost, final cost, circuits explored, sha256 of
