@@ -13,8 +13,10 @@ Two kinds of checks live here:
 * **Machine-independent component ratios.**  Incremental vs. full-replay
   fingerprinting and vectorized vs. per-entry gate embedding are compared
   in-process, so these assertions hold on any machine.  The shared
-  matching pass is compared with a per-rule loop the same way; its ratio
-  is recorded and only the identity of the two match tables is asserted.
+  matching pass is compared with a per-rule loop the same way, and
+  successor expansion through the match trie's memos with expansion
+  without them; their ratios are recorded and only the identity of the
+  two sides' outputs is asserted.
 
 Every run emits a machine-readable JSON file (default
 ``.benchmarks/micro_hotpaths.json``, override with
@@ -36,6 +38,7 @@ from repro.generator import ECCCache, RepGen, prune_common_subcircuits, simplify
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gatesets import NAM
 from repro.optimizer import BacktrackingOptimizer, transformations_from_ecc_set
+from repro.optimizer.matcher import PatternMatcher, compile_match_trie
 from repro.preprocess import preprocess
 from repro.semantics.fingerprint import FingerprintContext
 from repro.semantics.simulator import expand_to_qubits, instruction_unitary
@@ -491,18 +494,16 @@ def test_vectorized_embedding_matches_and_beats_reference():
     )
 
 
-def test_shared_match_pass_vs_per_rule_loop(nam_q3_n3_generation, monkeypatch):
-    """One trie pass per circuit against one pass per source pattern.
+def _contains_gates(counts, required):
+    """Multiset containment of gate-name histograms: the check searches
+    ran per rule before the shared pass said which sources matched."""
+    return all(counts.get(name, 0) >= needed for name, needed in required.items())
 
-    Both sides run the same traversal over the circuits a 10-iteration
-    Nam (3, 3) ``mod5_4`` search pops: the shared side over the trie of
-    every rule, the per-rule side over a one-pattern trie per distinct
-    source whose gate multiset the circuit contains, with the search's
-    cap.  Rounds alternate which side runs first.  The match tables must
-    be identical; the timings and their ratio are recorded, not asserted.
-    """
-    from repro.optimizer.matcher import PatternMatcher, compile_match_trie
 
+@pytest.fixture(scope="module")
+def mod5_4_popped(nam_q3_n3_generation):
+    """The pruned Nam (3, 3) rules, the search's match cap and the 10
+    circuits a 10-iteration backtracking search on ``mod5_4`` pops."""
     result, _ = nam_q3_n3_generation
     ecc_set = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
     transformations = transformations_from_ecc_set(ecc_set)
@@ -514,15 +515,30 @@ def test_shared_match_pass_vs_per_rule_loop(nam_q3_n3_generation, monkeypatch):
         popped.append(circuit)
         build(self, circuit, *args, **kwargs)
 
-    monkeypatch.setattr(PatternMatcher, "__init__", recording_init)
-    optimizer.optimize(preprocess(benchmark_circuit("mod5_4"), "nam"), max_iterations=10)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PatternMatcher, "__init__", recording_init)
+        optimizer.optimize(
+            preprocess(benchmark_circuit("mod5_4"), "nam"), max_iterations=10
+        )
+    assert len(popped) == 10
+    return transformations, optimizer.max_matches_per_transformation, popped
 
-    cap = optimizer.max_matches_per_transformation
+
+def test_shared_match_pass_vs_per_rule_loop(mod5_4_popped):
+    """One trie pass per circuit against one pass per source pattern.
+
+    Both sides run the same traversal over the circuits a 10-iteration
+    Nam (3, 3) ``mod5_4`` search pops: the shared side over the trie of
+    every rule, the per-rule side over a one-pattern trie per distinct
+    source whose gate multiset the circuit contains, with the search's
+    cap.  Rounds alternate which side runs first.  The match tables must
+    be identical; the timings and their ratio are recorded, not asserted.
+    """
+    transformations, cap, popped = mod5_4_popped
     trie = compile_match_trie(transformations)
     sources = {t.source_key: t for t in transformations}
     singles = [
-        (sources[key].source_gate_counts, compile_match_trie([sources[key]]))
+        (sources[key].source.gate_counts(), compile_match_trie([sources[key]]))
         for key in trie.index
     ]
     matchers = [PatternMatcher(circuit) for circuit in popped]
@@ -531,15 +547,18 @@ def test_shared_match_pass_vs_per_rule_loop(nam_q3_n3_generation, monkeypatch):
         return [matcher.match_trie(trie, cap) for matcher in matchers]
 
     def per_rule():
-        return [
-            [
-                matcher.match_trie(single, cap)[0]
-                if matcher.circuit.contains_gate_counts(counts)
-                else []
-                for counts, single in singles
-            ]
-            for matcher in matchers
-        ]
+        tables = []
+        for matcher in matchers:
+            counts = matcher.circuit.gate_counts()
+            tables.append(
+                [
+                    matcher.match_trie(single, cap)[0]
+                    if _contains_gates(counts, required)
+                    else []
+                    for required, single in singles
+                ]
+            )
+        return tables
 
     sides = {"shared": shared, "per_rule": per_rule}
     seconds = dict.fromkeys(sides, 0.0)
@@ -574,6 +593,90 @@ def test_shared_match_pass_vs_per_rule_loop(nam_q3_n3_generation, monkeypatch):
         "ratio_per_rule_over_shared": seconds["per_rule"] / seconds["shared"],
     }
     assert len(popped) == 10 and matches > 0
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every lookup misses: each match is
+    solved and each successor instantiated afresh.  ``stores`` counts the
+    lookups."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+
+
+def test_memoized_expansion_vs_memo_free(mod5_4_popped):
+    """Successor expansion with the trie's memos against expansion without.
+
+    Both sides expand the circuits a 10-iteration Nam (3, 3) ``mod5_4``
+    search pops, with the search's cap.  The memoized side is today's
+    loop: one trie per round, whose memos start empty and serve every
+    circuit, and a visit of the rules whose source matched.  The memo-free
+    side is the loop the memos replaced: a trie whose memos keep nothing,
+    and a visit of every rule whose gate multiset the circuit contains.
+    Rounds alternate which side runs first.  The successor lists must be
+    identical; the timings, their ratio and the solve memo's hit rate are
+    recorded, not asserted.
+    """
+    transformations, cap, popped = mod5_4_popped
+
+    def memoized(trie):
+        successors = []
+        for circuit in popped:
+            matcher = PatternMatcher(circuit, trie=trie)
+            for transformation in matcher.matched_rules(cap):
+                successors.extend(matcher.apply_all(transformation, cap))
+        return successors
+
+    def memo_free(trie):
+        successors = []
+        for circuit in popped:
+            matcher = PatternMatcher(circuit, trie=trie)
+            counts = circuit.gate_counts()
+            for transformation in transformations:
+                if _contains_gates(counts, transformation.source.gate_counts()):
+                    successors.extend(matcher.apply_all(transformation, cap))
+        return successors
+
+    sides = {"memoized": memoized, "memo_free": memo_free}
+    seconds = dict.fromkeys(sides, 0.0)
+    outputs = {}
+    tries = {}
+    rounds = 3
+    for round_index in range(rounds):
+        tries["memoized"] = compile_match_trie(transformations)
+        tries["memo_free"] = tries["memoized"]._replace(
+            solutions=_Forgetful(), instantiations=_Forgetful()
+        )
+        order = list(sides) if round_index % 2 == 0 else list(reversed(sides))
+        for name in order:
+            start = time.perf_counter()
+            outputs[name] = sides[name](tries[name])
+            seconds[name] += time.perf_counter() - start
+
+    def rows(successors):
+        return [(tuple(s.instructions), s.wire_key()) for s in successors]
+
+    assert rows(outputs["memoized"]) == rows(outputs["memo_free"])
+    lookups = tries["memo_free"].solutions.stores
+    solves = len(tries["memoized"].solutions)
+    applies = tries["memo_free"].instantiations.stores
+    instantiations = len(tries["memoized"].instantiations)
+    _RESULTS["memoized_expansion_mod5_4"] = {
+        "circuits": len(popped),
+        "rounds": rounds,
+        "successors_per_round": len(outputs["memoized"]),
+        "memoized_seconds": seconds["memoized"],
+        "memo_free_seconds": seconds["memo_free"],
+        "ratio_memo_free_over_memoized": seconds["memo_free"] / seconds["memoized"],
+        "solve_lookups_per_round": lookups,
+        "solves_per_round": solves,
+        "solve_hit_rate": 1 - solves / lookups,
+        "applies_per_round": applies,
+        "instantiations_per_round": instantiations,
+    }
+    assert outputs["memoized"] and 0 < solves < lookups
 
 
 def test_facade_end_to_end_timing(nam_q3_n3_generation):

@@ -344,19 +344,6 @@ class Circuit:
         """Return a histogram of gate names (maintained incrementally)."""
         return dict(self._gate_counts)
 
-    def contains_gate_counts(self, required: Mapping[str, int]) -> bool:
-        """Multiset containment: does this circuit have at least ``required``?
-
-        The optimizer uses this to discard transformations whose source
-        pattern mentions gates the circuit does not contain, before paying
-        for pattern matching.
-        """
-        counts = self._gate_counts
-        for name, needed in required.items():
-            if counts.get(name, 0) < needed:
-                return False
-        return True
-
     def count_gate(self, name: str) -> int:
         return self._gate_counts.get(name, 0)
 

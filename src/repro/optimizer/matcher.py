@@ -31,12 +31,23 @@ after renumbering each pattern's qubits in the order its steps bind them,
 so patterns that differ only in qubit labels share their prefixes too.
 :class:`PatternMatcher` walks the trie in one backtracking pass per
 circuit, and each pattern's matches come out exactly as a search for that
-pattern alone would return them.
+pattern alone would return them.  The pass also tells which sources
+matched at all, so a search visits only their rules
+(:meth:`PatternMatcher.matched_rules`), in rule order.
+
+A search meets the same few angle combinations over and over, so the
+trie carries two memos for the run it is compiled for.  ``solutions``
+maps (pattern index, the matched gates' angle sort keys in step order)
+to the unification result, failures included, and each :class:`Match`
+carries that key.  ``instantiations`` maps (rule position, solution key)
+to the target's instantiated params.  Both are keyed by exact values and
+each entry is a pure function of its key, so a memo carried from one
+circuit to the next cannot change what a match or a successor is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,7 +66,11 @@ class Match:
 
     node_ids: Tuple[int, ...]
     qubit_map: Dict[int, int]
+    #: Shared by every match solved under the same key; never mutated.
     param_assignment: Dict[int, Angle]
+    #: ``(pattern index, matched angle sort keys in step order)`` in the
+    #: trie that found the match.
+    solution_key: tuple = field(compare=False, repr=False)
 
 
 class MatchPlan(NamedTuple):
@@ -141,6 +156,18 @@ class MatchTrie(NamedTuple):
     num_qubits: int
     #: ``Transformation.source_key`` -> pattern index.
     index: Dict[tuple, int]
+    #: The rules the trie was compiled from.  Holding them keeps each
+    #: ``id`` in ``rule_positions`` theirs for as long as the trie lives.
+    rules: Tuple[Transformation, ...]
+    #: ``id(rule)`` -> the rule's first position in ``rules``.
+    rule_positions: Dict[int, int]
+    #: Per pattern, the positions of the rules with that source.
+    pattern_rules: Tuple[Tuple[int, ...], ...]
+    #: Solution key -> :meth:`PatternMatcher._solve_params` of it, ``None``
+    #: when the angles do not unify.
+    solutions: Dict[tuple, Optional[Dict[int, Angle]]]
+    #: ``(rule position, solution key)`` -> the rule's target params.
+    instantiations: Dict[tuple, Tuple[Tuple[Angle, ...], ...]]
 
 
 def _renumbered_steps(plan: MatchPlan) -> List[tuple]:
@@ -158,9 +185,21 @@ def _renumbered_steps(plan: MatchPlan) -> List[tuple]:
     ]
 
 
-def _build_trie(patterns: Dict[tuple, Tuple[Circuit, MatchPlan]]) -> MatchTrie:
-    """Merge ``{key: (pattern, plan)}``; pattern ``p`` is the ``p``-th entry."""
+def _build_trie(
+    patterns: Dict[tuple, Tuple[Circuit, MatchPlan]],
+    rules: Sequence[Transformation] = (),
+) -> MatchTrie:
+    """Merge ``{key: (pattern, plan)}``; pattern ``p`` is the ``p``-th entry.
+
+    ``rules`` are the transformations whose sources are the patterns.
+    """
     entries = list(patterns.values())
+    index = {key: pattern_index for pattern_index, key in enumerate(patterns)}
+    pattern_rules: List[List[int]] = [[] for _ in entries]
+    rule_positions: Dict[int, int] = {}
+    for position, rule in enumerate(rules):
+        pattern_rules[index[rule.source_key]].append(position)
+        rule_positions.setdefault(id(rule), position)
     children: List[Dict[tuple, int]] = [{}]
     terminals: List[List[int]] = [[]]
     subtree_patterns = [0]
@@ -190,7 +229,12 @@ def _build_trie(patterns: Dict[tuple, Tuple[Circuit, MatchPlan]]) -> MatchTrie:
         tuple(plan.has_params for _, plan in entries),
         tuple(paths),
         max((len(plan.bound_qubits) for _, plan in entries), default=0),
-        {key: index for index, key in enumerate(patterns)},
+        index,
+        tuple(rules),
+        rule_positions,
+        tuple(tuple(positions) for positions in pattern_rules),
+        {},
+        {},
     )
 
 
@@ -198,7 +242,9 @@ def compile_match_trie(transformations: Sequence[Transformation]) -> MatchTrie:
     """One trie over the match plans of every distinct source pattern.
 
     Transformations that share a source (every ``C_1 -> C_i`` of one ECC)
-    share one pattern, in the order the sources first appear.
+    share one pattern, in the order the sources first appear.  The trie's
+    memos start empty; a search compiles it once per run, so they live as
+    long as the run.
     """
     patterns: Dict[tuple, Tuple[Circuit, MatchPlan]] = {}
     for transformation in transformations:
@@ -207,7 +253,7 @@ def compile_match_trie(transformations: Sequence[Transformation]) -> MatchTrie:
                 transformation.source,
                 transformation.match_plan,
             )
-    return _build_trie(patterns)
+    return _build_trie(patterns, transformations)
 
 
 class TargetTemplate(NamedTuple):
@@ -225,6 +271,28 @@ class TargetTemplate(NamedTuple):
     extra_qubits: Tuple[int, ...]
     extra_params: Tuple[int, ...]
     gate_counts: Dict[str, int]
+
+    def instantiate_params(
+        self, assignment: Dict[int, Angle]
+    ) -> Tuple[Tuple[Angle, ...], ...]:
+        """Per target gate, its params under ``assignment``.
+
+        Target-only parameters are set to zero in a copy, so ``assignment``
+        itself is never changed.
+        """
+        if self.extra_params:
+            assignment = dict(assignment)
+            for index in self.extra_params:
+                assignment.setdefault(index, Angle.zero())
+        return tuple(
+            params
+            if constant
+            else tuple(
+                param if param.is_constant() else param.substitute(assignment)
+                for param in params
+            )
+            for _, _, params, constant in self.instructions
+        )
 
 
 def compile_target_template(source: Circuit, target: Circuit) -> TargetTemplate:
@@ -250,7 +318,8 @@ class PatternMatcher:
 
     ``trie`` is :func:`compile_match_trie` of the rules the caller will
     match; a search compiles it once per run and hands it to the matcher
-    of every circuit it pops.
+    of every circuit it pops, whose matches and successors then share the
+    trie's memos.
     """
 
     def __init__(self, circuit: Circuit, trie: Optional[MatchTrie] = None) -> None:
@@ -265,12 +334,14 @@ class PatternMatcher:
         # facts live in flat lists indexed by node id.
         self._node_names: List[str] = []
         self._node_qubits: List[Tuple[int, ...]] = []
+        self._node_params: List[Tuple[Angle, ...]] = []
         # Index DAG nodes by gate name for fast candidate lookup.
         self._nodes_by_gate: Dict[str, List[int]] = {}
         for node_id, inst in self.dag.nodes.items():
             name = inst.gate.name
             self._node_names.append(name)
             self._node_qubits.append(inst.qubits)
+            self._node_params.append(inst.params)
             self._nodes_by_gate.setdefault(name, []).append(node_id)
         # Bitmask reachability for O(pattern-size) convexity checks.
         self._descendants_mask, self._ancestors_mask = self.dag.reachability_masks()
@@ -303,7 +374,8 @@ class PatternMatcher:
         path bound.  A pattern's matches therefore come out in the order
         a pass over its own steps alone would find them, and each pattern
         stops at its own cap; a subtree is skipped once every pattern in
-        it has reached its cap.
+        it has reached its cap.  Parameters are solved once per solution
+        key through ``trie.solutions``.
         """
         results: List[List[Match]] = [[] for _ in trie.patterns]
         if max_matches is not None and max_matches <= 0:
@@ -329,10 +401,13 @@ class PatternMatcher:
         descendants_mask = self._descendants_mask
         ancestors_mask = self._ancestors_mask
         solve_params = self._solve_params
+        solutions = trie.solutions
+        node_params = self._node_params
 
         def finalize(trie_node: int) -> None:
             """Record the current assignment for each pattern ending here."""
             node_ids: Optional[Tuple[int, ...]] = None
+            angle_keys: Optional[tuple] = None
             for pattern_index in terminals[trie_node]:
                 found = results[pattern_index]
                 if max_matches is not None and len(found) >= max_matches:
@@ -342,10 +417,27 @@ class PatternMatcher:
                     if not is_convex(node_ids, descendants_mask, ancestors_mask):
                         return
                 if has_params[pattern_index]:
-                    param_assignment = solve_params(patterns[pattern_index], node_ids)
+                    # The solution depends on the pattern and on the
+                    # matched angles in step order, nothing else.
+                    if angle_keys is None:
+                        angle_keys = tuple(
+                            [
+                                angle.sort_key()
+                                for node_id in node_ids
+                                for angle in node_params[node_id]
+                            ]
+                        )
+                    solution_key = (pattern_index, angle_keys)
+                    if solution_key in solutions:
+                        param_assignment = solutions[solution_key]
+                    else:
+                        param_assignment = solutions[solution_key] = solve_params(
+                            patterns[pattern_index], node_ids
+                        )
                     if param_assignment is None:
                         continue
                 else:
+                    solution_key = (pattern_index, ())
                     param_assignment = {}
                 # Renumbered qubit i is the pattern's bound_qubits[i].
                 found.append(
@@ -353,6 +445,7 @@ class PatternMatcher:
                         node_ids,
                         dict(zip(bound_qubits[pattern_index], qubit_map)),
                         param_assignment,
+                        solution_key,
                     )
                 )
                 if max_matches is not None and len(found) >= max_matches:
@@ -506,6 +599,8 @@ class PatternMatcher:
         The target is instantiated from its compiled template: qubits are
         mapped, and only parameters that mention a pattern parameter are
         substituted; the splice keeps every other gate of the circuit.
+        With a trie, a rule's params are substituted once per solution key
+        and reused from ``trie.instantiations``.
         """
         template = transformation.target_template
         qubit_map = match.qubit_map
@@ -523,24 +618,27 @@ class PatternMatcher:
             for pattern_qubit, circuit_qubit in zip(template.extra_qubits, available):
                 qubit_map[pattern_qubit] = circuit_qubit
 
-        # Likewise, parameters used only by the target default to zero.
-        assignment = match.param_assignment
-        if template.extra_params:
-            assignment = dict(assignment)
-            for index in template.extra_params:
-                assignment.setdefault(index, Angle.zero())
+        # The rule and the solution key fix the target's params.  The trie
+        # holds its rules, so an id found in rule_positions is that rule's.
+        trie = self.trie
+        rule = None if trie is None else trie.rule_positions.get(id(transformation))
+        if rule is None:
+            target_params = template.instantiate_params(match.param_assignment)
+        else:
+            key = (rule, match.solution_key)
+            target_params = trie.instantiations.get(key)
+            if target_params is None:
+                target_params = trie.instantiations[key] = template.instantiate_params(
+                    match.param_assignment
+                )
 
         trusted = Instruction._trusted
-        replacement = []
-        for gate, pattern_qubits, params, constant in template.instructions:
-            if not constant:
-                params = tuple(
-                    param if param.is_constant() else param.substitute(assignment)
-                    for param in params
-                )
-            replacement.append(
-                trusted(gate, tuple([qubit_map[q] for q in pattern_qubits]), params)
+        replacement = [
+            trusted(gate, tuple([qubit_map[q] for q in pattern_qubits]), params)
+            for (gate, pattern_qubits, _, _), params in zip(
+                template.instructions, target_params
             )
+        ]
         return self.dag.splice(match.node_ids, replacement, template.gate_counts)
 
     def matches_for(
@@ -563,10 +661,40 @@ class PatternMatcher:
             return self.find_matches(
                 transformation.source, max_matches, transformation.match_plan
             )
+        table = self._match_table(trie, max_matches)
+        return table[trie.index[transformation.source_key]]
+
+    def matched_rules(self, max_matches: Optional[int] = None) -> List[Transformation]:
+        """The trie's rules whose source has a match here, in rule order.
+
+        Reads the table :meth:`matches_for` reads (filling it if needed).
+        A rule left out has no match, so :meth:`apply_all` would return
+        nothing for it; a search visits these rules alone.
+        """
+        trie = self.trie
+        if trie is None:
+            raise ValueError("matched_rules needs a matcher built with a trie")
+        table = self._match_table(trie, max_matches)
+        pattern_rules = trie.pattern_rules
+        positions = [
+            position
+            for pattern_index, found in enumerate(table)
+            if found
+            for position in pattern_rules[pattern_index]
+        ]
+        positions.sort()
+        rules = trie.rules
+        return [rules[position] for position in positions]
+
+    def _match_table(
+        self, trie: MatchTrie, max_matches: Optional[int]
+    ) -> List[List[Match]]:
+        """The table of :meth:`match_trie` under ``max_matches``, run once
+        per cap."""
         if self._table is None or self._table_cap != max_matches:
             self._table = self.match_trie(trie, max_matches)
             self._table_cap = max_matches
-        return self._table[trie.index[transformation.source_key]]
+        return self._table
 
     def apply_all(
         self,

@@ -193,10 +193,12 @@ def _expand_circuit(
     perf.count("search.matchers_built")
     successors: List[Tuple[float, tuple, Circuit]] = []
     max_matches = context.max_matches_per_transformation
-    for transformation in context.transformations:
-        if not circuit.contains_gate_counts(transformation.source_gate_counts):
-            perf.count("search.transformations_skipped")
-            continue
+    matched = matcher.matched_rules(max_matches)
+    perf.count(
+        "search.transformations_skipped",
+        len(context.trie.rules) - len(matched),
+    )
+    for transformation in matched:
         perf.count("search.transformations_matched")
         for new_circuit in matcher.apply_all(
             transformation, max_matches=max_matches

@@ -42,9 +42,10 @@ class OptimizationResult:
     # (elapsed seconds, best cost) samples recorded whenever the best improves,
     # used to draw the Figure 8 style time curves.
     cost_trace: List[Tuple[float, float]] = field(default_factory=list)
-    # Hot-path instrumentation: matchers built, transformations matched and
-    # skipped by the gate-multiset index, seen and cost rejects (see
-    # repro.perf).
+    # Hot-path instrumentation: matchers built, transformations visited
+    # (``search.transformations_matched``: their source has a match on the
+    # popped circuit) and skipped (``search.transformations_skipped``: it
+    # has none), seen and cost rejects (see repro.perf).
     perf: Dict[str, float] = field(default_factory=dict)
     # True when a cooperative stop (portfolio early cancellation) ended the
     # search before its own budgets did.
@@ -150,8 +151,16 @@ class BacktrackingOptimizer:
 
             matcher = PatternMatcher(current, trie=trie)
             perf.count("search.matchers_built")
+            # A rule whose source has no match here has no successor, so
+            # only the matched rules are visited, in rule order: successors
+            # reach the queue in the order a visit of every rule gives.
+            matched = matcher.matched_rules(max_matches)
+            perf.count(
+                "search.transformations_skipped",
+                len(trie.rules) - len(matched),
+            )
             transformations_since_check = 0
-            for transformation in self.transformations:
+            for transformation in matched:
                 # The timeout check is hoisted behind a coarse counter so the
                 # common path costs one integer op, not a syscall.
                 transformations_since_check += 1
@@ -163,13 +172,6 @@ class BacktrackingOptimizer:
                     if time.perf_counter() - start > timeout_seconds:
                         timed_out = True
                         break
-                # Indexed matching: a pattern can only match if the circuit
-                # contains its gate multiset.
-                if not current.contains_gate_counts(
-                    transformation.source_gate_counts
-                ):
-                    perf.count("search.transformations_skipped")
-                    continue
                 perf.count("search.transformations_matched")
                 for new_circuit in matcher.apply_all(
                     transformation, max_matches=max_matches

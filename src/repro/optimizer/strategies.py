@@ -138,9 +138,10 @@ class GreedyStrategy(BacktrackingStrategy):
 class BeamStrategy(SearchStrategy):
     """Fixed-width frontier search sharing the matcher/cost plumbing.
 
-    Each iteration expands every beam member by every applicable
-    transformation (with the same gate-multiset prefilter the backtracking
-    search uses) and keeps the ``beam_width`` cheapest distinct successors.
+    Each iteration expands every beam member by every transformation whose
+    source has a match on it (visited in rule order, as the backtracking
+    search does; ``search.transformations_skipped`` counts the others) and
+    keeps the ``beam_width`` cheapest distinct successors.
     Cost-preserving moves survive as long as they stay inside the beam, so
     CNOT-flip style detours remain reachable with a frontier of bounded
     width.
@@ -217,12 +218,12 @@ class BeamStrategy(SearchStrategy):
                     break
                 matcher = PatternMatcher(current, trie=trie)
                 perf.count("search.matchers_built")
-                for transformation in transformations:
-                    if not current.contains_gate_counts(
-                        transformation.source_gate_counts
-                    ):
-                        perf.count("search.transformations_skipped")
-                        continue
+                matched = matcher.matched_rules(max_matches)
+                perf.count(
+                    "search.transformations_skipped",
+                    len(trie.rules) - len(matched),
+                )
+                for transformation in matched:
                     perf.count("search.transformations_matched")
                     for new_circuit in matcher.apply_all(
                         transformation, max_matches=max_matches

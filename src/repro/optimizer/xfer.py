@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List
+from typing import List
 
 from repro.generator.ecc import ECCSet
 from repro.ir.circuit import Circuit
@@ -40,16 +40,6 @@ class Transformation:
     def gate_delta(self) -> int:
         """Change in gate count when the transformation is applied."""
         return len(self.target) - len(self.source)
-
-    @cached_property
-    def source_gate_counts(self) -> Dict[str, int]:
-        """Gate-name multiset of the source pattern (precomputed once).
-
-        The search uses this to skip transformations whose source mentions
-        gates the circuit being optimized does not contain, without paying
-        for pattern matching.
-        """
-        return self.source.gate_counts()
 
     @cached_property
     def source_key(self) -> tuple:

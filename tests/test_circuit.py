@@ -194,13 +194,6 @@ class TestKeyCachingAndImmutability:
         assert circuit.count_gate("x") == 0
         assert circuit.drop_first().gate_counts() == {"h": 1, "cx": 1}
 
-    def test_contains_gate_counts(self):
-        circuit = Circuit(2).h(0).h(1).cx(0, 1)
-        assert circuit.contains_gate_counts({"h": 2})
-        assert circuit.contains_gate_counts({"h": 1, "cx": 1})
-        assert not circuit.contains_gate_counts({"h": 3})
-        assert not circuit.contains_gate_counts({"x": 1})
-
 
 class TestRewritingHelpers:
     def test_remap_qubits(self):

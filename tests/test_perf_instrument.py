@@ -87,8 +87,9 @@ class TestPerfSurfacing:
         optimizer = BacktrackingOptimizer(nam_transformations_small)
         result = optimizer.optimize(circuit, max_iterations=5, timeout_seconds=10)
         assert result.perf.get("search.matchers_built", 0) >= 1
-        # The gate-multiset index must have skipped at least one pattern
-        # (the ECC set contains x-gate patterns, the circuit has no x).
+        # At least one rule's source must have had no match on a popped
+        # circuit, so the search skipped it (the ECC set contains x-gate
+        # patterns, the circuit has no x).
         assert result.perf.get("search.transformations_skipped", 0) >= 1
 
     def test_generator_stats_carry_perf(self):
