@@ -15,8 +15,9 @@ Two kinds of checks live here:
   in-process, so these assertions hold on any machine.  The shared
   matching pass is compared with a per-rule loop the same way, and
   successor expansion through the match trie's memos with expansion
-  without them; their ratios are recorded and only the identity of the
-  two sides' outputs is asserted.
+  without them, and expansion that leaves successors unbuilt with
+  expansion that builds every one; their ratios are recorded and only the
+  identity of the two sides' outputs is asserted.
 
 Every run emits a machine-readable JSON file (default
 ``.benchmarks/micro_hotpaths.json``, override with
@@ -35,6 +36,7 @@ import pytest
 from repro.benchmarks_suite import benchmark_circuit
 from repro.envconfig import env_microbench_check_only, env_microbench_json
 from repro.generator import ECCCache, RepGen, prune_common_subcircuits, simplify_ecc_set
+from repro.ir import dag as dag_module
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gatesets import NAM
 from repro.optimizer import BacktrackingOptimizer, transformations_from_ecc_set
@@ -677,6 +679,86 @@ def test_memoized_expansion_vs_memo_free(mod5_4_popped):
         "instantiations_per_round": instantiations,
     }
     assert outputs["memoized"] and 0 < solves < lookups
+
+
+def test_lazy_successors_vs_forced(mod5_4_popped):
+    """Successor expansion reading what a search reads, against the same
+    loop forcing every successor's instruction list and gate histogram.
+
+    Both sides expand the circuits a 10-iteration Nam (3, 3) ``mod5_4``
+    search pops, with the search's cap and a fresh trie per side and
+    round, and read each successor's wire key and gate count.  The forced
+    side also reads ``instructions`` and ``gate_counts()``, the work splice
+    did for every successor before it built them on first read.  Rounds
+    alternate which side runs first.  The (wire key, gate count,
+    instructions) sequences must be identical and the lazy side must build
+    no list.  The timings, their ratio and the share of these successors
+    the search itself builds are recorded, not asserted.
+    """
+    transformations, cap, popped = mod5_4_popped
+    builds = [0]
+    build = dag_module._spliced_instructions
+
+    def counting_build(*args):
+        builds[0] += 1
+        return build(*args)
+
+    def expand(force):
+        trie = compile_match_trie(transformations)
+        start = time.perf_counter()
+        rows = []
+        for circuit in popped:
+            matcher = PatternMatcher(circuit, trie=trie)
+            for transformation in matcher.matched_rules(cap):
+                for successor in matcher.apply_all(transformation, cap):
+                    if force:
+                        successor.instructions
+                        successor.gate_counts()
+                    rows.append((successor.wire_key(), successor.gate_count, successor))
+        return rows, time.perf_counter() - start
+
+    seconds = {"lazy": 0.0, "forced": 0.0}
+    outputs = {}
+    rounds = 3
+    for round_index in range(rounds):
+        order = ["lazy", "forced"] if round_index % 2 == 0 else ["forced", "lazy"]
+        for name in order:
+            if name == "lazy":
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dag_module, "_spliced_instructions", counting_build)
+                    outputs[name], elapsed = expand(force=False)
+            else:
+                outputs[name], elapsed = expand(force=True)
+            seconds[name] += elapsed
+    lazy_builds = builds[0]
+
+    def rows(output):
+        return [
+            (key, count, tuple(successor.instructions))
+            for key, count, successor in output
+        ]
+
+    assert rows(outputs["lazy"]) == rows(outputs["forced"])
+    assert lazy_builds == 0
+
+    # The search these circuits come from splices exactly these
+    # successors, and builds the ones it pops.
+    builds[0] = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dag_module, "_spliced_instructions", counting_build)
+        BacktrackingOptimizer(transformations).optimize(popped[0], max_iterations=10)
+    successors = len(outputs["lazy"])
+    _RESULTS["lazy_successors_mod5_4"] = {
+        "circuits": len(popped),
+        "rounds": rounds,
+        "successors_per_round": successors,
+        "lazy_seconds": seconds["lazy"],
+        "forced_seconds": seconds["forced"],
+        "ratio_forced_over_lazy": seconds["forced"] / seconds["lazy"],
+        "search_builds": builds[0],
+        "search_built_fraction": builds[0] / successors,
+    }
+    assert successors and builds[0] == len(popped) - 1
 
 
 def test_facade_end_to_end_timing(nam_q3_n3_generation):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.ir.gates import Gate, get_gate
 from repro.ir.params import Angle
@@ -177,36 +177,6 @@ class Circuit:
             self._check_instruction(inst)
             self.instructions.append(inst)
             self._count_gate(inst)
-
-    @classmethod
-    def _trusted(
-        cls,
-        num_qubits: int,
-        instructions: List[Instruction],
-        num_params: int,
-        gate_counts: Dict[str, int],
-        wire_key: tuple,
-    ) -> "Circuit":
-        """A circuit built from parts the caller has already checked.
-
-        ``instructions`` is taken as given (not copied or re-validated),
-        ``gate_counts`` must be its gate-name histogram without zero
-        entries and ``wire_key`` its :meth:`wire_key`, which is cached, so
-        the circuit is born frozen.  :meth:`CircuitDAG.splice` builds every
-        search successor this way: the parent's instructions were validated
-        when the parent was built, splice checks the replacement's qubits
-        itself, and it derives the wire key from the parent's.
-        """
-        circuit = cls.__new__(cls)
-        circuit.num_qubits = num_qubits
-        circuit.num_params = num_params
-        circuit.instructions = instructions
-        circuit._gate_counts = gate_counts
-        circuit._sequence_key = None
-        circuit._wire_key = wire_key
-        circuit._canonical_key = None
-        circuit._hash = None
-        return circuit
 
     # -- construction -------------------------------------------------------
 
@@ -547,6 +517,71 @@ class Circuit:
         for inst in self.instructions:
             lines.append(f"  {inst!r}")
         return "\n".join(lines)
+
+
+class _SplicedCircuit(Circuit):
+    """A search successor whose gates are listed the first time they are read.
+
+    :meth:`CircuitDAG.splice` is the only code that creates one.  It holds
+    the qubit and param counts, the gate count, the :meth:`wire_key` splice
+    derived from the parent's (so it is born frozen) and ``build``, which
+    returns the instruction list from state splice froze.  A search reads
+    only the wire key and the gate count of most successors before it drops
+    them, so only the circuits it pops or returns ever list their gates.
+
+    ``instructions`` and the gate histogram are built on first read and
+    cached.  Every other method is :class:`Circuit`'s and reads them, so it
+    answers exactly what an eagerly built circuit would.  Building is
+    idempotent: two threads racing on the first read at worst build equal
+    lists twice.  A pickled one unpickles as a plain :class:`Circuit`.
+    """
+
+    def __init__(
+        self,
+        num_qubits: int,
+        num_params: int,
+        length: int,
+        wire_key: tuple,
+        build: Callable[[], List[Instruction]],
+    ) -> None:
+        self.num_qubits = num_qubits
+        self.num_params = num_params
+        self._length = length
+        self._build = build
+        self._built: Optional[List[Instruction]] = None
+        self._counts: Optional[Dict[str, int]] = None
+        self._sequence_key = None
+        self._wire_key = wire_key
+        self._canonical_key = None
+        self._hash = None
+
+    @property
+    def instructions(self) -> List[Instruction]:
+        built = self._built
+        if built is None:
+            built = self._built = self._build()
+        return built
+
+    @property
+    def _gate_counts(self) -> Dict[str, int]:
+        counts = self._counts
+        if counts is None:
+            counts = {}
+            for inst in self.instructions:
+                name = inst.gate.name
+                counts[name] = counts.get(name, 0) + 1
+            self._counts = counts
+        return counts
+
+    @property
+    def gate_count(self) -> int:
+        return self._length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __reduce__(self):
+        return (Circuit, (self.num_qubits, self.instructions, self.num_params))
 
 
 def empty_circuit(num_qubits: int, num_params: int = 0) -> Circuit:

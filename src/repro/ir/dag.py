@@ -11,10 +11,36 @@ order.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.ir.circuit import Circuit, Instruction, wire_key_of
+from repro.ir.circuit import Circuit, Instruction, _SplicedCircuit, wire_key_of
+
+
+def _spliced_instructions(
+    order: List[Instruction],
+    length: int,
+    last: int,
+    before: int,
+    placed: int,
+    replacement: Tuple[Instruction, ...],
+) -> List[Instruction]:
+    """The instruction list of a :meth:`CircuitDAG.splice` result.
+
+    ``order`` is the DAG's instruction list, of which only the first
+    ``length`` entries existed at splice time.  ``before`` masks the
+    match's ancestors, ``placed`` those and the match, and ``last`` is the
+    last matched node.  Node ids follow a topological order, so no node
+    after ``last`` is an ancestor of the match: that suffix stays as is.
+    """
+    head = order[: last + 1]
+    instructions = [inst for node_id, inst in enumerate(head) if before >> node_id & 1]
+    instructions += replacement
+    instructions += [
+        inst for node_id, inst in enumerate(head) if not placed >> node_id & 1
+    ]
+    instructions += order[last + 1 : length]
+    return instructions
 
 
 class CircuitDAG:
@@ -36,10 +62,9 @@ class CircuitDAG:
         # not touch the wire); indexed as [node_id][qubit].
         self.wire_positions: List[List[int]] = []
         self._next_id = 0
-        # Instructions in node-id order, and their gate-name histogram:
-        # splice builds successors from these without re-validating them.
+        # Instructions in node-id order: splice builds successors from
+        # them without re-validating them.
         self._instructions: List[Instruction] = []
-        self._gate_counts: Dict[str, int] = {}
         # Reachability bitmasks, computed on first use (see
         # reachability_masks) and dropped whenever a node is added.
         self._masks: Optional[Tuple[Dict[int, int], Dict[int, int]]] = None
@@ -67,8 +92,6 @@ class CircuitDAG:
         self._wire_key = None
         self.nodes[node_id] = inst
         self._instructions.append(inst)
-        name = inst.gate.name
-        self._gate_counts[name] = self._gate_counts.get(name, 0) + 1
         self.successors[node_id] = set()
         self.predecessors[node_id] = set()
         positions = [-1] * self.num_qubits
@@ -213,10 +236,7 @@ class CircuitDAG:
     # -- rewriting ------------------------------------------------------------
 
     def splice(
-        self,
-        matched: Sequence[int],
-        replacement: Sequence[Instruction],
-        replacement_counts: Optional[Mapping[str, int]] = None,
+        self, matched: Sequence[int], replacement: Sequence[Instruction]
     ) -> Circuit:
         """Return a new circuit with the convex set ``matched`` replaced.
 
@@ -225,12 +245,10 @@ class CircuitDAG:
         Nodes that must come before the matched set (its ancestors) keep
         their relative order and are emitted first, then the replacement,
         then everything else — valid because the matched set is convex.
-
         The unchanged instructions were validated when the circuit was
-        built, so only the replacement's qubits are range-checked, and the
-        gate counts are this DAG's minus the matched gates plus
-        ``replacement_counts`` (the replacement's histogram, counted here
-        when not given).
+        built, so only the replacement's qubits are range-checked.  Both
+        checks run here: an out-of-range qubit or a non-convex set raises
+        ``ValueError`` now, never when the result is first read.
 
         The new circuit is born with its :meth:`Circuit.wire_key`, derived
         from this DAG's.  On each wire the match touches, its nodes form
@@ -240,8 +258,15 @@ class CircuitDAG:
         they follow the match's ancestors on it, which are a prefix of the
         wire.  This is the order the instruction list is built in, and
         every other wire's tuple is shared with this DAG's key.
+
+        Its instruction list and gate histogram are built when first read
+        (most search successors are dropped after their wire key and gate
+        count are): the builder holds this DAG's instruction list and its
+        length now, the match's masks and the replacement, never the DAG,
+        so instructions added later do not reach it.
         """
         num_qubits = self.num_qubits
+        replacement = tuple(replacement)
         for inst in replacement:
             for qubit in inst.qubits:
                 if not 0 <= qubit < num_qubits:
@@ -253,7 +278,6 @@ class CircuitDAG:
             raise ValueError("cannot splice a non-convex node set")
         nodes = self.nodes
         wire_positions = self.wire_positions
-        counts = dict(self._gate_counts)
         members = 0
         above = 0
         last = -1
@@ -262,12 +286,10 @@ class CircuitDAG:
         for node_id in matched:
             members |= 1 << node_id
             above |= ancestors_mask[node_id]
-            inst = nodes[node_id]
-            counts[inst.gate.name] -= 1
             if node_id > last:
                 last = node_id
             positions = wire_positions[node_id]
-            for qubit in inst.qubits:
+            for qubit in nodes[node_id].qubits:
                 position = positions[qubit]
                 run = runs.get(qubit)
                 if run is None:
@@ -276,24 +298,9 @@ class CircuitDAG:
                     run[0] = position
                 elif position >= run[1]:
                     run[1] = position + 1
-        if replacement_counts is None:
-            replacement_counts = Counter(inst.gate.name for inst in replacement)
-        for name, count in replacement_counts.items():
-            counts[name] = counts.get(name, 0) + count
-        # Node ids follow a topological order, so no node after the last
-        # matched one is an ancestor of the match: that suffix stays as is.
         order = self._instructions
-        head = order[: last + 1]
+        length = len(order)
         before = above & ~members
-        placed = before | members
-        instructions = [
-            inst for node_id, inst in enumerate(head) if before >> node_id & 1
-        ]
-        instructions += replacement
-        instructions += [
-            inst for node_id, inst in enumerate(head) if not placed >> node_id & 1
-        ]
-        instructions += order[last + 1 :]
 
         parent_key = self._wire_key
         if parent_key is None:
@@ -320,12 +327,20 @@ class CircuitDAG:
                 start += 1
             wire = parent_key[qubit]
             wire_key[qubit] = wire[:start] + tuple(keys) + wire[start:]
-        return Circuit._trusted(
+        return _SplicedCircuit(
             num_qubits,
-            instructions,
             self.num_params,
-            {name: count for name, count in counts.items() if count},
+            length - members.bit_count() + len(replacement),
             tuple(wire_key),
+            partial(
+                _spliced_instructions,
+                order,
+                length,
+                last,
+                before,
+                before | members,
+                replacement,
+            ),
         )
 
     def __repr__(self) -> str:

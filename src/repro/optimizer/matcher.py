@@ -17,7 +17,9 @@ three families of constraints:
 
 Applying a match instantiates the transformation's target circuit with the
 solved parameters and the match's qubit mapping, and splices it into the
-circuit in place of the matched gates.
+circuit in place of the matched gates.  The successor carries its wire key
+and gate count; its instruction list is built only when something reads it,
+which in a search means the circuits it pops or returns.
 
 Both halves are compiled once per transformation and cached on it: the
 source pattern into a :class:`MatchPlan` (which operands each step checks
@@ -263,14 +265,12 @@ class TargetTemplate(NamedTuple):
     target gate; ``constant`` is True when no param mentions a pattern
     parameter, so the params are reused as they are.  ``extra_qubits`` and
     ``extra_params`` are the target's pattern qubits and parameters that
-    the source does not mention (no match binds them), and ``gate_counts``
-    is the target's gate-name histogram.
+    the source does not mention (no match binds them).
     """
 
     instructions: Tuple[Tuple[Gate, Tuple[int, ...], Tuple[Angle, ...], bool], ...]
     extra_qubits: Tuple[int, ...]
     extra_params: Tuple[int, ...]
-    gate_counts: Dict[str, int]
 
     def instantiate_params(
         self, assignment: Dict[int, Angle]
@@ -309,7 +309,6 @@ def compile_target_template(source: Circuit, target: Circuit) -> TargetTemplate:
         ),
         tuple(sorted(target.used_qubits() - source.used_qubits())),
         tuple(sorted(target.used_params() - source.used_params())),
-        target.gate_counts(),
     )
 
 
@@ -639,7 +638,7 @@ class PatternMatcher:
                 template.instructions, target_params
             )
         ]
-        return self.dag.splice(match.node_ids, replacement, template.gate_counts)
+        return self.dag.splice(match.node_ids, replacement)
 
     def matches_for(
         self,
@@ -701,24 +700,22 @@ class PatternMatcher:
         transformation: Transformation,
         max_matches: Optional[int] = None,
     ) -> List[Circuit]:
-        """All distinct circuits obtainable by applying ``transformation``.
+        """One successor per applicable match of ``transformation``, in
+        match order.
 
-        Successors are distinct up to reordering independent gates: they
-        are deduplicated by :meth:`Circuit.wire_key`, which each is born
-        with, and the first of each class (in match order) is kept.
+        Two matches may give equal successors (``h h h`` under
+        ``h h -> nothing`` gives ``h`` twice), and both are returned.
+        Callers dedupe: each search's seen-set keeps the first of equal
+        keys (:meth:`Circuit.wire_key`, or the canonical key in the
+        parallel merge) in this order, so each successor's key is hashed
+        once.  Each successor comes from :meth:`CircuitDAG.splice`: born
+        with its wire key and gate count, its instruction list built on
+        first read.
         """
         results: List[Circuit] = []
-        seen_keys: set = set()
         for match in self.matches_for(transformation, max_matches=max_matches):
             new_circuit = self.apply(transformation, match)
-            if new_circuit is None:
-                continue
-            # One hash per key: add-and-compare instead of a lookup and an
-            # add.
-            seen_before = len(seen_keys)
-            seen_keys.add(new_circuit.wire_key())
-            if len(seen_keys) == seen_before:
-                continue
-            results.append(new_circuit)
+            if new_circuit is not None:
+                results.append(new_circuit)
         return results
 

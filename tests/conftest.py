@@ -14,6 +14,7 @@ import pytest
 
 from repro.generator import RepGen, prune_common_subcircuits, simplify_ecc_set
 from repro.ir import Circuit
+from repro.ir import dag as dag_module
 from repro.ir.gatesets import NAM, RIGETTI
 from repro.optimizer import transformations_from_ecc_set
 
@@ -85,3 +86,21 @@ def random_clifford_t_circuit(
 def random_circuit_factory():
     """Factory fixture so tests can build seeded random circuits."""
     return random_clifford_t_circuit
+
+
+@pytest.fixture
+def successor_builds(monkeypatch):
+    """Counts the instruction lists built for circuits spliced from now on.
+
+    ``CircuitDAG.splice`` hands each successor a builder around
+    ``repro.ir.dag._spliced_instructions``; ``builds[0]`` counts its calls.
+    """
+    builds = [0]
+    build = dag_module._spliced_instructions
+
+    def counting_build(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(dag_module, "_spliced_instructions", counting_build)
+    return builds

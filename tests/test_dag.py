@@ -1,5 +1,7 @@
 """Tests for the DAG representation: convexity, splicing and wire keys."""
 
+import pickle
+
 import pytest
 
 from repro.ir.circuit import Circuit, Instruction
@@ -109,8 +111,9 @@ class TestSplice:
             dag.splice([0, 1], [Instruction("z", (qubit,))])
 
     def test_splice_gate_counts(self):
-        # The counts come from the DAG's, not from a recount of the result:
-        # matched gates leave, replacement gates arrive, zeros are dropped.
+        # The histogram is counted from the instruction list when first
+        # read: matched gates leave, replacement gates arrive, and no name
+        # keeps a zero count.
         circuit = Circuit(2).x(1).h(0).h(0).cx(0, 1).x(1)
         dag = CircuitDAG.from_circuit(circuit)
         new_circuit = dag.splice([1, 2], [Instruction("z", (0,)), Instruction("z", (0,))])
@@ -200,3 +203,55 @@ class TestSpliceWireKey:
         second = dag.splice([3, 4], [z0])
         assert second.wire_key() == _rebuilt_wire_key(second)
         assert second.wire_key()[2][-1] == Instruction("cx", (2, 0)).sort_key()
+
+
+class TestLazySuccessor:
+    """A spliced circuit lists its gates only when something reads them."""
+
+    def test_length_and_wire_key_build_nothing(self, successor_builds):
+        circuit = Circuit(2).x(1).h(0).h(0).cx(0, 1).x(1)
+        x1, cx = circuit[0], circuit[3]
+        z0 = Instruction("z", (0,))
+        new_circuit = circuit.to_dag().splice([1, 2], [z0])
+        assert new_circuit.gate_count == len(new_circuit) == 4
+        assert new_circuit.wire_key() == (_key(z0, cx), _key(x1, cx, x1))
+        assert new_circuit.is_frozen
+        assert successor_builds[0] == 0
+        assert new_circuit.instructions == [z0, x1, cx, x1]
+        assert new_circuit.gate_counts() == {"z": 1, "x": 2, "cx": 1}
+        assert new_circuit.instructions is new_circuit.instructions
+        assert successor_builds[0] == 1
+
+    def test_later_nodes_do_not_reach_an_earlier_successor(self):
+        dag = CircuitDAG(3)
+        for inst in Circuit(3).h(1).cx(1, 2).x(0).h(1).h(1).x(2):
+            dag.add_instruction(inst)
+        z0 = Instruction("z", (0,))
+        lazy = dag.splice([3, 4], [z0])
+        # The same splice, built before the DAG grows.
+        expected = list(dag.splice([3, 4], [z0]).instructions)
+        dag.add_instruction(Instruction("cx", (2, 0)))
+        assert lazy.instructions == expected
+        assert lazy.gate_count == len(expected) == 5
+        assert lazy.wire_key() == _rebuilt_wire_key(lazy)
+
+    def test_pickles_as_a_plain_circuit(self):
+        circuit = Circuit(2).x(1).h(0).h(0).cx(0, 1).x(1)
+        new_circuit = circuit.to_dag().splice([1, 2], [Instruction("z", (0,))])
+        restored = pickle.loads(pickle.dumps(new_circuit))
+        assert type(restored) is Circuit
+        rebuild = Circuit(2, list(new_circuit.instructions))
+        assert restored == rebuild
+        assert restored.wire_key() == new_circuit.wire_key() == rebuild.wire_key()
+        assert restored.gate_counts() == rebuild.gate_counts()
+
+    def test_successor_rejects_mutation(self):
+        new_circuit = Circuit(2).h(0).h(0).cx(0, 1).to_dag().splice([0, 1], [])
+        with pytest.raises(RuntimeError):
+            new_circuit.append("x", 0)
+        with pytest.raises(RuntimeError):
+            new_circuit.extend([Instruction("x", (0,))])
+        assert new_circuit.gate_count == len(new_circuit.instructions) == 1
+        copy = new_circuit.copy()
+        assert type(copy) is Circuit
+        assert copy.x(0).gate_count == 2

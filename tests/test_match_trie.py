@@ -15,6 +15,8 @@
 * **Loop order.**  Visiting only the rules whose source matched gives the
   same successors, in the same order, as visiting every rule whose gate
   multiset the circuit contains.
+* **Laziness.**  A search builds the instruction lists of the circuits it
+  pops, and of no other successor.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import NamedTuple
 
 from repro.benchmarks_suite import benchmark_circuit
 from repro.ir import Circuit
+from repro.ir import dag as dag_module
 from repro.ir.circuit import Instruction
 from repro.ir.params import Angle
 from repro.optimizer import BacktrackingOptimizer, Transformation
@@ -205,6 +208,10 @@ class SearchRun(NamedTuple):
     matchers: list
     #: ``(matcher, transformation, successors)`` per ``apply_all`` call.
     calls: list
+    #: The search's result.
+    result: object
+    #: Instruction lists of spliced circuits built during the search.
+    builds: int
 
 
 # Three 30-iteration searches: Nam gains (barenco_tof_3, mod5_4) and
@@ -222,8 +229,10 @@ def search_run(request):
     transformations = request.getfixturevalue(f"{gate_set}_transformations_n3_q3")
     matchers = []
     calls = []
+    builds = [0]
     build = PatternMatcher.__init__
     apply_all = PatternMatcher.apply_all
+    build_instructions = dag_module._spliced_instructions
 
     def recording_init(self, *args, **kwargs):
         build(self, *args, **kwargs)
@@ -234,21 +243,34 @@ def search_run(request):
         calls.append((self, transformation, successors))
         return successors
 
+    def counting_build(*args):
+        builds[0] += 1
+        return build_instructions(*args)
+
     optimizer = BacktrackingOptimizer(transformations)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PatternMatcher, "__init__", recording_init)
         patch.setattr(PatternMatcher, "apply_all", recording_apply_all)
-        optimizer.optimize(
+        patch.setattr(dag_module, "_spliced_instructions", counting_build)
+        result = optimizer.optimize(
             preprocess(benchmark_circuit(name), gate_set), max_iterations=30
         )
+        # Later reads of the recorded successors build through the same
+        # wrapper; only the search's own builds are counted.
+        search_builds = builds[0]
     assert len(matchers) == 30
     return SearchRun(
-        transformations, optimizer.max_matches_per_transformation, matchers, calls
+        transformations,
+        optimizer.max_matches_per_transformation,
+        matchers,
+        calls,
+        result,
+        search_builds,
     )
 
 
 def test_search_tables_equal_per_pattern_matches(search_run):
-    transformations, cap, matchers, _ = search_run
+    transformations, cap, matchers, *_ = search_run
     trie = matchers[0].trie
     assert trie is not None
     # Renumbering merges prefixes that differ only in qubit labels.
@@ -273,7 +295,7 @@ def test_search_tables_equal_per_pattern_matches(search_run):
 
 
 def test_search_solutions_equal_fresh_solves(search_run):
-    transformations, cap, matchers, _ = search_run
+    transformations, cap, matchers, *_ = search_run
     trie = matchers[0].trie
     solved = 0
     for matcher in matchers:
@@ -289,7 +311,7 @@ def test_search_solutions_equal_fresh_solves(search_run):
 
 
 def test_search_successors_equal_memo_free_instantiation(search_run):
-    _, cap, matchers, calls = search_run
+    _, cap, matchers, calls, *_ = search_run
     applied = 0
     for matcher, transformation, _ in calls:
         for match in matcher.matches_for(transformation, cap):
@@ -309,7 +331,7 @@ def test_search_visits_rules_in_the_old_loop_order(search_run):
     # contains and applied it; the new one visits only rules whose source
     # matched.  Both must hand the queue the same successors in the same
     # order, so the heap's insertion counter numbers them alike.
-    transformations, cap, matchers, calls = search_run
+    transformations, cap, matchers, calls, *_ = search_run
     position = {id(rule): index for index, rule in enumerate(transformations)}
     visited = {id(matcher): [] for matcher in matchers}
     for matcher, transformation, successors in calls:
@@ -332,3 +354,16 @@ def test_search_visits_rules_in_the_old_loop_order(search_run):
     for matcher, transformation, _ in calls:
         assert matcher.matches_for(transformation, cap)
     assert compared > 1000
+
+
+def test_search_builds_only_what_it_pops(search_run):
+    # The seen-set reads a successor's wire key and the cost gate its gate
+    # count; neither builds its instruction list.  A popped circuit is
+    # built when its matcher reads it, and the returned one at the latest
+    # when the caller reads it.
+    _, _, matchers, calls, result, builds = search_run
+    successors = sum(len(successors) for _, _, successors in calls)
+    assert builds <= result.iterations + 1
+    # Every popped circuit but the input was spliced.
+    assert builds == len(matchers) - 1
+    assert successors > 10 * builds

@@ -1,5 +1,6 @@
 """Tests for transformations, the pattern matcher and the backtracking search."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from repro.ir import Circuit
 from repro.ir.circuit import Instruction
 from repro.ir.params import Angle
+from repro.ir.qasm import to_qasm
 from repro.optimizer import (
     BacktrackingOptimizer,
     DepthCost,
@@ -82,6 +84,15 @@ class TestPatternMatcher:
         circuit = Circuit(1).h(0).x(0).h(0)
         matches = PatternMatcher(circuit).find_matches(Circuit(1).h(0).h(0))
         assert matches == []
+
+    def test_equal_successors_are_all_returned(self):
+        # h h h has two matches of h h, and both leave h: apply_all gives
+        # one successor per match, in match order, and callers dedupe.
+        circuit = Circuit(1).h(0).h(0).h(0)
+        transformation = Transformation(Circuit(1).h(0).h(0), Circuit(1))
+        first, second = PatternMatcher(circuit).apply_all(transformation)
+        assert first == second == Circuit(1).h(0)
+        assert first.wire_key() == second.wire_key()
 
     def test_match_on_different_qubits(self):
         circuit = Circuit(3).h(2).h(2)
@@ -318,6 +329,43 @@ def _reference_matches(circuit, pattern):
         if params is not None:
             found.append((node_ids, qubit_map, params))
     return found
+
+
+# (strategy, final cost, circuits explored, sha256 of the best circuit's
+# QASM) on h h h under the one rule h h -> nothing, 30 iterations.  Recorded
+# while apply_all still dropped a rule's equal successors itself; the
+# strategies' seen-sets drop the second now, so none of these may move.
+EQUAL_SUCCESSORS_GOLDEN = [
+    (
+        "backtracking", 1, 2,
+        "2d8c5174f82b6554bdc2d41833de5f16ec408e75948d357c21d984a938003288",
+    ),
+    (
+        "greedy", 1, 2,
+        "2d8c5174f82b6554bdc2d41833de5f16ec408e75948d357c21d984a938003288",
+    ),
+    (
+        "beam", 1, 2,
+        "2d8c5174f82b6554bdc2d41833de5f16ec408e75948d357c21d984a938003288",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, final, explored, digest",
+    EQUAL_SUCCESSORS_GOLDEN,
+    ids=[row[0] for row in EQUAL_SUCCESSORS_GOLDEN],
+)
+def test_equal_successors_are_deduped_by_the_search(strategy, final, explored, digest):
+    rule = Transformation(Circuit(1).h(0).h(0), Circuit(1))
+    result = get_strategy(strategy).run(
+        Circuit(1).h(0).h(0).h(0), [rule], max_iterations=30
+    )
+    assert (result.initial_cost, result.final_cost) == (3, final)
+    assert result.circuits_explored == explored
+    assert hashlib.sha256(to_qasm(result.circuit).encode()).hexdigest() == digest
+    # The second h reached the seen-set, which turned it away.
+    assert result.perf["search.seen_rejects"] == 1
 
 
 class TestBacktrackingSearch:

@@ -3,10 +3,12 @@
 * **Exact angle keys.**  Angle sort keys hold a float in place of a Fraction
   when the float equals it exactly.  Every key built from them must equal
   the all-Fraction key, hash alike and sort alike.
-* **Trusted successors.**  ``CircuitDAG.splice`` builds successors without
-  re-validating the parent's instructions and derives their gate counts
-  and wire keys from the parent's.  Every successor must equal a
-  validating rebuild.
+* **Trusted, lazy successors.**  ``CircuitDAG.splice`` derives each
+  successor's wire key from the parent's and its gate count from the
+  match, and builds its instruction list and gate histogram from the
+  parent's unvalidated instructions only when first read.  Every successor
+  must equal a validating rebuild, before and after the build, and must
+  pickle as one.
 * **Wire keys.**  The search's seen-sets key circuits by their per-qubit
   gate sequences.  Two circuits must share a wire key iff they share a
   canonical key, and keying must never happen behind a caller's back.
@@ -15,10 +17,12 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 from fractions import Fraction
 
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.params import Angle, exact_key
+from repro.ir.qasm import to_qasm
 from repro.optimizer.matcher import PatternMatcher
 from repro.optimizer.xfer import Transformation
 from repro.preprocess import preprocess
@@ -157,7 +161,7 @@ class TestExactAngleKeys:
 
 class TestTrustedSuccessors:
     def test_successors_equal_validating_rebuild(
-        self, nam_transformations_small, random_circuit_factory
+        self, nam_transformations_small, random_circuit_factory, successor_builds
     ):
         # No generated rule has a qubit only its target touches, so one is
         # built by hand: splice puts it after the match's ancestors.
@@ -169,10 +173,18 @@ class TestTrustedSuccessors:
             matcher = PatternMatcher(circuit)
             for transformation in transformations:
                 for successor in matcher.apply_all(transformation, max_matches=16):
+                    # What a search reads, before anything builds the list.
+                    built = successor_builds[0]
+                    unbuilt = (successor.gate_count, len(successor), successor.wire_key())
+                    assert successor_builds[0] == built
                     rebuild = Circuit(
                         successor.num_qubits,
                         list(successor.instructions),
                         successor.num_params,
+                    )
+                    assert successor_builds[0] == built + 1
+                    assert unbuilt == (
+                        rebuild.gate_count, len(rebuild), rebuild.wire_key()
                     )
                     assert successor == rebuild
                     assert successor.num_qubits == circuit.num_qubits
@@ -181,9 +193,19 @@ class TestTrustedSuccessors:
                     assert counts == rebuild.gate_counts()
                     assert all(count > 0 for count in counts.values())
                     assert successor.canonical_key() == rebuild.canonical_key()
+                    assert successor.sequence_key() == rebuild.sequence_key()
+                    assert hash(successor) == hash(rebuild)
+                    assert to_qasm(successor) == to_qasm(rebuild)
+                    assert successor.copy() == rebuild
                     assert successor.wire_key() == rebuild.wire_key()
+                    restored = pickle.loads(pickle.dumps(successor))
+                    assert type(restored) is Circuit
+                    assert restored == rebuild
+                    assert restored.wire_key() == rebuild.wire_key()
+                    assert restored.gate_counts() == counts
                     compared += 1
-        assert compared > 300
+        # Every list was built once, by the rebuild.
+        assert successor_builds[0] == compared > 300
 
     def test_apply_does_not_rebuild_the_target(
         self, nam_transformations_small, random_circuit_factory, monkeypatch
