@@ -55,7 +55,6 @@ REQUIRED_REPGEN_SPEEDUP = 5.0
 REQUIRED_SEARCH_SPEEDUP = 3.0
 # A warm .repro_cache/ hit must make a RepGen rerun essentially free.
 REQUIRED_WARM_CACHE_SECONDS = 0.5
-PARALLEL_WORKERS = 4
 
 CHECK_ONLY = env_microbench_check_only()
 
@@ -181,8 +180,7 @@ def test_batched_fingerprinting_is_byte_identical_and_records_speedup(
     """Batched multi-state fingerprinting (the default) must be byte-identical
     to the per-state path on the numpy backend; the wall-clock of both paths
     is recorded in the perf trajectory (the numpy win is dispatch
-    amortization — the large kernel win is the numba leg's
-    ``numba_apply_gate_batch_q10`` entry)."""
+    amortization)."""
     batched_result, batched_elapsed = nam_q3_n3_generation
     assert batched_result.stats.perf.get("fingerprint.batched.calls", 0) > 0
 
@@ -204,162 +202,6 @@ def test_batched_fingerprinting_is_byte_identical_and_records_speedup(
     # do not depend on the batch knob on the reference backend.
     assert per_state_result.ecc_set.to_json() == batched_result.ecc_set.to_json()
     assert per_state_result.stats.perf.get("fingerprint.batched.calls", 0) == 0
-
-
-def test_parallel_repgen_is_byte_identical_and_records_speedup(
-    nam_q3_n3_generation,
-):
-    """Sharded generation must be bit-identical to serial; its wall-clock is
-    recorded in the perf trajectory (speedup depends on the host's cores, so
-    it is reported, not asserted — this container may be single-core)."""
-    serial_result, serial_elapsed = nam_q3_n3_generation
-    generator = RepGen(NAM, num_qubits=3, num_params=2, workers=PARALLEL_WORKERS)
-    start = time.perf_counter()
-    parallel_result = generator.generate(3)
-    elapsed = time.perf_counter() - start
-    _RESULTS["repgen_parallel_n3_q3"] = {
-        "workers": PARALLEL_WORKERS,
-        "seconds": elapsed,
-        "serial_seconds": serial_elapsed,
-        "speedup_vs_serial": serial_elapsed / elapsed,
-        "perf": {
-            k: v
-            for k, v in parallel_result.stats.perf.items()
-            if k.startswith("repgen.parallel")
-        },
-    }
-    # The acceptance bar: byte-identical serialized output for Nam (3, 3).
-    assert parallel_result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-    assert parallel_result.stats.perf.get("repgen.parallel.rounds", 0) > 0
-
-
-def test_parallel_verification_is_byte_identical_and_records_timing(
-    nam_q3_n3_generation,
-):
-    """Sharded bucket verification must be bit-identical to serial; its
-    wall-clock and the aggregated worker VerifierStats are recorded in the
-    perf trajectory (speedup depends on the host's cores, so it is
-    reported, not asserted — this container may be single-core)."""
-    serial_result, serial_elapsed = nam_q3_n3_generation
-    generator = RepGen(
-        NAM, num_qubits=3, num_params=2, verify_workers=PARALLEL_WORKERS
-    )
-    start = time.perf_counter()
-    parallel_result = generator.generate(3)
-    elapsed = time.perf_counter() - start
-    perf = parallel_result.stats.perf
-    _RESULTS["verify_parallel"] = {
-        "workers": PARALLEL_WORKERS,
-        "seconds": elapsed,
-        "serial_seconds": serial_elapsed,
-        "speedup_vs_serial": serial_elapsed / elapsed,
-        "verification_calls": parallel_result.stats.verification_calls,
-        "verification_time": parallel_result.stats.verification_time,
-        "perf": {
-            k: v
-            for k, v in perf.items()
-            if k.startswith("verifier.parallel") or k.startswith("verifier.workers")
-        },
-    }
-    # The acceptance bar: byte-identical serialized output for Nam (3, 3),
-    # with the aggregated worker stats visible in GeneratorStats.perf.
-    assert parallel_result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-    assert perf.get("verifier.parallel.rounds", 0) > 0
-    assert perf.get("verifier.workers.checks", 0) > 0
-    assert perf.get("verifier.parallel.table_misses", 0) == 0
-
-
-def test_search_parallel_microbench(nam_q3_n3_generation):
-    """Work-sharing search vs its serial reference (recorded, identity asserted).
-
-    ``workers=1`` runs the identical wave algorithm in-process, so the
-    speedup is a true apples-to-apples sharding measurement; it depends on
-    the host's cores, so it is reported to the trajectory rather than
-    asserted (this container may be single-core).  What *is* asserted is
-    the determinism contract: the pooled run's best circuit is
-    byte-identical to the serial reference, and the pool really dispatched
-    (``search.parallel_chunks``) so the comparison is not vacuous.
-    """
-    from repro.generator.ecc import circuit_to_payload
-    from repro.optimizer.parallel import ParallelBacktrackingStrategy
-
-    result, _ = nam_q3_n3_generation
-    ecc_set = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
-    transformations = transformations_from_ecc_set(ecc_set)
-    circuit = preprocess(benchmark_circuit("tof_3"), "nam")
-
-    serial = ParallelBacktrackingStrategy(workers=1)
-    start = time.perf_counter()
-    serial_outcome = serial.run(
-        circuit, transformations, max_iterations=15, timeout_seconds=60
-    )
-    serial_seconds = time.perf_counter() - start
-
-    pooled = ParallelBacktrackingStrategy(workers=PARALLEL_WORKERS)
-    start = time.perf_counter()
-    pooled_outcome = pooled.run(
-        circuit, transformations, max_iterations=15, timeout_seconds=60
-    )
-    elapsed = time.perf_counter() - start
-
-    _RESULTS["search_parallel_tof3"] = {
-        "workers": PARALLEL_WORKERS,
-        "seconds": elapsed,
-        "serial_seconds": serial_seconds,
-        "speedup_vs_serial": serial_seconds / elapsed,
-        "final_cost": pooled_outcome.final_cost,
-        "waves": pooled_outcome.metadata["waves"],
-        "perf": {
-            k: v
-            for k, v in pooled_outcome.perf.items()
-            if k.startswith("search.") or k.startswith("resilience.")
-        },
-    }
-    assert pooled_outcome.perf.get("search.parallel_chunks", 0) > 0
-    assert pooled_outcome.final_cost == serial_outcome.final_cost
-    assert json.dumps(
-        circuit_to_payload(pooled_outcome.circuit), sort_keys=True
-    ) == json.dumps(circuit_to_payload(serial_outcome.circuit), sort_keys=True)
-    assert elapsed < 120.0
-
-
-def test_portfolio_microbench(nam_q3_n3_generation):
-    """Portfolio racing at the quick scale, recorded in the perf trajectory.
-
-    Races the default backtracking/greedy/beam roster with early
-    cancellation on; records the winner, the per-racer outcomes and the
-    wall-clock next to the serial ``search_tof3`` entry (on a single-core
-    container the race is a fair time-sliced comparison, so the seconds
-    are reported, not asserted).
-    """
-    from repro.optimizer.parallel import PortfolioStrategy
-
-    result, _ = nam_q3_n3_generation
-    ecc_set = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
-    transformations = transformations_from_ecc_set(ecc_set)
-    circuit = preprocess(benchmark_circuit("tof_3"), "nam")
-
-    portfolio = PortfolioStrategy()
-    start = time.perf_counter()
-    outcome = portfolio.run(
-        circuit, transformations, max_iterations=15, timeout_seconds=60
-    )
-    elapsed = time.perf_counter() - start
-
-    _RESULTS["portfolio_tof3"] = {
-        "seconds": elapsed,
-        "winner": outcome.metadata["winner"],
-        "final_cost": outcome.final_cost,
-        "racers": outcome.metadata["racers"],
-        "perf": {
-            k: v for k, v in outcome.perf.items() if k.startswith("search.")
-        },
-    }
-    racer_names = {racer["racer"] for racer in outcome.metadata["racers"]}
-    assert outcome.metadata["winner"] in racer_names
-    assert outcome.perf["search.racers"] == 3
-    assert outcome.final_cost <= outcome.initial_cost
-    assert elapsed < 120.0
 
 
 def test_warm_cache_repgen_under_half_second(nam_q3_n3_generation, tmp_path):
@@ -843,124 +685,6 @@ def test_facade_per_state_parity_and_timing(nam_q3_n3_generation):
     assert report.provenance["batch_kind"] == "per-state"
     assert facade.generate().ecc_set.to_json() == serial_result.ecc_set.to_json()
     assert elapsed < 120.0
-
-
-def test_numba_apply_gate_microbench():
-    """Numba vs numpy `_apply_gate_to_state` timings (recorded, not asserted).
-
-    Runs only when numba is installed (the CI numba leg); the JSON
-    trajectory records the per-gate-application speedup so the compiled
-    backend's benefit is tracked over time.  Correctness parity is asserted
-    regardless of speed.
-    """
-    pytest.importorskip("numba")
-    from repro.semantics.backend import get_backend
-    from repro.semantics.simulator import random_state
-
-    num_qubits = 10
-    rng = np.random.default_rng(17)
-    state = random_state(num_qubits, rng)
-    cases = [
-        (instruction_unitary(Instruction("h", (4,))), (4,)),
-        (instruction_unitary(Instruction("cx", (7, 2))), (7, 2)),
-        (instruction_unitary(Instruction("ccx", (1, 8, 5))), (1, 8, 5)),
-    ]
-    numpy_backend = get_backend("numpy")
-    numba_backend = get_backend("numba")
-
-    # Warm-up triggers JIT compilation outside the timed region, and checks
-    # parity while at it.
-    for matrix, qubits in cases:
-        np.testing.assert_allclose(
-            numba_backend.apply_gate(state, matrix, qubits, num_qubits),
-            numpy_backend.apply_gate(state, matrix, qubits, num_qubits),
-            atol=1e-12,
-        )
-
-    repeats = 200
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for matrix, qubits in cases:
-            numpy_backend.apply_gate(state, matrix, qubits, num_qubits)
-    numpy_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for matrix, qubits in cases:
-            numba_backend.apply_gate(state, matrix, qubits, num_qubits)
-    numba_seconds = time.perf_counter() - start
-
-    _RESULTS["numba_apply_gate_q10"] = {
-        "numpy_seconds": numpy_seconds,
-        "numba_seconds": numba_seconds,
-        "ratio_numpy_over_numba": numpy_seconds / numba_seconds,
-        "repeats": repeats * len(cases),
-    }
-
-
-def test_numba_apply_gate_batch_microbench():
-    """Batched vs per-state numba kernels on a q=10 stack (asserted >= 2x).
-
-    The batched kernel fuses 64 statevectors into one ``parallel=True``
-    launch with specialized 1-/2-qubit bodies, so it must beat 64 per-state
-    kernel calls by at least 2x wherever numba runs (the CI numba leg and
-    the reference container) — this ratio is a same-machine component
-    comparison like the incremental-fingerprint one, so it is asserted even
-    in check-only mode.  Numerical parity against the numpy batch kernel is
-    asserted regardless of speed.
-    """
-    pytest.importorskip("numba")
-    from repro.semantics.backend import get_backend
-    from repro.semantics.simulator import random_state
-
-    num_qubits = 10
-    batch = 64
-    rng = np.random.default_rng(41)
-    states = np.stack([random_state(num_qubits, rng) for _ in range(batch)])
-    cases = [
-        (instruction_unitary(Instruction("h", (4,))), (4,)),
-        (instruction_unitary(Instruction("cx", (7, 2))), (7, 2)),
-        (instruction_unitary(Instruction("ccx", (1, 8, 5))), (1, 8, 5)),
-    ]
-    numpy_backend = get_backend("numpy")
-    numba_backend = get_backend("numba")
-
-    # Warm-up triggers JIT compilation outside the timed region and checks
-    # parity while at it.
-    for matrix, qubits in cases:
-        np.testing.assert_allclose(
-            numba_backend.apply_gate_batch(states, matrix, qubits, num_qubits),
-            numpy_backend.apply_gate_batch(states, matrix, qubits, num_qubits),
-            atol=1e-12,
-        )
-        numba_backend.apply_gate(states[0], matrix, qubits, num_qubits)
-
-    repeats = 20
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for matrix, qubits in cases:
-            for row in range(batch):
-                numba_backend.apply_gate(states[row], matrix, qubits, num_qubits)
-    per_state_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for matrix, qubits in cases:
-            numba_backend.apply_gate_batch(states, matrix, qubits, num_qubits)
-    batched_seconds = time.perf_counter() - start
-
-    ratio = per_state_seconds / batched_seconds
-    _RESULTS["numba_apply_gate_batch_q10"] = {
-        "per_state_seconds": per_state_seconds,
-        "batched_seconds": batched_seconds,
-        "ratio_per_state_over_batched": ratio,
-        "batch": batch,
-        "repeats": repeats * len(cases),
-    }
-    assert ratio >= 2.0, (
-        f"batched numba kernel only {ratio:.2f}x faster than per-state "
-        f"kernel calls on a {batch}-state q={num_qubits} stack; required >= 2x"
-    )
 
 
 def test_cached_gate_matrices_are_shared():

@@ -2,7 +2,7 @@
 
 Static enforcement of the invariants this reproduction's test suite can
 only sample at runtime: byte-identical canonical output regardless of
-worker count or batching, centralized ``REPRO_*`` parsing, the typed
+batching, resume or retries, centralized ``REPRO_*`` parsing, the typed
 error taxonomy, picklable worker specs, and fork-pool-safe module state.
 
 Run it::

@@ -1,9 +1,9 @@
 """Core machinery of the determinism-invariant linter (``reprolint``).
 
 The guarantees this reproduction ships — byte-identical ``ECCSet.to_json``
-across serial/parallel/batched/resumed runs, every ``REPRO_*`` knob parsed
-in one place, a typed error taxonomy where only ``PoolError`` degrades
-rounds — are *properties of the source code*, yet until this package they
+across batched/per-state/resumed runs, every ``REPRO_*`` knob parsed in
+one place, a typed error taxonomy where only ``PoolError`` is retried —
+are *properties of the source code*, yet until this package they
 were enforced only by runtime tests that sample a handful of
 configurations.  This module provides the framework those properties are
 checked with statically, on every file, on every push:

@@ -1,14 +1,14 @@
 """R004 ``wall-clock-in-worker`` — worker results must not read the clock.
 
-The resilient pools re-dispatch failed chunks on the promise that *"a
+The resilient pool re-dispatches failed chunks on the promise that *"a
 chunk result is a pure function of the chunk payload and the worker
-initializer spec"* — that promise is what makes retried chunks
+initializer arguments"* — that promise is what makes retried chunks
 byte-identical and the whole fault-injection story sound.  A wall-clock
 read (``time.time()``, ``perf_counter()``) or an unseeded RNG draw inside
 worker-executed code silently breaks it: the first dispatch and the retry
 compute different values, and if one leaks into a result the
-serial-vs-parallel byte-identity tests only catch it when a fault happens
-to land on the poisoned chunk.
+retry-identity tests only catch it when a fault happens to land on the
+poisoned chunk.
 
 This rule follows the call graph from every function handed to
 :class:`repro.workerpool.ResilientPool` (chunk fns and initializers — see

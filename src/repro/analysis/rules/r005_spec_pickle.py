@@ -1,15 +1,14 @@
 """R005 ``spec-pickle-completeness`` — worker specs must capture the ctor.
 
-The parallel pools rebuild their worker-side state from a picklable
-*spec*: ``FingerprintContext.spec()`` / ``EquivalenceVerifier.spec()``
-return a plain dict from which ``from_spec`` constructs a bit-identical
-twin in another process.  The byte-identity guarantee rests on the spec
+A process pool that rebuilds worker-side state from a picklable *spec*
+(a ``spec()`` method returning a plain dict from which ``from_spec``
+constructs a bit-identical twin in another process) relies on the spec
 being **complete** — every constructor parameter that can influence
 results must be represented, or a worker rebuilt from the spec silently
-diverges from its parent.  PR 5 hit exactly this: the ``batched`` flag
-was added to ``__init__`` but not (at first) to ``spec()``, and
-2-worker runs stopped being byte-identical to serial until review caught
-it.
+diverges from its parent.  This happened once already: a ``batched``
+flag was added to ``__init__`` but not (at first) to ``spec()``, and
+multi-worker runs stopped being byte-identical to serial until review
+caught it.
 
 The rule: for every class defining both ``__init__`` and ``spec``, the
 string keys of the dict(s) ``spec`` returns must cover every ``__init__``

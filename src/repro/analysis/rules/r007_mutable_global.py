@@ -12,11 +12,11 @@ fault lands on a poisoned worker.
 
 The sanctioned patterns, for contrast, are:
 
-* worker state rebuilt from a spec by the pool initializer into a global
-  that starts as ``None`` (``_WORKER_CONTEXT`` / ``_WORKER_VERIFIER``) —
-  set once per process, before any chunk;
-* instance-level caches (``FingerprintContext._state_cache``) — rebuilt
-  per worker from the spec, so divergence cannot leak across processes;
+* worker state set by the pool initializer into a global that starts as
+  ``None`` (the service's ``_WORKER_BASE_CONFIG``) — set once per
+  process, before any chunk;
+* instance-level caches (``FingerprintContext._state_cache``) — owned by
+  one object, so divergence cannot leak across processes;
 * import-time registries (``GATE_REGISTRY``) — fully populated before
   the fork, hence identical in every process (annotated inline).
 

@@ -11,8 +11,7 @@ Quickstart::
 Three pluggable seams sit underneath the facade:
 
 * **simulator backends** (:mod:`repro.semantics.backend`) — ``"numpy"``
-  (the reference) and ``"numba"`` (opt-in JIT kernel, present only when
-  numba is installed);
+  (the reference, and the only one registered by default);
 * **search strategies** (:mod:`repro.optimizer.strategies`) —
   ``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``;
 * **configuration** (:mod:`repro.api.config`) — frozen

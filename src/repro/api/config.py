@@ -2,8 +2,8 @@
 
 Three layers, composed into one :class:`RunConfig`:
 
-* :class:`GenerationConfig` — the RepGen scale (n, q), seed, worker pool
-  and persistent-cache knobs;
+* :class:`GenerationConfig` — the RepGen scale (n, q), seed and
+  persistent-cache knobs;
 * :class:`SearchConfig`     — which :mod:`search strategy
   <repro.optimizer.strategies>` runs and its tuning (gamma, beam width,
   budgets);
@@ -28,7 +28,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.envconfig import (
     env_batched_optional,
@@ -36,25 +36,36 @@ from repro.envconfig import (
     env_cache_enabled,
     env_chunk_retries_optional,
     env_chunk_timeout_optional,
-    env_portfolio_optional,
     env_resume_optional,
     env_scale,
-    env_search_workers_optional,
-    env_verify_workers_optional,
-    env_workers_optional,
 )
 from repro.generator.repgen import DEFAULT_SEED
 from repro.ir.gatesets import GateSet
+
+
+def _check_serial(owner: str, name: str, value: Optional[int]) -> None:
+    """Reject a worker count other than ``None`` or ``1``.
+
+    Generation and search run serially; the worker-count fields remain
+    only so that configs written for serial runs keep loading.  Asking for
+    more workers fails loudly instead of silently running serially.
+    """
+    if value is not None and value != 1:
+        raise ValueError(
+            f"{owner}.{name}={value!r}: generation and search run "
+            "serially; only None or 1 is accepted"
+        )
 
 
 @dataclass(frozen=True)
 class GenerationConfig:
     """ECC-generation scale and infrastructure knobs.
 
-    ``workers``, ``verify_workers``, ``cache_dir`` and ``cache_enabled``
-    default to ``None``, meaning "resolve from the environment at run time"
-    (the behaviour every pre-facade entry point had);
-    :meth:`RunConfig.from_env` snapshots them into concrete values instead.
+    ``cache_dir`` and ``cache_enabled`` default to ``None``, meaning
+    "resolve from the environment at run time" (the behaviour every
+    pre-facade entry point had); :meth:`RunConfig.from_env` snapshots them
+    into concrete values instead.  ``workers`` and ``verify_workers``
+    accept only ``None`` or ``1``: generation runs serially.
     """
 
     n: int = 3
@@ -65,10 +76,10 @@ class GenerationConfig:
     verify_workers: Optional[int] = None
     cache_dir: Optional[str] = None
     cache_enabled: Optional[bool] = None
-    #: Per-chunk worker-pool deadline in seconds (None: read
-    #: ``REPRO_CHUNK_TIMEOUT`` at run time; 0 disables the deadline).
+    #: Per-chunk deadline in seconds of the service's worker pool (None:
+    #: read ``REPRO_CHUNK_TIMEOUT`` at run time; 0 disables the deadline).
     chunk_timeout: Optional[float] = None
-    #: Re-dispatch budget per failed/timed-out chunk (None: read
+    #: Re-dispatch budget per failed/timed-out service job (None: read
     #: ``REPRO_CHUNK_RETRIES`` at run time).
     chunk_retries: Optional[int] = None
     #: Round-granular checkpointing + crash resume through the persistent
@@ -76,6 +87,10 @@ class GenerationConfig:
     resume: Optional[bool] = None
     prune: bool = True
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        _check_serial("GenerationConfig", "workers", self.workers)
+        _check_serial("GenerationConfig", "verify_workers", self.verify_workers)
 
 
 @dataclass(frozen=True)
@@ -97,18 +112,12 @@ class SearchConfig:
     queue_keep: int = 1000
     max_matches_per_transformation: Optional[int] = 16
     beam_width: int = 16
-    #: Worker processes for the parallel search strategies (None: read
-    #: ``REPRO_SEARCH_WORKERS`` at run time; 1 means serial — the serial
-    #: reference the byte-identity guarantee is stated against).
+    #: Accepts only ``None`` or ``1``: every strategy searches serially.
     search_workers: Optional[int] = None
-    #: Portfolio racer roster (None: read ``REPRO_PORTFOLIO`` at run time,
-    #: else race the default backtracking/greedy/beam).
-    portfolio: Optional[Tuple[str, ...]] = None
-    #: Whether the portfolio cancels remaining racers once one completes
-    #: with an improvement over the input circuit (full run-to-run
-    #: determinism of the losers' partial results requires False).
-    early_cancel: bool = True
     strategy_options: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_serial("SearchConfig", "search_workers", self.search_workers)
 
     def options_for(self, strategy_name: Optional[str] = None) -> Dict[str, Any]:
         """The factory kwargs for ``strategy_name`` (default: own strategy)."""
@@ -129,20 +138,6 @@ class SearchConfig:
             options.update(
                 beam_width=self.beam_width,
                 max_matches_per_transformation=self.max_matches_per_transformation,
-            )
-        elif name == "parallel-backtracking":
-            options.update(
-                gamma=self.gamma,
-                queue_capacity=self.queue_capacity,
-                queue_keep=self.queue_keep,
-                max_matches_per_transformation=self.max_matches_per_transformation,
-                workers=self.search_workers,
-            )
-        elif name == "portfolio":
-            options.update(
-                racers=self.portfolio,
-                workers=self.search_workers,
-                early_cancel=self.early_cancel,
             )
         options.update(self.strategy_options)
         return options
@@ -175,30 +170,22 @@ class RunConfig:
         """Snapshot every ``REPRO_*`` knob into a concrete config.
 
         This is the single environment-reading path of the public API:
-        ``REPRO_GEN_WORKERS`` / ``REPRO_VERIFY_WORKERS`` (invalid/negative
-        values warn and mean serial), ``REPRO_BATCHED`` (batched
-        multi-state fingerprinting, default on), ``REPRO_CACHE_DIR``,
-        ``REPRO_CACHE_DISABLE`` (only truthy values disable),
-        ``REPRO_CHUNK_TIMEOUT`` / ``REPRO_CHUNK_RETRIES`` (worker-pool
-        resilience), ``REPRO_RESUME`` (crash-safe checkpointing),
-        ``REPRO_SEARCH_WORKERS`` / ``REPRO_PORTFOLIO`` (parallel search)
-        and ``REPRO_SCALE``.  ``overrides`` win over the environment.
+        ``REPRO_BATCHED`` (batched multi-state fingerprinting, default on),
+        ``REPRO_CACHE_DIR``, ``REPRO_CACHE_DISABLE`` (only truthy values
+        disable), ``REPRO_CHUNK_TIMEOUT`` / ``REPRO_CHUNK_RETRIES`` (the
+        service pool's resilience), ``REPRO_RESUME`` (crash-safe
+        checkpointing) and ``REPRO_SCALE``.  ``overrides`` win over the
+        environment.
         """
         config = cls(
             scale=env_scale(),
             batched=env_batched_optional(),
             generation=GenerationConfig(
-                workers=env_workers_optional(),
-                verify_workers=env_verify_workers_optional(),
                 cache_dir=env_cache_dir(),
                 cache_enabled=env_cache_enabled(),
                 chunk_timeout=env_chunk_timeout_optional(),
                 chunk_retries=env_chunk_retries_optional(),
                 resume=env_resume_optional(),
-            ),
-            search=SearchConfig(
-                search_workers=env_search_workers_optional(),
-                portfolio=env_portfolio_optional(),
             ),
         )
         return config.with_overrides(**overrides) if overrides else config
@@ -209,8 +196,8 @@ class RunConfig:
 
         The file holds a flat or nested mapping of config fields::
 
-            {"gate_set": "ibm", "backend": "numba",
-             "generation": {"n": 2, "workers": 4},
+            {"gate_set": "ibm", "preprocess": false,
+             "generation": {"n": 2, "prune": false},
              "search": {"strategy": "beam", "beam_width": 32}}
         """
         data = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -1,10 +1,10 @@
 """The :class:`Superoptimizer` facade: one object, the whole pipeline.
 
 ``Superoptimizer(config).optimize(circuit_or_qasm)`` runs the paper's full
-flow — preprocess → (cached, possibly parallel) ECC generation →
-transformation extraction → cost-based search → final verification — and
-returns a :class:`RunReport` carrying the result circuit together with
-per-stage timings, merged perf counters and cache/worker provenance.
+flow — preprocess → (cached) ECC generation → transformation extraction →
+cost-based search → final verification — and returns a :class:`RunReport`
+carrying the result circuit together with per-stage timings, merged perf
+counters and cache provenance.
 
 The facade is a composition root, not a re-implementation: every stage is
 the same library code the hand-wired pipeline uses (``RepGen``,
@@ -31,9 +31,6 @@ from repro.api.config import GenerationConfig, RunConfig
 from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume
 from repro.generator.cache import ECCCache, backend_kind, cache_key
 from repro.generator.ecc import ECCSet
-from repro.generator.parallel import resolve_workers
-from repro.optimizer.parallel import resolve_search_workers
-from repro.verifier.parallel import resolve_verify_workers
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
 from repro.generator.repgen import GeneratorResult, GeneratorStats, RepGen
 from repro.ir.circuit import Circuit
@@ -156,12 +153,8 @@ def run_generation(
         num_qubits=generation.q,
         num_params=generation.num_params,
         seed=generation.seed,
-        workers=generation.workers,
-        verify_workers=generation.verify_workers,
         backend=backend,
         batched=batched,
-        chunk_timeout=generation.chunk_timeout,
-        chunk_retries=generation.chunk_retries,
         resume=generation.resume,
     )
     disk_cache = ECCCache(
@@ -247,8 +240,8 @@ class RunReport:
     ``stage_seconds`` has one entry per pipeline stage (``parse``,
     ``preprocess``, ``generate``, ``extract``, ``search``, ``verify``) plus
     ``total``; ``perf`` merges the hot-path counters of every stage;
-    ``provenance`` records which backend/strategy/worker-count/cache
-    actually served the run.
+    ``provenance`` records which backend/strategy/cache actually served
+    the run.
 
     ``ecc_set``/``generator_stats``/``config`` are ``None`` on reports
     reconstructed by :meth:`from_json`: the JSON schema is a *summary* —
@@ -597,24 +590,14 @@ class Superoptimizer:
             "backend": self._backend_name,
             # The active batch path: whether the run fingerprinted through
             # the backend's batched multi-state kernels, and what kind of
-            # kernels those are ("vectorized" numpy / "jit" numba /
+            # kernels those are ("vectorized" numpy / "jit" compiled /
             # "per-state" generic loop).
             "batched": self._batched,
             "batch_kind": backend.batch_kind if self._batched else "per-state",
             "strategy": self._strategy.name,
-            # Search worker processes as resolved for this run: 1 for the
-            # serial strategies (they cannot use workers, whatever the
-            # knob says), the resolved knob for the parallel ones.
-            "search_workers": (
-                resolve_search_workers(config.search.search_workers)
-                if self._strategy.supports_workers
-                else 1
-            ),
             "n": generation.n,
             "q": generation.q,
             "seed": generation.seed,
-            "workers": resolve_workers(generation.workers),
-            "verify_workers": resolve_verify_workers(generation.verify_workers),
             "cache_dir": str(
                 generation.cache_dir
                 if generation.cache_dir is not None
@@ -634,7 +617,7 @@ class Superoptimizer:
             ),
             # Resilience knobs as resolved for this run, plus every
             # resilience.* counter the run recorded (empty when nothing
-            # failed): retries, respawns, timeouts, resumed rounds, ...
+            # happened): checkpoint writes, resumes, resumed rounds, ...
             "chunk_timeout": resolve_chunk_timeout(generation.chunk_timeout),
             "chunk_retries": resolve_chunk_retries(generation.chunk_retries),
             "resume": (
@@ -646,11 +629,6 @@ class Superoptimizer:
                 if key.startswith("resilience.")
             },
         }
-        # Portfolio runs name the racer whose result won the deterministic
-        # (cost, canonical key, racer index) rule.
-        winning_racer = result.metadata.get("winner")
-        if winning_racer is not None:
-            provenance["winning_racer"] = winning_racer
 
         return RunReport(
             circuit=result.circuit,

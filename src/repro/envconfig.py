@@ -3,19 +3,6 @@
 Every environment variable the library reads is named and parsed here, so
 the semantics of a knob cannot drift between call sites:
 
-* ``REPRO_GEN_WORKERS``   — fingerprint worker processes per RepGen run
-  (non-integers and negatives warn and fall back to serial);
-* ``REPRO_VERIFY_WORKERS`` — equivalence-verifier worker processes per
-  RepGen run (same parsing rules as ``REPRO_GEN_WORKERS``);
-* ``REPRO_SEARCH_WORKERS`` — worker processes for the parallel search
-  strategies (``parallel-backtracking``, and ``portfolio`` racers that
-  use it); same parsing rules as ``REPRO_GEN_WORKERS`` — invalid and
-  negative values warn and mean serial;
-* ``REPRO_PORTFOLIO``     — comma-separated racer roster for the
-  ``portfolio`` search strategy (strategy-registry names; an empty or
-  blank roster warns and means the default backtracking/greedy/beam —
-  unknown names are validated, warned about and dropped by the strategy
-  itself, which owns the registry);
 * ``REPRO_BATCHED``       — boolean flag (default on): evaluate fingerprint
   candidates through the backend's batched multi-state kernels instead of
   one gate application per candidate (bit-identical on the reference
@@ -26,12 +13,11 @@ the semantics of a knob cannot drift between call sites:
   the cache stays *enabled* (and ``TRUE``/``Yes`` case-insensitively
   disable it);
 * ``REPRO_CHUNK_TIMEOUT`` — per-chunk deadline (seconds, float) for the
-  worker pools' async dispatch; ``0`` (or any non-positive value) disables
-  the deadline, invalid values warn and use the default;
-* ``REPRO_CHUNK_RETRIES`` — how many times a failed or timed-out chunk is
-  re-dispatched (with pool respawn and exponential backoff) before the
-  round degrades to serial; invalid/negative values warn and use the
-  default;
+  service worker pool's async dispatch; ``0`` (or any non-positive value)
+  disables the deadline, invalid values warn and use the default;
+* ``REPRO_CHUNK_RETRIES`` — how many times a failed or timed-out service
+  job is retried (in pool mode with pool respawn and exponential backoff)
+  before it fails; invalid/negative values warn and use the default;
 * ``REPRO_RESUME``        — boolean flag (default off): write round-granular
   RepGen checkpoints through the persistent cache and resume from the last
   completed round after a crash;
@@ -43,8 +29,8 @@ the semantics of a knob cannot drift between call sites:
   (invalid or out-of-range values warn and use the default);
 * ``REPRO_SERVICE_WORKERS`` — optimization-service worker processes;
   values below 2 (the default) run jobs in the server process, 2+ spins a
-  persistent warm :class:`~repro.workerpool.ResilientPool` (same parsing
-  rules as ``REPRO_GEN_WORKERS``);
+  persistent warm :class:`~repro.workerpool.ResilientPool` (non-integers
+  and negatives warn and mean 1);
 * ``REPRO_SERVICE_MAX_QUEUE`` — bound on the service's job queue; a full
   queue answers 429 (invalid or non-positive values warn and use the
   default);
@@ -56,7 +42,7 @@ the semantics of a knob cannot drift between call sites:
 
 The public configuration face of these knobs is
 :meth:`repro.api.RunConfig.from_env`, which snapshots all of them at once;
-this low-level module exists so that :mod:`repro.generator.parallel` and
+this low-level module exists so that :mod:`repro.workerpool` and
 :mod:`repro.generator.cache` can share the exact same parsing without
 importing the API package (which imports them).
 """
@@ -65,12 +51,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional, Tuple
+from typing import Optional
 
-WORKERS_ENV_VAR = "REPRO_GEN_WORKERS"
-VERIFY_WORKERS_ENV_VAR = "REPRO_VERIFY_WORKERS"
-SEARCH_WORKERS_ENV_VAR = "REPRO_SEARCH_WORKERS"
-PORTFOLIO_ENV_VAR = "REPRO_PORTFOLIO"
 BATCHED_ENV_VAR = "REPRO_BATCHED"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV_VAR = "REPRO_CACHE_DISABLE"
@@ -97,11 +79,11 @@ DEFAULT_SERVICE_MAX_QUEUE = 64
 
 #: Per-chunk deadline (seconds) when neither the argument nor the
 #: environment sets one.  Generous relative to the scales this repo runs
-#: (a chunk is ~1/(4·workers) of one round), but finite: a worker killed
-#: mid-chunk must surface as a timeout instead of hanging the round.
+#: (a service chunk is one job), but finite: a worker killed mid-chunk must
+#: surface as a timeout instead of hanging the request.
 DEFAULT_CHUNK_TIMEOUT = 120.0
 
-#: Re-dispatch attempts per failed chunk before the round degrades to serial.
+#: Re-dispatch attempts per failed chunk before its jobs fail.
 DEFAULT_CHUNK_RETRIES = 2
 
 #: Accepted spellings for boolean environment flags (case-insensitive).
@@ -134,7 +116,7 @@ def env_flag(name: str, *, default: bool = False) -> bool:
     return parse_bool(raw, default=default, name=name)
 
 
-def parse_workers(raw: str, *, source: str = WORKERS_ENV_VAR) -> int:
+def parse_workers(raw: str, *, source: str = SERVICE_WORKERS_ENV_VAR) -> int:
     """Parse a worker count: invalid or negative values warn and mean serial."""
     text = raw.strip()
     try:
@@ -154,81 +136,6 @@ def parse_workers(raw: str, *, source: str = WORKERS_ENV_VAR) -> int:
         )
         return 1
     return max(workers, 1)
-
-
-def _env_worker_count(var: str, default: Optional[int]) -> Optional[int]:
-    """Shared reader for the worker-count knobs (one parsing path each)."""
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    return parse_workers(raw, source=var)
-
-
-def env_workers(*, default: int = 1) -> int:
-    """Worker count from ``REPRO_GEN_WORKERS`` (absent means the default)."""
-    return _env_worker_count(WORKERS_ENV_VAR, default)
-
-
-def env_workers_optional() -> Optional[int]:
-    """Worker count from the environment, or None when the knob is unset."""
-    return _env_worker_count(WORKERS_ENV_VAR, None)
-
-
-def env_verify_workers(*, default: int = 1) -> int:
-    """Worker count from ``REPRO_VERIFY_WORKERS`` (absent means the default)."""
-    return _env_worker_count(VERIFY_WORKERS_ENV_VAR, default)
-
-
-def env_verify_workers_optional() -> Optional[int]:
-    """Verifier worker count from the environment, or None when unset."""
-    return _env_worker_count(VERIFY_WORKERS_ENV_VAR, None)
-
-
-def env_search_workers(*, default: int = 1) -> int:
-    """Worker count from ``REPRO_SEARCH_WORKERS`` (absent means the default).
-
-    Same rules as ``REPRO_GEN_WORKERS``: invalid and negative values warn
-    and mean serial search.
-    """
-    return _env_worker_count(SEARCH_WORKERS_ENV_VAR, default)
-
-
-def env_search_workers_optional() -> Optional[int]:
-    """Search worker count from the environment, or None when unset."""
-    return _env_worker_count(SEARCH_WORKERS_ENV_VAR, None)
-
-
-def parse_portfolio(
-    raw: str, *, source: str = PORTFOLIO_ENV_VAR
-) -> Optional[Tuple[str, ...]]:
-    """Parse a portfolio roster: comma-separated strategy-registry names.
-
-    Entries are stripped and lowercased; empty entries are dropped.  A
-    roster with no usable entries warns and returns None ("use the default
-    roster") — the parallel of the worker knobs' invalid-means-serial
-    convention.  Name *validation* happens in the portfolio strategy,
-    which owns the registry; this module stays importable below it.
-    """
-    names = tuple(
-        entry.strip().lower() for entry in raw.split(",") if entry.strip()
-    )
-    if not names:
-        warnings.warn(
-            f"ignoring empty {source}={raw!r}; using the default portfolio "
-            "roster",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return names
-
-
-def env_portfolio_optional() -> Optional[Tuple[str, ...]]:
-    """Portfolio roster from ``REPRO_PORTFOLIO``, or None when unset/empty."""
-    raw = os.environ.get(PORTFOLIO_ENV_VAR)
-    if raw is None:
-        return None
-    return parse_portfolio(raw)
 
 
 def env_batched(*, default: bool = True) -> bool:
@@ -435,9 +342,9 @@ def env_service_port(*, default: int = DEFAULT_SERVICE_PORT) -> int:
 def env_service_workers(*, default: int = 1) -> int:
     """Service worker processes from ``REPRO_SERVICE_WORKERS``.
 
-    Same parsing rules as ``REPRO_GEN_WORKERS`` (invalid/negative values
-    warn and mean 1).  Values below 2 run jobs inside the server process;
-    2+ dispatches to a persistent multiprocess worker pool.
+    Invalid and negative values warn and mean 1.  Values below 2 run jobs
+    inside the server process; 2+ dispatches to a persistent multiprocess
+    worker pool.
     """
     raw = os.environ.get(SERVICE_WORKERS_ENV_VAR)
     if raw is None:

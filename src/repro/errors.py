@@ -1,7 +1,6 @@
 """Structured error taxonomy for the library's failure paths.
 
-Before this module existed, every recovery site caught bare ``Exception``:
-the pool fallbacks in :mod:`repro.generator.repgen` could not tell a
+A recovery site that caught bare ``Exception`` could not tell a
 retryable infrastructure failure (a killed worker) from a programming bug,
 and the persistent cache had no way to signal *why* a blob was unusable.
 The hierarchy below gives each failure mode the library knows how to
@@ -12,7 +11,7 @@ recover from a name, so recovery sites catch exactly what they handle:
 
 ``PoolError``
     A worker-pool infrastructure failure.  Catching this (and only this)
-    is the contract of the degrade-to-serial paths: anything else escaping
+    is the contract of the service's retry paths: anything else escaping
     a pool is a bug and should surface.
 
     * ``ChunkTimeout``  — a dispatched chunk missed its deadline
@@ -21,8 +20,8 @@ recover from a name, so recovery sites catch exactly what they handle:
     * ``WorkerCrash``   — a chunk raised inside the worker (or its result
       could not be shipped back).
     * ``RetryExhausted``— a chunk kept failing after every retry
-      (``REPRO_CHUNK_RETRIES``) and pool respawn; the caller should run
-      that batch serially.
+      (``REPRO_CHUNK_RETRIES``) and pool respawn; the service fails the
+      jobs of that batch with it.
 
 ``CacheCorruption``
     A persistent-cache blob failed validation (checksum, schema, key

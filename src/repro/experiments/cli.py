@@ -1,6 +1,6 @@
 """Command-line front end for the experiment drivers, built on the facade.
 
-Runs the generation-centric experiments with the scale-out knobs exposed::
+Runs the generation-centric experiments with the cache knobs exposed::
 
     python -m repro.experiments.cli generate --gate-set nam --n 3 --q 3
     python -m repro.experiments.cli generator-metrics --gate-set nam --n 1 2 3
@@ -11,20 +11,9 @@ Runs the generation-centric experiments with the scale-out knobs exposed::
 
 Shared flags:
 
-* ``--workers N``    — shard RepGen fingerprinting over N processes
-  (default: the ``REPRO_GEN_WORKERS`` environment variable, else serial);
-* ``--verify-workers N`` — shard bucket-internal equivalence checks over N
-  processes (default: ``REPRO_VERIFY_WORKERS``, else serial);
 * ``--cache-dir DIR``— persistent ECC cache location (default
   ``REPRO_CACHE_DIR`` or ``.repro_cache/``);
 * ``--no-cache``     — neither read nor write the persistent cache;
-* ``--chunk-timeout S`` — per-chunk worker-pool deadline in seconds
-  (default ``REPRO_CHUNK_TIMEOUT``; 0 disables the deadline);
-* ``--chunk-retries N`` — re-dispatch budget per failed/timed-out chunk
-  (default ``REPRO_CHUNK_RETRIES``);
-* ``--search-workers N`` — worker processes for the parallel search
-  strategies (``parallel-backtracking``, ``portfolio``; default
-  ``REPRO_SEARCH_WORKERS``, else serial);
 * ``--resume``       — checkpoint RepGen after every round and resume a
   killed run from the last completed one (needs the persistent cache).
 
@@ -47,12 +36,7 @@ from repro.envconfig import (
     BATCHED_ENV_VAR,
     CACHE_DIR_ENV_VAR,
     CACHE_DISABLE_ENV_VAR,
-    CHUNK_RETRIES_ENV_VAR,
-    CHUNK_TIMEOUT_ENV_VAR,
     RESUME_ENV_VAR,
-    SEARCH_WORKERS_ENV_VAR,
-    VERIFY_WORKERS_ENV_VAR,
-    WORKERS_ENV_VAR,
 )
 
 
@@ -63,21 +47,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
         help="target gate set (nam, ibm, rigetti, clifford_t)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fingerprint worker processes (default: REPRO_GEN_WORKERS or serial)",
-    )
-    parser.add_argument(
-        "--verify-workers",
-        type=int,
-        default=None,
-        help=(
-            "equivalence-verifier worker processes "
-            "(default: REPRO_VERIFY_WORKERS or serial)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="persistent ECC cache directory (default: REPRO_CACHE_DIR or .repro_cache)",
@@ -86,33 +55,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="neither read nor write the persistent .repro_cache/ store",
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        help=(
-            "per-chunk worker-pool deadline in seconds; 0 disables "
-            "(default: REPRO_CHUNK_TIMEOUT, else 120)"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-retries",
-        type=int,
-        default=None,
-        help=(
-            "re-dispatch budget per failed/timed-out chunk "
-            "(default: REPRO_CHUNK_RETRIES, else 2)"
-        ),
-    )
-    parser.add_argument(
-        "--search-workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the parallel search strategies "
-            "(default: REPRO_SEARCH_WORKERS, else serial)"
-        ),
     )
     parser.add_argument(
         "--resume",
@@ -137,24 +79,14 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 def _apply_shared_flags(args: argparse.Namespace) -> None:
     """Translate shared CLI flags into the env knobs the library reads.
 
-    ``--workers`` goes through ``REPRO_GEN_WORKERS`` so it reaches every
-    RepGen construction, including the ones buried inside the table
-    drivers that do not thread a workers parameter.
+    The flags go through the environment so they reach every RepGen
+    construction, including the ones buried inside the table drivers
+    that do not thread a cache parameter.
     """
     if args.cache_dir is not None:
         os.environ[CACHE_DIR_ENV_VAR] = args.cache_dir
     if args.no_cache:
         os.environ[CACHE_DISABLE_ENV_VAR] = "1"
-    if args.workers is not None:
-        os.environ[WORKERS_ENV_VAR] = str(args.workers)
-    if args.verify_workers is not None:
-        os.environ[VERIFY_WORKERS_ENV_VAR] = str(args.verify_workers)
-    if args.chunk_timeout is not None:
-        os.environ[CHUNK_TIMEOUT_ENV_VAR] = str(args.chunk_timeout)
-    if args.chunk_retries is not None:
-        os.environ[CHUNK_RETRIES_ENV_VAR] = str(args.chunk_retries)
-    if args.search_workers is not None:
-        os.environ[SEARCH_WORKERS_ENV_VAR] = str(args.search_workers)
     if args.resume:
         os.environ[RESUME_ENV_VAR] = "1"
     if args.no_batch:
@@ -170,8 +102,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         args.q,
         verbose=not args.json,
         use_disk_cache=not args.no_cache,
-        workers=args.workers,
-        verify_workers=args.verify_workers,
     )
     stats = result.stats
     if args.json:
@@ -215,18 +145,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     # note _apply_shared_flags already exported the shared flags to the
     # environment before this snapshot, so either path agrees).
     generation_overrides = {"n": args.n, "q": args.q}
-    if args.workers is not None:
-        generation_overrides["workers"] = args.workers
-    if args.verify_workers is not None:
-        generation_overrides["verify_workers"] = args.verify_workers
     if args.cache_dir is not None:
         generation_overrides["cache_dir"] = args.cache_dir
     if args.no_cache:
         generation_overrides["cache_enabled"] = False
-    if args.chunk_timeout is not None:
-        generation_overrides["chunk_timeout"] = args.chunk_timeout
-    if args.chunk_retries is not None:
-        generation_overrides["chunk_retries"] = args.chunk_retries
     if args.resume:
         generation_overrides["resume"] = True
     search_overrides = {
@@ -234,8 +156,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "max_iterations": args.max_iterations,
         "timeout_seconds": args.timeout,
     }
-    if args.search_workers is not None:
-        search_overrides["search_workers"] = args.search_workers
     config = RunConfig.from_env().with_overrides(
         gate_set=args.gate_set,
         backend=args.backend,
@@ -268,7 +188,6 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     """List the pluggable backends and strategies this build offers."""
     from repro.api import available_strategies, backend_available
     from repro.envconfig import env_batched
-    from repro.optimizer.strategies import get_strategy
     from repro.semantics.backend import get_backend, registered_backends
 
     batched = env_batched()
@@ -284,12 +203,7 @@ def _cmd_registry(args: argparse.Namespace) -> int:
             entry["batch_kind"] = backend.batch_kind if batched else "per-state"
             entry["batch_bit_identical"] = backend.batch_bit_identical
         backends[name] = entry
-    # Per-strategy worker support is a class attribute, so a default
-    # instance answers it without running anything.
-    strategies = {
-        name: {"supports_workers": get_strategy(name).supports_workers}
-        for name in available_strategies()
-    }
+    strategies = available_strategies()
     payload = {
         "backends": backends,
         "batched": batched,
@@ -310,9 +224,8 @@ def _cmd_registry(args: argparse.Namespace) -> int:
                 detail = "unavailable"
             print(f"  {name:<14s} {detail}")
         print("search strategies:")
-        for name, info in sorted(strategies.items()):
-            detail = "workers: REPRO_SEARCH_WORKERS" if info["supports_workers"] else "serial"
-            print(f"  {name:<24s} {detail}")
+        for name in strategies:
+            print(f"  {name}")
     return 0
 
 
@@ -350,15 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--strategy",
         default="backtracking",
-        help=(
-            "search strategy (backtracking, greedy, beam, "
-            "parallel-backtracking, portfolio)"
-        ),
+        help="search strategy (backtracking, greedy, beam)",
     )
     optimize.add_argument(
         "--backend",
         default="numpy",
-        help="simulator backend (numpy; numba when installed)",
+        help="simulator backend (default: numpy)",
     )
     optimize.set_defaults(func=_cmd_optimize)
 
@@ -384,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "workers"):
+    if hasattr(args, "no_cache"):
         _apply_shared_flags(args)
     return args.func(args)
 

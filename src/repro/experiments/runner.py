@@ -11,14 +11,7 @@ Knobs (all also exposed by ``python -m repro.experiments.cli``):
 
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.repro_cache/``);
 * ``REPRO_CACHE_DISABLE=1`` — ignore the disk cache entirely
-  (``0``/``false`` keep it enabled);
-* ``REPRO_GEN_WORKERS`` — fingerprint worker processes per RepGen run;
-* ``REPRO_VERIFY_WORKERS`` — equivalence-verifier worker processes per
-  RepGen run;
-* ``REPRO_SEARCH_WORKERS`` / ``REPRO_PORTFOLIO`` — parallel-search worker
-  processes and portfolio racer roster (read by
-  :meth:`repro.api.RunConfig.from_env`; :func:`quartz_optimize` also takes
-  ``strategy`` / ``search_workers`` directly).
+  (``0``/``false`` keep it enabled).
 """
 
 from __future__ import annotations
@@ -43,16 +36,12 @@ def _generation_config(
     q: int,
     *,
     use_disk_cache: bool = True,
-    workers: Optional[int] = None,
-    verify_workers: Optional[int] = None,
     prune: bool = True,
     verbose: bool = False,
 ) -> GenerationConfig:
     return GenerationConfig(
         n=n,
         q=q,
-        workers=workers,
-        verify_workers=verify_workers,
         # None defers to the REPRO_CACHE_* environment at run time, which
         # is what these legacy entry points always did; False means
         # "neither read nor write" (the --no-cache path).
@@ -69,8 +58,6 @@ def build_ecc_set(
     *,
     prune: bool = True,
     use_disk_cache: bool = True,
-    workers: Optional[int] = None,
-    verify_workers: Optional[int] = None,
     verbose: bool = False,
 ) -> ECCSet:
     """Generate (or load from cache) the pruned (n, q)-complete ECC set."""
@@ -80,8 +67,6 @@ def build_ecc_set(
             n,
             q,
             use_disk_cache=use_disk_cache,
-            workers=workers,
-            verify_workers=verify_workers,
             prune=prune,
             verbose=verbose,
         ),
@@ -95,8 +80,6 @@ def run_generator(
     *,
     verbose: bool = False,
     use_disk_cache: bool = True,
-    workers: Optional[int] = None,
-    verify_workers: Optional[int] = None,
 ) -> GeneratorResult:
     """Run RepGen (memoized in memory and on disk) and return the result."""
     return _facade.run_generation(
@@ -105,8 +88,6 @@ def run_generator(
             n,
             q,
             use_disk_cache=use_disk_cache,
-            workers=workers,
-            verify_workers=verify_workers,
             verbose=verbose,
         ),
     )
@@ -127,17 +108,12 @@ def quartz_optimize(
     max_iterations: Optional[int] = 30,
     timeout_seconds: Optional[float] = 20.0,
     strategy: str = "backtracking",
-    search_workers: Optional[int] = None,
 ) -> Tuple[Circuit, Circuit, OptimizationResult]:
     """The Quartz end-to-end flow: preprocess then search.
 
     Returns (preprocessed circuit, optimized circuit, search result) so the
     gate-count tables can report both the "Quartz Preprocess" and the
-    "Quartz End-to-end" columns.  ``strategy`` / ``search_workers`` select
-    the search variant (``"parallel-backtracking"`` with workers > 1
-    shards frontier expansion; the best circuit stays byte-identical to
-    the serial default, so tables built through this wrapper are
-    worker-count invariant).
+    "Quartz End-to-end" columns.  ``strategy`` selects the search variant.
     """
     optimizer = Superoptimizer(
         RunConfig(
@@ -152,7 +128,6 @@ def quartz_optimize(
                 gamma=gamma,
                 max_iterations=max_iterations,
                 timeout_seconds=timeout_seconds,
-                search_workers=search_workers,
             ),
         )
     )

@@ -1,7 +1,7 @@
 """Deterministic fault injection for resilience testing (``REPRO_FAULTS``).
 
-The failure paths of the worker pools, the persistent cache and the
-generator's crash-resume need the same test rigor the fast paths have —
+The failure paths of the service's worker pool, the persistent cache and
+the generator's crash-resume need the same test rigor the fast paths have —
 which requires failures that are *reproducible*.  This module turns a
 declarative plan into deterministic fault firings at named injection
 points threaded through :mod:`repro.workerpool`,
@@ -11,25 +11,20 @@ Plan grammar (``REPRO_FAULTS``, comma-separated entries)::
 
     action:site[:when]
 
-    REPRO_FAULTS=kill_worker:gen:round2,torn_read:cache,delay_chunk:verify:*
+    REPRO_FAULTS=kill_worker:service,torn_read:cache,crash_run:gen:round2
 
 Actions and the sites that execute them:
 
 ========================  =======  ============================================
 action                    sites    effect when fired
 ========================  =======  ============================================
-``kill_worker``           gen,     the worker handling the round's first chunk
-                          verify,  dies hard (``os._exit``) — the chunk result
-                          search,  never arrives, exercising timeout + respawn
-                          service
-``delay_chunk``           gen,     the first chunk sleeps past its deadline,
-                          verify,  exercising the timeout + retry path
-                          search,
-                          service
-``fail_chunk``            gen,     the first chunk raises ``FaultInjected``
-                          verify,  inside the worker (clean failure + retry)
-                          search,
-                          service
+``kill_worker``           service  the worker handling the wave's first chunk
+                                   dies hard (``os._exit``) — the chunk result
+                                   never arrives, exercising timeout + respawn
+``delay_chunk``           service  the first chunk sleeps past its deadline,
+                                   exercising the timeout + retry path
+``fail_chunk``            service  the first chunk raises ``FaultInjected``
+                                   inside the worker (clean failure + retry)
 ``corrupt_blob``          cache    the blob about to be read is bit-flipped
                                    *on disk* (persistent bit-rot: the re-read
                                    also fails, forcing regeneration)
@@ -49,9 +44,8 @@ action                    sites    effect when fired
   consulted;
 * a plain integer ``N`` — the N-th consultation (1-based);
 * ``roundN`` — the first consultation that happens during RepGen round N
-  (pool dispatch and round boundaries pass the round index; the search
-  pool passes its wave index, so ``kill_worker:search:round2`` targets
-  the second dispatched wave);
+  (round boundaries pass the round index; the service pool passes none,
+  so ``roundN`` never fires a chunk action);
 * ``*`` / ``always`` — every consultation.
 
 Every entry fires independently and at most one action is returned per
@@ -63,7 +57,7 @@ chaos schedule that silently never fires would make its CI leg vacuous.
 The active plan is process-global: parsed lazily from ``REPRO_FAULTS``
 (forked pool workers inherit it, though worker-side actions are carried by
 explicit chunk tokens, not by the plan), overridable in-process via
-:func:`set_fault_plan` for tests and the chaos driver.
+:func:`set_fault_plan` for tests.
 """
 
 from __future__ import annotations
@@ -99,15 +93,15 @@ CACHE_ACTIONS = ("corrupt_blob", "torn_read")
 
 #: Every recognized action and the sites allowed to host it.
 _ACTION_SITES = {
-    "kill_worker": {"gen", "verify", "search", "service"},
-    "delay_chunk": {"gen", "verify", "search", "service"},
-    "fail_chunk": {"gen", "verify", "search", "service"},
+    "kill_worker": {"service"},
+    "delay_chunk": {"service"},
+    "fail_chunk": {"service"},
     "corrupt_blob": {"cache"},
     "torn_read": {"cache"},
     "crash_run": {"gen"},
 }
 
-_SITES = {"gen", "verify", "search", "cache", "service"}
+_SITES = {"gen", "cache", "service"}
 
 
 @dataclass
@@ -270,7 +264,7 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 def set_fault_plan(plan: Optional[FaultPlan]) -> None:
-    """Install a plan in-process (tests, the chaos driver); None clears it."""
+    """Install a plan in-process (tests); None clears it."""
     global _ACTIVE_PLAN, _PLAN_LOADED
     _ACTIVE_PLAN = plan
     _PLAN_LOADED = True
@@ -295,8 +289,8 @@ def fire(
 
 # -- worker-side execution ----------------------------------------------------
 #
-# Chunk faults are decided by the *parent* (which owns the plan state and
-# the round index) and shipped to workers as explicit tokens attached to
+# Chunk faults are decided by the *parent* (which owns the plan state) and
+# shipped to workers as explicit tokens attached to
 # the chunk payload.  That keeps every firing decision in one process —
 # worker-local counters could drift between pool respawns — and works
 # identically under fork and spawn start methods.

@@ -2,7 +2,6 @@
 
 from repro.generator.cache import CacheKey, ECCCache, SCHEMA_VERSION, cache_key
 from repro.generator.ecc import ECC, ECCSet
-from repro.generator.parallel import ParallelFingerprintPool, resolve_workers
 from repro.generator.repgen import RepGen, GeneratorResult, GeneratorStats
 from repro.generator.pruning import simplify_ecc_set, prune_common_subcircuits
 from repro.generator.brute import count_possible_circuits, characteristic
@@ -14,13 +13,11 @@ __all__ = [
     "ECCSet",
     "GeneratorResult",
     "GeneratorStats",
-    "ParallelFingerprintPool",
     "RepGen",
     "SCHEMA_VERSION",
     "cache_key",
     "characteristic",
     "count_possible_circuits",
     "prune_common_subcircuits",
-    "resolve_workers",
     "simplify_ecc_set",
 ]

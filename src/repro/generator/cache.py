@@ -110,12 +110,12 @@ def backend_kind(
     """Cache ``kind`` namespacing a blob by simulator backend and batch path.
 
     The reference ``"numpy"`` backend keeps the bare kind (so existing
-    blobs stay valid); any other backend gets its own namespace
-    (``repgen@numba``, ``pruned@numba``, ...), because its floating-point
+    blobs stay valid); any other registered backend ``"b"`` gets its own
+    namespace (``repgen@b``, ``pruned@b``, ...), because its floating-point
     arithmetic — and hence the fingerprint bucketing — may differ from the
     reference backend's.  The same rule applies one level down: when the
     batched kernels of a backend are *not* bit-identical to its per-state
-    path (``batch_bit_identical`` False, e.g. numba's fused kernels), a
+    path (``batch_bit_identical`` False, e.g. fused compiled kernels), a
     batched run gets a further ``+batch`` namespace so it can never serve
     or poison a per-state run's blobs.  Backends whose batching is
     bit-identical (numpy) share one namespace regardless of the knob.

@@ -21,7 +21,7 @@ from repro.ir.params import Angle
 #
 # The JSON-friendly payload form of angles, instructions and circuits is
 # shared by ECCSet serialization, the persistent .repro_cache/ store and the
-# multiprocess fingerprint workers, so it lives here as module functions.
+# RepGen resume checkpoints, so it lives here as module functions.
 # Fractions are rendered as strings ("-3/4"), which round-trips exactly.
 
 
@@ -30,7 +30,7 @@ def angle_to_payload(angle: Angle) -> dict:
 
     Coefficients are emitted in sorted parameter order so that equal angles
     always serialize to identical bytes — a requirement for content-hashed
-    cache keys and for the serial-vs-parallel byte-identity guarantee.
+    cache keys and for the golden ``ECCSet.to_json`` digests.
     """
     return {
         "pi": str(angle.pi_multiple),

@@ -20,38 +20,23 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro import faults
 from repro.envconfig import env_resume
-from repro.errors import CheckpointError, FaultInjected, PoolError
+from repro.errors import CheckpointError, FaultInjected
 from repro.generator.cache import CacheKey, ECCCache, backend_kind, cache_key
 from repro.generator.ecc import ECC, ECCSet, circuit_from_payload, circuit_to_payload
-from repro.generator.parallel import (
-    MIN_PARALLEL_CANDIDATES,
-    FingerprintJob,
-    ParallelFingerprintPool,
-    resolve_workers,
-)
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gates import Gate
 from repro.ir.gatesets import GateSet
 from repro.ir.params import Angle, ParamSpec
 from repro.perf import PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
-from repro.verifier.equivalence import EquivalenceVerifier, VerifierStats
-from repro.verifier.parallel import (
-    MIN_PARALLEL_VERIFY_PAIRS,
-    ParallelVerifierPool,
-    resolve_verify_workers,
-)
+from repro.verifier.equivalence import EquivalenceVerifier
 
 #: Seed for the fingerprint context's random inputs.  Part of the cache key:
 #: two runs agree bit-for-bit only when their seeds agree.
 DEFAULT_SEED = 20220433
 
-#: Per probed bucket, how many of a candidate's earlier same-round
-#: candidates are speculatively verified by the worker pool.  Bounds the
-#: speculation at O(candidates) instead of O(bucket size^2); anything past
-#: the bound falls back to the parent verifier (identical verdicts), so
-#: this trades parallel coverage for total work, never correctness.
-SPECULATIVE_BUCKET_BOUND = 8
+# One job per parent: the parent circuit and its surviving extensions.
+FingerprintJob = Tuple[Circuit, Sequence[Instruction]]
 
 
 @dataclass
@@ -108,19 +93,6 @@ class RepGen:
             the gate set's, i.e. {p_i, 2 p_i, p_i + p_j} with single use).
         verifier: an :class:`EquivalenceVerifier`; created on demand.
         seed: seed for the fingerprint context's random inputs.
-        workers: size of the multiprocessing pool candidate fingerprinting
-            is sharded across (None reads ``REPRO_GEN_WORKERS``, <= 1 runs
-            serially).  The result is bit-identical to a serial run: only
-            the fingerprint evaluation is parallel; bucket merging, ECC
-            inserts and all verifier calls happen in the parent in
-            enumeration order.
-        verify_workers: size of the multiprocessing pool bucket-internal
-            equivalence checks are sharded across (None reads
-            ``REPRO_VERIFY_WORKERS``, <= 1 verifies serially).  Workers
-            precompute a verdict table for each round; the parent then
-            assigns candidates to ECC classes serially in enumeration
-            order, so the output is byte-identical to a serial run
-            regardless of which worker answered first.
         backend: simulator backend name for the fingerprint evaluation
             (see :mod:`repro.semantics.backend`).  Non-default backends get
             their own persistent-cache namespace, since their floating
@@ -129,15 +101,9 @@ class RepGen:
         batched: evaluate each round's candidates through the backend's
             batched multi-state kernels (None reads ``REPRO_BATCHED``,
             default on).  Bit-identical to the per-state path on the numpy
-            backend; fused-kernel backends (numba) get a dedicated
-            persistent-cache namespace when batching is on, since their
-            batched arithmetic may bucket differently.
-        chunk_timeout: per-chunk deadline (seconds) for both worker pools'
-            async dispatch (None reads ``REPRO_CHUNK_TIMEOUT``; <= 0
-            disables the deadline).  Recovery never changes the output.
-        chunk_retries: re-dispatch budget per failed/timed-out chunk (None
-            reads ``REPRO_CHUNK_RETRIES``); only after the budget is
-            exhausted does the affected *round* degrade to serial.
+            backend; fused-kernel backends (``batch_bit_identical`` False)
+            get a dedicated persistent-cache namespace when batching is on,
+            since their batched arithmetic may bucket differently.
         resume: write a round-granular checkpoint through the persistent
             cache after every completed round and resume a killed run from
             the last completed one (None reads ``REPRO_RESUME``, default
@@ -154,28 +120,14 @@ class RepGen:
         param_spec: Optional[ParamSpec] = None,
         verifier: Optional[EquivalenceVerifier] = None,
         seed: int = DEFAULT_SEED,
-        workers: Optional[int] = None,
-        verify_workers: Optional[int] = None,
         backend: str = "numpy",
         batched: Optional[bool] = None,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
         resume: Optional[bool] = None,
     ) -> None:
         self.gate_set = gate_set
         self.num_qubits = num_qubits
         self.seed = seed
-        self.workers = resolve_workers(workers)
-        self.verify_workers = resolve_verify_workers(verify_workers)
-        # Raw knobs: the pools resolve None against the environment, so a
-        # RepGen built without explicit values still honors REPRO_CHUNK_*.
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
         self.resume = env_resume() if resume is None else bool(resume)
-        # Aggregated stats of the verifier *workers* (the parent verifier
-        # keeps its own); reset per generate() run and merged into that
-        # run's GeneratorStats.
-        self._worker_verifier_stats = VerifierStats()
         self.num_params = gate_set.num_params if num_params is None else num_params
         self.param_spec = param_spec or ParamSpec(self.num_params)
         self.perf = PerfRecorder()
@@ -421,9 +373,6 @@ class RepGen:
     ) -> GeneratorResult:
         start_time = time.perf_counter()
         stats = GeneratorStats()
-        # Worker stats are per-run (they merge into this run's perf snapshot
-        # at the end); carrying them over would double-count a reused RepGen.
-        self._worker_verifier_stats = VerifierStats()
 
         empty = Circuit(self.num_qubits, num_params=self.num_params)
         eccs: List[ECC] = [ECC([empty])]
@@ -451,112 +400,80 @@ class RepGen:
             rep_keys.add(representative.sequence_key())
             reps_by_size.setdefault(len(representative), []).append(representative)
 
-        # Pools are created inside the try so that *any* failure between
-        # here and the end of the round loop — including pool construction
-        # partially succeeding — still terminates every worker process.
-        pool = None
-        verify_pool = None
-        try:
-            pool = self._make_pool()
-            verify_pool = self._make_verify_pool()
-            for round_index in range(start_round, max_gates + 1):
-                round_start = time.perf_counter()
-                parents = reps_by_size.get(round_index - 1, [])
+        for round_index in range(start_round, max_gates + 1):
+            round_start = time.perf_counter()
+            parents = reps_by_size.get(round_index - 1, [])
 
-                # Enumerate this round's candidates: every surviving
-                # single-gate extension of every representative, grouped by
-                # parent so workers replay each parent state once.
-                jobs: List[FingerprintJob] = []
-                considered_this_round = 0
-                for parent in parents:
-                    used_params = parent.used_params()
-                    parent_seq_key = parent.sequence_key()
-                    extensions: List[Instruction] = []
-                    for inst in self.single_gate_instructions(used_params):
-                        if parent_seq_key:
-                            # The candidate's first-gate-dropped suffix must
-                            # be a representative; build its key from the
-                            # parent's cached key instead of materializing
-                            # the suffix.
-                            suffix_key = parent_seq_key[1:] + (inst.sort_key(),)
-                            if suffix_key not in rep_keys:
-                                self.perf.count("repgen.suffix_rejects")
-                                continue
-                        extensions.append(inst)
-                    if extensions:
-                        jobs.append((parent, extensions))
-                        considered_this_round += len(extensions)
-                stats.circuits_considered += considered_this_round
+            # Enumerate this round's candidates: every surviving
+            # single-gate extension of every representative, grouped by
+            # parent so each parent state is evolved once.
+            jobs: List[FingerprintJob] = []
+            considered_this_round = 0
+            for parent in parents:
+                used_params = parent.used_params()
+                parent_seq_key = parent.sequence_key()
+                extensions: List[Instruction] = []
+                for inst in self.single_gate_instructions(used_params):
+                    if parent_seq_key:
+                        # The candidate's first-gate-dropped suffix must
+                        # be a representative; build its key from the
+                        # parent's cached key instead of materializing
+                        # the suffix.
+                        suffix_key = parent_seq_key[1:] + (inst.sort_key(),)
+                        if suffix_key not in rep_keys:
+                            self.perf.count("repgen.suffix_rejects")
+                            continue
+                    extensions.append(inst)
+                if extensions:
+                    jobs.append((parent, extensions))
+                    considered_this_round += len(extensions)
+            stats.circuits_considered += considered_this_round
 
-                # Fingerprint the candidates (sharded across the pool when
-                # one is available), then insert in enumeration order — the
-                # inserts are what make the output deterministic, and they
-                # always run in the parent.  When a verifier pool is up, the
-                # equivalence checks the inserts will ask about are
-                # precomputed as a verdict table first; the insert loop then
-                # only looks verdicts up, so the assignment of candidates to
-                # classes is identical to the serial path no matter which
-                # worker answered first.
-                keys_per_job = self._fingerprint_jobs(jobs, pool, round_index)
-                candidates: List[Circuit] = []
-                candidate_keys: List[int] = []
-                for (parent, extensions), keys in zip(jobs, keys_per_job):
-                    for inst, hash_key in zip(extensions, keys):
-                        candidates.append(parent.appended(inst))
-                        candidate_keys.append(hash_key)
-                verdicts = self._verify_round_table(
-                    candidates, candidate_keys, eccs, ecc_buckets, verify_pool,
-                    round_index,
-                )
-                for index, (candidate, hash_key) in enumerate(
-                    zip(candidates, candidate_keys)
-                ):
-                    if verdicts is not None:
-                        verdicts.candidate_index = index
+            # Fingerprint the candidates, then insert them in enumeration
+            # order: the insert order is what makes the output
+            # deterministic.
+            keys_per_job = self._fingerprint_jobs(jobs)
+            for (parent, extensions), keys in zip(jobs, keys_per_job):
+                for inst, hash_key in zip(extensions, keys):
                     self._insert_circuit(
-                        candidate, hash_key, eccs, ecc_buckets, verdicts
+                        parent.appended(inst), hash_key, eccs, ecc_buckets
                     )
 
-                # Recompute representatives: the minimum of every class.
-                rep_keys = set()
-                reps_by_size = {}
-                for ecc in eccs:
-                    representative = ecc.representative
-                    rep_keys.add(representative.sequence_key())
-                    reps_by_size.setdefault(len(representative), []).append(
-                        representative
-                    )
-
-                stats.rounds.append(
-                    {
-                        "round": round_index,
-                        "considered": considered_this_round,
-                        "eccs": len(eccs),
-                        "time": time.perf_counter() - round_start,
-                    }
+            # Recompute representatives: the minimum of every class.
+            rep_keys = set()
+            reps_by_size = {}
+            for ecc in eccs:
+                representative = ecc.representative
+                rep_keys.add(representative.sequence_key())
+                reps_by_size.setdefault(len(representative), []).append(
+                    representative
                 )
-                if verbose:
-                    print(
-                        f"[repgen] round {round_index}: considered "
-                        f"{considered_this_round}, classes {len(eccs)}"
-                    )
-                if ckpt_key is not None:
-                    self._store_checkpoint(
-                        cache, ckpt_key, round_index, max_gates, eccs,
-                        ecc_buckets, stats,
-                    )
-                # The reproducible mid-run crash for resume testing fires
-                # *after* the round's checkpoint, so a crashed run always
-                # has its completed rounds on disk.
-                if faults.fire("gen", ("crash_run",), round_index=round_index):
-                    raise FaultInjected(
-                        f"injected crash_run after round {round_index}"
-                    )
-        finally:
-            if pool is not None:
-                pool.close()
-            if verify_pool is not None:
-                verify_pool.close()
+
+            stats.rounds.append(
+                {
+                    "round": round_index,
+                    "considered": considered_this_round,
+                    "eccs": len(eccs),
+                    "time": time.perf_counter() - round_start,
+                }
+            )
+            if verbose:
+                print(
+                    f"[repgen] round {round_index}: considered "
+                    f"{considered_this_round}, classes {len(eccs)}"
+                )
+            if ckpt_key is not None:
+                self._store_checkpoint(
+                    cache, ckpt_key, round_index, max_gates, eccs,
+                    ecc_buckets, stats,
+                )
+            # The reproducible mid-run crash for resume testing fires
+            # *after* the round's checkpoint, so a crashed run always
+            # has its completed rounds on disk.
+            if faults.fire("gen", ("crash_run",), round_index=round_index):
+                raise FaultInjected(
+                    f"injected crash_run after round {round_index}"
+                )
 
         representatives = [ecc.representative for ecc in eccs]
         result_set = ECCSet(
@@ -568,242 +485,16 @@ class RepGen:
         stats.num_representatives = len(representatives)
         stats.num_eccs = len(result_set)
         stats.num_transformations = result_set.num_transformations()
-        worker_stats = self._worker_verifier_stats
-        stats.verification_calls = self.verifier.stats.checks + worker_stats.checks
-        stats.verification_time = (
-            self.verifier.stats.time_seconds + worker_stats.time_seconds
-        )
-        if worker_stats.checks:
-            # Surface the aggregated worker VerifierStats in the perf
-            # snapshot (`verifier.workers.*`) so multi-worker runs keep the
-            # Table 5 / Table 8 metrics observable per run.
-            self.perf.merge_counts(
-                {
-                    f"verifier.workers.{name}": getattr(worker_stats, name)
-                    for name in VerifierStats.COUNTER_FIELDS
-                }
-            )
-            self.perf.add_time("verifier.workers", worker_stats.time_seconds)
+        stats.verification_calls = self.verifier.stats.checks
+        stats.verification_time = self.verifier.stats.time_seconds
         stats.total_time = time.perf_counter() - start_time
         stats.perf = self.perf.snapshot()
         return GeneratorResult(result_set, stats, representatives)
 
     # -- helpers --------------------------------------------------------------------
 
-    def _make_pool(self) -> Optional[ParallelFingerprintPool]:
-        """Create the round-sharding worker pool, or None for serial runs.
-
-        Pool setup failures (restricted platforms, unpicklable gate
-        registries, ...) degrade to the serial path: parallelism must never
-        change whether generation succeeds.
-        """
-        if self.workers < 2:
-            return None
-        try:
-            pool = ParallelFingerprintPool(
-                self.fingerprints.spec(),
-                self.workers,
-                chunk_timeout=self.chunk_timeout,
-                chunk_retries=self.chunk_retries,
-                perf=self.perf,
-            )
-        except Exception as error:  # noqa: BLE001 — any failure means "go serial"
-            warnings.warn(
-                f"could not start {self.workers} fingerprint workers "
-                f"({error}); generating serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("repgen.parallel.pool_failures")
-            return None
-        self.perf.count("repgen.parallel.pools")
-        self.perf.count("repgen.parallel.workers", self.workers)
-        return pool
-
-    def _make_verify_pool(self) -> Optional[ParallelVerifierPool]:
-        """Create the bucket-verification worker pool, or None for serial runs.
-
-        Mirrors :meth:`_make_pool`: any setup failure degrades to the serial
-        path — parallel verification must never change whether generation
-        succeeds.  A custom verifier subclass also falls back to serial,
-        because workers rebuilt from :meth:`EquivalenceVerifier.spec` could
-        answer differently than the subclass and break the byte-identity
-        guarantee.
-        """
-        if self.verify_workers < 2:
-            return None
-        if type(self.verifier) is not EquivalenceVerifier:
-            warnings.warn(
-                "parallel verification supports only stock EquivalenceVerifier "
-                f"instances, not {type(self.verifier).__name__}; verifying "
-                "serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("verifier.parallel.unsupported_verifier")
-            return None
-        try:
-            pool = ParallelVerifierPool(
-                self.verifier.spec(),
-                self.verify_workers,
-                chunk_timeout=self.chunk_timeout,
-                chunk_retries=self.chunk_retries,
-                perf=self.perf,
-            )
-        except Exception as error:  # noqa: BLE001 — any failure means "go serial"
-            warnings.warn(
-                f"could not start {self.verify_workers} verifier workers "
-                f"({error}); verifying serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("verifier.parallel.pool_failures")
-            return None
-        self.perf.count("verifier.parallel.pools")
-        self.perf.count("verifier.parallel.workers", self.verify_workers)
-        return pool
-
-    def _verify_round_table(
-        self,
-        candidates: List[Circuit],
-        keys: List[int],
-        eccs: List[ECC],
-        ecc_buckets: Dict[int, List[int]],
-        pool: Optional[ParallelVerifierPool],
-        round_index: Optional[int] = None,
-    ) -> Optional["_RoundVerdicts"]:
-        """Precompute every verdict this round's inserts could ask for.
-
-        Two families of (candidate, anchor) pairs cover the insert loop's
-        question space exactly:
-
-        * each candidate against the anchor (``circuits[0]``) of every class
-          registered under its ±1 fingerprint buckets when the round starts
-          — new classes created during the round register under *their*
-          keys, never mutating the pre-round index lists; and
-        * each candidate against the **earliest** earlier candidates within
-          ±1 buckets (up to :data:`SPECULATIVE_BUCKET_BOUND` per bucket) —
-          speculative, because an earlier candidate only becomes an anchor
-          if it founds a new class.  Class founders are the *first* members
-          of their class in enumeration order, so the earliest bucket
-          occupants cover the actual anchors unless a single bucket hosts
-          more distinct classes than the bound (rare); the bound keeps the
-          speculation linear in bucket size instead of quadratic.  A lookup
-          the table cannot answer falls back to the parent verifier, whose
-          verdict is identical by construction — so truncation affects only
-          how much work runs in parallel, never the output.
-
-        Returns None when the round should verify serially (no pool, batch
-        below :data:`MIN_PARALLEL_VERIFY_PAIRS`, or the pool failed — the
-        latter with a warning, like the fingerprint pool).
-        """
-        if pool is None or not candidates:
-            return None
-        pairs = []
-        pair_ids = []
-        for index, (candidate, key) in enumerate(zip(candidates, keys)):
-            seen: Set[int] = set()
-            for probe in (key - 1, key, key + 1):
-                for ecc_index in ecc_buckets.get(probe, ()):
-                    if ecc_index in seen:
-                        continue
-                    seen.add(ecc_index)
-                    pairs.append((candidate, eccs[ecc_index].circuits[0]))
-                    pair_ids.append((index, ("ecc", ecc_index)))
-        by_bucket: Dict[int, List[int]] = {}
-        for index, key in enumerate(keys):
-            by_bucket.setdefault(key, []).append(index)
-        for index, key in enumerate(keys):
-            for probe in (key - 1, key, key + 1):
-                # Bucket lists are in enumeration order, so this takes the
-                # earliest earlier candidates — where the class founders are.
-                for earlier in by_bucket.get(probe, ())[:SPECULATIVE_BUCKET_BOUND]:
-                    if earlier >= index:
-                        break
-                    pairs.append((candidates[index], candidates[earlier]))
-                    pair_ids.append((index, ("cand", earlier)))
-        if len(pairs) < MIN_PARALLEL_VERIFY_PAIRS:
-            return None
-        try:
-            results, worker_stats, worker_counters = pool.verify_pairs(
-                pairs, round_index=round_index
-            )
-        except PoolError as error:
-            # Only infrastructure failures that already survived the pool's
-            # own retry/respawn loop land here; anything else escaping the
-            # pool is a bug and must surface, not silently degrade.
-            warnings.warn(
-                f"verifier worker pool failed ({error}); "
-                "falling back to serial verification",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self.perf.count("verifier.parallel.round_failures")
-            self.perf.count("resilience.rounds_degraded")
-            return None
-        self._worker_verifier_stats.add(worker_stats)
-        self.perf.merge_counts(worker_counters)
-        self.perf.merge_counts(
-            {
-                "verifier.parallel.rounds": 1,
-                "verifier.parallel.pairs": len(pairs),
-            }
-        )
-        return _RoundVerdicts(dict(zip(pair_ids, results)), len(eccs))
-
-    def _fingerprint_jobs(
-        self,
-        jobs: List[FingerprintJob],
-        pool: Optional[ParallelFingerprintPool],
-        round_index: Optional[int] = None,
-    ) -> List[List[int]]:
-        """Hash keys for every job, sharded across the pool when worthwhile.
-
-        Worker results merge in job order, so the insert sequence — and
-        therefore the resulting ECC set — is identical to the serial path.
-        """
-        total = sum(len(extensions) for _, extensions in jobs)
-        if pool is not None and total >= MIN_PARALLEL_CANDIDATES:
-            try:
-                results = pool.hash_keys(jobs, round_index=round_index)
-                # Seed the main-process fingerprint cache with the worker
-                # states so the verifier's phase screen hits on them during
-                # the inserts, exactly as it would after a serial round.
-                seeded = 0
-                keys: List[List[int]] = []
-                for (parent, extensions), (job_keys, job_states) in zip(
-                    jobs, results
-                ):
-                    keys.append(job_keys)
-                    parent_key = parent.sequence_key()
-                    for inst, state in zip(extensions, job_states):
-                        if state is not None:
-                            self.fingerprints.seed_state(
-                                parent_key + (inst.sort_key(),), state
-                            )
-                            seeded += 1
-                self.perf.merge_counts(
-                    {
-                        "repgen.parallel.rounds": 1,
-                        "repgen.parallel.candidates": total,
-                        "repgen.parallel.jobs": len(jobs),
-                        "repgen.parallel.states_seeded": seeded,
-                    }
-                )
-                return keys
-            except PoolError as error:
-                # Only infrastructure failures that already survived the
-                # pool's own retry/respawn loop; a serial re-run of the
-                # round computes the exact same keys, so degrading here
-                # never changes the output.
-                warnings.warn(
-                    f"fingerprint worker pool failed ({error}); "
-                    "falling back to serial fingerprinting",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self.perf.count("repgen.parallel.round_failures")
-                self.perf.count("resilience.rounds_degraded")
+    def _fingerprint_jobs(self, jobs: List[FingerprintJob]) -> List[List[int]]:
+        """Hash keys for every job's extensions, in job order."""
         if self.batched:
             # One batched evaluation for the whole round: candidates are
             # grouped by instruction inside the context, so per-gate
@@ -825,7 +516,6 @@ class RepGen:
         key: int,
         eccs: List[ECC],
         ecc_buckets: Dict[int, List[int]],
-        verdicts: Optional["_RoundVerdicts"] = None,
     ) -> None:
         """Place a candidate circuit into an existing ECC or a new singleton.
 
@@ -833,12 +523,6 @@ class RepGen:
         by the caller).  Only classes stored under that bucket or the two
         adjacent buckets can possibly be equivalent (Section 7.1), so only
         those are checked with the verifier.
-
-        With a ``verdicts`` table the equivalence answers come from the
-        precomputed worker verdicts instead of a live verifier call; a miss
-        (which the table construction makes impossible in practice, but is
-        tolerated for safety) falls back to the parent verifier, whose
-        answer is identical by construction.
         """
         candidate_indices: List[int] = []
         for probe in (key - 1, key, key + 1):
@@ -851,55 +535,13 @@ class RepGen:
             ecc = eccs[index]
             if circuit in ecc:
                 return
-            equivalent: Optional[bool] = None
-            if verdicts is not None:
-                result = verdicts.lookup(index)
-                if result is not None:
-                    self.perf.count("verifier.parallel.table_hits")
-                    equivalent = result.equivalent
-                else:
-                    self.perf.count("verifier.parallel.table_misses")
-            if equivalent is None:
-                equivalent = self.verifier.verify(circuit, ecc.circuits[0]).equivalent
-            if equivalent:
+            if self.verifier.verify(circuit, ecc.circuits[0]).equivalent:
                 ecc.add(circuit)
                 return
         eccs.append(ECC([circuit]))
         self._register_bucket(ecc_buckets, key, len(eccs) - 1)
-        if verdicts is not None:
-            verdicts.register_new_class()
 
     @staticmethod
     def _register_bucket(buckets: Dict[int, List[int]], key: int, index: int) -> None:
         buckets.setdefault(key, []).append(index)
 
-
-class _RoundVerdicts:
-    """Precomputed verdict table for one round's ECC inserts.
-
-    Entries are keyed by ``(candidate enumeration index, anchor token)``: a
-    class that existed when the round started is addressed as
-    ``("ecc", class index)``, a class created *during* the round as
-    ``("cand", index of the candidate that founded it)`` — its anchor
-    circuit (``circuits[0]``) is exactly that candidate.  The insert loop
-    reports class creations via :meth:`register_new_class`, so anchor
-    tokens stay in lockstep with ``eccs`` without any re-verification.
-    """
-
-    __slots__ = ("table", "anchor_tokens", "candidate_index")
-
-    def __init__(self, table: Dict, num_pre_round_classes: int) -> None:
-        self.table = table
-        self.anchor_tokens: List[tuple] = [
-            ("ecc", index) for index in range(num_pre_round_classes)
-        ]
-        #: Enumeration index of the candidate currently being inserted;
-        #: advanced by the caller before each insert.
-        self.candidate_index = -1
-
-    def lookup(self, ecc_index: int):
-        """The precomputed verdict for the current candidate vs a class."""
-        return self.table.get((self.candidate_index, self.anchor_tokens[ecc_index]))
-
-    def register_new_class(self) -> None:
-        self.anchor_tokens.append(("cand", self.candidate_index))

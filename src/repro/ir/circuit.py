@@ -411,10 +411,9 @@ class Circuit:
         the one with the smallest :meth:`Instruction.sort_key` is emitted
         first.  Two circuits that differ only by commuting *independent*
         (disjoint-qubit) gates therefore share a key, and keys of distinct
-        classes compare in a fixed total order, which is how the parallel
-        search breaks ties between equal-cost best circuits
-        deterministically.  Circuits hash by it too.  The search's seen-sets
-        use the cheaper :meth:`wire_key`, which has the same classes.
+        classes compare in a fixed total order.  Circuits hash by it too.
+        The search's seen-sets use the cheaper :meth:`wire_key`, which has
+        the same classes.
 
         Implemented as heap-based Kahn topological sorting (O(n log n + E)
         instead of the quadratic min-over-ready scan) and cached on the

@@ -706,9 +706,8 @@ class PatternMatcher:
         Two matches may give equal successors (``h h h`` under
         ``h h -> nothing`` gives ``h`` twice), and both are returned.
         Callers dedupe: each search's seen-set keeps the first of equal
-        keys (:meth:`Circuit.wire_key`, or the canonical key in the
-        parallel merge) in this order, so each successor's key is hashed
-        once.  Each successor comes from :meth:`CircuitDAG.splice`: born
+        keys (:meth:`Circuit.wire_key`) in this order, so each successor's
+        key is hashed once.  Each successor comes from :meth:`CircuitDAG.splice`: born
         with its wire key and gate count, its instruction list built on
         first read.
         """

@@ -19,7 +19,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
@@ -47,12 +47,6 @@ class OptimizationResult:
     # popped circuit) and skipped (``search.transformations_skipped``: it
     # has none), seen and cost rejects (see repro.perf).
     perf: Dict[str, float] = field(default_factory=dict)
-    # True when a cooperative stop (portfolio early cancellation) ended the
-    # search before its own budgets did.
-    cancelled: bool = False
-    # Strategy-specific extras: worker counts and wave statistics for the
-    # parallel search, per-racer outcomes and the winner for the portfolio.
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def reduction(self) -> float:
@@ -98,15 +92,8 @@ class BacktrackingOptimizer:
         *,
         timeout_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
-        stop_check: Optional[Callable[[], bool]] = None,
     ) -> OptimizationResult:
-        """Run the search and return the best circuit found.
-
-        ``stop_check`` is a cooperative cancellation hook (consulted once
-        per iteration): when it returns True the search stops early and
-        the result carries ``cancelled=True`` with the best found so far.
-        The portfolio strategy uses it to stop losing racers.
-        """
+        """Run the search and return the best circuit found."""
         start = time.perf_counter()
         counter = itertools.count()
         perf = PerfRecorder()
@@ -124,7 +111,6 @@ class BacktrackingOptimizer:
         iterations = 0
         explored = 1
         timed_out = False
-        cancelled = False
         max_matches = self.max_matches_per_transformation
         trie = compile_match_trie(self.transformations)
 
@@ -137,9 +123,6 @@ class BacktrackingOptimizer:
                 timed_out = True
                 break
             if max_iterations is not None and iterations >= max_iterations:
-                break
-            if stop_check is not None and stop_check():
-                cancelled = True
                 break
             cost, _, current = heapq.heappop(queue)
             iterations += 1
@@ -222,5 +205,4 @@ class BacktrackingOptimizer:
             timed_out=timed_out,
             cost_trace=cost_trace,
             perf=perf.snapshot(),
-            cancelled=cancelled,
         )

@@ -14,12 +14,7 @@ registry, so new scenarios plug in a strategy instead of forking
 * ``"beam"``         — fixed-width frontier: every iteration expands the
   whole beam by every applicable transformation and keeps the cheapest
   ``beam_width`` distinct successors, which tolerates cost-preserving moves
-  without an unbounded queue;
-* ``"parallel-backtracking"`` — the wave-synchronous work-sharing variant
-  (frontier expansion sharded across a worker pool, byte-identical best
-  circuit regardless of worker count; see :mod:`repro.optimizer.parallel`);
-* ``"portfolio"``    — races several of the above concurrently with early
-  cancellation and a deterministic winner rule (same module).
+  without an unbounded queue.
 
 Strategies are selected by name through
 :class:`repro.api.SearchConfig` (``strategy="beam"``) or obtained directly
@@ -48,18 +43,9 @@ class SearchStrategy:
     A strategy instance holds its tuning options (gamma, beam width, ...)
     and is reusable across circuits; :meth:`run` receives the per-run
     inputs.  ``name`` is the registry key and appears in run reports.
-    ``supports_workers`` marks strategies that can use ``REPRO_SEARCH_WORKERS``
-    worker processes (the ``registry`` CLI subcommand surfaces the flag).
-
-    ``stop_check`` is a cooperative cancellation hook: strategies consult
-    it at iteration boundaries and, when it returns True, stop early with
-    ``cancelled=True`` and the best result so far.  It defaults to None
-    (never stop) and exists so the portfolio strategy can halt losing
-    racers; strategies that ignore it simply run out their budgets.
     """
 
     name: str = "abstract"
-    supports_workers: bool = False
 
     def run(
         self,
@@ -69,7 +55,6 @@ class SearchStrategy:
         *,
         timeout_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
-        stop_check: Optional[Callable[[], bool]] = None,
     ) -> OptimizationResult:
         raise NotImplementedError
 
@@ -103,7 +88,6 @@ class BacktrackingStrategy(SearchStrategy):
         *,
         timeout_seconds=None,
         max_iterations=None,
-        stop_check=None,
     ):
         optimizer = BacktrackingOptimizer(
             transformations,
@@ -117,7 +101,6 @@ class BacktrackingStrategy(SearchStrategy):
             circuit,
             timeout_seconds=timeout_seconds,
             max_iterations=max_iterations,
-            stop_check=stop_check,
         )
 
 
@@ -175,7 +158,6 @@ class BeamStrategy(SearchStrategy):
         *,
         timeout_seconds=None,
         max_iterations=None,
-        stop_check=None,
     ):
         start = time.perf_counter()
         cost_model = cost_model or GateCountCost()
@@ -192,7 +174,6 @@ class BeamStrategy(SearchStrategy):
         iterations = 0
         explored = 1
         timed_out = False
-        cancelled = False
         max_matches = self.max_matches_per_transformation
         trie = compile_match_trie(transformations)
 
@@ -202,9 +183,6 @@ class BeamStrategy(SearchStrategy):
                 timed_out = True
                 break
             if max_iterations is not None and iterations >= max_iterations:
-                break
-            if stop_check is not None and stop_check():
-                cancelled = True
                 break
             iterations += 1
 
@@ -263,7 +241,6 @@ class BeamStrategy(SearchStrategy):
             timed_out=timed_out,
             cost_trace=cost_trace,
             perf=perf.snapshot(),
-            cancelled=cancelled,
         )
 
 
@@ -310,11 +287,3 @@ def available_strategies() -> List[str]:
 register_strategy("backtracking", BacktrackingStrategy)
 register_strategy("greedy", GreedyStrategy)
 register_strategy("beam", BeamStrategy)
-
-# The parallel strategies live in their own module (worker-side code must
-# be importable without pulling the registry in first) and register
-# themselves at *their* import bottom; importing the module here makes
-# ``get_strategy("parallel-backtracking")`` work however the package is
-# entered.  The import is circular-safe in both directions: this module
-# only needs the submodule to *execute*, not any attribute of it.
-from repro.optimizer import parallel as _parallel  # noqa: E402,F401  (registration side effect)

@@ -9,14 +9,11 @@ multi-state API ``apply_gate_batch`` / ``apply_circuit_batch`` /
 registry of interchangeable implementations:
 
 * ``"numpy"`` — the reference implementation (the exact code path the seed
-  revision used, so fingerprint hash keys stay bit-identical);
-* ``"numba"`` — an optional JIT-compiled gate-application kernel, available
-  only when the ``numba`` package is importable (see
-  :mod:`repro.semantics.numba_backend`).  It is a pure opt-in: nothing in
-  the library imports numba unless this backend is requested.
+  revision used, so fingerprint hash keys stay bit-identical), and the only
+  backend the library registers.
 
-Backends registered here are selected by name through
-:class:`repro.api.RunConfig` (``backend="numba"``) or passed directly to
+Further backends registered here are selected by name through
+:class:`repro.api.RunConfig` (``backend=...``) or passed directly to
 :class:`~repro.semantics.fingerprint.FingerprintContext`.
 
 The random inputs (``random_state``) are deliberately *not* backend
@@ -55,7 +52,7 @@ class SimulatorBackend:
     stacked array so one call amortizes per-gate dispatch over the whole
     stack.  ``batch_bit_identical`` declares whether a backend's batched
     kernels perform the exact floating-point operations of its per-state
-    path (the generic loop trivially does; a fused kernel like numba's may
+    path (the generic loop trivially does; a fused compiled kernel may
     reorder arithmetic) — consumers that cache results by hash key use it
     to decide whether batched and per-state runs may share a namespace.
     """
@@ -104,7 +101,7 @@ class SimulatorBackend:
         one stack, so the per-gate dispatch is paid once per gate instead of
         once per gate per column.  Note this primitive always batches — it
         is not governed by the fingerprint-path ``REPRO_BATCHED`` knob — so
-        on a backend whose batch kernels are not bit-identical (numba) the
+        on a backend whose batch kernels are not bit-identical the
         floats may differ by ulps from per-column ``apply_circuit`` calls;
         callers needing the per-state arithmetic evolve columns themselves.
         """
@@ -166,8 +163,7 @@ class SimulatorBackend:
         exact operation (and float result) of the per-state path.  A BLAS
         matrix-vector product would reorder the accumulation, so backends
         may only override this with a kernel when they also declare
-        ``batch_bit_identical = False`` (see the numba backend's jitted
-        reduction).
+        ``batch_bit_identical = False``.
         """
         return np.array([np.vdot(bra, state) for state in states], dtype=complex)
 
@@ -223,7 +219,7 @@ def register_backend(
     key = name.lower()
     if key in _FACTORIES and not replace:
         raise ValueError(f"simulator backend {name!r} is already registered")
-    # Registration happens at import time (this module registers numpy/numba
+    # Registration happens at import time (this module registers numpy
     # below; tests registering fakes run parent-side before any pool exists),
     # so the registry is identical in every process at fork.
     _FACTORIES[key] = factory  # repro: allow(mutable-module-global)
@@ -376,11 +372,4 @@ def circuits_equivalent_statevector_batched(
     return True
 
 
-def _make_numba_backend() -> SimulatorBackend:
-    from repro.semantics.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
 register_backend("numpy", NumpyBackend)
-register_backend("numba", _make_numba_backend)

@@ -70,7 +70,7 @@ def resolve_batched(batched: Optional[bool] = None) -> bool:
     """Resolve the batched-evaluation flag: explicit argument, else env.
 
     ``None`` reads ``REPRO_BATCHED`` (default on); anything else is taken
-    at face value.  Mirrors ``resolve_workers`` for the worker knobs.
+    at face value.
     """
     return env_batched() if batched is None else bool(batched)
 
@@ -126,52 +126,6 @@ class FingerprintContext:
         """The resolved backend instance this context evaluates on."""
         return self._backend
 
-    # -- worker initialization / pickling ------------------------------------
-
-    # The ``perf`` recorder is deliberately per-process: workers record into
-    # their own recorder and the counters merge parent-side; no fingerprint
-    # value depends on it, so omitting it from the spec cannot break
-    # byte-identity.
-    # repro: allow(spec-pickle-completeness): perf recorders are per-process
-    def spec(self) -> dict:
-        """The picklable construction recipe for an identical context.
-
-        The random inputs (parameter values, |psi0>, |psi1>) are derived
-        deterministically from the seed, so a context rebuilt from its spec
-        in another process produces bit-identical fingerprints.
-        """
-        return {
-            "num_qubits": self.num_qubits,
-            "num_params": self.num_params,
-            "seed": self.seed,
-            "e_max": self.e_max,
-            "state_cache_size": self.state_cache_size,
-            "cross_check_interval": self.cross_check_interval,
-            "backend": self.backend_name,
-            "batched": self.batched,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "FingerprintContext":
-        return cls(
-            spec["num_qubits"],
-            spec["num_params"],
-            seed=spec["seed"],
-            e_max=spec["e_max"],
-            state_cache_size=spec["state_cache_size"],
-            cross_check_interval=spec["cross_check_interval"],
-            backend=spec.get("backend", DEFAULT_BACKEND),
-            # Old specs predate the batched path; True matches the current
-            # default and is bit-identical on the backends they named.
-            batched=spec.get("batched", True),
-        )
-
-    def __reduce__(self):
-        # Pickling ships only the spec: the state cache and perf recorder are
-        # per-process concerns (and recorders are deliberately not shared
-        # across process boundaries).
-        return (_context_from_spec, (self.spec(),))
-
     # -- state cache ---------------------------------------------------------
 
     def _store_state(self, key: tuple, state: np.ndarray) -> None:
@@ -209,17 +163,6 @@ class FingerprintContext:
         """The cached evolved state stored under ``key``, if still present."""
         return self._state_cache.get(key)
 
-    def seed_state(self, key: tuple, state: np.ndarray) -> None:
-        """Install an externally computed evolved state.
-
-        Used by the multiprocess generator to copy candidate states from
-        worker contexts into the main process, where the verifier's numeric
-        phase screen reuses them.  The caller must guarantee the state is
-        exactly what this context would compute for ``key`` — worker
-        contexts rebuilt from :meth:`spec` satisfy that bit-for-bit.
-        """
-        self._store_state(key, state)
-
     # -- full-replay path ----------------------------------------------------
 
     def amplitude(self, circuit: Circuit) -> complex:
@@ -233,7 +176,7 @@ class FingerprintContext:
         The evolved states come from the per-circuit cache exactly as in
         :meth:`amplitude`; only the final ``<psi0|.>`` reductions are
         batched, and only on backends that ship a real fused
-        ``inner_product_batch`` kernel (numba's jitted reduction).  Backends
+        ``inner_product_batch`` kernel.  Backends
         on the generic per-row ``np.vdot`` implementation (numpy) keep the
         plain per-state reductions — bit-identical and with no stacking
         allocation.
@@ -388,9 +331,7 @@ class FingerprintContext:
                 # bit-identical backends the per-state kernel is used (same
                 # floats by definition); on fused-kernel backends the batch
                 # kernel is applied to a one-row *view*, so a candidate's
-                # amplitude never depends on how candidates were grouped —
-                # group composition varies with worker chunking, and serial
-                # vs sharded runs must keep producing the same keys.
+                # amplitude never depends on how candidates were grouped.
                 self.perf.count("fingerprint.batched.singletons")
                 parent_state = members[0][2]
                 if exact:
@@ -430,11 +371,6 @@ class FingerprintContext:
                         parent, extensions[position], state, exact=exact
                     )
         return results
-
-
-def _context_from_spec(spec: dict) -> FingerprintContext:
-    """Module-level unpickling hook for :meth:`FingerprintContext.__reduce__`."""
-    return FingerprintContext.from_spec(spec)
 
 
 def fingerprint(circuit: Circuit, context: FingerprintContext | None = None) -> float:

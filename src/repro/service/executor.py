@@ -8,9 +8,9 @@ module-level table, so the expensive state behind it (the generation
 memo, the pruned ECC set, the extracted transformation list, the
 verifier's fingerprint caches) stays **hot across requests**: the first
 request for a configuration pays for generation, every later one reuses
-it.  Payload purity is the same contract the fingerprint pools rely on:
-a re-executed job returns a byte-identical report (timings aside), which
-is what makes retrying crashed jobs sound.
+it.  Payload purity is the contract :class:`~repro.workerpool.ResilientPool`
+relies on: a re-executed job returns a byte-identical report (timings
+aside), which is what makes retrying crashed jobs sound.
 
 Two executors share that entry point:
 
@@ -25,12 +25,14 @@ Two executors share that entry point:
 * :class:`PoolExecutor` (``workers >= 2``) dispatches to a persistent
   :class:`~repro.workerpool.ResilientPool` whose workers each hold their
   own warm-facade table (built by the initializer from the picklable
-  base-config spec, mirroring ``generator/parallel.py``).  Because
-  ``run_chunks`` is a synchronous wave primitive, a dedicated dispatch
-  thread gathers concurrently submitted jobs into one wave of up to
-  ``workers`` single-job chunks, so concurrent requests run in parallel
-  on separate workers.  A wave that exhausts its retries fails every job
-  in it with the :class:`~repro.errors.RetryExhausted` it raised.
+  base-config dict).  Because ``run_chunks`` is a synchronous wave
+  primitive, a dedicated dispatch thread gathers concurrently submitted
+  jobs into one wave of up to ``workers`` single-job chunks, so concurrent
+  requests run in parallel on separate workers.  A wave that exhausts its
+  retries fails every job in it with the
+  :class:`~repro.errors.RetryExhausted` it raised.  The pool's
+  ``resilience.*`` counters (respawns, timeouts, retries, ...) are
+  published after every wave through :meth:`PoolExecutor.counters`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro import faults
 from repro.api.config import RunConfig
 from repro.api.facade import RunReport, Superoptimizer
 from repro.errors import FaultInjected, PoolError, RetryExhausted
+from repro.perf import PerfRecorder
 from repro.workerpool import ResilientPool, resolve_chunk_retries
 
 __all__ = [
@@ -164,6 +167,9 @@ class PoolExecutor:
         chunk_retries: Optional[int] = None,
     ) -> None:
         self.workers = workers
+        # Written only by the dispatch thread (inside run_chunks); other
+        # threads read the copy published after each wave.
+        self._perf = PerfRecorder()
         self._pool = ResilientPool(
             _service_worker,
             _init_service_worker,
@@ -172,11 +178,13 @@ class PoolExecutor:
             site="service",
             chunk_timeout=chunk_timeout,
             chunk_retries=chunk_retries,
+            perf=self._perf,
         )
         self._queue: List[Tuple[Dict[str, Any], "Future[Dict[str, Any]]"]] = []
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._closed = False
+        self._published: Dict[str, int] = {}
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-service-pool", daemon=True
         )
@@ -190,6 +198,11 @@ class PoolExecutor:
             self._queue.append((payload, future))
             self._wake.notify_all()
         return future.result()
+
+    def counters(self) -> Dict[str, int]:
+        """The pool's ``resilience.*`` counters as of the last finished wave."""
+        with self._lock:
+            return dict(self._published)
 
     def close(self) -> None:
         with self._wake:
@@ -207,7 +220,7 @@ class PoolExecutor:
                 return
             payloads = [payload for payload, _future in wave]
             try:
-                results = self._pool.run_chunks(payloads)
+                results = self._run_wave(payloads)
             except PoolError as error:
                 for _payload, future in wave:
                     future.set_exception(error)
@@ -222,6 +235,16 @@ class PoolExecutor:
                 continue
             for (_payload, future), result in zip(wave, results):
                 future.set_result(result)
+
+    def _run_wave(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        try:
+            return self._pool.run_chunks(payloads)
+        finally:
+            # Published before the wave's futures resolve, so a finished
+            # job's recovery is already visible in the counters.
+            counters = dict(self._perf.counters)
+            with self._lock:
+                self._published = counters
 
     def _gather(
         self,

@@ -248,13 +248,19 @@ class JobManager:
         return job
 
     def stats(self) -> Dict[str, Any]:
-        """Every ``service.*`` counter plus live queue gauges."""
+        """Every ``service.*`` counter, live queue gauges and the worker
+        pool's ``resilience.*`` counters (none in in-process mode)."""
         with self._lock:
             counters = dict(self._counters)
             depth = len(self._queue)
             active = len(self._active)
         counters["service.queue.depth"] = depth
         counters["service.jobs.active"] = active
+        # Only the pool executor keeps resilience counters; it publishes
+        # them under its own lock, so this read is safe from any thread.
+        pool_counters = getattr(self.executor, "counters", None)
+        if pool_counters is not None:
+            counters.update(pool_counters())
         return counters
 
     # -- shutdown ------------------------------------------------------------

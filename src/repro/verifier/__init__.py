@@ -16,10 +16,6 @@ from repro.verifier.equivalence import (
     VerificationResult,
     VerifierStats,
 )
-from repro.verifier.parallel import (
-    ParallelVerifierPool,
-    resolve_verify_workers,
-)
 
 __all__ = [
     "AtomTrigBuilder",
@@ -27,6 +23,4 @@ __all__ = [
     "EquivalenceVerifier",
     "VerificationResult",
     "VerifierStats",
-    "ParallelVerifierPool",
-    "resolve_verify_workers",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.circuit import Circuit
 from repro.perf import NULL_RECORDER, PerfRecorder
@@ -54,9 +54,9 @@ class VerificationResult:
 class VerifierStats:
     """Counters the experiments report (Table 5 / Table 8)."""
 
-    #: The integer-valued counter fields, in declaration order.  ``merge``
-    #: and ``as_dict`` derive from this list so a new counter cannot be
-    #: forgotten in one of them.
+    #: The integer-valued counter fields, in declaration order.
+    #: ``as_dict`` and ``from_dict`` derive from this list so a new counter
+    #: cannot be forgotten in one of them.
     COUNTER_FIELDS = (
         "checks",
         "symbolic_proofs",
@@ -77,26 +77,6 @@ class VerifierStats:
         }
         out["time_seconds"] = float(self.time_seconds)
         return out
-
-    def add(self, other: "VerifierStats") -> None:
-        """Fold another stats object into this one (counters stay ints)."""
-        for name in self.COUNTER_FIELDS:
-            setattr(self, name, int(getattr(self, name)) + int(getattr(other, name)))
-        self.time_seconds += float(other.time_seconds)
-
-    @classmethod
-    def merge(cls, parts: Iterable["VerifierStats"]) -> "VerifierStats":
-        """Aggregate per-worker stats into one; counters round-trip as ints.
-
-        Used by the parallel verifier's deterministic merge: every worker
-        reports the stats of its batch, and the parent folds them into the
-        run totals without the float-typed counters that naive summation
-        over ``as_dict`` values used to produce.
-        """
-        total = cls()
-        for part in parts:
-            total.add(part)
-        return total
 
     @classmethod
     def from_dict(cls, data: Dict[str, Union[int, float]]) -> "VerifierStats":
@@ -163,42 +143,6 @@ class EquivalenceVerifier:
         self._matrix_cache: Dict[Tuple, object] = {}
         # Embedded single-instruction matrices keyed the same way.
         self._instruction_cache: Dict[Tuple, object] = {}
-
-    # -- worker initialization -------------------------------------------------
-
-    # The ``perf`` recorder is deliberately per-process (see
-    # FingerprintContext.spec): verdicts never depend on it, and worker-side
-    # counters are merged into the parent recorder explicitly.
-    # repro: allow(spec-pickle-completeness): perf recorders are per-process
-    def spec(self) -> dict:
-        """The picklable construction recipe for an equivalent verifier.
-
-        Mirrors :meth:`FingerprintContext.spec`: everything that determines
-        a verdict (seed, parameter count, backend, phase-search flags) is
-        captured, so a verifier rebuilt from its spec in a worker process
-        returns bit-identical results for every circuit pair — the property
-        the parallel verifier's deterministic merge relies on.  Caches and
-        perf recorders are per-process concerns and deliberately excluded.
-        """
-        return {
-            "num_params": self.num_params,
-            "search_linear_phase": self.search_linear_phase,
-            "allow_numeric_fallback": self.allow_numeric_fallback,
-            "seed": self.seed,
-            "backend": self.backend_name,
-            "batched": self.batched,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "EquivalenceVerifier":
-        return cls(
-            spec["num_params"],
-            search_linear_phase=spec["search_linear_phase"],
-            allow_numeric_fallback=spec["allow_numeric_fallback"],
-            seed=spec["seed"],
-            backend=spec.get("backend", "numpy"),
-            batched=spec.get("batched", True),
-        )
 
     def set_fingerprint_context(self, context: FingerprintContext) -> None:
         """Share an externally-owned fingerprint context (same seed).

@@ -1,10 +1,10 @@
-"""Self-healing multiprocessing dispatch shared by the worker pools.
+"""Self-healing multiprocessing dispatch: the repo's one worker pool.
 
-PRs 2 and 4 sharded RepGen fingerprinting and bucket verification across
-``multiprocessing.Pool.map`` — which is a happy-path primitive: a worker
-killed mid-``map`` (OOM, segfault, operator) leaves the call blocked
-forever, a slow chunk stalls the whole round behind it, and the only
-recovery the callers had was degrading the *entire run* to serial.
+The optimization service (:mod:`repro.service.executor`) runs jobs on a
+persistent pool when ``REPRO_SERVICE_WORKERS`` is 2 or more.  A blocking
+``multiprocessing.Pool.map`` is a happy-path primitive: a worker killed
+mid-``map`` (OOM, segfault, operator) leaves the call blocked forever, and
+a slow chunk stalls every request behind it.
 
 :class:`ResilientPool` replaces the blocking ``map`` with asynchronous
 per-chunk dispatch plus a recovery loop:
@@ -19,27 +19,27 @@ per-chunk dispatch plus a recovery loop:
 * chunks whose result arrived *late* — after the deadline sweep but before
   the respawn — are recovered as-is rather than re-executed;
 * only when a chunk exhausts its retry budget does
-  :class:`~repro.errors.RetryExhausted` escape, and the callers degrade
-  that one round (not the run) to the serial path.
+  :class:`~repro.errors.RetryExhausted` escape, and the caller fails the
+  jobs of that wave.
 
-Re-dispatch is safe by construction: both pools' chunk results are pure
-functions of the chunk payload and the worker-initializer spec (same seed,
-hence bit-identical replay), so a retried chunk returns byte-identical
-results — asserted directly by ``tests/test_resilience.py`` (chunk
-re-execution identity) and end-to-end by every serial-vs-parallel
-``ECCSet.to_json`` byte-identity test run under injected faults.
+Re-dispatch is safe by construction: a chunk's result must be a pure
+function of the chunk payload and the worker-initializer arguments, so a
+retried chunk returns the result the first dispatch would have — asserted
+by ``tests/test_resilience.py`` (direct pool faults) and
+``tests/test_service.py`` (a killed service worker's job equals the
+serial run).
 
 Fault injection: at dispatch time the pool consults the active
-:mod:`repro.faults` plan (site ``gen`` or ``verify``, round-aware) and, if
-an entry fires, attaches the corresponding worker-side token to the
-round's first chunk.  Faults fire on first dispatch only — retried chunks
-are shipped clean, mirroring real transient failures.
+:mod:`repro.faults` plan at its ``site`` (``service``) and, if an entry
+fires, attaches the corresponding worker-side token to the wave's first
+chunk.  Faults fire on first dispatch only — retried chunks are shipped
+clean, mirroring real transient failures.
 
 Recovery is observable through ``resilience.*`` perf counters
 (``chunk_timeouts``, ``chunk_failures``, ``chunk_retries``,
-``pool_respawns``, ``late_results``, ``faults_injected``, ...) that the
-generator folds into ``GeneratorStats.perf`` and the facade surfaces in
-``RunReport`` provenance.
+``pool_respawns``, ``late_results``, ``faults_injected``, ...) in the
+pool's ``perf`` recorder; the service reports them in
+``JobManager.stats()``.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ class ResilientPool:
             receives ``(chunk, fault_token)`` payload tuples.
         initializer / initargs: per-worker process initialization (rebuilds
             the picklable spec into live worker state).
-        workers: pool size (>= 2; a single worker should use the serial
-            path instead).
-        site: fault-injection site name (``"gen"`` / ``"verify"``).
+        workers: pool size (>= 2; a single worker should run in-process
+            instead).
+        site: fault-injection site name (``"service"``).
         chunk_timeout: per-chunk deadline in seconds (None = environment;
             <= 0 = no deadline).
         chunk_retries: re-dispatch budget per chunk (None = environment).
@@ -193,18 +193,16 @@ class ResilientPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def run_chunks(
-        self, chunks: Sequence, *, round_index: Optional[int] = None
-    ) -> List:
+    def run_chunks(self, chunks: Sequence) -> List:
         """Results for every chunk, in chunk order, surviving worker death.
 
         Raises :class:`RetryExhausted` when some chunk still has no result
-        after every configured retry, so callers degrade that round on
-        ``except PoolError`` alone.  Worker exceptions *outside*
+        after every configured retry, so callers handle infrastructure
+        failure on ``except PoolError`` alone.  Worker exceptions *outside*
         ``_RETRYABLE_CHUNK_ERRORS`` (a ``TypeError`` from a buggy chunk
         function, say) are programming errors, not infrastructure faults:
-        they propagate immediately with their original type rather than
-        burning the retry budget and degrading the round.
+        they propagate with their original type, without a retry, as soon
+        as the rest of their wave has delivered.
         """
         if not chunks:
             return []
@@ -224,9 +222,7 @@ class ResilientPool:
                 )
             tokens: Dict[int, Any] = {}
             if attempt == 0:
-                action = faults.fire(
-                    self.site, faults.CHUNK_ACTIONS, round_index=round_index
-                )
+                action = faults.fire(self.site, faults.CHUNK_ACTIONS)
                 if action is not None:
                     tokens[pending[0]] = faults.chunk_token(
                         action, self.chunk_timeout
@@ -284,23 +280,33 @@ class ResilientPool:
         failed: List[int] = []
         timed_out = False
         last_error: Optional[PoolError] = None
-        for index, handle in handles.items():
-            try:
-                if self.chunk_timeout is None:
-                    results[index] = handle.get()
-                else:
-                    results[index] = handle.get(timeout=self.chunk_timeout)
-            except multiprocessing.TimeoutError:
-                timed_out = True
-                failed.append(index)
-                last_error = ChunkTimeout(
-                    f"chunk {index} missed its {self.chunk_timeout}s deadline"
-                )
-                self.perf.count("resilience.chunk_timeouts")
-            except _RETRYABLE_CHUNK_ERRORS as error:
-                failed.append(index)
-                last_error = WorkerCrash(f"chunk {index} failed: {error}")
-                self.perf.count("resilience.chunk_failures")
+        try:
+            for index, handle in handles.items():
+                try:
+                    if self.chunk_timeout is None:
+                        results[index] = handle.get()
+                    else:
+                        results[index] = handle.get(timeout=self.chunk_timeout)
+                except multiprocessing.TimeoutError:
+                    timed_out = True
+                    failed.append(index)
+                    last_error = ChunkTimeout(
+                        f"chunk {index} missed its {self.chunk_timeout}s deadline"
+                    )
+                    self.perf.count("resilience.chunk_timeouts")
+                except _RETRYABLE_CHUNK_ERRORS as error:
+                    failed.append(index)
+                    last_error = WorkerCrash(f"chunk {index} failed: {error}")
+                    self.perf.count("resilience.chunk_failures")
+        except Exception:
+            # A programming error propagates, but only once the wave's other
+            # chunks have delivered (within their deadline): a worker killed
+            # by ``Pool.terminate`` while still sending a result keeps the
+            # result queue's write lock, and the terminate then blocks
+            # forever on it.
+            for handle in handles.values():
+                handle.wait(self.chunk_timeout)
+            raise
         still_failed: List[int] = []
         for index in failed:
             handle = handles[index]

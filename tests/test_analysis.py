@@ -53,7 +53,7 @@ POOL_PREAMBLE = """
     from repro.workerpool import ResilientPool
 
     def run(spec):
-        with ResilientPool(_chunk_fn, _init, (spec,), 2, site="gen") as pool:
+        with ResilientPool(_chunk_fn, _init, (spec,), 2, site="service") as pool:
             return pool.run_chunks([1, 2])
 """
 

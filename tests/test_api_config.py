@@ -12,8 +12,6 @@ from repro.envconfig import (
     CACHE_DIR_ENV_VAR,
     CACHE_DISABLE_ENV_VAR,
     SCALE_ENV_VAR,
-    VERIFY_WORKERS_ENV_VAR,
-    WORKERS_ENV_VAR,
 )
 
 
@@ -30,15 +28,11 @@ class TestFrozen:
 
 class TestFromEnv:
     def test_snapshots_every_knob(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "3")
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "false")
         monkeypatch.setenv(SCALE_ENV_VAR, "medium")
         monkeypatch.setenv("REPRO_BATCHED", "0")
         config = RunConfig.from_env()
-        assert config.generation.workers == 4
-        assert config.generation.verify_workers == 3
         assert config.generation.cache_dir == str(tmp_path)
         assert config.generation.cache_enabled is True
         assert config.scale == "medium"
@@ -51,12 +45,15 @@ class TestFromEnv:
         assert config.with_overrides(batched=True).batched is True
 
     def test_verify_workers_unset_stays_deferred(self, monkeypatch):
-        monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_VERIFY_WORKERS", raising=False)
+        assert RunConfig.from_env().generation.verify_workers is None
+        # The knob is no longer read: a stale value cannot ask for workers.
+        monkeypatch.setenv("REPRO_VERIFY_WORKERS", "3")
         assert RunConfig.from_env().generation.verify_workers is None
 
     def test_verify_workers_flat_override_routes_to_generation(self):
-        config = RunConfig().with_overrides(verify_workers=2)
-        assert config.generation.verify_workers == 2
+        config = RunConfig().with_overrides(verify_workers=1)
+        assert config.generation.verify_workers == 1
 
     def test_disable_flag_zero_means_enabled(self, monkeypatch):
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "0")
@@ -64,17 +61,62 @@ class TestFromEnv:
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "1")
         assert RunConfig.from_env().generation.cache_enabled is False
 
-    def test_invalid_workers_warn_and_mean_serial(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "-3")
-        with pytest.warns(RuntimeWarning, match="negative"):
-            config = RunConfig.from_env()
-        assert config.generation.workers == 1
-
-    def test_overrides_win_over_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        config = RunConfig.from_env(workers=2, gate_set="ibm")
-        assert config.generation.workers == 2
+    def test_overrides_win_over_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "env"))
+        config = RunConfig.from_env(
+            cache_dir=str(tmp_path / "kwarg"), gate_set="ibm"
+        )
+        assert config.generation.cache_dir == str(tmp_path / "kwarg")
         assert config.gate_set == "ibm"
+
+
+class TestSerialOnlyWorkerFields:
+    """The worker-count fields accept only None or 1 (serial runs)."""
+
+    @pytest.mark.parametrize("value", [None, 1])
+    def test_none_and_one_construct(self, value):
+        assert GenerationConfig(workers=value).workers == value
+        assert GenerationConfig(verify_workers=value).verify_workers == value
+        assert SearchConfig(search_workers=value).search_workers == value
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GenerationConfig(workers=2),
+            lambda: GenerationConfig(verify_workers=2),
+            lambda: SearchConfig(search_workers=2),
+            lambda: RunConfig().with_overrides(workers=0),
+        ],
+        ids=["workers", "verify_workers", "search_workers", "override"],
+    )
+    def test_more_workers_raise(self, build):
+        with pytest.raises(ValueError, match="serially"):
+            build()
+
+    def test_serial_overrides_route_flat(self):
+        config = RunConfig().with_overrides(
+            workers=1, verify_workers=1, search_workers=1
+        )
+        assert config.generation.workers == 1
+        assert config.search.search_workers == 1
+
+    def test_config_file_asking_for_workers_raises(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"generation": {"workers": 4}}))
+        with pytest.raises(ValueError, match="workers=4"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "layer, field",
+        [("generation", "verify_workers"), ("search", "search_workers")],
+    )
+    def test_config_file_asking_for_other_pool_workers_raises(
+        self, tmp_path, layer, field
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({layer: {field: 2}}))
+        with pytest.raises(ValueError, match=f"{field}=2"):
+            RunConfig.from_file(path)
 
 
 class TestOverrides:
@@ -109,22 +151,22 @@ class TestOverrides:
 
 class TestSources:
     def test_precedence_env_file_kwargs(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "env"))
         monkeypatch.setenv(SCALE_ENV_VAR, "quick")
         config_file = tmp_path / "config.json"
         config_file.write_text(
             json.dumps(
                 {
                     "gate_set": "ibm",
-                    "generation": {"workers": 2, "n": 2},
+                    "generation": {"cache_dir": str(tmp_path / "file"), "n": 2},
                     "search": {"strategy": "beam"},
                 }
             )
         )
         config = RunConfig.from_sources(file=config_file, gate_set="rigetti")
-        # env set workers=4, the file overrode it to 2, kwargs overrode
-        # the file's gate set.
-        assert config.generation.workers == 2
+        # env set the cache dir, the file overrode it, kwargs overrode the
+        # file's gate set.
+        assert config.generation.cache_dir == str(tmp_path / "file")
         assert config.generation.n == 2
         assert config.search.strategy == "beam"
         assert config.gate_set == "rigetti"

@@ -2,9 +2,8 @@
 
 The acceptance bar of the API redesign: the facade must reproduce the
 hand-wired pipeline *byte for byte* — identical ``ECCSet.to_json`` for the
-raw and pruned sets (serial and 2-worker configs) and the identical
-best-circuit cost on the quick experiment scale — while every old entry
-point keeps working.
+raw and pruned sets and the identical best-circuit cost on the quick
+experiment scale — while every old entry point keeps working.
 """
 
 from __future__ import annotations
@@ -69,23 +68,28 @@ class TestByteIdentity:
         assert report.initial_cost == search.initial_cost
 
     def test_two_worker_facade_matches_hand_wired(self, hand_wired_quick):
-        result, pruned, search = hand_wired_quick
-        clear_memory_caches()
-        facade = _quick_facade(workers=2)
-        assert facade.generate().ecc_set.to_json() == result.ecc_set.to_json()
-        assert facade.ecc_set().to_json() == pruned.to_json()
-        report = facade.optimize(benchmark_circuit("tof_3"))
-        assert report.final_cost == search.final_cost
+        # The facade served by the service's two-worker pool: each worker
+        # builds its own warm facade (generation included) from the config
+        # dict, and the job it runs reports the hand-wired result.
+        from repro.service.executor import PoolExecutor
 
-    def test_two_verify_worker_facade_matches_hand_wired(self, hand_wired_quick):
-        result, pruned, search = hand_wired_quick
-        clear_memory_caches()
-        facade = _quick_facade(verify_workers=2)
-        assert facade.generate().ecc_set.to_json() == result.ecc_set.to_json()
-        assert facade.ecc_set().to_json() == pruned.to_json()
-        report = facade.optimize(benchmark_circuit("tof_3"))
-        assert report.final_cost == search.final_cost
-        assert report.provenance["verify_workers"] == 2
+        _result, pruned, search = hand_wired_quick
+        config = _quick_facade().config.as_dict()
+        executor = PoolExecutor(config, 2, chunk_timeout=120.0)
+        try:
+            report = executor.run(
+                {"qasm": to_qasm(benchmark_circuit("tof_3")), "config": config}
+            )
+        finally:
+            executor.close()
+        assert report["costs"]["final"] == search.final_cost
+        assert report["costs"]["initial"] == search.initial_cost
+        assert report["num_transformations"] == len(
+            transformations_from_ecc_set(pruned)
+        )
+        assert report["provenance"]["strategy"] == "backtracking"
+        for removed in ("workers", "verify_workers", "search_workers"):
+            assert removed not in report["provenance"]
 
 
 class TestRunReport:
@@ -116,8 +120,9 @@ class TestRunReport:
         assert p["strategy"] == "backtracking"
         assert p["gate_set"] == "nam"
         assert p["n"] == 3 and p["q"] == 2
-        assert p["workers"] >= 1
-        assert p["verify_workers"] >= 1
+        # Generation and search run serially: no worker counts to report.
+        for removed in ("workers", "verify_workers", "search_workers"):
+            assert removed not in p
         assert p["generation_source"] in {"generated", "memo", "disk"}
         # The active batch path: backend name plus batched true/false (and
         # which kernel family served it).

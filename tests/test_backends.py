@@ -2,10 +2,9 @@
 
 The parity property the registry must preserve: swapping the backend may
 change *how fast* states evolve but never *which circuits are judged
-equivalent*.  The numba kernel's logic is exercised everywhere through its
-uncompiled reference (:func:`apply_gate_reference`); the JIT-compiled
-backend itself is additionally tested when numba is installed (the CI
-numba leg) and skipped — never failed — when it is not.
+equivalent*.  A fake backend built on the bit-loop kernel of
+``reference_kernels`` (:func:`apply_gate_reference`) stands in for a
+second implementation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.semantics.backend import (
     registered_backends,
 )
 from repro.semantics.fingerprint import FingerprintContext
-from repro.semantics.numba_backend import apply_gate_reference, numba_available
 from repro.semantics.simulator import (
     circuit_unitary,
     instruction_unitary,
@@ -36,12 +34,14 @@ from repro.semantics.simulator import (
     unitaries_equal_up_to_phase,
 )
 
+from reference_kernels import apply_gate_reference
+
 #: Small benchmark circuits whose full unitaries stay cheap to form.
 PARITY_BENCHMARKS = ["tof_3", "barenco_tof_3", "mod5_4"]
 
 
 class KernelReferenceBackend(SimulatorBackend):
-    """The numba kernel's logic, uncompiled — runs on every machine."""
+    """A second backend: the bit-loop kernel instead of numpy's reshape."""
 
     name = "kernel-reference"
 
@@ -56,12 +56,21 @@ class TestRegistry:
         assert "numpy" in available_backends()
         assert backend_available("numpy")
 
-    def test_numba_is_registered_even_when_unavailable(self):
-        assert "numba" in registered_backends()
-        if not numba_available():
-            assert "numba" not in available_backends()
-            with pytest.raises(BackendUnavailableError, match="numba"):
-                get_backend("numba")
+    def test_backend_with_missing_dependency_is_registered_not_available(self):
+        def missing_dependency():
+            raise BackendUnavailableError("needs the 'fake' package")
+
+        register_backend("test-unavailable", missing_dependency)
+        try:
+            assert "test-unavailable" in registered_backends()
+            assert "test-unavailable" not in available_backends()
+            assert not backend_available("test-unavailable")
+            with pytest.raises(BackendUnavailableError, match="fake"):
+                get_backend("test-unavailable")
+        finally:
+            from repro.semantics import backend as backend_module
+
+            backend_module._FACTORIES.pop("test-unavailable")
 
     def test_unknown_backend_raises_with_known_names(self):
         with pytest.raises(KeyError, match="numpy"):
@@ -154,11 +163,6 @@ class TestBenchmarkVerdictParity:
         # Sanity: the pairs really alternate equivalent / not equivalent.
         assert numpy_verdicts == [True, False] * len(PARITY_BENCHMARKS)
 
-    def test_numba_verdicts_match_numpy(self):
-        pytest.importorskip("numba")
-        numpy_verdicts = _parity_verdicts(get_backend("numpy"))
-        assert numpy_verdicts == _parity_verdicts(get_backend("numba"))
-
 
 class TestFingerprintBackendWiring:
     def test_default_backend_hash_keys_are_bit_identical(self):
@@ -177,35 +181,6 @@ class TestFingerprintBackendWiring:
             assert default.hash_key(circuit) == explicit.hash_key(circuit)
             assert default.fingerprint(circuit) == explicit.fingerprint(circuit)
 
-    def test_spec_roundtrip_carries_the_backend(self):
-        context = FingerprintContext(2, 1, backend="numpy")
-        spec = context.spec()
-        assert spec["backend"] == "numpy"
-        rebuilt = FingerprintContext.from_spec(spec)
-        assert rebuilt.backend_name == "numpy"
-        circuit = Circuit(2).h(0).cx(0, 1)
-        assert rebuilt.hash_key(circuit) == context.hash_key(circuit)
-
-    def test_old_specs_without_backend_still_load(self):
-        context = FingerprintContext(2, 1)
-        spec = context.spec()
-        del spec["backend"]
-        assert FingerprintContext.from_spec(spec).backend_name == "numpy"
-
-    def test_numba_backend_fingerprints_bucket_consistently(self):
-        pytest.importorskip("numba")
-        numba_context = FingerprintContext(2, 0, backend="numba")
-        numpy_context = FingerprintContext(2, 0)
-        circuit = Circuit(2).h(0).cx(0, 1).t(1).h(1)
-        # Same random inputs, numerically equal fingerprints (the float
-        # arithmetic differs, so equality is up to tolerance, and the
-        # bucket keys may differ by at most one).
-        assert numba_context.fingerprint(circuit) == pytest.approx(
-            numpy_context.fingerprint(circuit), abs=1e-9
-        )
-        assert abs(
-            numba_context.hash_key(circuit) - numpy_context.hash_key(circuit)
-        ) <= 1
 
 
 class TestVerifierBackendWiring:
@@ -237,25 +212,6 @@ class TestVerifierBackendWiring:
         foreign = EquivalenceVerifier(num_params=2, seed=999)
         generator2 = RepGen(NAM, num_qubits=2, num_params=2, verifier=foreign)
         assert foreign._fingerprint_contexts.get(2) is not generator2.fingerprints
-
-
-class TestNumbaBackendEndToEnd:
-    def test_numba_generation_matches_numpy_eccs(self):
-        pytest.importorskip("numba")
-        from repro.generator import RepGen
-        from repro.ir.gatesets import NAM
-
-        numpy_result = RepGen(NAM, num_qubits=2, num_params=2).generate(2)
-        numba_result = RepGen(
-            NAM, num_qubits=2, num_params=2, backend="numba"
-        ).generate(2)
-        assert (
-            numba_result.stats.num_eccs == numpy_result.stats.num_eccs
-        )
-        assert (
-            numba_result.stats.num_transformations
-            == numpy_result.stats.num_transformations
-        )
 
 
 class TestBatchedVerdictIdentity:

@@ -6,32 +6,36 @@ inner products happen, never *what* they compute.  Concretely:
 * on the numpy backend, every batched operation is **bit-identical** to the
   per-state loop (asserted with ``np.array_equal`` / integer equality on
   hash keys — the property the fingerprint bucketing relies on);
-* the numba kernel logic (run uncompiled here, JIT-compiled in the CI
-  numba leg) agrees with numpy to floating-point tolerance on every gate
-  shape and batch size;
+* the bit-loop kernels of ``reference_kernels`` (the fused-kernel fake
+  backend below) agree with numpy to floating-point tolerance on every
+  gate shape and batch size;
 * ``FingerprintContext.hash_keys_batched`` returns exactly the keys the
-  per-state ``hash_key_appended`` path returns, degenerate batches of one
-  state never touch the stacked-array kernel, and the flag round-trips
-  through specs and pickling.
+  per-state ``hash_key_appended`` path returns, and degenerate batches of
+  one state never touch the stacked-array kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.circuit import Circuit, Instruction
 from repro.perf import PerfRecorder
-from repro.semantics.backend import NumpyBackend, SimulatorBackend, get_backend
+from repro.semantics.backend import (
+    NumpyBackend,
+    SimulatorBackend,
+    get_backend,
+    register_backend,
+)
 from repro.semantics.fingerprint import FingerprintContext, resolve_batched
-from repro.semantics.numba_backend import (
+from repro.semantics.simulator import instruction_unitary, random_state
+
+from reference_kernels import (
     apply_gate_batch_reference,
     apply_gate_reference,
     inner_product_batch_reference,
 )
-from repro.semantics.simulator import instruction_unitary, random_state
 
 #: (gate name, operand count) pool for random gate draws.
 GATE_POOL = [
@@ -74,11 +78,11 @@ class LoopBackend(SimulatorBackend):
 
 
 class FusedReferenceBackend(SimulatorBackend):
-    """Uncompiled stand-in for a fused-kernel backend (numba-shaped).
+    """Stand-in for a fused-kernel backend.
 
-    Declares ``batch_bit_identical = False`` like the real numba backend,
-    so it drives the fingerprint layer's fused-backend code paths on
-    machines without numba.
+    Its batch kernel reorders arithmetic, so it declares
+    ``batch_bit_identical = False`` and drives the fingerprint layer's
+    fused-backend code paths.
     """
 
     name = "fused-reference"
@@ -247,10 +251,9 @@ class TestHashKeysBatched:
 
     def test_fused_backend_keys_independent_of_chunking(self):
         """On fused-kernel backends a candidate's amplitude must not depend
-        on how candidates were grouped: worker chunking changes group
-        composition (a shared instruction can degenerate to singletons), so
-        every batch size — including 1 — must route through the same
-        kernel, or sharded runs would diverge from serial ones by ulps."""
+        on how candidates were grouped: a shared instruction can degenerate
+        to singletons, so every batch size — including 1 — must route
+        through the same kernel, or keys would depend on grouping by ulps."""
         parents = [Circuit(2).h(0), Circuit(2).h(0).cx(0, 1), Circuit(2).x(1)]
         shared = [Instruction("x", (0,)), Instruction("cx", (1, 0))]
         jobs = [(parent, list(shared)) for parent in parents]
@@ -305,26 +308,6 @@ class TestBatchedKnobPlumbing:
         assert resolve_batched(True) is True
         assert resolve_batched(False) is False
 
-    def test_context_spec_roundtrip_carries_batched(self):
-        context = FingerprintContext(2, 1, batched=False)
-        spec = context.spec()
-        assert spec["batched"] is False
-        assert FingerprintContext.from_spec(spec).batched is False
-        # Old specs (pre-batching) default to the batched path, which is
-        # bit-identical on the backends they could name.
-        del spec["batched"]
-        assert FingerprintContext.from_spec(spec).batched is True
-
-    def test_verifier_spec_roundtrip_carries_batched(self):
-        from repro.verifier import EquivalenceVerifier
-
-        verifier = EquivalenceVerifier(num_params=1, batched=False)
-        spec = verifier.spec()
-        assert spec["batched"] is False
-        assert EquivalenceVerifier.from_spec(spec).batched is False
-        del spec["batched"]
-        assert EquivalenceVerifier.from_spec(spec).batched is True
-
     def test_repgen_batched_cache_namespace_is_shared_on_numpy(self):
         from repro.generator import RepGen
         from repro.ir.gatesets import NAM
@@ -334,6 +317,27 @@ class TestBatchedKnobPlumbing:
         # Bit-identical batching must share cache blobs with per-state runs.
         assert batched._cache_key(2) == per_state._cache_key(2)
         assert batched._cache_key(2).kind == "repgen"
+
+    def test_repgen_batched_cache_namespace_is_separate_on_fused_backends(self):
+        from repro.generator import RepGen
+        from repro.ir.gatesets import NAM
+        from repro.semantics import backend as backend_module
+
+        register_backend("fused-reference", FusedReferenceBackend)
+        try:
+            batched = RepGen(
+                NAM, num_qubits=2, num_params=2, backend="fused-reference",
+                batched=True,
+            )
+            per_state = RepGen(
+                NAM, num_qubits=2, num_params=2, backend="fused-reference",
+                batched=False,
+            )
+            assert batched._cache_key(2).kind == "repgen@fused-reference+batch"
+            assert per_state._cache_key(2).kind == "repgen@fused-reference"
+        finally:
+            backend_module._FACTORIES.pop("fused-reference")
+            backend_module._INSTANCES.pop("fused-reference", None)
 
 
 class TestGenerationByteIdentity:
@@ -348,78 +352,32 @@ class TestGenerationByteIdentity:
         assert per_state.stats.perf.get("fingerprint.batched.calls", 0) == 0
 
     def test_batched_workers_match_per_state_serial(self):
+        # Batched generation in the workers of a pool (as the service's
+        # warming workers run it) equals per-state generation in this
+        # process: batch grouping must not depend on the process.
         from repro.generator import RepGen
         from repro.ir.gatesets import NAM
+        from repro.workerpool import ResilientPool
 
-        parallel = RepGen(
-            NAM, num_qubits=2, num_params=2, workers=2, batched=True
-        ).generate(2)
+        with ResilientPool(
+            _batched_generation_chunk, _noop_init, (), 2, site="service",
+            chunk_timeout=60.0,
+        ) as pool:
+            pooled = pool.run_chunks([0, 1])
         serial = RepGen(
             NAM, num_qubits=2, num_params=2, batched=False
         ).generate(2)
-        assert parallel.ecc_set.to_json() == serial.ecc_set.to_json()
+        assert pooled == [serial.ecc_set.to_json()] * 2
 
 
-class TestCompiledNumbaBatchKernels:
-    """JIT parity — runs in the CI numba leg, skips elsewhere."""
+def _noop_init() -> None:
+    pass
 
-    @pytest.fixture(autouse=True)
-    def _require_numba(self):
-        pytest.importorskip("numba")
 
-    def test_compiled_batch_kernel_matches_numpy(self):
-        backend = get_backend("numba")
-        numpy_backend = get_backend("numpy")
-        rng = np.random.default_rng(23)
-        for gate, qubits, num_qubits in [
-            ("h", (2,), 4),
-            ("x", (0,), 1),
-            ("cx", (3, 1), 4),
-            ("cz", (0, 2), 3),
-            ("ccx", (4, 0, 2), 5),
-        ]:
-            matrix = instruction_unitary(Instruction(gate, qubits))
-            states = np.stack([random_state(num_qubits, rng) for _ in range(7)])
-            np.testing.assert_allclose(
-                backend.apply_gate_batch(states, matrix, qubits, num_qubits),
-                numpy_backend.apply_gate_batch(states, matrix, qubits, num_qubits),
-                atol=1e-12,
-            )
+def _batched_generation_chunk(payload):
+    from repro.generator import RepGen
+    from repro.ir.gatesets import NAM
 
-    def test_compiled_inner_product_matches_vdot(self):
-        backend = get_backend("numba")
-        rng = np.random.default_rng(29)
-        bra = random_state(4, rng)
-        states = np.stack([random_state(4, rng) for _ in range(9)])
-        np.testing.assert_allclose(
-            backend.inner_product_batch(bra, states),
-            np.array([np.vdot(bra, s) for s in states]),
-            atol=1e-12,
-        )
-
-    def test_numba_batched_generation_matches_numpy_eccs(self):
-        from repro.generator import RepGen
-        from repro.ir.gatesets import NAM
-
-        numpy_result = RepGen(NAM, num_qubits=2, num_params=2).generate(2)
-        numba_result = RepGen(
-            NAM, num_qubits=2, num_params=2, backend="numba", batched=True
-        ).generate(2)
-        assert numba_result.stats.num_eccs == numpy_result.stats.num_eccs
-        assert (
-            numba_result.stats.num_transformations
-            == numpy_result.stats.num_transformations
-        )
-
-    def test_numba_batched_cache_namespace_is_separate(self):
-        from repro.generator import RepGen
-        from repro.ir.gatesets import NAM
-
-        batched = RepGen(
-            NAM, num_qubits=2, num_params=2, backend="numba", batched=True
-        )
-        per_state = RepGen(
-            NAM, num_qubits=2, num_params=2, backend="numba", batched=False
-        )
-        assert batched._cache_key(2).kind == "repgen@numba+batch"
-        assert per_state._cache_key(2).kind == "repgen@numba"
+    result = RepGen(NAM, num_qubits=2, num_params=2, batched=True).generate(2)
+    assert result.stats.perf.get("fingerprint.batched.calls", 0) > 0
+    return result.ecc_set.to_json()

@@ -7,13 +7,13 @@ import json
 import pytest
 
 from repro.experiments import cli
+from repro.envconfig import RESUME_ENV_VAR
 from repro.generator.cache import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
-from repro.generator.parallel import WORKERS_ENV_VAR
 
 
 class TestSharedFlagTranslation:
     def test_flags_reach_the_env_knobs(self, monkeypatch, tmp_path):
-        for var in (CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, WORKERS_ENV_VAR):
+        for var in (CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, RESUME_ENV_VAR):
             # setenv-then-delenv registers the var with monkeypatch so the
             # values _apply_shared_flags writes are rolled back at teardown
             # (delenv alone does not record vars that were absent).
@@ -22,8 +22,7 @@ class TestSharedFlagTranslation:
         args = cli.build_parser().parse_args(
             [
                 "generate",
-                "--workers",
-                "3",
+                "--resume",
                 "--cache-dir",
                 str(tmp_path),
                 "--no-cache",
@@ -32,21 +31,21 @@ class TestSharedFlagTranslation:
         cli._apply_shared_flags(args)
         import os
 
-        # --workers must reach RepGen runs buried inside table drivers that
-        # do not thread a workers parameter, hence the env translation.
-        assert os.environ[WORKERS_ENV_VAR] == "3"
+        # The flags must reach RepGen runs buried inside table drivers that
+        # do not thread a cache parameter, hence the env translation.
+        assert os.environ[RESUME_ENV_VAR] == "1"
         assert os.environ[CACHE_DIR_ENV_VAR] == str(tmp_path)
         assert os.environ[CACHE_DISABLE_ENV_VAR] == "1"
 
     def test_absent_flags_touch_nothing(self, monkeypatch):
-        for var in (CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, WORKERS_ENV_VAR):
+        for var in (CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, RESUME_ENV_VAR):
             monkeypatch.setenv(var, "sentinel")
             monkeypatch.delenv(var)
         args = cli.build_parser().parse_args(["generate"])
         cli._apply_shared_flags(args)
         import os
 
-        assert WORKERS_ENV_VAR not in os.environ
+        assert RESUME_ENV_VAR not in os.environ
         assert CACHE_DIR_ENV_VAR not in os.environ
         assert CACHE_DISABLE_ENV_VAR not in os.environ
 
@@ -79,3 +78,18 @@ class TestCommands:
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--workers", "--verify-workers", "--search-workers",
+         "--chunk-timeout", "--chunk-retries"],
+    )
+    def test_removed_pool_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["generate", flag, "2"])
+
+    def test_registry_lists_the_serial_strategies(self, capsys):
+        assert cli.main(["registry", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["strategies"] == ["backtracking", "beam", "greedy"]
+        assert list(payload["backends"]) == ["numpy"]

@@ -1,7 +1,7 @@
 """Unit tests for the centralized REPRO_* environment parsing.
 
 Every knob has its edge cases pinned here: invalid and negative worker
-counts fall back to serial with a warning, and ``REPRO_CACHE_DISABLE``
+counts fall back to one worker with a warning, and ``REPRO_CACHE_DISABLE``
 only disables on truthy values — ``0``/``false``/``off`` keep the cache
 *enabled* (case-insensitively), which is what the flag's name promises.
 """
@@ -17,90 +17,50 @@ from repro.envconfig import (
     CACHE_DIR_ENV_VAR,
     CACHE_DISABLE_ENV_VAR,
     SCALE_ENV_VAR,
-    VERIFY_WORKERS_ENV_VAR,
-    WORKERS_ENV_VAR,
+    SERVICE_WORKERS_ENV_VAR,
 )
 from repro.generator.cache import ECCCache
-from repro.generator.parallel import resolve_workers
-from repro.verifier.parallel import resolve_verify_workers
 
 
 class TestWorkers:
+    """``parse_workers`` rules, read through ``REPRO_SERVICE_WORKERS``."""
+
     def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_workers() == 1
-        assert envconfig.env_workers_optional() is None
-        assert resolve_workers() == 1
+        monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
+        assert envconfig.env_service_workers() == 1
 
     @pytest.mark.parametrize("raw,expected", [("1", 1), ("2", 2), ("8", 8)])
     def test_valid_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        assert envconfig.env_workers() == expected
-        assert resolve_workers() == expected
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, raw)
+        assert envconfig.env_service_workers() == expected
 
     @pytest.mark.parametrize("raw", ["nope", "2.5", "two", "1e3"])
     def test_invalid_values_warn_and_mean_serial(self, monkeypatch, raw):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert envconfig.env_workers() == 1
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, raw)
+        with pytest.warns(RuntimeWarning, match="non-integer.*REPRO_SERVICE_WORKERS"):
+            assert envconfig.env_service_workers() == 1
 
     @pytest.mark.parametrize("raw", ["-1", "-16"])
     def test_negative_values_warn_and_mean_serial(self, monkeypatch, raw):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.warns(RuntimeWarning, match="negative"):
-            assert envconfig.env_workers() == 1
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, raw)
+        with pytest.warns(RuntimeWarning, match="negative.*REPRO_SERVICE_WORKERS"):
+            assert envconfig.env_service_workers() == 1
 
     def test_zero_means_serial_without_warning(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "0")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert envconfig.env_workers() == 1
+            assert envconfig.env_service_workers() == 1
 
     def test_whitespace_only_means_serial(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "   ")
-        assert envconfig.env_workers() == 1
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "   ")
+        assert envconfig.env_service_workers() == 1
 
     def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
+        from repro.service import ServiceConfig
 
-
-class TestVerifyWorkers:
-    def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_verify_workers() == 1
-        assert envconfig.env_verify_workers_optional() is None
-        assert resolve_verify_workers() == 1
-
-    @pytest.mark.parametrize("raw,expected", [("1", 1), ("2", 2), ("8", 8)])
-    def test_valid_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, raw)
-        assert envconfig.env_verify_workers() == expected
-        assert resolve_verify_workers() == expected
-
-    @pytest.mark.parametrize("raw", ["nope", "2.5"])
-    def test_invalid_values_warn_and_mean_serial(self, monkeypatch, raw):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, raw)
-        with pytest.warns(RuntimeWarning, match="non-integer.*REPRO_VERIFY_WORKERS"):
-            assert envconfig.env_verify_workers() == 1
-
-    @pytest.mark.parametrize("raw", ["-1", "-16"])
-    def test_negative_values_warn_and_mean_serial(self, monkeypatch, raw):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, raw)
-        with pytest.warns(RuntimeWarning, match="negative.*REPRO_VERIFY_WORKERS"):
-            assert envconfig.env_verify_workers() == 1
-
-    def test_independent_of_gen_workers(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_workers() == 4
-        assert envconfig.env_verify_workers() == 1
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "3")
-        assert envconfig.env_verify_workers() == 3
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "7")
-        assert resolve_verify_workers(3) == 3
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "7")
+        assert ServiceConfig.from_env(workers=3).workers == 3
 
 
 class TestBatched:
@@ -222,8 +182,8 @@ class TestFaultsEnv:
     def test_value_is_stripped_not_parsed(self, monkeypatch):
         # Parsing (and strict validation) happens in repro.faults; the env
         # layer only hands the raw plan text through.
-        monkeypatch.setenv(envconfig.FAULTS_ENV_VAR, "  kill_worker:gen:round2  ")
-        assert envconfig.env_faults() == "kill_worker:gen:round2"
+        monkeypatch.setenv(envconfig.FAULTS_ENV_VAR, "  kill_worker:service:2  ")
+        assert envconfig.env_faults() == "kill_worker:service:2"
 
 
 class TestCacheDirAndScale:
@@ -321,48 +281,31 @@ class TestServiceKnobs:
 
 class TestSearchKnobs:
     def test_search_workers_default_valid_and_invalid(self, monkeypatch):
-        monkeypatch.delenv(envconfig.SEARCH_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_search_workers() == 1
-        assert envconfig.env_search_workers_optional() is None
-        monkeypatch.setenv(envconfig.SEARCH_WORKERS_ENV_VAR, " 4 ")
-        assert envconfig.env_search_workers() == 4
-        assert envconfig.env_search_workers_optional() == 4
-        # Invalid and negative values warn and mean serial — the same
-        # convention as every other worker knob.
-        for raw in ("many", "-2", "2.5"):
-            monkeypatch.setenv(envconfig.SEARCH_WORKERS_ENV_VAR, raw)
-            with pytest.warns(RuntimeWarning):
-                assert envconfig.env_search_workers() == 1
-
-    def test_portfolio_roster_parsing(self, monkeypatch):
-        monkeypatch.delenv(envconfig.PORTFOLIO_ENV_VAR, raising=False)
-        assert envconfig.env_portfolio_optional() is None
-        monkeypatch.setenv(
-            envconfig.PORTFOLIO_ENV_VAR, " Greedy, beam ,,parallel-backtracking "
-        )
-        assert envconfig.env_portfolio_optional() == (
-            "greedy",
-            "beam",
-            "parallel-backtracking",
-        )
-
-    def test_empty_portfolio_warns_and_means_default(self, monkeypatch):
-        for raw in ("", " , ,"):
-            monkeypatch.setenv(envconfig.PORTFOLIO_ENV_VAR, raw)
-            with pytest.warns(RuntimeWarning, match="default portfolio"):
-                assert envconfig.env_portfolio_optional() is None
-
-    def test_run_config_snapshots_search_knobs(self, monkeypatch):
+        # REPRO_SEARCH_WORKERS is no longer read: unset, once-valid and
+        # invalid values all leave the search serial, without a warning.
         from repro.api import RunConfig
 
-        monkeypatch.setenv(envconfig.SEARCH_WORKERS_ENV_VAR, "2")
-        monkeypatch.setenv(envconfig.PORTFOLIO_ENV_VAR, "greedy,beam")
+        monkeypatch.delenv("REPRO_SEARCH_WORKERS", raising=False)
+        assert RunConfig.from_env().search.search_workers is None
+        for raw in (" 4 ", "many", "-2", "2.5"):
+            monkeypatch.setenv("REPRO_SEARCH_WORKERS", raw)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert RunConfig.from_env().search.search_workers is None
+
+
+class TestRemovedKnobs:
+    def test_run_config_ignores_removed_worker_knobs(self, monkeypatch):
+        from repro.api import RunConfig
+
+        for var, raw in (
+            ("REPRO_GEN_WORKERS", "4"),
+            ("REPRO_VERIFY_WORKERS", "3"),
+            ("REPRO_SEARCH_WORKERS", "2"),
+            ("REPRO_PORTFOLIO", "greedy,beam"),
+        ):
+            monkeypatch.setenv(var, raw)
         config = RunConfig.from_env()
-        assert config.search.search_workers == 2
-        assert config.search.portfolio == ("greedy", "beam")
-        options = config.search.options_for
-        assert options("parallel-backtracking")["workers"] == 2
-        portfolio_options = options("portfolio")
-        assert portfolio_options["racers"] == ("greedy", "beam")
-        assert portfolio_options["workers"] == 2
-        assert portfolio_options["early_cancel"] is True
+        assert config.generation.workers is None
+        assert config.generation.verify_workers is None
+        assert config.search.search_workers is None

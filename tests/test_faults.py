@@ -1,8 +1,8 @@
 """Unit tests for the deterministic fault-injection registry (repro.faults).
 
 The chaos CI leg is only as trustworthy as the plan grammar: a schedule
-that silently never fires would make every byte-identity-under-faults
-check vacuous.  So parsing is strict (malformed plans raise
+that silently never fires would make every recovery-under-faults check
+vacuous.  So parsing is strict (malformed plans raise
 ``FaultConfigError``), firing is deterministic (pinned here entry by
 entry), and the plan state machinery (nth counting, once-consumption,
 round targeting, reset) is covered directly.
@@ -30,16 +30,16 @@ def _clean_fault_plan():
 
 class TestSpecParsing:
     def test_default_when_is_once(self):
-        spec = FaultSpec.parse("kill_worker:gen")
-        assert (spec.action, spec.site) == ("kill_worker", "gen")
+        spec = FaultSpec.parse("kill_worker:service")
+        assert (spec.action, spec.site) == ("kill_worker", "service")
         assert (spec.when_kind, spec.when_value) == ("nth", 1)
 
     def test_round_trigger(self):
-        spec = FaultSpec.parse("delay_chunk:verify:round3")
+        spec = FaultSpec.parse("crash_run:gen:round3")
         assert (spec.when_kind, spec.when_value) == ("round", 3)
 
     def test_nth_trigger(self):
-        spec = FaultSpec.parse("fail_chunk:gen:4")
+        spec = FaultSpec.parse("fail_chunk:service:4")
         assert (spec.when_kind, spec.when_value) == ("nth", 4)
 
     @pytest.mark.parametrize("when", ["*", "always"])
@@ -48,8 +48,8 @@ class TestSpecParsing:
         assert spec.when_kind == "always"
 
     def test_case_and_whitespace_insensitive(self):
-        spec = FaultSpec.parse("  Kill_Worker : GEN : Round2  ".replace(" ", ""))
-        assert (spec.action, spec.site) == ("kill_worker", "gen")
+        spec = FaultSpec.parse("  Kill_Worker : SERVICE : Round2  ".replace(" ", ""))
+        assert (spec.action, spec.site) == ("kill_worker", "service")
         spec = FaultSpec.parse(" corrupt_blob : cache ")
         assert (spec.action, spec.site) == ("corrupt_blob", "cache")
 
@@ -60,12 +60,21 @@ class TestSpecParsing:
             "kill_worker:gen:once:extra",  # too many fields
             "nuke_it:gen",  # unknown action
             "kill_worker:everywhere",  # unknown site
-            "corrupt_blob:gen",  # cache-only action at a pool site
-            "crash_run:verify",  # gen-only action at the verify site
-            "kill_worker:gen:roundx",  # malformed round
-            "kill_worker:gen:round0",  # rounds are 1-based
-            "kill_worker:gen:0",  # nth is 1-based
-            "kill_worker:gen:sometimes",  # unknown trigger
+            "corrupt_blob:gen",  # cache-only action at the gen site
+            "corrupt_blob:service",  # cache-only action at the pool site
+            "crash_run:verify",  # the verify site is gone
+            "crash_run:service",  # gen-only action at the pool site
+            # Chunk actions fire only at the service pool's site.
+            "kill_worker:gen:roundx",
+            "kill_worker:gen:round0",
+            "kill_worker:gen:0",
+            "kill_worker:gen:sometimes",
+            "delay_chunk:verify",
+            "fail_chunk:search",
+            "kill_worker:service:roundx",  # malformed round
+            "kill_worker:service:round0",  # rounds are 1-based
+            "kill_worker:service:0",  # nth is 1-based
+            "kill_worker:service:sometimes",  # unknown trigger
             "kill_worker::once",  # empty field
         ],
     )
@@ -74,7 +83,7 @@ class TestSpecParsing:
             FaultSpec.parse(entry)
 
     def test_spec_string_round_trips(self):
-        for entry in ("kill_worker:gen:1", "delay_chunk:verify:round2", "torn_read:cache:*"):
+        for entry in ("kill_worker:service:1", "crash_run:gen:round2", "torn_read:cache:*"):
             assert FaultSpec.parse(entry).spec_string() == entry
 
 
@@ -82,82 +91,83 @@ class TestPlanFiring:
     def test_empty_plan_is_falsy_and_never_fires(self):
         plan = FaultPlan.from_string("  , ,  ")
         assert not plan
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
+        assert plan.fire("service", faults.CHUNK_ACTIONS) is None
 
     def test_once_fires_exactly_once(self):
-        plan = FaultPlan.from_string("fail_chunk:gen")
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) == "fail_chunk"
+        plan = FaultPlan.from_string("fail_chunk:service")
+        assert plan.fire("service", faults.CHUNK_ACTIONS) == "fail_chunk"
         for _ in range(3):
-            assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
+            assert plan.fire("service", faults.CHUNK_ACTIONS) is None
 
     def test_nth_counts_consultations(self):
-        plan = FaultPlan.from_string("fail_chunk:gen:3")
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) == "fail_chunk"
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
+        plan = FaultPlan.from_string("fail_chunk:service:3")
+        assert plan.fire("service", faults.CHUNK_ACTIONS) is None
+        assert plan.fire("service", faults.CHUNK_ACTIONS) is None
+        assert plan.fire("service", faults.CHUNK_ACTIONS) == "fail_chunk"
+        assert plan.fire("service", faults.CHUNK_ACTIONS) is None
 
     def test_always_fires_every_time(self):
-        plan = FaultPlan.from_string("delay_chunk:gen:*")
+        plan = FaultPlan.from_string("delay_chunk:service:*")
         for _ in range(3):
-            assert plan.fire("gen", faults.CHUNK_ACTIONS) == "delay_chunk"
+            assert plan.fire("service", faults.CHUNK_ACTIONS) == "delay_chunk"
 
     def test_round_trigger_waits_for_its_round(self):
-        plan = FaultPlan.from_string("kill_worker:gen:round2")
-        assert plan.fire("gen", faults.CHUNK_ACTIONS, round_index=1) is None
-        assert plan.fire("gen", faults.CHUNK_ACTIONS, round_index=3) is None
-        assert plan.fire("gen", faults.CHUNK_ACTIONS, round_index=2) == "kill_worker"
-        # Consumed: a second dispatch in the same round stays clean.
-        assert plan.fire("gen", faults.CHUNK_ACTIONS, round_index=2) is None
+        plan = FaultPlan.from_string("crash_run:gen:round2")
+        crash = ("crash_run",)
+        assert plan.fire("gen", crash, round_index=1) is None
+        assert plan.fire("gen", crash, round_index=3) is None
+        assert plan.fire("gen", crash, round_index=2) == "crash_run"
+        # Consumed: a second consult in the same round stays clean.
+        assert plan.fire("gen", crash, round_index=2) is None
 
     def test_site_and_action_filtering(self):
-        plan = FaultPlan.from_string("kill_worker:verify,crash_run:gen")
-        # A gen chunk dispatch consults neither entry: wrong site for the
-        # first, crash_run is not in the offered action set for the second —
-        # and crucially its trigger is NOT burned by the consult.
+        plan = FaultPlan.from_string("kill_worker:service,crash_run:gen")
+        # A chunk consult at the gen site matches neither entry: wrong site
+        # for the first, crash_run is not in the offered action set for the
+        # second — and crucially its trigger is NOT burned by the consult.
         assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
         assert plan.fire("gen", ("crash_run",)) == "crash_run"
-        assert plan.fire("verify", faults.CHUNK_ACTIONS) == "kill_worker"
+        assert plan.fire("service", faults.CHUNK_ACTIONS) == "kill_worker"
 
     def test_first_armed_entry_wins_and_others_keep_state(self):
-        plan = FaultPlan.from_string("fail_chunk:gen,delay_chunk:gen")
+        plan = FaultPlan.from_string("fail_chunk:service,delay_chunk:service")
         # Both are armed for their first consultation; only the first fires
         # and the second keeps its (now spent) nth trigger: the consult
         # counted for it too, so it never fires afterwards either.
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) == "fail_chunk"
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
+        assert plan.fire("service", faults.CHUNK_ACTIONS) == "fail_chunk"
+        assert plan.fire("service", faults.CHUNK_ACTIONS) is None
 
     def test_reset_rearms(self):
-        plan = FaultPlan.from_string("fail_chunk:gen")
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) == "fail_chunk"
+        plan = FaultPlan.from_string("fail_chunk:service")
+        assert plan.fire("service", faults.CHUNK_ACTIONS) == "fail_chunk"
         plan.reset()
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) == "fail_chunk"
+        assert plan.fire("service", faults.CHUNK_ACTIONS) == "fail_chunk"
 
     def test_plan_spec_string(self):
-        text = "kill_worker:gen:round2,torn_read:cache:*"
+        text = "kill_worker:service:2,torn_read:cache:*"
         assert FaultPlan.from_string(text).spec_string() == text
 
 
 class TestActivePlan:
     def test_lazy_env_load(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "fail_chunk:gen:round1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash_run:gen:round1")
         faults.reset_fault_plan()
         plan = faults.active_plan()
         assert plan is not None
-        assert plan.spec_string() == "fail_chunk:gen:round1"
+        assert plan.spec_string() == "crash_run:gen:round1"
 
     def test_unset_env_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
         faults.reset_fault_plan()
         assert faults.active_plan() is None
-        assert faults.fire("gen", faults.CHUNK_ACTIONS) is None
+        assert faults.fire("service", faults.CHUNK_ACTIONS) is None
 
     def test_set_fault_plan_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "fail_chunk:gen")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "fail_chunk:service")
         faults.set_fault_plan(None)
         assert faults.active_plan() is None
-        faults.set_fault_plan(FaultPlan.from_string("delay_chunk:verify"))
-        assert faults.fire("verify", faults.CHUNK_ACTIONS) == "delay_chunk"
+        faults.set_fault_plan(FaultPlan.from_string("delay_chunk:service"))
+        assert faults.fire("service", faults.CHUNK_ACTIONS) == "delay_chunk"
 
     def test_malformed_env_plan_raises_not_silently_ignores(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "bogus")
@@ -166,8 +176,8 @@ class TestActivePlan:
             faults.active_plan()
 
     def test_module_fire_consults_active_plan(self):
-        faults.set_fault_plan(FaultPlan.from_string("fail_chunk:gen:round2"))
-        assert faults.fire("gen", faults.CHUNK_ACTIONS, round_index=2) == "fail_chunk"
+        faults.set_fault_plan(FaultPlan.from_string("crash_run:gen:round2"))
+        assert faults.fire("gen", ("crash_run",), round_index=2) == "crash_run"
 
 
 class TestChunkTokens:
@@ -212,7 +222,7 @@ class TestChunkTokens:
     def test_known_action_tuples_cover_the_site_map(self):
         # The public action tuples and the internal site map must not drift.
         for action in faults.CHUNK_ACTIONS:
-            assert FaultSpec.parse(f"{action}:gen").site == "gen"
+            assert FaultSpec.parse(f"{action}:service").site == "service"
         for action in faults.CACHE_ACTIONS:
             assert FaultSpec.parse(f"{action}:cache").site == "cache"
 

@@ -160,6 +160,13 @@ class TestRepGen:
         assert len(result.stats.rounds) == 2
         assert result.num_transformations == result.ecc_set.num_transformations()
 
+    @pytest.mark.parametrize("param", ["workers", "chunk_timeout", "chunk_retries"])
+    def test_pool_parameters_are_gone(self, param):
+        # Generation is serial: a caller still passing a pool knob fails
+        # loudly instead of silently running serially.
+        with pytest.raises(TypeError, match=param):
+            RepGen(NAM, num_qubits=2, **{param: 2})
+
     def test_monotone_growth_with_n(self):
         small = RepGen(NAM, num_qubits=2).generate(1).ecc_set.num_transformations()
         large = RepGen(NAM, num_qubits=2).generate(2).ecc_set.num_transformations()

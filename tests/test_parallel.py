@@ -1,9 +1,19 @@
-"""Tests for sharded multiprocess RepGen (repro.generator.parallel).
+"""Generation inside the repo's one worker pool equals serial generation.
 
-The load-bearing property is *determinism*: a multi-worker run must produce
-an ECC set that is byte-identical (via ``ECCSet.to_json``) to the serial
-run's, because workers only compute fingerprint hash keys while all ECC
-inserts and verifier calls happen in the parent in enumeration order.
+RepGen runs serially — the Section 4 algorithm, pinned byte for byte by
+``tests/test_ecc_golden.py`` — but it still runs inside worker processes:
+the optimization service's pool (:class:`~repro.workerpool.ResilientPool`
+behind :class:`~repro.service.executor.PoolExecutor`) builds every
+worker's warm facade, generation included, in that worker.  The
+load-bearing property is *determinism across processes*: an ECC set
+generated in a pool worker must be byte-identical (via
+``ECCSet.to_json``) to the in-process one, or a pooled service response
+would depend on which process served it.
+
+The file also pins the service executor's pool boundary (counters and
+programming errors), the worker-count resolution of that pool
+(``REPRO_SERVICE_WORKERS``) and the picklability of what crosses the
+process boundary.
 """
 
 from __future__ import annotations
@@ -12,122 +22,183 @@ import pickle
 
 import pytest
 
-from repro.errors import RetryExhausted
+from repro import faults
+from repro.api import RunConfig
+from repro.envconfig import SERVICE_WORKERS_ENV_VAR
+from repro.faults import FaultPlan
 from repro.generator import RepGen
-from repro.generator.parallel import (
-    WORKERS_ENV_VAR,
-    ParallelFingerprintPool,
-    resolve_workers,
-)
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate, get_gate
 from repro.ir.gatesets import NAM
+from repro.ir.qasm import to_qasm
 from repro.semantics.fingerprint import FingerprintContext
+from repro.service import JobManager, ServiceConfig
+from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
+from repro.service.jobs import _result_block
+from repro.workerpool import ResilientPool
+
+#: Per-chunk deadline: generous for a Nam (2, 2) run, short enough that a
+#: wedged worker fails the test instead of hanging it.
+TIMEOUT = 30.0
 
 
-def _generate(workers):
-    return RepGen(NAM, num_qubits=2, num_params=2, workers=workers).generate(2)
+def _noop_init() -> None:
+    pass
+
+
+def _summary(result):
+    return (
+        result.ecc_set.to_json(),
+        [circuit.sequence_key() for circuit in result.representatives],
+        result.stats.circuits_considered,
+        result.stats.num_eccs,
+    )
+
+
+def _generate_serially():
+    return RepGen(NAM, num_qubits=2, num_params=2).generate(2)
+
+
+def _generate_chunk(payload):
+    """Chunk function: generate the Nam (q=2, m=2, n=2) ECC set in a worker."""
+    _chunk, fault_token = payload
+    faults.apply_chunk_fault(fault_token)
+    return _summary(_generate_serially())
+
+
+def _generate_in_pool(workers):
+    """One generation per worker, each in its own pool process."""
+    with ResilientPool(
+        _generate_chunk,
+        _noop_init,
+        (),
+        workers,
+        site="service",
+        chunk_timeout=TIMEOUT,
+    ) as pool:
+        return pool.run_chunks(list(range(workers)))
+
+
+@pytest.fixture(autouse=True)
+def _clean_fault_plan():
+    faults.set_fault_plan(None)
+    yield
+    faults.set_fault_plan(None)
 
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return _generate(workers=1)
+    return _generate_serially()
+
+
+#: A small base config: each pool worker pre-warms its facade (generation
+#: at n=2, q=2) when the pool starts.
+BASE_RUN = RunConfig().with_overrides(n=2, q=2, cache_enabled=False)
+
+#: A circuit with an H·H pair the search removes.
+PAYLOAD = {
+    "qasm": to_qasm(Circuit(2).h(0).h(0).cx(0, 1).t(1)),
+    "config": BASE_RUN.as_dict(),
+}
+
+
+@pytest.fixture(scope="module")
+def service_pool():
+    executor = PoolExecutor(
+        BASE_RUN.as_dict(), 2, chunk_timeout=TIMEOUT, chunk_retries=2
+    )
+    yield executor
+    executor.close()
 
 
 class TestParallelEqualsSerial:
     def test_two_workers_byte_identical(self, serial_result):
-        parallel = _generate(workers=2)
-        assert parallel.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        expected = serial_result.ecc_set.to_json()
+        for ecc_json, *_rest in _generate_in_pool(2):
+            assert ecc_json == expected
 
     def test_four_workers_byte_identical(self, serial_result):
-        parallel = _generate(workers=4)
-        assert parallel.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        expected = serial_result.ecc_set.to_json()
+        results = _generate_in_pool(4)
+        assert len(results) == 4
+        for ecc_json, *_rest in results:
+            assert ecc_json == expected
 
     def test_representatives_and_stats_match(self, serial_result):
-        parallel = _generate(workers=2)
-        assert [c.sequence_key() for c in parallel.representatives] == [
-            c.sequence_key() for c in serial_result.representatives
-        ]
-        assert (
-            parallel.stats.circuits_considered
-            == serial_result.stats.circuits_considered
-        )
-        assert parallel.stats.num_eccs == serial_result.stats.num_eccs
+        for pooled in _generate_in_pool(2):
+            assert pooled == _summary(serial_result)
 
-    def test_parallel_counters_surfaced(self):
-        result = _generate(workers=2)
-        assert result.stats.perf.get("repgen.parallel.pools") == 1
-        assert result.stats.perf.get("repgen.parallel.workers") == 2
-        candidates = result.stats.perf.get("repgen.parallel.candidates", 0)
-        assert candidates > 0
-        # Worker states are copied back into the parent's fingerprint cache
-        # so the verifier's phase screen reuses them during the inserts.
-        assert result.stats.perf.get("repgen.parallel.states_seeded") == candidates
+    def test_parallel_counters_surfaced(self, service_pool):
+        # The executor hands its pool a recorder and publishes the
+        # resilience.* counters after every wave (JobManager.stats() reads
+        # them); a recovered fault shows up there, and the retried job still
+        # equals the in-process run.
+        faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service"))
+        report = service_pool.run(PAYLOAD)
+        counters = service_pool.counters()
+        assert counters["resilience.faults_injected"] == 1
+        assert counters["resilience.chunk_failures"] == 1
+        assert counters["resilience.chunk_retries"] == 1
+        assert _result_block(report) == _result_block(execute_job(PAYLOAD))
+        # A snapshot is a copy: the HTTP thread cannot corrupt the counters.
+        counters["resilience.chunk_failures"] = 99
+        assert service_pool.counters()["resilience.chunk_failures"] == 1
 
-    def test_pool_failure_falls_back_to_serial(self, serial_result, monkeypatch):
-        # A PoolError is what escapes the pool when a chunk exhausted its
-        # retry budget (RetryExhausted is a PoolError); the round — not the
-        # run — then degrades to serial with identical output.
-        def explode(self, jobs, *, round_index=None):
-            raise RetryExhausted("injected worker failure")
-
-        monkeypatch.setattr(ParallelFingerprintPool, "hash_keys", explode)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = _generate(workers=2)
-        assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-
-    def test_non_pool_errors_surface(self, monkeypatch):
-        # Programming bugs must not silently degrade to serial: only
-        # PoolError (pool infrastructure) triggers the fallback.
-        def explode(self, jobs, *, round_index=None):
+    def test_non_pool_errors_surface(self, service_pool, monkeypatch):
+        # A non-pool error out of a wave is a bug: it fails the submitting
+        # job with its own type instead of being retried or labelled a pool
+        # failure, and the dispatch thread survives it.
+        def explode(chunks):
             raise TypeError("a bug, not an infrastructure failure")
 
-        monkeypatch.setattr(ParallelFingerprintPool, "hash_keys", explode)
-        with pytest.raises(TypeError, match="a bug"):
-            _generate(workers=2)
-
-    def test_pool_setup_failure_falls_back_to_serial(self, serial_result, monkeypatch):
-        def explode(self, spec, workers):
-            raise OSError("injected fork failure")
-
-        monkeypatch.setattr(ParallelFingerprintPool, "__init__", explode)
-        with pytest.warns(RuntimeWarning, match="generating serially"):
-            result = _generate(workers=2)
-        assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(service_pool._pool, "run_chunks", explode)
+            with pytest.raises(TypeError, match="a bug"):
+                service_pool.run(PAYLOAD)
+        report = service_pool.run(PAYLOAD)
+        assert _result_block(report) == _result_block(execute_job(PAYLOAD))
 
 
 class TestWorkerResolution:
+    """The service's executor follows ``REPRO_SERVICE_WORKERS``.
+
+    Fewer than 2 workers run jobs in-process; 2 or more start the pool.
+    """
+
+    def _executor_from_env(self, monkeypatch, raw=None, **overrides):
+        if raw is None:
+            monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, raw)
+        config = ServiceConfig.from_env(run_config=BASE_RUN, **overrides)
+        with JobManager(config) as service:
+            return type(service.executor), getattr(service.executor, "workers", 1)
+
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
+        assert self._executor_from_env(monkeypatch, "1", workers=3) == (
+            PoolExecutor,
+            3,
+        )
 
     def test_env_var_is_read(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert resolve_workers(None) == 4
-        assert RepGen(NAM, num_qubits=2).workers == 4
+        assert self._executor_from_env(monkeypatch, "2") == (PoolExecutor, 2)
 
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(None) == 1
+        assert self._executor_from_env(monkeypatch) == (InlineExecutor, 1)
 
     def test_garbage_env_var_warns_and_runs_serially(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "many")
         with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert resolve_workers(None) == 1
+            executor = self._executor_from_env(monkeypatch, "many")
+        assert executor == (InlineExecutor, 1)
 
-    def test_nonpositive_values_clamp_to_serial(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-3) == 1
+    def test_nonpositive_values_clamp_to_serial(self, monkeypatch):
+        assert self._executor_from_env(monkeypatch, "0") == (InlineExecutor, 1)
+        with pytest.warns(RuntimeWarning, match="negative"):
+            executor = self._executor_from_env(monkeypatch, "-3")
+        assert executor == (InlineExecutor, 1)
 
 
 class TestPicklability:
-    def test_fingerprint_context_spec_roundtrip(self):
-        context = FingerprintContext(3, 2, seed=7)
-        rebuilt = FingerprintContext.from_spec(context.spec())
-        circuit = Circuit(3).h(0).cx(0, 1).t(2)
-        assert rebuilt.hash_key(circuit) == context.hash_key(circuit)
-        assert rebuilt.param_values == context.param_values
-
     def test_fingerprint_context_pickles(self):
         context = FingerprintContext(2, 2, seed=11)
         rebuilt = pickle.loads(pickle.dumps(context))
@@ -141,7 +212,7 @@ class TestPicklability:
     def test_circuits_with_constant_gates_pickle(self):
         # Constant gates memoize their matrix through a closure, which value
         # pickling cannot handle; the registry-reference __reduce__ makes
-        # whole circuits (what the worker pool ships) picklable anyway.
+        # whole circuits (what the service pool ships) picklable anyway.
         circuit = Circuit(2).h(0).cx(0, 1).t(1)
         restored = pickle.loads(pickle.dumps(circuit))
         assert restored == circuit

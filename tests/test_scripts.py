@@ -29,159 +29,8 @@ def _load_script(name: str):
 
 
 @pytest.fixture(scope="module")
-def check_ecc_identity():
-    return _load_script("check_ecc_identity")
-
-
-@pytest.fixture(scope="module")
-def check_search_identity():
-    return _load_script("check_search_identity")
-
-
-@pytest.fixture(scope="module")
 def microbench_delta():
     return _load_script("microbench_delta")
-
-
-@pytest.fixture(scope="module")
-def chaos_run():
-    return _load_script("chaos_run")
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_plan():
-    # The identity/chaos scripts install process-global fault plans; no
-    # in-process invocation may leak one into the next test.
-    from repro import faults
-
-    faults.set_fault_plan(None)
-    yield
-    faults.set_fault_plan(None)
-
-
-class TestCheckEccIdentity:
-    def test_verify_workers_identity_and_artifact(self, check_ecc_identity, tmp_path):
-        artifact = tmp_path / "serial_ecc.json"
-        code = check_ecc_identity.main(
-            [
-                "--n",
-                "1",
-                "--q",
-                "2",
-                "--verify-workers",
-                "2",
-                "--artifact",
-                str(artifact),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(artifact.read_text(encoding="utf-8"))
-        assert isinstance(payload, dict)
-
-    def test_fingerprint_workers_identity(self, check_ecc_identity):
-        assert check_ecc_identity.main(["--n", "1", "--q", "2", "--workers", "2"]) == 0
-
-    def test_serial_only_invocation_is_a_usage_error(self, check_ecc_identity, capsys):
-        assert check_ecc_identity.main(["--n", "1", "--q", "2"]) == 2
-        assert "nothing to compare" in capsys.readouterr().err
-
-    def test_identity_holds_under_injected_faults(
-        self, check_ecc_identity, monkeypatch, capsys
-    ):
-        # The chaos CI leg's invocation shape: a fault plan from the
-        # environment, --expect-faults guarding against vacuity.
-        monkeypatch.setenv("REPRO_FAULTS", "fail_chunk:gen:round2")
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "5")
-        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "2")
-        code = check_ecc_identity.main(
-            ["--n", "2", "--q", "2", "--workers", "2", "--expect-faults"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fault plan: fail_chunk:gen:round2" in out
-        assert "resilience.faults_injected = 1" in out
-
-    def test_expect_faults_fails_when_nothing_fires(
-        self, check_ecc_identity, monkeypatch, capsys
-    ):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        code = check_ecc_identity.main(
-            ["--n", "1", "--q", "2", "--workers", "2", "--expect-faults"]
-        )
-        assert code == 3
-        assert "VACUOUS" in capsys.readouterr().err
-
-
-class TestCheckSearchIdentity:
-    # The (2, 2) rule set is the smallest at which frontier waves carry
-    # enough jobs for the pool to actually dispatch (and faults to fire);
-    # the CI search leg runs the same shape at 2 and 4 workers.
-    SMALL = ["--n", "2", "--q", "2", "--max-iterations", "12", "--timeout", "60"]
-
-    def test_worker_identity_and_artifact(self, check_search_identity, tmp_path):
-        artifact = tmp_path / "serial_best.json"
-        code = check_search_identity.main(
-            self.SMALL + ["--workers", "2", "--artifact", str(artifact)]
-        )
-        assert code == 0
-        payload = json.loads(artifact.read_text(encoding="utf-8"))
-        assert "instructions" in payload
-
-    def test_serial_only_invocation_is_a_usage_error(
-        self, check_search_identity, capsys
-    ):
-        assert check_search_identity.main(self.SMALL + ["--workers", "1"]) == 2
-        assert "nothing to compare" in capsys.readouterr().err
-
-    def test_identity_holds_under_injected_faults(
-        self, check_search_identity, monkeypatch, capsys
-    ):
-        # The search CI leg's chaos invocation shape: a fault plan at the
-        # "search" site, --expect-faults guarding against vacuity.
-        monkeypatch.setenv("REPRO_FAULTS", "fail_chunk:search")
-        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "2")
-        code = check_search_identity.main(
-            self.SMALL + ["--workers", "2", "--expect-faults"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fault plan (2 workers): fail_chunk:search:1" in out
-        assert "resilience.faults_injected = 1" in out
-
-    def test_expect_faults_fails_when_nothing_fires(
-        self, check_search_identity, monkeypatch, capsys
-    ):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        code = check_search_identity.main(
-            self.SMALL + ["--workers", "2", "--expect-faults"]
-        )
-        assert code == 3
-        assert "VACUOUS" in capsys.readouterr().err
-
-
-class TestChaosRun:
-    def test_converges_under_a_seeded_schedule(self, chaos_run, capsys):
-        # Seed 7's first schedule injects real faults at this scale (the CI
-        # leg runs three; one keeps the in-process smoke affordable).
-        code = chaos_run.main(
-            [
-                "--runs", "1", "--seed", "7", "--n", "2", "--q", "2",
-                "--workers", "2", "--verify-workers", "2",
-                "--chunk-timeout", "2", "--max-iterations", "1",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "converged to one ECC hash" in out
-
-    def test_zero_fired_faults_is_vacuous(self, chaos_run, capsys):
-        # With no chaos runs at all only the baseline executes: the
-        # single-hash check passes but the vacuity guard must trip.
-        code = chaos_run.main(
-            ["--runs", "0", "--n", "1", "--q", "2", "--max-iterations", "1"]
-        )
-        assert code == 2
-        assert "VACUOUS" in capsys.readouterr().err
 
 
 class TestMicrobenchDelta:

@@ -1,10 +1,12 @@
-"""Golden values pinning the serial search strategies, byte for byte.
+"""Golden values pinning the search strategies, byte for byte.
 
-The identity scripts compare parallel runs with serial runs of the same
-code, so they cannot notice a hot-path change that alters serial output.
+Every strategy has one, serial code path, and these values are its
+identity gate: a hot-path change that alters search output shows up here.
 The backtracking values were recorded before the matcher, splice and
-angle-key rewrites, the greedy, beam and ``parallel-backtracking`` values
-before the seen-sets moved from canonical keys to wire keys; none may move.
+angle-key rewrites, the greedy and beam values before the seen-sets moved
+from canonical keys to wire keys; none may move.  The rows after the
+"recorded later" comments were added when the process pools were removed,
+with values recorded on the code before that removal.
 Match order feeds the queue's insertion counter, so any change in match
 enumeration, successor construction or seen-set keys shows up here as a
 different best circuit or a different ``circuits_explored``.  A mismatch
@@ -48,6 +50,19 @@ GOLDEN = [
         "rigetti", "tof_3", 107, 81, 467,
         "47a1cadfda9111906343ce4a9012a7d051dec18a7d0990041fe5e8935b208ef0",
     ),
+    # Recorded later (see the module docstring).
+    (
+        "rigetti", "barenco_tof_3", 126, 97, 399,
+        "3d0989cca2297304974838ddff4399ce58d6a404ed31ec45e92421e3b78b950d",
+    ),
+    (
+        "rigetti", "mod5_4", 216, 186, 453,
+        "ca79f1536321d28ada2da77e5c7be06d1ac756f11da7456e3b6e9558d408baa2",
+    ),
+    (
+        "nam", "vbe_adder_3", 89, 85, 339,
+        "289a8ba2258f093fe95c932a666a1117286c9e7dc3ddf3ff32382e223e0b9d74",
+    ),
 ]
 
 
@@ -76,8 +91,7 @@ def test_serial_search_output_is_pinned(
 # (strategy, options, iterations, gate set, circuit, initial cost, final
 # cost, circuits explored, sha256 of the best circuit's QASM).  The
 # strategies that share the matcher with backtracking but keep their own
-# seen-sets: greedy and beam dedupe by wire key, parallel-backtracking
-# (one in-process worker) orders its incumbent by canonical key.
+# seen-sets: greedy and beam dedupe by wire key.
 STRATEGY_GOLDEN = [
     (
         "greedy", {}, 30, "nam", "tof_3", 35, 35, 1,
@@ -111,20 +125,22 @@ STRATEGY_GOLDEN = [
         "beam", {}, 3, "rigetti", "tof_3", 107, 104, 4177,
         "97dba0128519df0274bcab57d4a6558ce746ae4fbd187db8f99f31d36da59630",
     ),
+    # Recorded later (see the module docstring).
     (
-        "parallel-backtracking", {"workers": 1}, 30, "nam", "barenco_tof_3",
-        42, 40, 58,
-        "fd7540f09b1b2c3734fa8f556ffa04e5822f109e2069906523ca5daeacc1a60c",
+        "greedy", {}, 30, "rigetti", "barenco_tof_3", 126, 97, 30,
+        "3d0989cca2297304974838ddff4399ce58d6a404ed31ec45e92421e3b78b950d",
     ),
     (
-        "parallel-backtracking", {"workers": 1}, 30, "nam", "mod5_4",
-        68, 63, 146,
-        "d37ffbf8d9caefa097cfe3d1094ec04faf85e7995b993b349b256f166241a19e",
+        "greedy", {}, 30, "rigetti", "mod5_4", 216, 186, 31,
+        "ca79f1536321d28ada2da77e5c7be06d1ac756f11da7456e3b6e9558d408baa2",
     ),
     (
-        "parallel-backtracking", {"workers": 1}, 30, "rigetti", "tof_3",
-        107, 102, 387,
-        "d14b2e20a038f430eda26a88e069ecf227a7a031c267f3ca5792531d859273f2",
+        "beam", {}, 3, "nam", "tof_3", 35, 35, 1055,
+        "be7db3cf873cfbdeb6f338967dd8cb74b65c4ddf0731e99a31923f5ef752fc3d",
+    ),
+    (
+        "beam", {}, 3, "rigetti", "barenco_tof_3", 126, 123, 4493,
+        "fed4bd1d3f9036160de0bd2298a0cda9a94feadb237c76b06d84e74bac6fcd7b",
     ),
 ]
 

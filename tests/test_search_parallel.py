@@ -1,12 +1,13 @@
-"""Tests for the parallel work-sharing search and the portfolio racer.
+"""Search inside the repo's one worker pool equals in-process search.
 
-The contract under test (see :mod:`repro.optimizer.parallel`): the best
-circuit of ``parallel-backtracking`` is *byte-identical* to the serial
-reference (``workers=1`` — the identical wave algorithm in-process) for
-every worker count, under shuffled chunk completion order, after pool
-degradation and across injected worker faults; and the portfolio's winner
-is decided by the deterministic ``(cost, canonical key, index)`` rule,
-never by finish order.
+Every search strategy runs serially (Algorithm 2 and its greedy and beam
+variants, pinned by ``tests/test_search_golden.py``), but a pooled
+optimization service runs each job's search inside a worker of its
+:class:`~repro.workerpool.ResilientPool`.  The contract under test: a
+search run in a pool worker is *byte-identical* to the same search in this
+process — for every worker count, whatever order the workers finish in,
+and across injected worker faults, because a retried chunk re-runs a pure
+function of its payload.
 """
 
 from __future__ import annotations
@@ -17,24 +18,25 @@ import time
 import pytest
 
 from repro import faults
+from repro.api import SearchConfig
 from repro.faults import FaultPlan
 from repro.generator.ecc import circuit_to_payload
 from repro.ir import Circuit
-from repro.optimizer import parallel
-from repro.optimizer.parallel import (
-    DEFAULT_PORTFOLIO,
-    ParallelBacktrackingStrategy,
-    PortfolioStrategy,
-    resolve_search_workers,
-)
 from repro.optimizer.search import OptimizationResult
-from repro.optimizer.strategies import (
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-)
+from repro.optimizer.strategies import available_strategies, get_strategy
+from repro.perf import PerfRecorder
 from repro.semantics.simulator import circuits_equivalent_numeric
-from repro.workerpool import PoolError
+from repro.workerpool import ResilientPool
+
+#: Per-chunk deadline: a searched chunk finishes in well under a second,
+#: so an injected kill or delay is detected quickly.
+TIMEOUT = 3.0
+
+#: Generous gamma: it admits cost-increasing successors, so the search
+#: explores more than one greedy step before it settles.
+SEARCH_GAMMA = 2.0
+
+MAX_ITERATIONS = 40
 
 
 def _figure6_circuit() -> Circuit:
@@ -58,16 +60,55 @@ def _hh_circuit() -> Circuit:
     return circuit
 
 
-#: Generous gamma for the identity tests: it admits cost-increasing
-#: successors, so waves carry several jobs and the pooled path actually
-#: dispatches (near-1 gammas collapse waves to single jobs at this scale,
-#: which would make every identity assertion vacuous).  Tests that use a
-#: pool assert on ``search.parallel_chunks`` to guard exactly that.
-SEARCH_GAMMA = 2.0
-
-
 def _bytes(result: OptimizationResult) -> str:
     return json.dumps(circuit_to_payload(result.circuit), sort_keys=True)
+
+
+def _summary(result: OptimizationResult):
+    return (
+        _bytes(result),
+        result.final_cost,
+        result.iterations,
+        result.circuits_explored,
+    )
+
+
+def _search(circuit, transformations):
+    return get_strategy("backtracking", gamma=SEARCH_GAMMA).run(
+        circuit, transformations, max_iterations=MAX_ITERATIONS
+    )
+
+
+#: The transformations a worker searches with, set by the pool initializer
+#: (worker processes only).
+_WORKER_TRANSFORMATIONS = None
+
+
+def _init_search_worker(transformations) -> None:
+    global _WORKER_TRANSFORMATIONS
+    _WORKER_TRANSFORMATIONS = transformations
+
+
+def _search_chunk(payload):
+    """Chunk function: ``(circuit, delay)`` -> the search's summary."""
+    (circuit, delay), fault_token = payload
+    faults.apply_chunk_fault(fault_token)
+    time.sleep(delay)
+    return _summary(_search(circuit, _WORKER_TRANSFORMATIONS))
+
+
+def _search_in_pool(transformations, chunks, workers=2, perf=None):
+    with ResilientPool(
+        _search_chunk,
+        _init_search_worker,
+        (transformations,),
+        workers,
+        site="service",
+        chunk_timeout=TIMEOUT,
+        chunk_retries=2,
+        perf=perf,
+    ) as pool:
+        return pool.run_chunks(chunks)
 
 
 @pytest.fixture(autouse=True)
@@ -79,35 +120,32 @@ def _clean_fault_plan():
 
 @pytest.fixture
 def serial_reference(nam_transformations_small):
-    strategy = ParallelBacktrackingStrategy(workers=1, gamma=SEARCH_GAMMA)
-    return strategy.run(
-        _figure6_circuit(), nam_transformations_small, max_iterations=40
-    )
+    return _search(_figure6_circuit(), nam_transformations_small)
 
 
 class TestRegistryEntries:
-    def test_new_strategies_are_registered(self):
-        names = set(available_strategies())
-        assert {"parallel-backtracking", "portfolio"} <= names
+    def test_resolve_search_workers(self):
+        # search_workers resolves to no strategy option: every registered
+        # strategy builds from its options without a worker count.
+        config = SearchConfig(search_workers=1)
+        for name in available_strategies():
+            options = config.options_for(name)
+            assert not any("worker" in option for option in options), name
+            assert get_strategy(name, **options).name == name
+        for workers in (0, 4):
+            with pytest.raises(ValueError, match="search_workers"):
+                SearchConfig(search_workers=workers)
 
-    def test_worker_support_flags(self):
-        assert get_strategy("parallel-backtracking").supports_workers
-        assert get_strategy("portfolio").supports_workers
-        assert not get_strategy("backtracking").supports_workers
-        assert not get_strategy("beam").supports_workers
 
-    def test_wave_width_validation(self):
-        with pytest.raises(ValueError, match="wave_width"):
-            ParallelBacktrackingStrategy(wave_width=0)
+    def test_worker_support_flags(self, capsys):
+        # No strategy advertises worker support any more, and the CLI's
+        # registry listing carries no such flag.
+        from repro.experiments import cli
 
-    def test_resolve_search_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEARCH_WORKERS", raising=False)
-        assert resolve_search_workers(None) == 1
-        assert resolve_search_workers(4) == 4
-        assert resolve_search_workers(0) == 1
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "3")
-        assert resolve_search_workers(None) == 3
-        assert resolve_search_workers(2) == 2  # explicit argument wins
+        for name in available_strategies():
+            assert not hasattr(get_strategy(name), "supports_workers"), name
+        assert cli.main(["registry", "--json"]) == 0
+        assert "supports_workers" not in capsys.readouterr().out
 
 
 class TestByteIdentity:
@@ -117,284 +155,59 @@ class TestByteIdentity:
         circuit = _figure6_circuit()
         assert serial_reference.final_cost < serial_reference.initial_cost
         assert circuits_equivalent_numeric(circuit, serial_reference.circuit)
-        assert serial_reference.metadata["search_workers"] == 1
-        assert serial_reference.metadata["pool_active"] is False
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_match_serial_byte_for_byte(
         self, nam_transformations_small, serial_reference, workers
     ):
-        result = ParallelBacktrackingStrategy(
-            workers=workers, gamma=SEARCH_GAMMA
-        ).run(_figure6_circuit(), nam_transformations_small, max_iterations=40)
-        assert result.perf["search.parallel_chunks"] > 0
-        assert result.metadata["pool_active"] is True
-        assert result.final_cost == serial_reference.final_cost
-        assert _bytes(result) == _bytes(serial_reference)
-        assert result.iterations == serial_reference.iterations
-        assert result.circuits_explored == serial_reference.circuits_explored
-        assert result.metadata["search_workers"] == workers
-        assert result.metadata["waves"] == serial_reference.metadata["waves"]
+        chunks = [(_figure6_circuit(), 0.0)] * workers
+        pooled = _search_in_pool(nam_transformations_small, chunks, workers)
+        assert pooled == [_summary(serial_reference)] * workers
 
     def test_shuffled_completion_order_cannot_change_the_merge(
-        self, nam_transformations_small, serial_reference, monkeypatch
+        self, nam_transformations_small, serial_reference
     ):
-        """Chunks finishing in any order must merge to the same result.
+        """Chunks finishing in any order come back in chunk order.
 
-        The stub pool honours the ResilientPool contract (results in chunk
-        order) but *executes* the chunks back to front — the worst case a
-        real pool's completion order could produce.
+        The first chunk sleeps before it searches, so the other finishes
+        first; the pool must still return each result in its chunk's slot.
         """
-        monkeypatch.setattr(parallel, "_WORKER_SEARCH", None)
-
-        class ReversedOrderPool:
-            def __init__(
-                self, worker_fn, initializer, initargs, workers, **kwargs
-            ):
-                initializer(*initargs)
-                self.worker_fn = worker_fn
-
-            def run_chunks(self, chunks, *, round_index=None):
-                indexed = list(enumerate(chunks))[::-1]
-                produced = {
-                    index: self.worker_fn((chunk, None))
-                    for index, chunk in indexed
-                }
-                return [produced[index] for index in range(len(chunks))]
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(parallel, "ResilientPool", ReversedOrderPool)
-        result = ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
-            _figure6_circuit(), nam_transformations_small, max_iterations=40
-        )
-        assert result.perf["search.parallel_chunks"] > 0
-        assert _bytes(result) == _bytes(serial_reference)
-        assert result.final_cost == serial_reference.final_cost
-        assert result.metadata["pool_active"] is True
-
-    def test_pool_construction_failure_degrades_to_serial(
-        self, nam_transformations_small, serial_reference, monkeypatch
-    ):
-        def exploding_pool(*args, **kwargs):
-            raise PoolError("no processes for you")
-
-        monkeypatch.setattr(parallel, "ResilientPool", exploding_pool)
-        with pytest.warns(RuntimeWarning, match="searching serially"):
-            result = ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
-                _figure6_circuit(), nam_transformations_small, max_iterations=40
-            )
-        assert _bytes(result) == _bytes(serial_reference)
-        assert result.perf["search.pool_degraded"] == 1
-        assert result.metadata["pool_active"] is False
-
-    def test_mid_run_pool_failure_degrades_to_serial(
-        self, nam_transformations_small, serial_reference, monkeypatch
-    ):
-        monkeypatch.setattr(parallel, "_WORKER_SEARCH", None)
-
-        class FailsOnDispatchPool:
-            def __init__(
-                self, worker_fn, initializer, initargs, workers, **kwargs
-            ):
-                initializer(*initargs)
-                self.closed = False
-
-            def run_chunks(self, chunks, *, round_index=None):
-                raise PoolError("every worker died")
-
-            def close(self):
-                self.closed = True
-
-        monkeypatch.setattr(parallel, "ResilientPool", FailsOnDispatchPool)
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            result = ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
-                _figure6_circuit(), nam_transformations_small, max_iterations=40
-            )
-        assert _bytes(result) == _bytes(serial_reference)
-        assert result.perf["search.pool_degraded"] == 1
-        # The wave that hit the failure was recomputed in-process, so the
-        # pool is gone from the metadata too.
-        assert result.metadata["pool_active"] is False
+        chunks = [(_figure6_circuit(), 0.5), (_hh_circuit(), 0.0)]
+        pooled = _search_in_pool(nam_transformations_small, chunks)
+        assert pooled == [
+            _summary(serial_reference),
+            _summary(_search(_hh_circuit(), nam_transformations_small)),
+        ]
 
     def test_identity_across_injected_worker_kill(
         self, nam_transformations_small, serial_reference
     ):
-        faults.set_fault_plan(FaultPlan.from_string("kill_worker:search"))
-        result = ParallelBacktrackingStrategy(
-            workers=2, gamma=SEARCH_GAMMA, chunk_timeout=5.0, chunk_retries=2
-        ).run(_figure6_circuit(), nam_transformations_small, max_iterations=40)
-        assert _bytes(result) == _bytes(serial_reference)
-        assert result.final_cost == serial_reference.final_cost
-        assert result.perf["resilience.faults_injected"] == 1
-        assert result.perf["resilience.pool_respawns"] >= 1
+        faults.set_fault_plan(FaultPlan.from_string("kill_worker:service"))
+        perf = PerfRecorder()
+        pooled = _search_in_pool(
+            nam_transformations_small, [(_figure6_circuit(), 0.0)] * 2, perf=perf
+        )
+        assert pooled == [_summary(serial_reference)] * 2
+        assert perf.value("resilience.faults_injected") == 1
+        assert perf.value("resilience.pool_respawns") >= 1
 
     def test_identity_across_injected_chunk_failure(
         self, nam_transformations_small, serial_reference
     ):
-        faults.set_fault_plan(FaultPlan.from_string("fail_chunk:search"))
-        result = ParallelBacktrackingStrategy(
-            workers=2, gamma=SEARCH_GAMMA, chunk_retries=2
-        ).run(_figure6_circuit(), nam_transformations_small, max_iterations=40)
-        assert _bytes(result) == _bytes(serial_reference)
-        assert result.perf["resilience.faults_injected"] == 1
-        assert result.perf["resilience.chunk_failures"] == 1
+        faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service"))
+        perf = PerfRecorder()
+        pooled = _search_in_pool(
+            nam_transformations_small, [(_figure6_circuit(), 0.0)] * 2, perf=perf
+        )
+        assert pooled == [_summary(serial_reference)] * 2
+        assert perf.value("resilience.faults_injected") == 1
+        assert perf.value("resilience.chunk_failures") == 1
 
 
 class TestCancellation:
-    def test_stop_check_cancels_immediately(self, nam_transformations_small):
-        result = ParallelBacktrackingStrategy(workers=1).run(
-            _figure6_circuit(),
-            nam_transformations_small,
-            max_iterations=40,
-            stop_check=lambda: True,
-        )
-        assert result.cancelled
-        assert result.iterations == 0
-        assert result.final_cost == result.initial_cost
-
     def test_budgets_bound_iterations(self, nam_transformations_small):
-        result = ParallelBacktrackingStrategy(workers=1, wave_width=8).run(
-            _figure6_circuit(), nam_transformations_small, max_iterations=5
-        )
-        # The wave width is clamped by the remaining budget, so a wave can
-        # never overshoot max_iterations.
-        assert result.iterations <= 5
-
-
-class TestPortfolio:
-    def test_winner_is_deterministic_not_finish_order(
-        self, nam_transformations_small
-    ):
-        circuit = _figure6_circuit()
-        portfolio = PortfolioStrategy(early_cancel=False)
-        raced = portfolio.run(
-            circuit, nam_transformations_small, max_iterations=40
-        )
-        # Re-run every racer standalone and apply the published rule.
-        ranked = []
-        for index, name in enumerate(DEFAULT_PORTFOLIO):
-            solo = get_strategy(name).run(
-                circuit, nam_transformations_small, max_iterations=40
+        for name in available_strategies():
+            result = get_strategy(name).run(
+                _figure6_circuit(), nam_transformations_small, max_iterations=5
             )
-            ranked.append((solo.final_cost, solo.circuit.canonical_key(), index, solo))
-        best_cost, _, win_index, solo_winner = min(ranked, key=lambda r: r[:3])
-        assert raced.final_cost == best_cost
-        assert raced.metadata["winner"] == DEFAULT_PORTFOLIO[win_index]
-        assert _bytes(raced) == _bytes(solo_winner)
-        assert raced.perf["search.racers"] == len(DEFAULT_PORTFOLIO)
-
-    def test_early_cancellation_stops_losing_racers(
-        self, nam_transformations_small
-    ):
-        class SlowStrategy(SearchStrategy):
-            name = "slow-test"
-
-            def run(
-                self,
-                circuit,
-                transformations,
-                cost_model=None,
-                *,
-                timeout_seconds=None,
-                max_iterations=None,
-                stop_check=None,
-            ):
-                from repro.optimizer.cost import GateCountCost
-
-                cost = (cost_model or GateCountCost()).cost(circuit)
-                deadline = time.perf_counter() + 10.0
-                cancelled = False
-                while time.perf_counter() < deadline:
-                    if stop_check is not None and stop_check():
-                        cancelled = True
-                        break
-                    time.sleep(0.005)
-                return OptimizationResult(
-                    circuit=circuit,
-                    initial_cost=cost,
-                    final_cost=cost,
-                    iterations=0,
-                    circuits_explored=0,
-                    time_seconds=0.0,
-                    timed_out=False,
-                    cancelled=cancelled,
-                )
-
-        from repro.optimizer import strategies
-
-        strategies.register_strategy("slow-test", SlowStrategy)
-        try:
-            start = time.perf_counter()
-            result = PortfolioStrategy(racers=("greedy", "slow-test")).run(
-                _hh_circuit(), nam_transformations_small, max_iterations=20
-            )
-            elapsed = time.perf_counter() - start
-        finally:
-            strategies._FACTORIES.pop("slow-test")
-
-        assert result.metadata["winner"] == "greedy"
-        assert result.final_cost < result.initial_cost
-        by_racer = {
-            entry["racer"]: entry for entry in result.metadata["racers"]
-        }
-        assert by_racer["slow-test"]["cancelled"] is True
-        assert result.perf["search.cancelled_racers"] == 1
-        # The loser was stopped cooperatively, not waited out.
-        assert elapsed < 8.0
-
-    def test_losers_run_out_budgets_without_early_cancel(
-        self, nam_transformations_small
-    ):
-        result = PortfolioStrategy(early_cancel=False).run(
-            _hh_circuit(), nam_transformations_small, max_iterations=10
-        )
-        assert not any(
-            entry["cancelled"] for entry in result.metadata["racers"]
-        )
-        assert "search.cancelled_racers" not in result.perf
-
-    def test_unknown_racer_warns_and_is_dropped(self):
-        with pytest.warns(RuntimeWarning, match="unknown portfolio racer"):
-            portfolio = PortfolioStrategy(racers=("greedy", "anneal"))
-        assert portfolio.racers == ("greedy",)
-
-    def test_self_reference_warns_and_is_dropped(self):
-        with pytest.warns(RuntimeWarning, match="cannot race itself"):
-            portfolio = PortfolioStrategy(racers=("portfolio", "beam"))
-        assert portfolio.racers == ("beam",)
-
-    def test_empty_roster_falls_back_to_default(self):
-        with pytest.warns(RuntimeWarning) as record:
-            portfolio = PortfolioStrategy(racers=("anneal",))
-        messages = [str(warning.message) for warning in record]
-        assert any("unknown portfolio racer" in message for message in messages)
-        assert any("no usable portfolio racers" in message for message in messages)
-        assert portfolio.racers == DEFAULT_PORTFOLIO
-
-    def test_racer_exception_propagates(self, nam_transformations_small):
-        class BrokenStrategy(SearchStrategy):
-            name = "broken-test"
-
-            def run(self, circuit, transformations, cost_model=None, **_):
-                raise ZeroDivisionError("racer bug")
-
-        from repro.optimizer import strategies
-
-        strategies.register_strategy("broken-test", BrokenStrategy)
-        try:
-            with pytest.raises(ZeroDivisionError, match="racer bug"):
-                PortfolioStrategy(racers=("broken-test", "greedy")).run(
-                    _hh_circuit(), nam_transformations_small, max_iterations=5
-                )
-        finally:
-            strategies._FACTORIES.pop("broken-test")
-
-    def test_parallel_racer_gets_the_worker_knob(self):
-        portfolio = PortfolioStrategy(
-            racers=("parallel-backtracking",), workers=3
-        )
-        racer = portfolio._build_racer("parallel-backtracking")
-        assert isinstance(racer, ParallelBacktrackingStrategy)
-        assert racer.workers == 3
+            assert result.iterations <= 5, name

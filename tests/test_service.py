@@ -16,11 +16,14 @@ import asyncio
 import contextlib
 import http.client
 import json
+import multiprocessing
 import threading
+import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import pytest
 
+from repro import faults
 from repro.api import RunConfig, Superoptimizer
 from repro.benchmarks_suite import benchmark_circuit
 from repro.errors import (
@@ -31,9 +34,10 @@ from repro.errors import (
     RetryExhausted,
     ServiceClosed,
 )
+from repro.faults import FaultPlan
 from repro.ir.qasm import to_qasm
 from repro.service import Job, JobManager, OptimizationHTTPServer, ServiceConfig
-from repro.service.executor import InlineExecutor, execute_job
+from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
 from repro.service.jobs import _result_block
 
 #: One base config for the whole module so the warm-facade table is built
@@ -327,6 +331,222 @@ class TestPoolMode:
                 serial[name], sort_keys=True
             )
 
+    def test_killed_worker_recovers_and_shows_in_stats(self):
+        # The killed worker's job is re-dispatched to a respawned pool; a
+        # job is a pure function of its payload, so the retried result
+        # equals the serial one — and the recovery is visible in stats().
+        run_config = BASE_RUN.with_overrides(chunk_timeout=3.0, chunk_retries=2)
+        config = ServiceConfig(run_config=run_config, workers=2)
+        serial = serial_result_block("tof_3")
+        faults.set_fault_plan(FaultPlan.from_string("kill_worker:service"))
+        try:
+            with JobManager(config) as service:
+                job = service.submit(qasm_for("tof_3"))
+                assert job.wait(240)
+                stats = service.stats()
+        finally:
+            faults.set_fault_plan(None)
+        assert job.status == "completed", (job.status, job.error)
+        assert json.dumps(job.result, sort_keys=True) == json.dumps(
+            serial, sort_keys=True
+        )
+        assert stats["resilience.faults_injected"] == 1
+        assert stats["resilience.pool_respawns"] >= 1
+        assert stats["resilience.chunk_retries"] >= 1
+
+    def test_delayed_chunk_recovers_and_shows_in_stats(self):
+        run_config = BASE_RUN.with_overrides(chunk_timeout=3.0, chunk_retries=2)
+        config = ServiceConfig(run_config=run_config, workers=2)
+        serial = serial_result_block("tof_3")
+        faults.set_fault_plan(FaultPlan.from_string("delay_chunk:service"))
+        try:
+            with JobManager(config) as service:
+                job = service.submit(qasm_for("tof_3"))
+                assert job.wait(240)
+                stats = service.stats()
+        finally:
+            faults.set_fault_plan(None)
+        assert job.status == "completed", (job.status, job.error)
+        assert json.dumps(job.result, sort_keys=True) == json.dumps(
+            serial, sort_keys=True
+        )
+        assert stats["resilience.faults_injected"] == 1
+        assert stats["resilience.chunk_timeouts"] >= 1
+        assert stats["resilience.chunk_retries"] >= 1
+
+    def test_closing_a_pooled_manager_leaves_no_worker(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        def leftover():
+            return {c.pid for c in multiprocessing.active_children()} - before
+
+        with JobManager(ServiceConfig(run_config=BASE_RUN, workers=2)) as service:
+            job = service.submit(qasm_for("tof_3"))
+            assert job.wait(240) and job.status == "completed"
+            assert leftover()
+        deadline = time.monotonic() + 10
+        while leftover() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert leftover() == set()
+
+
+class _HeldWaves:
+    """Wrap a pool executor's wave runner; its first wave waits for release.
+
+    While the first wave is held, later submissions pile up in the
+    executor's queue, so the next wave's composition is deterministic.
+    """
+
+    def __init__(self, executor: PoolExecutor, monkeypatch: Any) -> None:
+        self.executor = executor
+        self.sizes: list = []
+        self.started = threading.Event()
+        self.release = threading.Event()
+        original = executor._run_wave
+
+        def run_wave(payloads):
+            self.sizes.append(len(payloads))
+            if len(self.sizes) == 1:
+                self.started.set()
+                assert self.release.wait(60)
+            return original(payloads)
+
+        monkeypatch.setattr(executor, "_run_wave", run_wave)
+
+    def submit(
+        self, payload: Dict[str, Any], results: list, index: int
+    ) -> threading.Thread:
+        def run() -> None:
+            try:
+                results[index] = self.executor.run(payload)
+            except Exception as error:  # noqa: BLE001 — asserted by the test
+                results[index] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread
+
+    def wait_queued(self, count: int) -> None:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            with self.executor._lock:
+                if len(self.executor._queue) >= count:
+                    return
+            time.sleep(0.01)
+        raise AssertionError(f"{count} jobs never queued")
+
+
+def _pool_payload(name: str) -> Dict[str, Any]:
+    return {"qasm": qasm_for(name), "config": BASE_RUN.as_dict()}
+
+
+@pytest.fixture
+def pool_executor():
+    executor = PoolExecutor(BASE_RUN.as_dict(), 2, chunk_timeout=60.0)
+    yield executor
+    executor.close()
+
+
+class TestPoolExecutor:
+    """The wave-dispatching front of the service's one pool."""
+
+    def test_concurrent_jobs_ride_one_wave(self, pool_executor, monkeypatch):
+        held = _HeldWaves(pool_executor, monkeypatch)
+        results: list = [None] * 3
+        threads = [held.submit(_pool_payload("tof_3"), results, 0)]
+        assert held.started.wait(60)
+        threads += [
+            held.submit(_pool_payload(name), results, index)
+            for index, name in ((1, "barenco_tof_3"), (2, "mod5_4"))
+        ]
+        held.wait_queued(2)
+        held.release.set()
+        for thread in threads:
+            thread.join(240)
+        assert held.sizes == [1, 2]
+        for result, name in zip(results, ("tof_3", "barenco_tof_3", "mod5_4")):
+            assert _result_block(result) == serial_result_block(name)
+
+    def test_waves_are_capped_at_the_worker_count(self, pool_executor, monkeypatch):
+        held = _HeldWaves(pool_executor, monkeypatch)
+        results: list = [None] * 4
+        threads = [held.submit(_pool_payload("tof_3"), results, 0)]
+        assert held.started.wait(60)
+        threads += [
+            held.submit(_pool_payload("tof_3"), results, index)
+            for index in (1, 2, 3)
+        ]
+        held.wait_queued(3)
+        held.release.set()
+        for thread in threads:
+            thread.join(240)
+        assert held.sizes == [1, 2, 1]
+        blocks = [_result_block(result) for result in results]
+        assert blocks == [serial_result_block("tof_3")] * 4
+
+    def test_pool_failure_fails_every_job_of_the_wave(
+        self, pool_executor, monkeypatch
+    ):
+        held = _HeldWaves(pool_executor, monkeypatch)
+        results: list = [None] * 3
+        threads = [held.submit(_pool_payload("tof_3"), results, 0)]
+        assert held.started.wait(60)
+        threads += [
+            held.submit(_pool_payload("tof_3"), results, index) for index in (1, 2)
+        ]
+        held.wait_queued(2)
+        failure = RetryExhausted("every worker died")
+
+        def exhausted(chunks):
+            raise failure
+
+        # The held first wave is already inside run_wave; only the second
+        # wave (both queued jobs) dispatches to the failing pool.
+        original = pool_executor._pool.run_chunks
+        calls: list = []
+
+        def first_clean_then_exhausted(chunks):
+            calls.append(len(chunks))
+            return original(chunks) if len(calls) == 1 else exhausted(chunks)
+
+        monkeypatch.setattr(
+            pool_executor._pool, "run_chunks", first_clean_then_exhausted
+        )
+        held.release.set()
+        for thread in threads:
+            thread.join(240)
+        assert _result_block(results[0]) == serial_result_block("tof_3")
+        assert results[1] is failure and results[2] is failure
+        # The dispatch thread survived: a later job still runs.
+        monkeypatch.setattr(pool_executor._pool, "run_chunks", original)
+        assert _result_block(pool_executor.run(_pool_payload("tof_3"))) == (
+            serial_result_block("tof_3")
+        )
+
+    def test_counters_start_empty_and_stay_empty_without_faults(
+        self, pool_executor
+    ):
+        assert pool_executor.counters() == {}
+        pool_executor.run(_pool_payload("tof_3"))
+        assert not any(
+            name.startswith("resilience.") for name in pool_executor.counters()
+        )
+
+    def test_run_after_close_raises_retry_exhausted(self):
+        executor = PoolExecutor(BASE_RUN.as_dict(), 2, chunk_timeout=60.0)
+        executor.close()
+        executor.close()  # idempotent
+        with pytest.raises(RetryExhausted, match="closed"):
+            executor.run(_pool_payload("tof_3"))
+
+    def test_inline_stats_have_no_resilience_counters(self):
+        with manager() as service:
+            job = service.submit(qasm_for("tof_3"))
+            assert job.wait(120)
+            stats = service.stats()
+        assert stats["service.jobs.completed"] == 1
+        assert not any(name.startswith("resilience.") for name in stats)
+
 
 # -- the HTTP front ------------------------------------------------------------
 
@@ -436,6 +656,34 @@ class TestHTTPServer:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"workers": 2},
+            {"verify_workers": 2},
+            {"search_workers": 2},
+            {"strategy": "portfolio"},
+            {"strategy": "parallel-backtracking"},
+        ],
+        ids=[
+            "workers",
+            "verify_workers",
+            "search_workers",
+            "portfolio",
+            "parallel-backtracking",
+        ],
+    )
+    def test_pool_options_of_serial_runs_are_http_400(self, http_server, config):
+        # Generation and search run serially: asking for more workers, or
+        # for a removed strategy, fails loudly instead of running serially.
+        status, _, payload = http_server.request(
+            "POST",
+            "/v1/optimize",
+            json.dumps({"qasm": qasm_for("tof_3"), "config": config}),
+        )
+        assert status == 400
+        assert payload["error"] == "InvalidRequest"
+
     def test_unknown_job_is_http_404(self, http_server):
         status, _, payload = http_server.request("GET", "/v1/jobs/job-999999")
         assert status == 404
@@ -459,6 +707,32 @@ class TestHTTPServer:
             "service.queue.depth",
         ):
             assert key in stats
+
+    def test_pooled_stats_report_recovery_over_http(self):
+        # The pool's resilience.* counters reach /v1/stats, which the
+        # server reads on its own thread while the dispatch thread writes.
+        run_config = BASE_RUN.with_overrides(chunk_timeout=60.0, chunk_retries=2)
+        config = ServiceConfig(port=0, run_config=run_config, workers=2)
+        faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service"))
+        try:
+            with _ServerThread(config) as server:
+                _, _, submitted = server.request(
+                    "POST", "/v1/optimize", json.dumps({"qasm": qasm_for("tof_3")})
+                )
+                status, _, record = server.request(
+                    "GET", f"/v1/jobs/{submitted['job_id']}?wait=120"
+                )
+                assert status == 200 and record["status"] == "completed"
+                status, _, stats = server.request("GET", "/v1/stats")
+        finally:
+            faults.set_fault_plan(None)
+        assert status == 200
+        assert json.dumps(record["result"], sort_keys=True) == json.dumps(
+            serial_result_block("tof_3"), sort_keys=True
+        )
+        assert stats["resilience.faults_injected"] == 1
+        assert stats["resilience.chunk_failures"] == 1
+        assert stats["resilience.chunk_retries"] == 1
 
     def test_event_stream_ends_with_terminal_status(self, http_server):
         _, _, submitted = http_server.request(

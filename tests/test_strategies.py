@@ -38,6 +38,12 @@ class TestRegistry:
         with pytest.raises(KeyError, match="backtracking"):
             get_strategy("anneal")
 
+    @pytest.mark.parametrize("name", ["portfolio", "parallel-backtracking"])
+    def test_removed_strategies_are_unknown(self, name):
+        assert available_strategies() == ["backtracking", "beam", "greedy"]
+        with pytest.raises(KeyError, match="unknown search strategy"):
+            get_strategy(name)
+
     def test_options_reach_the_factory(self):
         strategy = get_strategy("beam", beam_width=5)
         assert isinstance(strategy, BeamStrategy)
@@ -132,6 +138,20 @@ class TestStrategyBehaviour:
     def test_beam_width_validation(self):
         with pytest.raises(ValueError, match="beam_width"):
             BeamStrategy(beam_width=0)
+
+    def test_strategies_take_no_stop_check(self, nam_transformations_small):
+        # The portfolio's cancellation hook and race metadata are gone.
+        circuit = Circuit(2).h(0).h(0).cx(0, 1)
+        for name in available_strategies():
+            with pytest.raises(TypeError, match="stop_check"):
+                get_strategy(name).run(
+                    circuit, nam_transformations_small, stop_check=lambda: False
+                )
+            result = get_strategy(name).run(
+                circuit, nam_transformations_small, max_iterations=3
+            )
+            assert not hasattr(result, "cancelled"), name
+            assert not hasattr(result, "metadata"), name
 
     def test_all_strategies_preserve_equivalence(self, nam_transformations_small):
         circuit = _figure6_circuit()

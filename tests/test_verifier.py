@@ -246,21 +246,6 @@ class TestMatrixCacheEviction:
 
 
 class TestVerifierStatsMerge:
-    def test_merge_keeps_integer_counters(self):
-        parts = [
-            VerifierStats(checks=3, symbolic_proofs=2, time_seconds=0.25),
-            VerifierStats(checks=4, numeric_rejections=1, time_seconds=0.5),
-            VerifierStats(numeric_fallbacks=2),
-        ]
-        merged = VerifierStats.merge(parts)
-        assert merged.checks == 7
-        assert merged.symbolic_proofs == 2
-        assert merged.numeric_rejections == 1
-        assert merged.numeric_fallbacks == 2
-        assert merged.time_seconds == pytest.approx(0.75)
-        for name in VerifierStats.COUNTER_FIELDS:
-            assert isinstance(getattr(merged, name), int)
-
     def test_as_dict_counter_types_round_trip(self):
         stats = VerifierStats(checks=5, symbolic_proofs=3, time_seconds=1.5)
         data = stats.as_dict()
@@ -276,10 +261,6 @@ class TestVerifierStatsMerge:
             {"checks": 2.0, "symbolic_proofs": 1.0, "time_seconds": 0.5}
         )
         assert stats.checks == 2 and isinstance(stats.checks, int)
-
-    def test_merge_of_nothing_is_zero(self):
-        merged = VerifierStats.merge([])
-        assert merged == VerifierStats()
 
 
 class TestSymbolicContext:

@@ -1,138 +1,156 @@
-"""Tests for sharded multiprocess verification (repro.verifier.parallel).
+"""Verification inside the repo's one worker pool equals in-process verification.
 
-The load-bearing property is *determinism*: a run with verifier workers
-must produce an ECC set byte-identical (via ``ECCSet.to_json``) to the
-serial run's, because workers only answer (candidate, anchor) equivalence
-questions while the assignment of candidates to classes happens in the
-parent in enumeration order, consulting the precomputed verdict table.
+Verification runs serially inside RepGen's insert loop, but it still runs
+inside worker processes: every worker of the optimization service's pool
+(:class:`~repro.workerpool.ResilientPool` behind
+:class:`~repro.service.executor.PoolExecutor`) builds its ECC sets and
+screens its search outputs with its own
+:class:`~repro.verifier.EquivalenceVerifier`.  The load-bearing property is
+*determinism across processes*: a verdict (and the fingerprint bucket
+RepGen files a circuit under) must not depend on which process reached it.
 
-A second family of tests pins the bucket-adjacency property the verdict
-table inherits from ``_insert_circuit``: the ±1-bucket probing never
-misses an equivalence that a full pairwise sweep over the resulting class
-representatives finds — serial and 2-worker alike.
+A second family of tests pins the bucket-adjacency property of
+``_insert_circuit``: the ±1-bucket probing never misses an equivalence
+that a full pairwise sweep over the resulting class representatives finds
+— for a run in this process and for runs in pool workers alike.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.errors import RetryExhausted
+from repro.api import GenerationConfig, RunConfig, Superoptimizer
 from repro.generator import RepGen
 from repro.ir.circuit import Circuit
 from repro.ir.gatesets import NAM, GateSet
+from repro.semantics.fingerprint import FingerprintContext
+from repro.perf import PerfRecorder
+from repro.service.executor import PoolExecutor
 from repro.verifier import EquivalenceVerifier, VerifierStats
-from repro.verifier.parallel import (
-    VERIFY_WORKERS_ENV_VAR,
-    ParallelVerifierPool,
-    resolve_verify_workers,
-)
+from repro.workerpool import ResilientPool
+
+TIMEOUT = 30.0
 
 
-def _generate(verify_workers):
-    return RepGen(
-        NAM, num_qubits=2, num_params=2, verify_workers=verify_workers
-    ).generate(2)
+def _noop_init() -> None:
+    pass
+
+
+def _verdicts(pairs):
+    """Verdicts (and the verifier's counters) for ``pairs``, in pair order."""
+    verifier = EquivalenceVerifier(num_params=2)
+    verdicts = []
+    for circuit_a, circuit_b in pairs:
+        result = verifier.verify(circuit_a, circuit_b)
+        verdicts.append((result.equivalent, result.method, result.reason))
+    return verdicts, verifier.stats
+
+
+def _verify_chunk(payload):
+    """Chunk function: verify one chunk of circuit pairs in a worker."""
+    pairs, _fault_token = payload
+    verdicts, stats = _verdicts(pairs)
+    return verdicts, {name: getattr(stats, name) for name in stats.COUNTER_FIELDS}
+
+
+def _verify_and_fingerprint_chunk(payload):
+    """Chunk function: verdicts plus both circuits' fingerprint buckets."""
+    pairs, _fault_token = payload
+    context = FingerprintContext(2, 2)
+    verdicts, _stats = _verdicts(pairs)
+    keys = [(context.hash_key(a), context.hash_key(b)) for a, b in pairs]
+    return verdicts, keys
+
+
+def _run_in_pool(chunk_fn, chunks, workers=2):
+    with ResilientPool(
+        chunk_fn, _noop_init, (), workers, site="service", chunk_timeout=TIMEOUT
+    ) as pool:
+        return pool.run_chunks(chunks)
+
+
+def _split(items, parts):
+    return [items[index::parts] for index in range(parts)]
 
 
 @pytest.fixture(scope="module")
-def serial_result():
-    return _generate(verify_workers=1)
+def ecc_pairs():
+    """Every (representative, member) pair of the Nam (2, 2) n=2 ECC set."""
+    result = RepGen(NAM, num_qubits=2, num_params=2).generate(2)
+    pairs = []
+    for ecc in result.ecc_set:
+        representative = ecc.representative
+        pairs.extend((representative, member) for member in ecc.circuits[1:])
+    assert pairs
+    return pairs
 
 
 class TestParallelVerificationEqualsSerial:
-    def test_two_workers_byte_identical(self, serial_result):
-        parallel = _generate(verify_workers=2)
-        assert parallel.ecc_set.to_json() == serial_result.ecc_set.to_json()
-
-    def test_four_workers_byte_identical(self, serial_result):
-        parallel = _generate(verify_workers=4)
-        assert parallel.ecc_set.to_json() == serial_result.ecc_set.to_json()
-
-    def test_representatives_match(self, serial_result):
-        parallel = _generate(verify_workers=2)
-        assert [c.sequence_key() for c in parallel.representatives] == [
-            c.sequence_key() for c in serial_result.representatives
+    def test_two_workers_byte_identical(self, ecc_pairs):
+        chunks = _split(ecc_pairs, 2)
+        pooled = _run_in_pool(_verify_chunk, chunks, workers=2)
+        assert [verdicts for verdicts, _ in pooled] == [
+            _verdicts(chunk)[0] for chunk in chunks
         ]
-        assert parallel.stats.num_eccs == serial_result.stats.num_eccs
 
-    def test_combined_with_fingerprint_workers(self, serial_result):
-        both = RepGen(
-            NAM, num_qubits=2, num_params=2, workers=2, verify_workers=2
+    def test_four_workers_byte_identical(self, ecc_pairs):
+        chunks = _split(ecc_pairs, 4)
+        pooled = _run_in_pool(_verify_chunk, chunks, workers=4)
+        assert [verdicts for verdicts, _ in pooled] == [
+            _verdicts(chunk)[0] for chunk in chunks
+        ]
+
+    def test_representatives_match(self, ecc_pairs):
+        # Every class member verifies equal to its representative, in a
+        # worker exactly as in this process.
+        pooled = _run_in_pool(_verify_chunk, _split(ecc_pairs, 2))
+        for verdicts, _counters in pooled:
+            assert all(equivalent for equivalent, _method, _reason in verdicts)
+
+    def test_combined_with_fingerprint_work(self, ecc_pairs):
+        chunks = _split(ecc_pairs, 2)
+        pooled = _run_in_pool(_verify_and_fingerprint_chunk, chunks)
+        assert pooled == [
+            _verify_and_fingerprint_chunk((chunk, None)) for chunk in chunks
+        ]
+        # Equivalent circuits land in the same or an adjacent bucket — the
+        # property RepGen's ±1-bucket probing relies on.
+        for _verdicts_, keys in pooled:
+            for key_a, key_b in keys:
+                assert abs(key_a - key_b) <= 1
+
+    def test_worker_stats_aggregated_into_parent(self, ecc_pairs):
+        pooled = _run_in_pool(_verify_chunk, _split(ecc_pairs, 2))
+        totals = VerifierStats()
+        for _verdicts_, counters in pooled:
+            for name, value in counters.items():
+                assert isinstance(value, int)
+                setattr(totals, name, getattr(totals, name) + value)
+        _serial_verdicts, serial_stats = _verdicts(ecc_pairs)
+        assert totals.checks == len(ecc_pairs)
+        for name in VerifierStats.COUNTER_FIELDS:
+            assert getattr(totals, name) == getattr(serial_stats, name)
+
+    def test_custom_verifier_subclass_verifies_serially(self):
+        class CountingVerifier(EquivalenceVerifier):
+            calls = 0
+
+            def verify(self, circuit_a, circuit_b):
+                CountingVerifier.calls += 1
+                return super().verify(circuit_a, circuit_b)
+
+        stock = RepGen(NAM, num_qubits=2, num_params=2).generate(2)
+        custom = RepGen(
+            NAM, num_qubits=2, num_params=2, verifier=CountingVerifier(2)
         ).generate(2)
-        assert both.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        assert custom.ecc_set.to_json() == stock.ecc_set.to_json()
+        # Generation asked the caller's verifier, not a stock copy of it.
+        assert CountingVerifier.calls == custom.stats.verification_calls > 0
 
-    def test_worker_stats_aggregated_into_parent(self, serial_result):
-        result = _generate(verify_workers=2)
-        perf = result.stats.perf
-        assert perf.get("verifier.parallel.pools") == 1
-        assert perf.get("verifier.parallel.workers") == 2
-        assert perf.get("verifier.parallel.rounds", 0) >= 1
-        assert perf.get("verifier.parallel.pairs", 0) > 0
-        # The insert loop answered every question from the table.
-        assert perf.get("verifier.parallel.table_hits", 0) > 0
-        assert perf.get("verifier.parallel.table_misses", 0) == 0
-        # Aggregated worker VerifierStats are surfaced as verifier.workers.*
-        # and roll up into the run's verification totals.
-        worker_checks = perf.get("verifier.workers.checks", 0)
-        assert isinstance(worker_checks, int) and worker_checks > 0
-        assert perf.get("verifier.workers.symbolic_proofs", 0) > 0
-        assert perf.get("verifier.workers.seconds", 0.0) > 0.0
-        assert result.stats.verification_calls >= worker_checks
-        # Speculation means at least as many checks as the serial run did.
-        assert (
-            result.stats.verification_calls
-            >= serial_result.stats.verification_calls
-        )
 
-    def test_reused_generator_does_not_double_count_worker_stats(self):
-        generator = RepGen(NAM, num_qubits=2, num_params=2, verify_workers=2)
-        first = generator.generate(2)
-        second = generator.generate(2)
-        # Identical runs ask identical questions, and the perf recorder is
-        # cumulative across runs — so the second snapshot must hold exactly
-        # twice the first run's worker checks.  Re-merging the first run's
-        # (cumulative) worker stats would make it three times.
-        first_checks = first.stats.perf.get("verifier.workers.checks")
-        assert first_checks > 0
-        assert second.stats.perf.get("verifier.workers.checks") == 2 * first_checks
-
-    def test_round_failure_falls_back_to_serial(self, serial_result, monkeypatch):
-        # Only PoolError (infrastructure failure surviving the pool's own
-        # retry loop) triggers the serial fallback; bugs surface instead.
-        def explode(self, pairs, *, round_index=None):
-            raise RetryExhausted("injected verifier worker failure")
-
-        monkeypatch.setattr(ParallelVerifierPool, "verify_pairs", explode)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = _generate(verify_workers=2)
-        assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-
-    def test_pool_setup_failure_falls_back_to_serial(self, serial_result, monkeypatch):
-        def explode(self, spec, workers):
-            raise OSError("injected fork failure")
-
-        monkeypatch.setattr(ParallelVerifierPool, "__init__", explode)
-        with pytest.warns(RuntimeWarning, match="verifying serially"):
-            result = _generate(verify_workers=2)
-        assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-
-    def test_custom_verifier_subclass_verifies_serially(self, serial_result):
-        class PickyVerifier(EquivalenceVerifier):
-            pass
-
-        verifier = PickyVerifier(2)
-        with pytest.warns(RuntimeWarning, match="stock EquivalenceVerifier"):
-            result = RepGen(
-                NAM,
-                num_qubits=2,
-                num_params=2,
-                verifier=verifier,
-                verify_workers=2,
-            ).generate(2)
-        assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-        assert result.stats.perf.get("verifier.parallel.unsupported_verifier") == 1
+def _mini_representatives_chunk(payload):
+    _chunk, _fault_token = payload
+    return TestBucketAdjacency.representatives()
 
 
 class TestBucketAdjacency:
@@ -147,11 +165,10 @@ class TestBucketAdjacency:
     # A small constant gate set keeps the all-pairs sweep tractable.
     MINI = GateSet("adjacency_mini", ["h", "cx", "t"], num_params=0)
 
-    def _representatives(self, verify_workers):
-        result = RepGen(
-            self.MINI, num_qubits=2, num_params=0, verify_workers=verify_workers
-        ).generate(2)
-        return [circuit for circuit in result.representatives]
+    @classmethod
+    def representatives(cls):
+        result = RepGen(cls.MINI, num_qubits=2, num_params=0).generate(2)
+        return list(result.representatives)
 
     def _assert_no_missed_equivalence(self, representatives):
         sweep = EquivalenceVerifier(num_params=0)
@@ -163,68 +180,49 @@ class TestBucketAdjacency:
                 )
 
     def test_serial_probing_matches_full_sweep(self):
-        representatives = self._representatives(verify_workers=1)
+        representatives = self.representatives()
         assert len(representatives) > 1
         self._assert_no_missed_equivalence(representatives)
 
     def test_two_worker_probing_matches_full_sweep(self):
-        serial = self._representatives(verify_workers=1)
-        parallel = self._representatives(verify_workers=2)
-        assert [c.sequence_key() for c in parallel] == [
-            c.sequence_key() for c in serial
-        ]
-        self._assert_no_missed_equivalence(parallel)
+        serial = self.representatives()
+        for pooled in _run_in_pool(_mini_representatives_chunk, [0, 1]):
+            assert [c.sequence_key() for c in pooled] == [
+                c.sequence_key() for c in serial
+            ]
+            self._assert_no_missed_equivalence(pooled)
 
 
 class TestWorkerResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "7")
-        assert resolve_verify_workers(3) == 3
+    """``verify_workers`` is a compatibility field: serial is all it means."""
 
-    def test_env_var_is_read(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "4")
-        assert resolve_verify_workers(None) == 4
-        assert RepGen(NAM, num_qubits=2).verify_workers == 4
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        assert resolve_verify_workers(None) == 1
-        assert RepGen(NAM, num_qubits=2).verify_workers == 1
-
-    def test_garbage_env_var_warns_and_runs_serially(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "many")
-        with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert resolve_verify_workers(None) == 1
-
-    def test_independent_of_fingerprint_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEN_WORKERS", "5")
-        monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        generator = RepGen(NAM, num_qubits=2)
-        assert generator.workers == 5
-        assert generator.verify_workers == 1
-
-
-class TestVerifierSpec:
-    def test_spec_roundtrip_preserves_verdicts(self):
-        verifier = EquivalenceVerifier(
-            num_params=2, search_linear_phase=True, seed=11
+    def test_explicit_argument_wins(self):
+        # An explicit serial request reaches the facade's config and
+        # generates exactly what the default does.
+        explicit = Superoptimizer(
+            gate_set="nam", n=2, q=2, cache_enabled=False, verify_workers=1
         )
-        rebuilt = EquivalenceVerifier.from_spec(verifier.spec())
-        assert rebuilt.num_params == verifier.num_params
-        assert rebuilt.search_linear_phase is True
-        assert rebuilt.seed == 11
-        assert rebuilt.backend_name == verifier.backend_name
-        equal = (Circuit(1).h(0).h(0), Circuit(1))
-        different = (Circuit(1).x(0), Circuit(1).z(0))
-        for pair in (equal, different):
-            assert (
-                rebuilt.verify(*pair).equivalent
-                == verifier.verify(*pair).equivalent
-            )
+        default = Superoptimizer(gate_set="nam", n=2, q=2, cache_enabled=False)
+        assert explicit.config.generation.verify_workers == 1
+        assert default.config.generation.verify_workers is None
+        assert (
+            explicit.generate().ecc_set.to_json()
+            == default.generate().ecc_set.to_json()
+        )
 
-    def test_spec_is_picklable(self):
-        spec = EquivalenceVerifier(num_params=1).spec()
-        assert pickle.loads(pickle.dumps(spec)) == spec
+    def test_default_is_serial(self):
+        # Serial is the only mode: the config default is None and RepGen
+        # takes no worker count at all.
+        assert GenerationConfig().verify_workers is None
+        with pytest.raises(TypeError, match="verify_workers"):
+            RepGen(NAM, num_qubits=2, verify_workers=2)
+
+    def test_independent_of_fingerprint_workers(self):
+        config = RunConfig().with_overrides(workers=1)
+        assert config.generation.workers == 1
+        assert config.generation.verify_workers is None
+        with pytest.raises(ValueError, match="verify_workers"):
+            RunConfig().with_overrides(workers=1, verify_workers=2)
 
 
 class TestPoolDirectly:
@@ -234,25 +232,20 @@ class TestPoolDirectly:
             (Circuit(1).x(0), Circuit(1).z(0)),  # not equivalent
             (Circuit(1).s(0).s(0), Circuit(1).z(0)),  # equivalent
         ]
-        with ParallelVerifierPool(
-            EquivalenceVerifier(num_params=0).spec(), workers=2
-        ) as pool:
-            results, stats, counters = pool.verify_pairs(pairs)
-        assert [r.equivalent for r in results] == [True, False, True]
-        assert stats.checks == len(pairs)
-        assert isinstance(stats.checks, int)
-        assert stats.time_seconds > 0.0
-        assert counters  # worker verifier.* counters came back
+        results = _run_in_pool(_verify_chunk, [[pair] for pair in pairs])
+        assert [verdicts[0][0] for verdicts, _ in results] == [True, False, True]
+        assert [counters["checks"] for _, counters in results] == [1, 1, 1]
 
     def test_empty_batch(self):
-        with ParallelVerifierPool(
-            EquivalenceVerifier(num_params=0).spec(), workers=2
+        perf = PerfRecorder()
+        with ResilientPool(
+            _verify_chunk, _noop_init, (), 2, site="service", perf=perf
         ) as pool:
-            results, stats, counters = pool.verify_pairs([])
-        assert results == []
-        assert stats.checks == 0
-        assert counters == {}
+            assert pool.run_chunks([]) == []
+        assert perf.snapshot() == {}
 
     def test_single_worker_pool_rejected(self):
+        # The service never builds a one-worker pool: below 2 workers it
+        # runs jobs in-process, and the pool refuses to start with one.
         with pytest.raises(ValueError, match="at least 2"):
-            ParallelVerifierPool(EquivalenceVerifier(num_params=0).spec(), 1)
+            PoolExecutor(RunConfig().as_dict(), 1)
