@@ -174,36 +174,6 @@ def test_search_speedup_vs_seed(nam_q3_n3_generation):
         )
 
 
-def test_batched_fingerprinting_is_byte_identical_and_records_speedup(
-    nam_q3_n3_generation,
-):
-    """Batched multi-state fingerprinting (the default) must be byte-identical
-    to the per-state path on the numpy backend; the wall-clock of both paths
-    is recorded in the perf trajectory (the numpy win is dispatch
-    amortization)."""
-    batched_result, batched_elapsed = nam_q3_n3_generation
-    assert batched_result.stats.perf.get("fingerprint.batched.calls", 0) > 0
-
-    generator = RepGen(NAM, num_qubits=3, num_params=2, batched=False)
-    start = time.perf_counter()
-    per_state_result = generator.generate(3)
-    per_state_elapsed = time.perf_counter() - start
-    _RESULTS["repgen_batched_n3_q3"] = {
-        "batched_seconds": batched_elapsed,
-        "per_state_seconds": per_state_elapsed,
-        "speedup_vs_per_state": per_state_elapsed / batched_elapsed,
-        "perf": {
-            k: v
-            for k, v in batched_result.stats.perf.items()
-            if k.startswith("fingerprint.batched")
-        },
-    }
-    # The acceptance bar: hash keys — and hence the serialized ECC set —
-    # do not depend on the batch knob on the reference backend.
-    assert per_state_result.ecc_set.to_json() == batched_result.ecc_set.to_json()
-    assert per_state_result.stats.perf.get("fingerprint.batched.calls", 0) == 0
-
-
 def test_warm_cache_repgen_under_half_second(nam_q3_n3_generation, tmp_path):
     """A warm .repro_cache/ hit replaces generation with a JSON load."""
     serial_result, _ = nam_q3_n3_generation
@@ -250,15 +220,13 @@ def test_incremental_fingerprint_ratio():
     incremental = FingerprintContext(num_qubits, 0)
     incremental.evolved_state(parent)  # warm the parent state
     start = time.perf_counter()
-    for inst in instructions:
-        incremental.hash_key_appended(parent, inst)
+    [keys] = incremental.hash_keys_batched([(parent, instructions)])
     incremental_seconds = time.perf_counter() - start
 
     full = FingerprintContext(num_qubits, 0, state_cache_size=1)
     candidates = [parent.appended(inst) for inst in instructions]
     start = time.perf_counter()
-    for candidate in candidates:
-        full.hash_key(candidate)
+    full_keys = [full.hash_key(candidate) for candidate in candidates]
     full_seconds = time.perf_counter() - start
 
     ratio = full_seconds / incremental_seconds
@@ -267,6 +235,7 @@ def test_incremental_fingerprint_ratio():
         "full_replay_seconds": full_seconds,
         "ratio": ratio,
     }
+    assert keys == full_keys
     assert ratio >= 3.0, (
         f"incremental fingerprinting only {ratio:.2f}x faster than full replay"
     )
@@ -635,55 +604,10 @@ def test_facade_end_to_end_timing(nam_q3_n3_generation):
         "final_cost": report.final_cost,
         "verified": report.verified,
         "num_transformations": report.num_transformations,
-        "batch_provenance": {
-            "backend": report.provenance["backend"],
-            "batched": report.provenance["batched"],
-            "batch_kind": report.provenance["batch_kind"],
-        },
     }
     assert facade.generate().ecc_set.to_json() == serial_result.ecc_set.to_json()
     assert report.verified is True
     assert report.final_cost <= report.initial_cost
-    assert elapsed < 120.0
-
-
-def test_facade_per_state_parity_and_timing(nam_q3_n3_generation):
-    """Facade-level batch check: a ``batched=False`` run is generated from
-    scratch (the memo is cleared), must serialize byte-identically to the
-    batched fixture, and must report the per-state path in its provenance.
-    Recorded to the trajectory next to ``facade_tof3_end_to_end``."""
-    from repro.api import RunConfig, Superoptimizer, clear_memory_caches
-
-    serial_result, _ = nam_q3_n3_generation
-    clear_memory_caches()
-    facade = Superoptimizer(
-        RunConfig().with_overrides(
-            gate_set="nam",
-            n=3,
-            q=3,
-            num_params=2,
-            batched=False,
-            cache_enabled=False,
-            max_iterations=15,
-            timeout_seconds=60,
-        )
-    )
-    start = time.perf_counter()
-    report = facade.optimize(benchmark_circuit("tof_3"))
-    elapsed = time.perf_counter() - start
-    _RESULTS["facade_per_state_tof3"] = {
-        "seconds": elapsed,
-        "stage_seconds": dict(report.stage_seconds),
-        "final_cost": report.final_cost,
-        "batch_provenance": {
-            "backend": report.provenance["backend"],
-            "batched": report.provenance["batched"],
-            "batch_kind": report.provenance["batch_kind"],
-        },
-    }
-    assert report.provenance["batched"] is False
-    assert report.provenance["batch_kind"] == "per-state"
-    assert facade.generate().ecc_set.to_json() == serial_result.ecc_set.to_json()
     assert elapsed < 120.0
 
 

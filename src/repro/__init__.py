@@ -40,8 +40,8 @@ hand-wire them::
 
 See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 table-by-table reproduction results, and README.md ("Public API") for the
-facade, the simulator-backend and search-strategy registries, and the
-configuration precedence rules.
+facade, the search-strategy registry, and the configuration precedence
+rules.
 """
 
 from repro.ir import (

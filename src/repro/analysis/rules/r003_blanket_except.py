@@ -49,7 +49,6 @@ _TAXONOMY_NAMES = {
     "CheckpointError",
     "FaultConfigError",
     "FaultInjected",
-    "BackendUnavailableError",
 }
 
 

@@ -1,24 +1,26 @@
-"""R006 ``nondeterministic-reduction`` — bit-identical modules earn it.
+"""R006 ``nondeterministic-reduction`` — the fingerprint path stays exact.
 
-``SimulatorBackend.batch_bit_identical = True`` is a *declared theorem*:
-the backend promises that its batched kernels produce bit-for-bit the
-floats of the per-state path, which is what lets the numpy backend share
-ECC cache blobs between batched and per-state runs and lets fingerprint
-hash keys ignore the batching knob entirely.  The proof is delicate —
-PR 5's batched matmul is bit-identical only because each per-state slice
-has the *exact shapes* of the per-state path, and ``inner_product_batch``
-deliberately stays a per-row ``np.vdot`` loop because a BLAS gemv would
-reorder the accumulation (floating-point addition is not associative;
-BLAS picks its own summation order per shape, thread count and CPU).
+Fingerprint hash keys are a *declared theorem*: a candidate's key, computed
+incrementally on its parent's cached state and batched with every other
+candidate sharing its instruction, is bit-for-bit the key a full replay
+of the candidate gives.  That is what lets the sampling cross-check demand
+exact equality and what keeps ``ECCSet.to_json`` independent of how a
+round's candidates were grouped.  The proof is delicate — the batched
+matmul is bit-identical only because each per-state slice has the *exact
+shapes* of the per-state kernel, and the amplitudes stay a per-row
+``np.vdot`` because a BLAS gemv would reorder the accumulation
+(floating-point addition is not associative; BLAS picks its own summation
+order per shape, thread count and CPU).
 
-Any *new* reduction-flavored numpy call in such a module therefore needs
-the same scrutiny, mechanically: this rule flags, in every module that
-declares ``batch_bit_identical = True`` (plus the kernel modules those
-backends delegate to), calls to ``np.sum`` / ``np.dot`` / ``np.matmul`` /
-``np.einsum`` / ``np.tensordot`` / ``np.inner`` / ``np.prod`` /
-``np.trace``, ``.sum()``/``.dot()``/``.prod()``/``.trace()`` method
-calls, and the ``@`` matmul operator.  Sites whose bit-identity has been
-argued (and property-tested) carry an inline
+Any *new* reduction-flavored numpy call in the modules that compute those
+floats therefore needs the same scrutiny, mechanically: this rule flags,
+in :mod:`repro.semantics.simulator` (the kernels) and
+:mod:`repro.semantics.fingerprint` (the incremental, batched path), calls
+to ``np.sum`` / ``np.dot`` / ``np.matmul`` / ``np.einsum`` /
+``np.tensordot`` / ``np.inner`` / ``np.prod`` / ``np.trace``,
+``.sum()``/``.dot()``/``.prod()``/``.trace()`` method calls, and the ``@``
+matmul operator.  Sites whose bit-identity has been argued (and
+property-tested) carry an inline
 ``# repro: allow(nondeterministic-reduction): <why it is exact>``.
 """
 
@@ -42,34 +44,6 @@ _NP_REDUCTIONS = {
     "trace",
 }
 _METHOD_REDUCTIONS = {"sum", "dot", "prod", "trace"}
-_DECLARATION = "batch_bit_identical"
-
-
-def _declares_bit_identical(module: ModuleInfo) -> bool:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for item in node.body:
-            targets = []
-            if isinstance(item, ast.Assign):
-                targets = [
-                    t.id for t in item.targets if isinstance(t, ast.Name)
-                ]
-                value = item.value
-            elif isinstance(item, ast.AnnAssign) and item.value is not None:
-                targets = (
-                    [item.target.id] if isinstance(item.target, ast.Name) else []
-                )
-                value = item.value
-            else:
-                continue
-            if (
-                _DECLARATION in targets
-                and isinstance(value, ast.Constant)
-                and value.value is True
-            ):
-                return True
-    return False
 
 
 @register
@@ -78,20 +52,20 @@ class NondeterministicReductionRule(Rule):
     name = "nondeterministic-reduction"
     severity = "error"
     description = (
-        "BLAS-flavored reduction added to a module whose backend declares "
-        "batch_bit_identical (accumulation order must be proven exact)"
+        "BLAS-flavored reduction added to a module that computes fingerprint "
+        "floats (accumulation order must be proven exact)"
     )
 
-    #: Kernel modules the bit-identical backends delegate to: the numpy
-    #: backend's apply_gate_batch is implemented in semantics.simulator.
-    EXTRA_MODULES = frozenset({"repro.semantics.simulator"})
+    #: The modules whose floats fingerprint hash keys are made of: the
+    #: kernels and the incremental, batched path over them.
+    MODULES = frozenset(
+        {"repro.semantics.simulator", "repro.semantics.fingerprint"}
+    )
 
     def check_module(
         self, module: ModuleInfo, project: ProjectIndex
     ) -> Iterator[Finding]:
-        if not (
-            module.logical in self.EXTRA_MODULES or _declares_bit_identical(module)
-        ):
+        if module.logical not in self.MODULES:
             return
         numpy_aliases = {
             alias
@@ -103,9 +77,9 @@ class NondeterministicReductionRule(Rule):
                 yield self.finding(
                     module,
                     node,
-                    "matmul (@) in a batch_bit_identical module: prove the "
+                    "matmul (@) in a fingerprint module: prove the "
                     "per-state accumulation order is unchanged (exact "
-                    "per-slice shapes) or declare batch_bit_identical=False",
+                    "per-slice shapes) or annotate",
                 )
             elif isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
@@ -120,7 +94,7 @@ class NondeterministicReductionRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f"np.{attr}() in a batch_bit_identical module: BLAS "
+                        f"np.{attr}() in a fingerprint module: BLAS "
                         "reductions reorder floating-point accumulation; "
                         "prove exactness or annotate",
                     )
@@ -130,8 +104,8 @@ class NondeterministicReductionRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f".{attr}() reduction in a batch_bit_identical "
-                        "module: prove the accumulation order or annotate",
+                        f".{attr}() reduction in a fingerprint module: "
+                        "prove the accumulation order or annotate",
                     )
                 elif (
                     attr in _METHOD_REDUCTIONS
@@ -141,7 +115,6 @@ class NondeterministicReductionRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f"{base.id}.{attr}() reduction in a "
-                        "batch_bit_identical module: prove the accumulation "
-                        "order or annotate",
+                        f"{base.id}.{attr}() reduction in a fingerprint "
+                        "module: prove the accumulation order or annotate",
                     )

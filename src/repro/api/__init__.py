@@ -8,10 +8,8 @@ Quickstart::
     print(report.summary())
     optimized = report.circuit
 
-Three pluggable seams sit underneath the facade:
+Two seams sit underneath the facade:
 
-* **simulator backends** (:mod:`repro.semantics.backend`) — ``"numpy"``
-  (the reference, and the only one registered by default);
 * **search strategies** (:mod:`repro.optimizer.strategies`) —
   ``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``;
 * **configuration** (:mod:`repro.api.config`) — frozen
@@ -36,34 +34,20 @@ from repro.optimizer.strategies import (
     get_strategy,
     register_strategy,
 )
-from repro.semantics.backend import (
-    BackendUnavailableError,
-    SimulatorBackend,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-)
 
 __all__ = [
-    "BackendUnavailableError",
     "GenerationConfig",
     "GenerationOutcome",
     "RunConfig",
     "RunReport",
     "SearchConfig",
     "SearchStrategy",
-    "SimulatorBackend",
     "Superoptimizer",
-    "available_backends",
     "available_strategies",
-    "backend_available",
     "build_ecc_set",
     "clear_memory_caches",
     "generate_ecc_set",
-    "get_backend",
     "get_strategy",
-    "register_backend",
     "register_strategy",
     "run_generation",
 ]

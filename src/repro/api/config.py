@@ -7,8 +7,8 @@ Three layers, composed into one :class:`RunConfig`:
 * :class:`SearchConfig`     — which :mod:`search strategy
   <repro.optimizer.strategies>` runs and its tuning (gamma, beam width,
   budgets);
-* :class:`RunConfig`        — gate set, simulator backend, preprocessing
-  and output-verification toggles, plus the two layers above.
+* :class:`RunConfig`        — gate set, preprocessing and
+  output-verification toggles, plus the two layers above.
 
 All three are frozen dataclasses: a config never mutates after
 construction, so a :class:`~repro.api.facade.Superoptimizer` can be shared
@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.envconfig import (
-    env_batched_optional,
     env_cache_dir,
     env_cache_enabled,
     env_chunk_retries_optional,
@@ -148,15 +147,21 @@ class RunConfig:
     """The complete configuration of one :class:`~repro.api.Superoptimizer`."""
 
     gate_set: Union[str, GateSet] = "nam"
-    backend: str = "numpy"
-    #: Batched multi-state fingerprint evaluation (None: read
-    #: ``REPRO_BATCHED`` at run time; default on, bit-identical on numpy).
+    #: Accepts only ``None`` or ``True``: fingerprints are always evaluated
+    #: in batches.
     batched: Optional[bool] = None
     preprocess: bool = True
     verify_output: bool = True
     scale: Optional[str] = None  # informational: the REPRO_SCALE preset name
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
+
+    def __post_init__(self) -> None:
+        if self.batched is not None and self.batched is not True:
+            raise ValueError(
+                f"RunConfig.batched={self.batched!r}: fingerprints are always "
+                "evaluated in batches; only None or True is accepted"
+            )
 
     @property
     def gate_set_name(self) -> str:
@@ -170,7 +175,6 @@ class RunConfig:
         """Snapshot every ``REPRO_*`` knob into a concrete config.
 
         This is the single environment-reading path of the public API:
-        ``REPRO_BATCHED`` (batched multi-state fingerprinting, default on),
         ``REPRO_CACHE_DIR``, ``REPRO_CACHE_DISABLE`` (only truthy values
         disable), ``REPRO_CHUNK_TIMEOUT`` / ``REPRO_CHUNK_RETRIES`` (the
         service pool's resilience), ``REPRO_RESUME`` (crash-safe
@@ -179,7 +183,6 @@ class RunConfig:
         """
         config = cls(
             scale=env_scale(),
-            batched=env_batched_optional(),
             generation=GenerationConfig(
                 cache_dir=env_cache_dir(),
                 cache_enabled=env_cache_enabled(),

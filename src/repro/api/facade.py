@@ -12,10 +12,11 @@ the same library code the hand-wired pipeline uses (``RepGen``,
 so its outputs are byte-identical to wiring the stages manually — the
 acceptance tests assert exactly that on ``ECCSet.to_json``.
 
-Generation results are memoized in-process (keyed by gate set, n, q, m,
-seed and backend) and persisted through the content-hash-keyed
-``.repro_cache/`` store, so constructing many facades for the same
-configuration pays for generation once.
+Generation results are memoized in-process and persisted through the
+content-hash-keyed ``.repro_cache/`` store under one identity, the
+:class:`~repro.generator.cache.CacheKey` (gate-set name and gate list, n,
+q, m, seed), so constructing many facades for the same configuration pays
+for generation once.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.api.config import GenerationConfig, RunConfig
 from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume
-from repro.generator.cache import ECCCache, backend_kind, cache_key
+from repro.generator.cache import CacheKey, ECCCache, cache_key
 from repro.generator.ecc import ECCSet
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
 from repro.generator.repgen import GeneratorResult, GeneratorStats, RepGen
@@ -43,11 +44,7 @@ from repro.optimizer.xfer import Transformation, transformations_from_ecc_set
 from repro.perf import PerfRecorder
 from repro.preprocess import SUPPORTED_GATE_SETS as PREPROCESS_GATE_SETS
 from repro.preprocess import preprocess as run_preprocess
-from repro.semantics.backend import (
-    circuits_equivalent_statevector_batched,
-    get_backend,
-)
-from repro.semantics.fingerprint import resolve_batched
+from repro.semantics.simulator import circuits_equivalent_statevector_batched
 from repro.workerpool import resolve_chunk_retries, resolve_chunk_timeout
 
 _UNSET = object()
@@ -64,9 +61,10 @@ VERIFY_MAX_QUBITS = 20
 REPORT_SCHEMA_VERSION = 1
 
 # In-process memoization of generation outputs, shared by every facade (and
-# by the legacy ``repro.experiments.runner`` wrappers).
-_RESULT_MEMO: Dict[Tuple, GeneratorResult] = {}
-_PRUNED_MEMO: Dict[Tuple, ECCSet] = {}
+# by the legacy ``repro.experiments.runner`` wrappers), keyed by the same
+# CacheKey as the disk cache.
+_RESULT_MEMO: Dict[CacheKey, GeneratorResult] = {}
+_PRUNED_MEMO: Dict[CacheKey, ECCSet] = {}
 
 
 def clear_memory_caches() -> None:
@@ -79,40 +77,20 @@ def _resolve_gate_set(gate_set: Union[str, GateSet]) -> GateSet:
     return gate_set if isinstance(gate_set, GateSet) else get_gate_set(gate_set)
 
 
-def _batch_variant(backend: str, batched: Optional[bool]) -> bool:
-    """Whether batching makes this run a distinct output variant.
+def _generation_key(
+    kind: str, gate_set: GateSet, generation: GenerationConfig
+) -> CacheKey:
+    """The cache key of a configuration's ``kind`` artifact.
 
-    Mirrors :func:`repro.generator.cache.backend_kind`: on backends whose
-    batched kernels are bit-identical to the per-state path (numpy) the
-    knob cannot change the generated ECC set, so batched and per-state
-    runs share memo entries and cache blobs; on fused-kernel backends they
-    are kept apart.
+    Both the disk cache and the in-process memos key by it, so two gate
+    sets that share a name but not a gate list never share an entry.
     """
-    return bool(
-        resolve_batched(batched) and not get_backend(backend).batch_bit_identical
-    )
-
-
-def _memo_key(
-    gate_set: GateSet,
-    generation: GenerationConfig,
-    backend: str,
-    batched: Optional[bool] = None,
-) -> Tuple:
     m = (
         generation.num_params
         if generation.num_params is not None
         else gate_set.num_params
     )
-    return (
-        gate_set.name.lower(),
-        generation.n,
-        generation.q,
-        m,
-        generation.seed,
-        backend,
-        _batch_variant(backend, batched),
-    )
+    return cache_key(kind, gate_set, generation.n, generation.q, m, generation.seed)
 
 
 def _result_source(result: GeneratorResult, memoized: bool) -> str:
@@ -136,15 +114,11 @@ class GenerationOutcome:
 def run_generation(
     gate_set: Union[str, GateSet],
     generation: Optional[GenerationConfig] = None,
-    *,
-    backend: str = "numpy",
-    batched: Optional[bool] = None,
 ) -> GeneratorResult:
     """Run RepGen (memoized in memory and on disk) for a configuration."""
     gate_set = _resolve_gate_set(gate_set)
     generation = generation or GenerationConfig()
-    backend = get_backend(backend).name
-    key = _memo_key(gate_set, generation, backend, batched)
+    key = _generation_key("repgen", gate_set, generation)
     cached = _RESULT_MEMO.get(key)
     if cached is not None:
         return cached
@@ -153,8 +127,6 @@ def run_generation(
         num_qubits=generation.q,
         num_params=generation.num_params,
         seed=generation.seed,
-        backend=backend,
-        batched=batched,
         resume=generation.resume,
     )
     disk_cache = ECCCache(
@@ -172,50 +144,33 @@ def run_generation(
 def generate_ecc_set(
     gate_set: Union[str, GateSet],
     generation: Optional[GenerationConfig] = None,
-    *,
-    backend: str = "numpy",
-    batched: Optional[bool] = None,
 ) -> GenerationOutcome:
     """The (optionally pruned) ECC set for a configuration, with provenance."""
     gate_set = _resolve_gate_set(gate_set)
     generation = generation or GenerationConfig()
-    backend = get_backend(backend).name
-    key = _memo_key(gate_set, generation, backend, batched)
+    result_key = _generation_key("repgen", gate_set, generation)
     if not generation.prune:
-        memoized_result = key in _RESULT_MEMO
-        result = run_generation(gate_set, generation, backend=backend, batched=batched)
+        memoized_result = result_key in _RESULT_MEMO
+        result = run_generation(gate_set, generation)
         source = _result_source(result, memoized_result)
         return GenerationOutcome(result.ecc_set, result.stats, source)
 
+    key = _generation_key("pruned", gate_set, generation)
     memoized = _PRUNED_MEMO.get(key)
     if memoized is not None:
         return GenerationOutcome(memoized, None, "memo")
 
-    m = key[3]
     disk_cache = ECCCache(generation.cache_dir, enabled=generation.cache_enabled)
-    pruned_key = cache_key(
-        backend_kind(
-            "pruned",
-            backend,
-            batched=resolve_batched(batched),
-            batch_bit_identical=get_backend(backend).batch_bit_identical,
-        ),
-        gate_set,
-        generation.n,
-        generation.q,
-        m,
-        generation.seed,
-    )
-    cached = disk_cache.load_ecc_set(pruned_key)
+    cached = disk_cache.load_ecc_set(key)
     if cached is not None:
         _PRUNED_MEMO[key] = cached
         return GenerationOutcome(cached, None, "disk")
 
-    memoized_result = key in _RESULT_MEMO
-    result = run_generation(gate_set, generation, backend=backend, batched=batched)
+    memoized_result = result_key in _RESULT_MEMO
+    result = run_generation(gate_set, generation)
     source = _result_source(result, memoized_result)
     ecc_set = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
-    disk_cache.store_ecc_set(pruned_key, ecc_set)
+    disk_cache.store_ecc_set(key, ecc_set)
     _PRUNED_MEMO[key] = ecc_set
     return GenerationOutcome(ecc_set, result.stats, source)
 
@@ -223,14 +178,9 @@ def generate_ecc_set(
 def build_ecc_set(
     gate_set: Union[str, GateSet],
     generation: Optional[GenerationConfig] = None,
-    *,
-    backend: str = "numpy",
-    batched: Optional[bool] = None,
 ) -> ECCSet:
     """Convenience wrapper returning just the ECC set."""
-    return generate_ecc_set(
-        gate_set, generation, backend=backend, batched=batched
-    ).ecc_set
+    return generate_ecc_set(gate_set, generation).ecc_set
 
 
 @dataclass
@@ -240,8 +190,8 @@ class RunReport:
     ``stage_seconds`` has one entry per pipeline stage (``parse``,
     ``preprocess``, ``generate``, ``extract``, ``search``, ``verify``) plus
     ``total``; ``perf`` merges the hot-path counters of every stage;
-    ``provenance`` records which backend/strategy/cache actually served
-    the run.
+    ``provenance`` records which strategy and cache actually served the
+    run.
 
     ``ecc_set``/``generator_stats``/``config`` are ``None`` on reports
     reconstructed by :meth:`from_json`: the JSON schema is a *summary* —
@@ -390,8 +340,7 @@ class RunReport:
             f"gate count {self.input_circuit.gate_count} -> "
             f"{self.preprocessed_circuit.gate_count} (preprocess) -> "
             f"{self.circuit.gate_count} (search)",
-            f"strategy {p.get('strategy')!r} on backend {p.get('backend')!r} "
-            f"({'batched' if p.get('batched') else 'per-state'}): "
+            f"strategy {p.get('strategy')!r}: "
             f"{self.search_result.iterations} iterations, "
             f"{self.search_result.circuits_explored} circuits explored"
             + (", timed out" if self.timed_out else ""),
@@ -437,12 +386,8 @@ class Superoptimizer:
         if overrides:
             config = config.with_overrides(**overrides)
         self.config = config
-        # Fail fast on unknown names: resolve the backend and build the
-        # strategy once (both are reusable across optimize() calls).  The
-        # batch flag is snapshotted here too, so one facade's provenance
-        # cannot drift if the environment changes between calls.
-        self._backend_name = get_backend(config.backend).name
-        self._batched = resolve_batched(config.batched)
+        # Fail fast on unknown names: build the strategy once (it is
+        # reusable across optimize() calls).
         self._strategy: SearchStrategy = get_strategy(
             config.search.strategy, **config.search.options_for()
         )
@@ -453,12 +398,7 @@ class Superoptimizer:
 
     def generate(self) -> GeneratorResult:
         """The raw (unpruned) RepGen result for this configuration."""
-        return run_generation(
-            self.config.gate_set,
-            self.config.generation,
-            backend=self._backend_name,
-            batched=self._batched,
-        )
+        return run_generation(self.config.gate_set, self.config.generation)
 
     def ecc_set(self) -> ECCSet:
         """The (pruned, unless configured otherwise) ECC set."""
@@ -471,25 +411,18 @@ class Superoptimizer:
         return self._transformations
 
     def verify(self, circuit_a: Circuit, circuit_b: Circuit) -> bool:
-        """Random-state equivalence screen on this facade's backend.
+        """Random-state equivalence screen of an output against its input.
 
         The trials share one seeded parameter draw and ride
-        ``apply_circuit_batch`` as a single state stack, whatever the
-        ``batched`` knob says (it only selects the fingerprint path); the
-        verdict agrees with the per-trial reference screen (asserted by
-        the backend test suite).
+        ``apply_circuit_batch`` as a single state stack; the verdict agrees
+        with the per-trial reference screen (``tests/test_backends.py``).
         """
-        return circuits_equivalent_statevector_batched(
-            circuit_a, circuit_b, backend=self._backend_name
-        )
+        return circuits_equivalent_statevector_batched(circuit_a, circuit_b)
 
     def _generation(self) -> GenerationOutcome:
         if self._generation_outcome is None:
             self._generation_outcome = generate_ecc_set(
-                self.config.gate_set,
-                self.config.generation,
-                backend=self._backend_name,
-                batched=self._batched,
+                self.config.gate_set, self.config.generation
             )
         return self._generation_outcome
 
@@ -584,16 +517,8 @@ class Superoptimizer:
         )
 
         generation = config.generation
-        backend = get_backend(self._backend_name)
         provenance: Dict[str, Any] = {
             "gate_set": config.gate_set_name,
-            "backend": self._backend_name,
-            # The active batch path: whether the run fingerprinted through
-            # the backend's batched multi-state kernels, and what kind of
-            # kernels those are ("vectorized" numpy / "jit" compiled /
-            # "per-state" generic loop).
-            "batched": self._batched,
-            "batch_kind": backend.batch_kind if self._batched else "per-state",
             "strategy": self._strategy.name,
             "n": generation.n,
             "q": generation.q,

@@ -3,10 +3,6 @@
 Every environment variable the library reads is named and parsed here, so
 the semantics of a knob cannot drift between call sites:
 
-* ``REPRO_BATCHED``       — boolean flag (default on): evaluate fingerprint
-  candidates through the backend's batched multi-state kernels instead of
-  one gate application per candidate (bit-identical on the reference
-  ``numpy`` backend);
 * ``REPRO_CACHE_DIR``     — persistent ECC cache directory;
 * ``REPRO_CACHE_DISABLE`` — boolean flag; **only truthy values disable**
   the cache, so ``REPRO_CACHE_DISABLE=0`` / ``=false`` / ``=off`` mean
@@ -53,7 +49,6 @@ import os
 import warnings
 from typing import Optional
 
-BATCHED_ENV_VAR = "REPRO_BATCHED"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV_VAR = "REPRO_CACHE_DISABLE"
 CHUNK_TIMEOUT_ENV_VAR = "REPRO_CHUNK_TIMEOUT"
@@ -136,24 +131,6 @@ def parse_workers(raw: str, *, source: str = SERVICE_WORKERS_ENV_VAR) -> int:
         )
         return 1
     return max(workers, 1)
-
-
-def env_batched(*, default: bool = True) -> bool:
-    """Whether batched multi-state fingerprinting is enabled (``REPRO_BATCHED``).
-
-    The batched path is on by default: on the reference ``numpy`` backend it
-    is bit-identical to the per-state path, so turning it off is purely a
-    debugging/measurement aid.
-    """
-    return env_flag(BATCHED_ENV_VAR, default=default)
-
-
-def env_batched_optional() -> Optional[bool]:
-    """Batched flag from the environment, or None when the knob is unset."""
-    raw = os.environ.get(BATCHED_ENV_VAR)
-    if raw is None:
-        return None
-    return parse_bool(raw, default=True, name=BATCHED_ENV_VAR)
 
 
 def env_cache_dir(*, default: str = DEFAULT_CACHE_DIR) -> str:

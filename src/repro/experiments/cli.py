@@ -5,7 +5,7 @@ Runs the generation-centric experiments with the cache knobs exposed::
     python -m repro.experiments.cli generate --gate-set nam --n 3 --q 3
     python -m repro.experiments.cli generator-metrics --gate-set nam --n 1 2 3
     python -m repro.experiments.cli optimize --gate-set nam --circuit tof_3 \
-        --strategy beam --backend numpy
+        --strategy beam
     python -m repro.experiments.cli registry
     python -m repro.experiments.cli serve --port 8321 --n 2 --q 2
 
@@ -33,7 +33,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro.envconfig import (
-    BATCHED_ENV_VAR,
     CACHE_DIR_ENV_VAR,
     CACHE_DISABLE_ENV_VAR,
     RESUME_ENV_VAR,
@@ -64,15 +63,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
             "cache and resume a killed run at the last completed round"
         ),
     )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "evaluate fingerprints per state instead of through the "
-            "backend's batched multi-state kernels (default: REPRO_BATCHED, "
-            "else batched)"
-        ),
-    )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
@@ -89,8 +79,6 @@ def _apply_shared_flags(args: argparse.Namespace) -> None:
         os.environ[CACHE_DISABLE_ENV_VAR] = "1"
     if args.resume:
         os.environ[RESUME_ENV_VAR] = "1"
-    if args.no_batch:
-        os.environ[BATCHED_ENV_VAR] = "0"
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -158,8 +146,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     }
     config = RunConfig.from_env().with_overrides(
         gate_set=args.gate_set,
-        backend=args.backend,
-        **({"batched": False} if args.no_batch else {}),
         generation=generation_overrides,
         search=search_overrides,
     )
@@ -185,44 +171,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry(args: argparse.Namespace) -> int:
-    """List the pluggable backends and strategies this build offers."""
-    from repro.api import available_strategies, backend_available
-    from repro.envconfig import env_batched
-    from repro.semantics.backend import get_backend, registered_backends
+    """List the search strategies this build offers."""
+    from repro.api import available_strategies
 
-    batched = env_batched()
-    backends = {}
-    for name in registered_backends():
-        available = backend_available(name)
-        entry = {"available": available}
-        if available:
-            backend = get_backend(name)
-            # The batch path this backend would run with the active knob:
-            # its kernel kind when batching is on, the per-state loop
-            # otherwise — plus whether batching can change hash keys.
-            entry["batch_kind"] = backend.batch_kind if batched else "per-state"
-            entry["batch_bit_identical"] = backend.batch_bit_identical
-        backends[name] = entry
     strategies = available_strategies()
-    payload = {
-        "backends": backends,
-        "batched": batched,
-        "strategies": strategies,
-    }
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        json.dump({"strategies": strategies}, sys.stdout, indent=2, sort_keys=True)
         print()
     else:
-        print(f"batched fingerprinting: {'on' if batched else 'off'}")
-        print("simulator backends:")
-        for name, entry in sorted(backends.items()):
-            if entry["available"]:
-                detail = f"available  batch={entry['batch_kind']}"
-                if batched and not entry["batch_bit_identical"]:
-                    detail += " (own cache namespace)"
-            else:
-                detail = "unavailable"
-            print(f"  {name:<14s} {detail}")
         print("search strategies:")
         for name in strategies:
             print(f"  {name}")
@@ -265,15 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="backtracking",
         help="search strategy (backtracking, greedy, beam)",
     )
-    optimize.add_argument(
-        "--backend",
-        default="numpy",
-        help="simulator backend (default: numpy)",
-    )
     optimize.set_defaults(func=_cmd_optimize)
 
     registry = sub.add_parser(
-        "registry", help="list available simulator backends and search strategies"
+        "registry", help="list the available search strategies"
     )
     registry.add_argument("--json", action="store_true")
     registry.set_defaults(func=_cmd_registry)

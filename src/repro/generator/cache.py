@@ -73,7 +73,9 @@ SCHEMA_VERSION = 2
 class CacheKey:
     """The identity of one cached generation artifact."""
 
-    kind: str  # "repgen" (full generator result) or "pruned" (ECC set)
+    #: "repgen" (full generator result), "repgen-ckpt" (a run's resume
+    #: state) or "pruned" (pruned ECC set).
+    kind: str
     gate_set: str
     gates: tuple
     n: int
@@ -102,30 +104,6 @@ class CacheKey:
             f"{self.kind}_{self.gate_set}_n{self.n}_q{self.q}"
             f"_m{self.m}_s{self.seed}_{self.content_hash()[:12]}.json"
         )
-
-
-def backend_kind(
-    base: str, backend: str, *, batched: bool = False, batch_bit_identical: bool = True
-) -> str:
-    """Cache ``kind`` namespacing a blob by simulator backend and batch path.
-
-    The reference ``"numpy"`` backend keeps the bare kind (so existing
-    blobs stay valid); any other registered backend ``"b"`` gets its own
-    namespace (``repgen@b``, ``pruned@b``, ...), because its floating-point
-    arithmetic — and hence the fingerprint bucketing — may differ from the
-    reference backend's.  The same rule applies one level down: when the
-    batched kernels of a backend are *not* bit-identical to its per-state
-    path (``batch_bit_identical`` False, e.g. fused compiled kernels), a
-    batched run gets a further ``+batch`` namespace so it can never serve
-    or poison a per-state run's blobs.  Backends whose batching is
-    bit-identical (numpy) share one namespace regardless of the knob.
-    The single authority for this rule; both RepGen and the facade derive
-    their kinds here.
-    """
-    kind = base if backend == "numpy" else f"{base}@{backend}"
-    if batched and not batch_bit_identical:
-        kind += "+batch"
-    return kind
 
 
 def cache_key(

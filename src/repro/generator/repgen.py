@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro import faults
 from repro.envconfig import env_resume
 from repro.errors import CheckpointError, FaultInjected
-from repro.generator.cache import CacheKey, ECCCache, backend_kind, cache_key
+from repro.generator.cache import CacheKey, ECCCache, cache_key
 from repro.generator.ecc import ECC, ECCSet, circuit_from_payload, circuit_to_payload
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gates import Gate
@@ -92,18 +92,9 @@ class RepGen:
         param_spec: the parameter-expression specification Sigma (defaults to
             the gate set's, i.e. {p_i, 2 p_i, p_i + p_j} with single use).
         verifier: an :class:`EquivalenceVerifier`; created on demand.
-        seed: seed for the fingerprint context's random inputs.
-        backend: simulator backend name for the fingerprint evaluation
-            (see :mod:`repro.semantics.backend`).  Non-default backends get
-            their own persistent-cache namespace, since their floating
-            point arithmetic — and hence the fingerprint bucketing — may
-            differ from the reference backend's.
-        batched: evaluate each round's candidates through the backend's
-            batched multi-state kernels (None reads ``REPRO_BATCHED``,
-            default on).  Bit-identical to the per-state path on the numpy
-            backend; fused-kernel backends (``batch_bit_identical`` False)
-            get a dedicated persistent-cache namespace when batching is on,
-            since their batched arithmetic may bucket differently.
+        seed: seed for the fingerprint context's random inputs.  The
+            default verifier is built with the same seed, so it shares the
+            generator's context (and its cached evolved states).
         resume: write a round-granular checkpoint through the persistent
             cache after every completed round and resume a killed run from
             the last completed one (None reads ``REPRO_RESUME``, default
@@ -120,8 +111,6 @@ class RepGen:
         param_spec: Optional[ParamSpec] = None,
         verifier: Optional[EquivalenceVerifier] = None,
         seed: int = DEFAULT_SEED,
-        backend: str = "numpy",
-        batched: Optional[bool] = None,
         resume: Optional[bool] = None,
     ) -> None:
         self.gate_set = gate_set
@@ -132,20 +121,10 @@ class RepGen:
         self.param_spec = param_spec or ParamSpec(self.num_params)
         self.perf = PerfRecorder()
         self.fingerprints = FingerprintContext(
-            num_qubits,
-            self.num_params,
-            seed=seed,
-            backend=backend,
-            batched=batched,
-            perf=self.perf,
+            num_qubits, self.num_params, seed=seed, perf=self.perf
         )
-        self.backend_name = self.fingerprints.backend_name
-        self.batched = self.fingerprints.batched
         self.verifier = verifier or EquivalenceVerifier(
-            self.num_params,
-            backend=self.backend_name,
-            batched=self.batched,
-            perf=self.perf,
+            self.num_params, seed=seed, perf=self.perf
         )
         # Share the fingerprint context with the verifier: its numeric phase
         # screen then reuses the evolved states the generator already cached
@@ -154,7 +133,6 @@ class RepGen:
         if (
             self.verifier.seed == seed
             and self.verifier.num_params == self.num_params
-            and getattr(self.verifier, "backend_name", "numpy") == self.backend_name
         ):
             self.verifier.set_fingerprint_context(self.fingerprints)
 
@@ -211,7 +189,7 @@ class RepGen:
         set, n, q, m, seed — plus the serialization schema version) skips
         generation entirely and a completed run is stored for the next one.
         With ``resume`` on as well, every completed round checkpoints
-        through the cache (``repgen-ckpt@…`` namespace) and a killed run
+        through the cache (``repgen-ckpt`` kind) and a killed run
         picks up at the last completed round; the checkpoint is deleted
         once the run finishes.
         """
@@ -234,12 +212,7 @@ class RepGen:
 
     def _cache_key(self, max_gates: int) -> CacheKey:
         return cache_key(
-            backend_kind(
-                "repgen",
-                self.backend_name,
-                batched=self.batched,
-                batch_bit_identical=self.fingerprints.backend.batch_bit_identical,
-            ),
+            "repgen",
             self.gate_set,
             max_gates,
             self.num_qubits,
@@ -248,19 +221,14 @@ class RepGen:
         )
 
     def _checkpoint_key(self, max_gates: int) -> CacheKey:
-        """The ``repgen-ckpt@…`` key for this configuration's resume state.
+        """The ``repgen-ckpt`` key for this configuration's resume state.
 
-        Same identity fields as the result key — only the kind namespace
+        Same identity fields as the result key — only the kind
         differs — so a checkpoint can never be confused with a finished
-        result, and a different seed/backend/scale can never resume from it.
+        result, and a different seed or scale can never resume from it.
         """
         return cache_key(
-            backend_kind(
-                "repgen-ckpt",
-                self.backend_name,
-                batched=self.batched,
-                batch_bit_identical=self.fingerprints.backend.batch_bit_identical,
-            ),
+            "repgen-ckpt",
             self.gate_set,
             max_gates,
             self.num_qubits,
@@ -429,10 +397,12 @@ class RepGen:
                     considered_this_round += len(extensions)
             stats.circuits_considered += considered_this_round
 
-            # Fingerprint the candidates, then insert them in enumeration
-            # order: the insert order is what makes the output
+            # Fingerprint the candidates in one batched evaluation (grouped
+            # by instruction inside the context, so per-gate dispatch is
+            # paid once per distinct instruction), then insert them in
+            # enumeration order: the insert order is what makes the output
             # deterministic.
-            keys_per_job = self._fingerprint_jobs(jobs)
+            keys_per_job = self.fingerprints.hash_keys_batched(jobs)
             for (parent, extensions), keys in zip(jobs, keys_per_job):
                 for inst, hash_key in zip(extensions, keys):
                     self._insert_circuit(
@@ -492,23 +462,6 @@ class RepGen:
         return GeneratorResult(result_set, stats, representatives)
 
     # -- helpers --------------------------------------------------------------------
-
-    def _fingerprint_jobs(self, jobs: List[FingerprintJob]) -> List[List[int]]:
-        """Hash keys for every job's extensions, in job order."""
-        if self.batched:
-            # One batched evaluation for the whole round: candidates are
-            # grouped by instruction inside the context, so per-gate
-            # dispatch is paid once per distinct instruction.  Candidate
-            # states land in the shared cache exactly like the per-state
-            # path (the verifier's phase screen reuses them).
-            return self.fingerprints.hash_keys_batched(jobs)
-        return [
-            [
-                self.fingerprints.hash_key_appended(parent, inst)
-                for inst in extensions
-            ]
-            for parent, extensions in jobs
-        ]
 
     def _insert_circuit(
         self,

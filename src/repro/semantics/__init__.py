@@ -1,29 +1,19 @@
 """Numeric circuit semantics: simulation, fingerprints, phase-factor search."""
 
-from repro.semantics.simulator import circuit_unitary, apply_circuit, random_state
+from repro.semantics.simulator import (
+    apply_circuit,
+    circuit_unitary,
+    circuits_equivalent_statevector,
+    random_state,
+)
 from repro.semantics.fingerprint import FingerprintContext, fingerprint
 from repro.semantics.phase import PhaseFactor, find_phase_candidates
-from repro.semantics.backend import (
-    BackendUnavailableError,
-    SimulatorBackend,
-    available_backends,
-    backend_available,
-    circuits_equivalent_statevector,
-    get_backend,
-    register_backend,
-)
 
 __all__ = [
     "circuit_unitary",
     "apply_circuit",
     "random_state",
-    "BackendUnavailableError",
-    "SimulatorBackend",
-    "available_backends",
-    "backend_available",
     "circuits_equivalent_statevector",
-    "get_backend",
-    "register_backend",
     "FingerprintContext",
     "fingerprint",
     "PhaseFactor",

@@ -73,12 +73,9 @@ def find_phase_candidates(
     The returned list is ordered from simplest (constant, small b) to more
     complex; an empty list means the circuits already disagree numerically
     and cannot be equivalent.
-
-    The two amplitudes are evaluated through the context's batched
-    inner-product path (one reduction call for both evolved states when
-    batching is on; see :meth:`FingerprintContext.amplitudes`).
     """
-    amp_a, amp_b = context.amplitudes((circuit_a, circuit_b))
+    amp_a = context.amplitude(circuit_a)
+    amp_b = context.amplitude(circuit_b)
     num_params = context.num_params
 
     if abs(amp_b) < tol or abs(amp_a) < tol:

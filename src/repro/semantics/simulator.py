@@ -104,11 +104,34 @@ def apply_circuit(
     current = np.array(state, dtype=complex)
     for inst in circuit.instructions:
         gate_matrix = instruction_unitary(inst, param_values)
-        current = _apply_gate_to_state(current, gate_matrix, inst.qubits, num_qubits)
+        current = apply_gate(current, gate_matrix, inst.qubits, num_qubits)
     return current
 
 
-def _apply_gate_to_state(
+def apply_circuit_batch(
+    circuit: Circuit,
+    states: np.ndarray,
+    param_values: Sequence[float] | Mapping[int, float] = (),
+) -> np.ndarray:
+    """Apply a circuit to a ``(num_states, 2**q)`` stack of statevectors.
+
+    Each gate matrix is evaluated once for the whole stack, so a run over
+    k states pays the per-gate dispatch once instead of k times; row i is
+    bit-identical to ``apply_circuit(circuit, states[i], param_values)``.
+    """
+    num_qubits = circuit.num_qubits
+    if states.ndim != 2 or states.shape[1] != (1 << num_qubits):
+        raise ValueError(
+            "states must be a (num_states, 2**num_qubits) stacked array"
+        )
+    current = np.array(states, dtype=complex)
+    for inst in circuit.instructions:
+        gate_matrix = instruction_unitary(inst, param_values)
+        current = apply_gate_batch(current, gate_matrix, inst.qubits, num_qubits)
+    return current
+
+
+def apply_gate(
     state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
 ) -> np.ndarray:
     """Apply a small gate matrix to selected qubits of a statevector."""
@@ -126,15 +149,15 @@ def _apply_gate_to_state(
     return tensor.reshape(-1)
 
 
-def _apply_gate_to_state_batch(
+def apply_gate_batch(
     states: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
 ) -> np.ndarray:
     """Apply one gate matrix to a ``(num_states, 2**q)`` stack of statevectors.
 
-    Bit-identical to calling :func:`_apply_gate_to_state` on every row: the
-    stack rides along as a leading broadcast axis, so ``np.matmul`` performs
-    one ``(2^k, 2^k) @ (2^k, rest)`` product per state — the exact shapes
-    (and hence the exact floating-point operations) of the per-state path —
+    Bit-identical to calling :func:`apply_gate` on every row: the stack
+    rides along as a leading broadcast axis, so ``np.matmul`` performs one
+    ``(2^k, 2^k) @ (2^k, rest)`` product per state — the exact shapes (and
+    hence the exact floating-point operations) of the per-state path —
     while the Python-level dispatch (reshape bookkeeping, one matmul call)
     is paid once for the whole batch.
     """
@@ -142,7 +165,7 @@ def _apply_gate_to_state_batch(
     if num_states == 1:
         # Degenerate batch: go straight through the per-state kernel on a
         # view of the single row — no stacked-copy round trip.
-        return _apply_gate_to_state(states[0], matrix, qubits, num_qubits)[None]
+        return apply_gate(states[0], matrix, qubits, num_qubits)[None]
     tensor = states.reshape([num_states] + [2] * num_qubits)
     axes = [q + 1 for q in qubits]
     tensor = np.moveaxis(tensor, axes, range(1, len(axes) + 1))
@@ -150,8 +173,8 @@ def _apply_gate_to_state_batch(
     tensor = tensor.reshape(num_states, 1 << len(axes), -1)
     # Exact: the batch is a leading broadcast axis, so numpy performs one
     # (2^k, 2^k) @ (2^k, rest) product per state — the exact shapes (hence
-    # the exact float ops) of _apply_gate_to_state; asserted bit-identical
-    # by tests/test_batched.py.
+    # the exact float ops) of apply_gate; asserted bit-identical by
+    # tests/test_batched.py.
     tensor = np.matmul(matrix, tensor)  # repro: allow(nondeterministic-reduction)
     tensor = tensor.reshape(front_shape)
     tensor = np.moveaxis(tensor, range(1, len(axes) + 1), axes)
@@ -205,5 +228,100 @@ def circuits_equivalent_numeric(
         left = circuit_unitary(circuit_a, params)
         right = circuit_unitary(circuit_b, params)
         if not unitaries_equal_up_to_phase(left, right, tol=tol):
+            return False
+    return True
+
+
+def _num_params_of(circuit_a: Circuit, circuit_b: Circuit) -> int:
+    return max(
+        [p + 1 for p in circuit_a.used_params() | circuit_b.used_params()] or [0]
+    )
+
+
+def circuits_equivalent_statevector(
+    circuit_a: Circuit,
+    circuit_b: Circuit,
+    *,
+    num_trials: int = 2,
+    seed: int = 7,
+    tol: float = 1e-8,
+) -> bool:
+    """Random-state equivalence screen that scales linearly in the dimension.
+
+    Unlike :func:`circuits_equivalent_numeric` this never forms a full
+    unitary: both circuits are applied to random statevectors and the
+    results compared up to a global phase via ``| <a|b> | = 1`` (both are
+    normalized images of the same unit vector), so it stays cheap on wide
+    circuits.  It is the per-trial reference that
+    :func:`circuits_equivalent_statevector_batched`, the screen the
+    :class:`repro.api.Superoptimizer` facade runs, must agree with.
+    """
+    if circuit_a.num_qubits != circuit_b.num_qubits:
+        return False
+    rng = np.random.default_rng(seed)
+    num_params = _num_params_of(circuit_a, circuit_b)
+    for _ in range(num_trials):
+        params = list(rng.uniform(-np.pi, np.pi, size=max(num_params, 1)))
+        psi = random_state(circuit_a.num_qubits, rng)
+        image_a = apply_circuit(circuit_a, psi, params)
+        image_b = apply_circuit(circuit_b, psi, params)
+        if abs(abs(np.vdot(image_a, image_b)) - 1.0) > tol:
+            return False
+    return True
+
+
+def equivalence_trial_inputs(
+    num_qubits: int,
+    num_params: int,
+    *,
+    num_trials: int = 2,
+    seed: int = 7,
+) -> tuple[list[float], np.ndarray]:
+    """One shared parameter draw plus a ``(num_trials, 2**q)`` state stack.
+
+    The parameters are drawn once and every trial state is drawn afterwards
+    from the same seeded stream, so all trials of one circuit ride a single
+    :func:`apply_circuit_batch` call instead of one ``apply_circuit`` per
+    trial.
+    """
+    rng = np.random.default_rng(seed)
+    params = list(rng.uniform(-np.pi, np.pi, size=max(num_params, 1)))
+    states = np.stack([random_state(num_qubits, rng) for _ in range(num_trials)])
+    return params, states
+
+
+def circuits_equivalent_statevector_batched(
+    circuit_a: Circuit,
+    circuit_b: Circuit,
+    *,
+    num_trials: int = 2,
+    seed: int = 7,
+    tol: float = 1e-8,
+) -> bool:
+    """The random-state equivalence screen over one state stack per circuit.
+
+    The batched restructure of :func:`circuits_equivalent_statevector`:
+    parameters are drawn once and shared by every trial (see
+    :func:`equivalence_trial_inputs`), so each circuit is applied to all
+    trial states in one :func:`apply_circuit_batch` call.  The draws differ
+    from the per-trial path's (params per trial there, once here), so the
+    float streams are not comparable — but the *verdict* agrees, which
+    ``tests/test_backends.py`` pins over equivalent and inequivalent pairs.
+    It is the output screen of every :class:`repro.api.Superoptimizer` run.
+    """
+    if circuit_a.num_qubits != circuit_b.num_qubits:
+        return False
+    params, states = equivalence_trial_inputs(
+        circuit_a.num_qubits,
+        _num_params_of(circuit_a, circuit_b),
+        num_trials=num_trials,
+        seed=seed,
+    )
+    images_a = apply_circuit_batch(circuit_a, states, params)
+    images_b = apply_circuit_batch(circuit_b, states, params)
+    # Row i of each stack is the image of the same unit input state, so
+    # equivalence up to a global phase means |<a_i|b_i>| = 1 per trial.
+    for image_a, image_b in zip(images_a, images_b):
+        if abs(abs(np.vdot(image_a, image_b)) - 1.0) > tol:
             return False
     return True

@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pending-job bound; beyond it submissions get 429 (default: REPRO_SERVICE_MAX_QUEUE)",
     )
     parser.add_argument("--gate-set", default=None, help="base gate set (default: nam)")
-    parser.add_argument("--backend", default=None, help="base simulator backend")
     parser.add_argument("--n", type=int, default=None, help="base ECC generation n")
     parser.add_argument("--q", type=int, default=None, help="base ECC generation q")
     parser.add_argument(
@@ -74,7 +73,7 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         service_overrides["max_queue"] = max(args.max_queue, 1)
     config = ServiceConfig.from_env(**service_overrides)
     run_overrides: Dict[str, Any] = {}
-    for flag in ("gate_set", "backend", "n", "q", "strategy"):
+    for flag in ("gate_set", "n", "q", "strategy"):
         value = getattr(args, flag)
         if value is not None:
             run_overrides[flag] = value

@@ -7,7 +7,7 @@ the tests drive it directly.  Lifecycle of a submission:
 1. **Validate** — the QASM must parse (:class:`~repro.errors.InvalidRequest`
    otherwise) and the config overrides must route through
    :meth:`RunConfig.with_overrides` onto the service's base config; the
-   backend/strategy/gate-set names are resolved eagerly so a typo is a 400
+   strategy and gate-set names are resolved eagerly so a typo is a 400
    at submit time, not a 500 at execution time.
 2. **Memoize / dedupe** — the job key is a content hash of the *canonical*
    QASM (parse → re-emit, so formatting differences cannot defeat it) plus
@@ -313,8 +313,8 @@ class JobManager:
     def _validated(self, config: RunConfig) -> RunConfig:
         """``config`` itself, once its names are known to resolve.
 
-        Eager resolution turns unknown backend/strategy/gate-set names
-        into a 400 here instead of a failed job later.
+        Eager resolution turns unknown strategy and gate-set names into a
+        400 here instead of a failed job later.
         """
         try:
             if not isinstance(config.gate_set, GateSet):

@@ -100,13 +100,9 @@ class EquivalenceVerifier:
             because a concrete angle lies outside the exact fragment (e.g.
             ``rz(pi/8)`` on a concrete circuit), fall back to a randomized
             numeric check instead of raising.
-        backend: simulator backend used by the numeric phase screen's
-            fingerprint contexts (see :mod:`repro.semantics.backend`).  The
-            symbolic proof is exact and backend-independent.
-        batched: whether the phase screen's fingerprint contexts evaluate
-            through the backend's batched kernels (``None`` reads
-            ``REPRO_BATCHED``; bit-identical on the numpy backend either
-            way).
+        seed: seed of the numeric phase screen's fingerprint contexts (and
+            of the numeric fallback).  A context shared through
+            :meth:`set_fingerprint_context` must have been built with it.
     """
 
     #: Bound on cached symbolic matrices; the cache is halved (oldest first)
@@ -120,19 +116,12 @@ class EquivalenceVerifier:
         search_linear_phase: bool = False,
         allow_numeric_fallback: bool = True,
         seed: int = 20220433,
-        backend: str = "numpy",
-        batched: Optional[bool] = None,
         perf: Optional[PerfRecorder] = None,
     ) -> None:
-        from repro.semantics.backend import get_backend
-        from repro.semantics.fingerprint import resolve_batched
-
         self.num_params = num_params
         self.search_linear_phase = search_linear_phase
         self.allow_numeric_fallback = allow_numeric_fallback
         self.seed = seed
-        self.backend_name = get_backend(backend).name
-        self.batched = resolve_batched(batched)
         self.perf = perf if perf is not None else NULL_RECORDER
         self.stats = VerifierStats()
         self._fingerprint_contexts: Dict[int, FingerprintContext] = {}
@@ -235,11 +224,7 @@ class EquivalenceVerifier:
     def _fingerprint_context(self, num_qubits: int) -> FingerprintContext:
         if num_qubits not in self._fingerprint_contexts:
             self._fingerprint_contexts[num_qubits] = FingerprintContext(
-                num_qubits,
-                self.num_params,
-                seed=self.seed,
-                backend=self.backend_name,
-                batched=self.batched,
+                num_qubits, self.num_params, seed=self.seed
             )
         return self._fingerprint_contexts[num_qubits]
 

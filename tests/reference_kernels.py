@@ -1,11 +1,11 @@
-"""Bit-loop gate kernels for the fake backends the backend tests register.
+"""Bit-loop gate kernels: an independent reference for the numpy ones.
 
 The kernels walk the statevector with explicit bit arithmetic instead of
-the reshape/moveaxis route the numpy backend takes, so a backend built on
-them computes the same amplitudes through different floating-point
+the reshape/moveaxis route :mod:`repro.semantics.simulator` takes, so
+they compute the same amplitudes through different floating-point
 operations.  The batched kernel additionally specializes 1- and 2-qubit
-gates, which reorders the arithmetic per output amplitude: backends using
-it must declare ``batch_bit_identical = False``.
+gates, which reorders the arithmetic per output amplitude, so it agrees
+with the numpy kernels to a tolerance, not bit for bit.
 
 Bit convention (matching :mod:`repro.semantics.simulator`): qubit 0 is the
 *most significant* bit of the computational-basis index, so qubit ``q``
@@ -129,16 +129,3 @@ def apply_gate_batch_reference(
         np.asarray(matrix, dtype=np.complex128),
         _shifts_for(qubits, num_qubits),
     )
-
-
-def inner_product_batch_reference(bra: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``<bra|state_i>`` for every row, accumulated one amplitude at a time."""
-    bra = np.asarray(bra, dtype=np.complex128)
-    states = np.asarray(states, dtype=np.complex128)
-    out = np.empty(states.shape[0], dtype=np.complex128)
-    for b in range(states.shape[0]):
-        acc = complex(0.0, 0.0)
-        for j in range(states.shape[1]):
-            acc = acc + bra[j].conjugate() * states[b, j]
-        out[b] = acc
-    return out

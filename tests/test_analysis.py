@@ -378,7 +378,81 @@ class TestR005SpecPickleCompleteness:
 
 
 class TestR006NondeterministicReduction:
-    def test_seeded_reduction_in_declaring_module_is_caught(self, tmp_path):
+    def test_seeded_reduction_in_the_simulator_is_caught(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/semantics/simulator.py": """
+                    import numpy as np
+
+                    def inner(a, b):
+                        return np.dot(a, b)
+                """
+            },
+            select=["R006"],
+        )
+        assert rules_hit(result) == {"R006"}
+
+    def test_matmul_operator_is_caught(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/semantics/fingerprint.py": """
+                    def apply(m, v):
+                        return m @ v
+                """
+            },
+            select=["R006"],
+        )
+        assert rules_hit(result) == {"R006"}
+
+    def test_method_reduction_in_the_fingerprint_path_is_caught(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/semantics/fingerprint.py": """
+                    def norm(states):
+                        return states.conj().sum()
+                """
+            },
+            select=["R006"],
+        )
+        assert rules_hit(result) == {"R006"}
+
+    def test_argued_site_is_suppressed(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/semantics/simulator.py": """
+                    import numpy as np
+
+                    def apply(m, v):
+                        # repro: allow(nondeterministic-reduction): exact shapes
+                        return np.matmul(m, v)
+                """
+            },
+            select=["R006"],
+        )
+        assert result.findings == []
+
+    def test_module_outside_the_set_is_clean(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/mod.py": """
+                    import numpy as np
+
+                    def free_standing(a, b):
+                        return np.dot(a, b)
+                """
+            },
+            select=["R006"],
+        )
+        assert result.findings == []
+
+    def test_bit_identity_declaration_no_longer_selects_a_module(self, tmp_path):
+        # The rule keys on the fingerprint modules, not on a class
+        # attribute: the old ``batch_bit_identical = True`` marker is inert.
         result = lint(
             tmp_path,
             {
@@ -394,38 +468,17 @@ class TestR006NondeterministicReduction:
             },
             select=["R006"],
         )
-        assert rules_hit(result) == {"R006"}
+        assert result.findings == []
 
-    def test_matmul_operator_is_caught(self, tmp_path):
-        result = lint(
-            tmp_path,
-            {
-                "src/repro/mod.py": """
-                    class Backend:
-                        batch_bit_identical = True
-
-                        def apply(self, m, v):
-                            return m @ v
-                """
-            },
-            select=["R006"],
-        )
-        assert rules_hit(result) == {"R006"}
-
-    def test_module_without_declaration_is_clean(self, tmp_path):
-        result = lint(
-            tmp_path,
-            {
-                "src/repro/mod.py": """
-                    import numpy as np
-
-                    def free_standing(a, b):
-                        return np.dot(a, b)
-                """
-            },
-            select=["R006"],
+    def test_the_real_fingerprint_modules_are_clean(self):
+        # Every reduction in the shipped kernels is argued inline.
+        root = Path(__file__).resolve().parent.parent
+        result = run_analysis(
+            [Path("src/repro/semantics")], root, select=["R006"]
         )
         assert result.findings == []
+        # Not vacuous: the three kernel matmuls are seen and suppressed.
+        assert result.suppressed == 3
 
 
 class TestR007MutableModuleGlobal:

@@ -31,15 +31,13 @@ class TestFromEnv:
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "false")
         monkeypatch.setenv(SCALE_ENV_VAR, "medium")
-        monkeypatch.setenv("REPRO_BATCHED", "0")
         config = RunConfig.from_env()
         assert config.generation.cache_dir == str(tmp_path)
         assert config.generation.cache_enabled is True
         assert config.scale == "medium"
-        assert config.batched is False
 
-    def test_batched_unset_stays_deferred(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCHED", raising=False)
+    def test_batched_stays_unset(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCHED", "0")
         config = RunConfig.from_env()
         assert config.batched is None
         assert config.with_overrides(batched=True).batched is True
@@ -78,6 +76,36 @@ class TestSerialOnlyWorkerFields:
         assert GenerationConfig(workers=value).workers == value
         assert GenerationConfig(verify_workers=value).verify_workers == value
         assert SearchConfig(search_workers=value).search_workers == value
+
+    @pytest.mark.parametrize("value", [None, True])
+    def test_batched_none_and_true_construct(self, value):
+        assert RunConfig(batched=value).batched is value
+        assert RunConfig().with_overrides(batched=value).batched is value
+
+    @pytest.mark.parametrize("value", [False, 0, "no"])
+    def test_batched_off_raises(self, value):
+        # Fingerprints are always evaluated in batches: a config asking
+        # for the per-state path fails loudly instead of running batched.
+        with pytest.raises(ValueError, match="batched"):
+            RunConfig(batched=value)
+        with pytest.raises(ValueError, match="batched"):
+            RunConfig().with_overrides(batched=value)
+
+    def test_config_file_asking_for_per_state_raises(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"batched": False}))
+        with pytest.raises(ValueError, match="batched=False"):
+            RunConfig.from_file(path)
+
+    def test_backend_is_not_a_field(self, tmp_path):
+        with pytest.raises(TypeError):
+            RunConfig(backend="numpy")
+        with pytest.raises(TypeError, match="backend"):
+            RunConfig().with_overrides(backend="numpy")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"backend": "numpy"}))
+        with pytest.raises(TypeError, match="backend"):
+            RunConfig.from_file(path)
 
     @pytest.mark.parametrize(
         "build",
@@ -122,13 +150,13 @@ class TestSerialOnlyWorkerFields:
 class TestOverrides:
     def test_flat_routing_to_nested_layers(self):
         config = RunConfig().with_overrides(
-            n=2, q=2, strategy="beam", beam_width=8, backend="numpy"
+            n=2, q=2, strategy="beam", beam_width=8, preprocess=False
         )
         assert config.generation.n == 2
         assert config.generation.q == 2
         assert config.search.strategy == "beam"
         assert config.search.beam_width == 8
-        assert config.backend == "numpy"
+        assert config.preprocess is False
 
     def test_nested_mappings_and_instances(self):
         config = RunConfig().with_overrides(

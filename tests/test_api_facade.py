@@ -116,28 +116,26 @@ class TestRunReport:
 
     def test_provenance_records_the_run(self, small_report):
         p = small_report.provenance
-        assert p["backend"] == "numpy"
         assert p["strategy"] == "backtracking"
         assert p["gate_set"] == "nam"
         assert p["n"] == 3 and p["q"] == 2
-        # Generation and search run serially: no worker counts to report.
-        for removed in ("workers", "verify_workers", "search_workers"):
+        # Generation and search run serially, on one simulator and one
+        # fingerprint path: no worker counts, backend or batch mode.
+        for removed in (
+            "workers", "verify_workers", "search_workers",
+            "backend", "batched", "batch_kind",
+        ):
             assert removed not in p
         assert p["generation_source"] in {"generated", "memo", "disk"}
-        # The active batch path: backend name plus batched true/false (and
-        # which kernel family served it).
-        assert p["batched"] is True
-        assert p["batch_kind"] == "vectorized"
 
-    def test_provenance_reports_per_state_runs(self):
-        facade = _quick_facade(batched=False, n=2, q=2)
-        assert facade._batched is False
+    def test_compatibility_batched_field_runs_the_one_path(self):
+        facade = _quick_facade(batched=True, n=2, q=2)
         report = facade.optimize(
             Circuit(2).h(0).h(0), max_iterations=2, timeout_seconds=10
         )
-        assert report.provenance["batched"] is False
-        assert report.provenance["batch_kind"] == "per-state"
-        assert "per-state" in report.summary()
+        assert report.final_cost == 0.0
+        assert report.perf.get("fingerprint.batched.calls", 0) > 0
+        assert "backend" not in report.summary()
 
     def test_perf_counters_are_merged(self, small_report):
         perf = small_report.perf
@@ -187,9 +185,9 @@ class TestConfigSurface:
         with pytest.raises(TypeError, match="RunConfig"):
             Superoptimizer({"gate_set": "nam"})
 
-    def test_unknown_backend_fails_fast(self):
-        with pytest.raises(KeyError, match="unknown simulator backend"):
-            Superoptimizer(gate_set="nam", backend="quantum-gpu")
+    def test_backend_override_fails_fast(self):
+        with pytest.raises(TypeError, match="unknown configuration field 'backend'"):
+            Superoptimizer(gate_set="nam", backend="numpy")
 
     def test_unknown_strategy_fails_fast(self):
         with pytest.raises(KeyError, match="unknown search strategy"):
@@ -257,6 +255,42 @@ class TestConfigSurface:
         assert first.provenance["generation_source"] == "generated"
         second = Superoptimizer(**facade_config).optimize(Circuit(1).h(0))
         assert second.provenance["generation_source"] == "memo"
+
+    def test_memo_tells_same_named_gate_sets_apart(self):
+        # The in-process memo shares the disk cache's key, gate list
+        # included: a second gate set under the same name is generated for
+        # itself, not served the first one's result.
+        from repro.api import run_generation
+        from repro.ir.gatesets import GateSet
+
+        clear_memory_caches()
+        generation = GenerationConfig(n=2, q=2, cache_enabled=False, prune=False)
+        with_t = run_generation(GateSet("custom", ["h", "t", "cz"], 0), generation)
+        with_x = run_generation(GateSet("custom", ["h", "x", "cz"], 0), generation)
+        assert with_x is not with_t
+        gates = {
+            inst.gate.name
+            for ecc in with_x.ecc_set
+            for circuit in ecc.circuits
+            for inst in circuit.instructions
+        }
+        assert "t" not in gates and "x" in gates
+        # The same configuration still hits the memo.
+        again = run_generation(GateSet("custom", ["h", "x", "cz"], 0), generation)
+        assert again is with_x
+        clear_memory_caches()
+
+    def test_pruned_memo_tells_same_named_gate_sets_apart(self):
+        from repro.api import build_ecc_set
+        from repro.ir.gatesets import GateSet
+
+        clear_memory_caches()
+        generation = GenerationConfig(n=2, q=2, cache_enabled=False)
+        with_t = build_ecc_set(GateSet("custom", ["h", "t", "cz"], 0), generation)
+        with_x = build_ecc_set(GateSet("custom", ["h", "x", "cz"], 0), generation)
+        assert with_x is not with_t
+        assert with_x.to_json() != with_t.to_json()
+        clear_memory_caches()
 
     def test_custom_gate_set_object(self):
         from repro.ir.gatesets import GateSet

@@ -1,38 +1,39 @@
-"""Tests for the pluggable simulator-backend registry.
+"""Kernel parity, context sharing and the output screen of the simulator.
 
-The parity property the registry must preserve: swapping the backend may
-change *how fast* states evolve but never *which circuits are judged
-equivalent*.  A fake backend built on the bit-loop kernel of
-``reference_kernels`` (:func:`apply_gate_reference`) stands in for a
-second implementation.
+The numpy kernels of :mod:`repro.semantics.simulator` are checked against
+the bit-loop kernels of ``reference_kernels``, which reach the same
+amplitudes through different floating-point operations: swapping one for
+the other may move floats by ulps but never changes *which circuits are
+judged equivalent*.  The facade's batched output screen must likewise give
+the verdicts of the per-trial screen.
 """
 
 from __future__ import annotations
+
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro.benchmarks_suite import benchmark_circuit
+from repro.generator import RepGen
 from repro.ir.circuit import Circuit, Instruction
-from repro.ir.params import Angle
+from repro.ir.gatesets import NAM
 from repro.preprocess import preprocess
-from repro.semantics.backend import (
-    BackendUnavailableError,
-    NumpyBackend,
-    SimulatorBackend,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
-from repro.semantics.fingerprint import FingerprintContext
 from repro.semantics.simulator import (
+    apply_circuit,
+    apply_circuit_batch,
+    apply_gate,
     circuit_unitary,
+    circuits_equivalent_statevector,
+    circuits_equivalent_statevector_batched,
+    equivalence_trial_inputs,
     instruction_unitary,
     random_state,
     unitaries_equal_up_to_phase,
 )
+from repro.verifier import EquivalenceVerifier
 
 from reference_kernels import apply_gate_reference
 
@@ -40,57 +41,25 @@ from reference_kernels import apply_gate_reference
 PARITY_BENCHMARKS = ["tof_3", "barenco_tof_3", "mod5_4"]
 
 
-class KernelReferenceBackend(SimulatorBackend):
-    """A second backend: the bit-loop kernel instead of numpy's reshape."""
+def _reference_apply_circuit(circuit, state, param_values=()):
+    """``apply_circuit`` replayed through the bit-loop kernel."""
+    current = np.array(state, dtype=complex)
+    for inst in circuit.instructions:
+        current = apply_gate_reference(
+            current,
+            instruction_unitary(inst, param_values),
+            inst.qubits,
+            circuit.num_qubits,
+        )
+    return current
 
-    name = "kernel-reference"
 
-    def apply_gate(self, state, matrix, qubits, num_qubits):
-        return apply_gate_reference(state, matrix, qubits, num_qubits)
-
-
-class TestRegistry:
-    def test_numpy_is_the_default_and_always_available(self):
-        assert get_backend().name == "numpy"
-        assert get_backend("numpy") is get_backend("NumPy")
-        assert "numpy" in available_backends()
-        assert backend_available("numpy")
-
-    def test_backend_with_missing_dependency_is_registered_not_available(self):
-        def missing_dependency():
-            raise BackendUnavailableError("needs the 'fake' package")
-
-        register_backend("test-unavailable", missing_dependency)
-        try:
-            assert "test-unavailable" in registered_backends()
-            assert "test-unavailable" not in available_backends()
-            assert not backend_available("test-unavailable")
-            with pytest.raises(BackendUnavailableError, match="fake"):
-                get_backend("test-unavailable")
-        finally:
-            from repro.semantics import backend as backend_module
-
-            backend_module._FACTORIES.pop("test-unavailable")
-
-    def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="numpy"):
-            get_backend("tpu")
-
-    def test_instance_passthrough(self):
-        backend = NumpyBackend()
-        assert get_backend(backend) is backend
-
-    def test_registration_conflicts_and_replacement(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
-        register_backend("test-backend", KernelReferenceBackend)
-        try:
-            assert get_backend("test-backend").name == "kernel-reference"
-        finally:
-            from repro.semantics import backend as backend_module
-
-            backend_module._FACTORIES.pop("test-backend")
-            backend_module._INSTANCES.pop("test-backend", None)
+def _reference_unitary(circuit):
+    """The full unitary, one basis column at a time through the bit loop."""
+    basis = np.eye(1 << circuit.num_qubits, dtype=complex)
+    return np.stack(
+        [_reference_apply_circuit(circuit, column) for column in basis], axis=1
+    )
 
 
 class TestKernelParity:
@@ -113,105 +82,105 @@ class TestKernelParity:
         rng = np.random.default_rng(11)
         matrix = instruction_unitary(Instruction(gate, qubits))
         state = random_state(num_qubits, rng)
-        expected = get_backend("numpy").apply_gate(state, matrix, qubits, num_qubits)
+        expected = apply_gate(state, matrix, qubits, num_qubits)
         actual = apply_gate_reference(state, matrix, qubits, num_qubits)
         np.testing.assert_allclose(actual, expected, atol=1e-12)
 
-    def test_circuit_level_parity_on_generic_backend(self):
-        from fractions import Fraction
-
-        backend = KernelReferenceBackend()
+    def test_circuit_level_parity_with_the_reference_kernel(self):
         circuit = (
             Circuit(3).h(0).cx(0, 1).t(1).ccx(0, 1, 2).rz(2, Fraction(1, 4))
         )
         rng = np.random.default_rng(5)
         state = random_state(3, rng)
         np.testing.assert_allclose(
-            backend.apply_circuit(circuit, state),
-            get_backend("numpy").apply_circuit(circuit, state),
+            _reference_apply_circuit(circuit, state),
+            apply_circuit(circuit, state),
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            backend.circuit_unitary(circuit),
-            circuit_unitary(circuit),
-            atol=1e-12,
+            _reference_unitary(circuit), circuit_unitary(circuit), atol=1e-12
         )
 
 
-def _parity_verdicts(backend: SimulatorBackend):
-    """Equivalence verdicts over benchmark pairs, computed on ``backend``."""
+def _parity_verdicts(unitary):
+    """Equivalence verdicts over benchmark pairs, with ``unitary`` as semantics."""
     verdicts = []
     for name in PARITY_BENCHMARKS:
         circuit = benchmark_circuit(name)
         preprocessed = preprocess(circuit, "nam")
         # Equivalent pair: the preprocessor preserves semantics up to phase.
-        left = backend.circuit_unitary(circuit)
-        right = backend.circuit_unitary(preprocessed)
-        verdicts.append(unitaries_equal_up_to_phase(left, right))
+        left = unitary(circuit)
+        verdicts.append(unitaries_equal_up_to_phase(left, unitary(preprocessed)))
         # Non-equivalent pair: append one extra gate.
         tampered = preprocessed.copy().x(0)
-        verdicts.append(
-            unitaries_equal_up_to_phase(left, backend.circuit_unitary(tampered))
-        )
+        verdicts.append(unitaries_equal_up_to_phase(left, unitary(tampered)))
     return verdicts
 
 
 class TestBenchmarkVerdictParity:
     def test_reference_kernel_verdicts_match_numpy(self):
-        numpy_verdicts = _parity_verdicts(get_backend("numpy"))
-        assert numpy_verdicts == _parity_verdicts(KernelReferenceBackend())
+        numpy_verdicts = _parity_verdicts(circuit_unitary)
+        assert numpy_verdicts == _parity_verdicts(_reference_unitary)
         # Sanity: the pairs really alternate equivalent / not equivalent.
         assert numpy_verdicts == [True, False] * len(PARITY_BENCHMARKS)
 
 
-class TestFingerprintBackendWiring:
-    def test_default_backend_hash_keys_are_bit_identical(self):
-        """The backend seam must not perturb the reference fingerprints."""
-        circuits = [
-            Circuit(2),
-            Circuit(2).h(0),
-            Circuit(2).h(0).cx(0, 1),
-            Circuit(2).cx(1, 0).t(0).tdg(1),
-            Circuit(2, num_params=2).rz(0, Angle.param(0)).h(1).cx(0, 1),
-        ]
-        default = FingerprintContext(2, 2)
-        explicit = FingerprintContext(2, 2, backend="numpy")
-        assert default.backend_name == "numpy"
-        for circuit in circuits:
-            assert default.hash_key(circuit) == explicit.hash_key(circuit)
-            assert default.fingerprint(circuit) == explicit.fingerprint(circuit)
-
-
-
-class TestVerifierBackendWiring:
-    def test_verifier_screens_on_the_selected_backend(self):
-        from repro.verifier import EquivalenceVerifier
-
+class TestVerifierContextSharing:
+    def test_verifier_proves_the_cnot_flip(self):
         verifier = EquivalenceVerifier(num_params=0)
-        assert verifier.backend_name == "numpy"
         flipped = Circuit(2).h(0).h(1).cx(0, 1).h(0).h(1)
         target = Circuit(2).cx(1, 0)
         assert verifier.verify(flipped, target).equivalent
-        with pytest.raises(KeyError):
-            EquivalenceVerifier(num_params=0, backend="no-such-backend")
 
-    def test_repgen_shares_context_only_on_matching_backend(self):
-        from repro.generator import RepGen
-        from repro.ir.gatesets import NAM
-        from repro.verifier import EquivalenceVerifier
-
+    def test_repgen_shares_context_only_on_matching_seed(self):
         generator = RepGen(NAM, num_qubits=2, num_params=2)
-        # The default verifier inherits the generator's backend, so the
+        # The default verifier inherits the generator's seed, so the
         # evolved-state cache is shared (same object).
-        assert generator.verifier.backend_name == generator.backend_name
+        assert generator.verifier.seed == generator.seed
         assert (
             generator.verifier._fingerprint_contexts.get(2)
             is generator.fingerprints
         )
-        # A mismatched verifier keeps its own contexts.
+        # A verifier with other random inputs keeps its own contexts.
         foreign = EquivalenceVerifier(num_params=2, seed=999)
         generator2 = RepGen(NAM, num_qubits=2, num_params=2, verifier=foreign)
         assert foreign._fingerprint_contexts.get(2) is not generator2.fingerprints
+
+    @pytest.mark.parametrize("seed", [1, 12345])
+    def test_repgen_shares_context_at_a_non_default_seed(self, seed):
+        generator = RepGen(NAM, 3, seed=seed)
+        assert generator.verifier.seed == seed
+        assert (
+            generator.verifier._fingerprint_contexts.get(3)
+            is generator.fingerprints
+        )
+
+    def test_phase_screen_reuses_generation_states_at_a_non_default_seed(
+        self, monkeypatch
+    ):
+        # With the context shared, every full replay is a state-cache miss
+        # or a sampled cross-check of the one context; a verifier on other
+        # random inputs would replay each circuit it screens.
+        replays = []
+        module = sys.modules["repro.semantics.fingerprint"]
+        replay = module.apply_circuit
+
+        def counting(*args, **kwargs):
+            replays.append(1)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(module, "apply_circuit", counting)
+        perf = RepGen(NAM, 2, seed=12345).generate(3).stats.perf
+        assert perf["verifier.matrix_cache.misses"] > 0  # the screen ran
+        assert len(replays) == perf["fingerprint.state_cache.misses"] + perf.get(
+            "fingerprint.cross_checks", 0
+        )
+        assert len(replays) <= 5
+
+    def test_repgen_keeps_a_verifier_with_other_num_params_apart(self):
+        foreign = EquivalenceVerifier(num_params=1)
+        generator = RepGen(NAM, num_qubits=2, num_params=2, verifier=foreign)
+        assert foreign._fingerprint_contexts.get(2) is not generator.fingerprints
 
 
 class TestBatchedVerdictIdentity:
@@ -231,31 +200,17 @@ class TestBatchedVerdictIdentity:
             yield circuit, preprocessed.copy().x(0)  # not equivalent
 
     def test_batched_matches_per_trial_verdicts(self):
-        from repro.semantics.backend import (
-            circuits_equivalent_statevector,
-            circuits_equivalent_statevector_batched,
-        )
-
-        backend = get_backend("numpy")
         for circuit_a, circuit_b in self._pairs():
-            scalar = circuits_equivalent_statevector(
-                circuit_a, circuit_b, backend=backend
-            )
-            batched = circuits_equivalent_statevector_batched(
-                circuit_a, circuit_b, backend=backend
-            )
+            scalar = circuits_equivalent_statevector(circuit_a, circuit_b)
+            batched = circuits_equivalent_statevector_batched(circuit_a, circuit_b)
             assert batched == scalar
 
     def test_qubit_count_mismatch_is_not_equivalent(self):
-        from repro.semantics.backend import circuits_equivalent_statevector_batched
-
         assert not circuits_equivalent_statevector_batched(
-            Circuit(1).h(0), Circuit(2).h(0), backend=get_backend("numpy")
+            Circuit(1).h(0), Circuit(2).h(0)
         )
 
     def test_shared_draws_come_from_one_seeded_stream(self):
-        from repro.semantics.backend import equivalence_trial_inputs
-
         params_a, states_a = equivalence_trial_inputs(3, 2, num_trials=2, seed=7)
         params_b, states_b = equivalence_trial_inputs(3, 2, num_trials=2, seed=7)
         assert params_a == params_b
@@ -264,3 +219,14 @@ class TestBatchedVerdictIdentity:
         # A different seed draws different trials.
         _, states_c = equivalence_trial_inputs(3, 2, num_trials=2, seed=8)
         assert not np.array_equal(states_a, states_c)
+
+    def test_circuit_batch_rows_are_per_state_replays(self):
+        circuit = benchmark_circuit("tof_3")
+        params, states = equivalence_trial_inputs(
+            circuit.num_qubits, 1, num_trials=3, seed=11
+        )
+        images = apply_circuit_batch(circuit, states, params)
+        for state, image in zip(states, images):
+            assert np.array_equal(image, apply_circuit(circuit, state, params))
+        with pytest.raises(ValueError, match="stacked"):
+            apply_circuit_batch(circuit, states[0], params)

@@ -88,8 +88,28 @@ class TestCommands:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["generate", flag, "2"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--backend", "numpy"],
+            ["optimize", "--no-batch"],
+            ["generate", "--no-batch"],
+            ["generator-metrics", "--no-batch"],
+        ],
+        ids=["optimize-backend", "optimize-no-batch", "generate-no-batch",
+             "metrics-no-batch"],
+    )
+    def test_removed_simulator_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+
     def test_registry_lists_the_serial_strategies(self, capsys):
         assert cli.main(["registry", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["strategies"] == ["backtracking", "beam", "greedy"]
-        assert list(payload["backends"]) == ["numpy"]
+        assert payload == {"strategies": ["backtracking", "beam", "greedy"]}
+
+    def test_registry_text_lists_strategies_only(self, capsys):
+        assert cli.main(["registry"]) == 0
+        out = capsys.readouterr().out
+        assert "search strategies:" in out
+        assert "backend" not in out and "batched" not in out

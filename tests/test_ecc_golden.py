@@ -94,3 +94,22 @@ def test_generation_output_is_pinned(
     )
     assert len(pruned) == pruned_eccs
     assert _digest(pruned) == pruned_digest
+
+
+@pytest.mark.parametrize("gate_set", ["nam", "rigetti"])
+@pytest.mark.parametrize("seed", [1, 12345])
+def test_raw_output_does_not_depend_on_the_fingerprint_seed(
+    fresh_memo, gate_set, seed
+):
+    # The seed picks the random inputs fingerprints bucket by; the classes
+    # are proved symbolically, so the ECC set is the default seed's.
+    _, n, q, candidates, raw_eccs, raw_digest, _, _ = next(
+        row for row in GOLDEN if row[:3] == (gate_set, 3, 3)
+    )
+    raw = run_generation(
+        gate_set,
+        GenerationConfig(n=n, q=q, seed=seed, cache_enabled=False, prune=False),
+    )
+    assert raw.stats.circuits_considered == candidates
+    assert len(raw.ecc_set) == raw_eccs
+    assert _digest(raw.ecc_set) == raw_digest

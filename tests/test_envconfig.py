@@ -63,30 +63,6 @@ class TestWorkers:
         assert ServiceConfig.from_env(workers=3).workers == 3
 
 
-class TestBatched:
-    def test_unset_means_batched(self, monkeypatch):
-        monkeypatch.delenv(envconfig.BATCHED_ENV_VAR, raising=False)
-        assert envconfig.env_batched() is True
-        assert envconfig.env_batched_optional() is None
-
-    @pytest.mark.parametrize("raw", ["0", "false", "OFF", "no"])
-    def test_falsy_values_disable_batching(self, monkeypatch, raw):
-        monkeypatch.setenv(envconfig.BATCHED_ENV_VAR, raw)
-        assert envconfig.env_batched() is False
-        assert envconfig.env_batched_optional() is False
-
-    @pytest.mark.parametrize("raw", ["1", "true", "Yes", "ON"])
-    def test_truthy_values_enable_batching(self, monkeypatch, raw):
-        monkeypatch.setenv(envconfig.BATCHED_ENV_VAR, raw)
-        assert envconfig.env_batched() is True
-        assert envconfig.env_batched_optional() is True
-
-    def test_unrecognized_value_warns_and_stays_batched(self, monkeypatch):
-        monkeypatch.setenv(envconfig.BATCHED_ENV_VAR, "sometimes")
-        with pytest.warns(RuntimeWarning, match="unrecognized boolean"):
-            assert envconfig.env_batched() is True
-
-
 class TestCacheDisable:
     @pytest.mark.parametrize("raw", ["0", "false", "False", "FALSE", "no", "off", ""])
     def test_falsy_values_keep_the_cache_enabled(self, monkeypatch, raw):
@@ -309,3 +285,16 @@ class TestRemovedKnobs:
         assert config.generation.workers is None
         assert config.generation.verify_workers is None
         assert config.search.search_workers is None
+
+    @pytest.mark.parametrize("raw", ["0", "1", "sometimes"])
+    def test_run_config_ignores_removed_batched_knob(self, monkeypatch, raw):
+        # REPRO_BATCHED is no longer read: fingerprints are always batched,
+        # and no value (not even an unparseable one) warns.
+        from repro.api import RunConfig
+
+        monkeypatch.setenv("REPRO_BATCHED", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = RunConfig.from_env()
+        assert config.batched is None
+        assert not hasattr(envconfig, "BATCHED_ENV_VAR")

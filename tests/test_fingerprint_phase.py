@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.ir.circuit import Circuit, Instruction
@@ -57,8 +58,9 @@ class TestFingerprint:
 class TestIncrementalFingerprint:
     """The incremental (cached-parent-state) path must be *bit-identical* to
     the full-replay path: memoizing prefixes does not reorder any floating
-    point operation, so amplitudes, fingerprints and hash keys all agree
-    exactly.  These are the property tests backing that claim."""
+    point operation, so hash keys and cached states agree exactly with a
+    fresh context's ``hash_key(parent.appended(inst))``.  These are the
+    property tests backing that claim."""
 
     def _random_instruction(self, rng, num_qubits):
         single = ["h", "x", "t", "tdg", "s", "sdg", "z"]
@@ -66,6 +68,14 @@ class TestIncrementalFingerprint:
             control, target = rng.sample(range(num_qubits), 2)
             return Instruction("cx", (control, target))
         return Instruction(rng.choice(single), (rng.randrange(num_qubits),))
+
+    @staticmethod
+    def _incremental_key(context, parent, inst):
+        return context.hash_keys_batched([(parent, [inst])])[0][0]
+
+    @staticmethod
+    def _candidate_state(context, parent, inst):
+        return context.cached_state(parent.sequence_key() + (inst.sort_key(),))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_incremental_matches_full_replay_random_circuits(
@@ -80,8 +90,13 @@ class TestIncrementalFingerprint:
         full = FingerprintContext(num_qubits, 0)
         candidate = parent.appended(inst)
 
-        assert incremental.amplitude_appended(parent, inst) == full.amplitude(candidate)
-        assert incremental.hash_key_appended(parent, inst) == full.hash_key(candidate)
+        assert self._incremental_key(incremental, parent, inst) == full.hash_key(
+            candidate
+        )
+        assert np.array_equal(
+            self._candidate_state(incremental, parent, inst),
+            full.evolved_state(candidate),
+        )
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_incremental_chain_matches_full_replay(self, seed):
@@ -93,7 +108,7 @@ class TestIncrementalFingerprint:
         circuit = Circuit(num_qubits)
         for _ in range(15):
             inst = self._random_instruction(rng, num_qubits)
-            key = incremental.hash_key_appended(circuit, inst)
+            key = self._incremental_key(incremental, circuit, inst)
             circuit = circuit.appended(inst)
             fresh = FingerprintContext(num_qubits, 0)
             assert key == fresh.hash_key(circuit)
@@ -103,8 +118,13 @@ class TestIncrementalFingerprint:
         fresh = FingerprintContext(1, 2)
         parent = Circuit(1, num_params=2).rz(0, Angle.param(0))
         inst = Instruction("rz", (0,), [Angle.param(1)])
-        assert context.amplitude_appended(parent, inst) == fresh.amplitude(
-            parent.appended(inst)
+        candidate = parent.appended(inst)
+        assert self._incremental_key(context, parent, inst) == fresh.hash_key(
+            candidate
+        )
+        assert np.array_equal(
+            self._candidate_state(context, parent, inst),
+            fresh.evolved_state(candidate),
         )
 
     def test_state_cache_eviction_bound(self):
@@ -121,9 +141,12 @@ class TestIncrementalFingerprint:
         roomy = FingerprintContext(2, 0)
         parent = Circuit(2).h(0).cx(0, 1)
         inst = Instruction("t", (1,))
-        assert tiny.hash_key_appended(parent, inst) == roomy.hash_key_appended(
-            parent, inst
+        assert self._incremental_key(tiny, parent, inst) == self._incremental_key(
+            roomy, parent, inst
         )
+        assert self._incremental_key(tiny, parent, inst) == FingerprintContext(
+            2, 0
+        ).hash_key(parent.appended(inst))
 
     def test_cross_check_runs_clean(self):
         from repro.perf import PerfRecorder
@@ -134,7 +157,7 @@ class TestIncrementalFingerprint:
         # interval=1 cross-checks every incremental evaluation; any
         # divergence from full replay would raise RuntimeError.
         for gate in ("x", "z", "s"):
-            context.amplitude_appended(parent, Instruction(gate, (1,)))
+            self._incremental_key(context, parent, Instruction(gate, (1,)))
         assert perf.value("fingerprint.cross_checks") == 3
 
 

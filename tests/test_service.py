@@ -235,6 +235,25 @@ class TestErrorPaths:
                 service.submit(qasm_for("tof_3"), {"not_a_knob": 1})
             assert service.stats()["service.jobs.failed"] == 0
 
+    @pytest.mark.parametrize(
+        "override", [{"backend": "numpy"}, {"batched": False}],
+        ids=["backend", "per-state"],
+    )
+    def test_removed_simulator_fields_are_a_400(self, override):
+        # One simulator and one fingerprint path: naming a backend, or
+        # asking for the per-state path, is a bad request.
+        with manager() as service:
+            with pytest.raises(InvalidRequest) as excinfo:
+                service.submit(qasm_for("tof_3"), override)
+            assert excinfo.value.http_status == 400
+            assert service.stats()["service.jobs.failed"] == 0
+
+    def test_service_command_line_has_no_backend_flag(self):
+        from repro.service.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--backend", "numpy"])
+
     def test_unknown_job_id_is_404(self):
         with manager() as service:
             with pytest.raises(JobNotFound) as excinfo:
