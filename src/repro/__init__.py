@@ -77,7 +77,8 @@ from repro.optimizer import (
 )
 from repro.preprocess import preprocess
 from repro.verifier import EquivalenceVerifier
-from repro.semantics import circuit_unitary, fingerprint
+from repro.semantics import circuit_unitary
+from repro.semantics.fingerprint import fingerprint
 from repro.benchmarks_suite import benchmark_circuit, benchmark_names
 from repro.api import (
     GenerationConfig,

@@ -12,7 +12,7 @@ Run it::
 
 See :mod:`repro.analysis.core` for the framework (rules, suppressions,
 severities), :mod:`repro.analysis.baseline` for the grandfathering
-workflow, and :mod:`repro.analysis.rules` for the seven shipped rules.
+workflow, and :mod:`repro.analysis.rules` for the six shipped rules.
 """
 
 from repro.analysis.core import (

@@ -7,7 +7,6 @@ R001 unordered-iteration          error     sets never feed canonical output
 R002 env-centralization           error     all env access through repro.envconfig
 R003 blanket-except               error     catch-alls are documented contracts
 R004 wall-clock-in-worker         warning   chunk results are pure (no clock/RNG)
-R005 spec-pickle-completeness     error     worker specs cover the constructor
 R006 nondeterministic-reduction   error     bit-identical modules prove reductions
 R007 mutable-module-global        error     no fork-divergent module state
 ==== ===========================  ========  =======================================
@@ -21,7 +20,6 @@ from repro.analysis.rules import (  # noqa: F401  (import = registration)
     r002_env_centralization,
     r003_blanket_except,
     r004_wall_clock_in_worker,
-    r005_spec_pickle,
     r006_nondet_reduction,
     r007_mutable_global,
 )

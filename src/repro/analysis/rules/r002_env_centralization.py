@@ -16,11 +16,9 @@ Flagged anywhere outside the allowlist:
 * ``from os import environ/getenv/...`` (flagged at the import, plus any
   use of the imported name).
 
-Allowlist:
-
-* ``repro.envconfig`` — the one place variables are read and parsed;
-* ``repro.experiments.cli`` — the CLI's job is to *write* knobs into the
-  environment before handing off (its reads still go through envconfig).
+Allowlist: ``repro.envconfig`` alone, the one place variables are read
+and parsed.  Nothing writes the environment either: the experiments CLI
+turns its flags into a :class:`~repro.api.RunConfig` and passes it down.
 
 Scope: every scanned file (``src``, ``scripts``, ``benchmarks``) — the
 benchmark harness's knobs (``REPRO_MICROBENCH*``) are knobs like any
@@ -50,7 +48,7 @@ class EnvCentralizationRule(Rule):
         "semantics drift and break the one-snapshot config contract)"
     )
 
-    ALLOWED_MODULES = frozenset({"repro.envconfig", "repro.experiments.cli"})
+    ALLOWED_MODULES = frozenset({"repro.envconfig"})
 
     def check_module(
         self, module: ModuleInfo, project: ProjectIndex

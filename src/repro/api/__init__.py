@@ -14,8 +14,8 @@ Two seams sit underneath the facade:
   ``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``;
 * **configuration** (:mod:`repro.api.config`) — frozen
   ``RunConfig``/``GenerationConfig``/``SearchConfig`` dataclasses with a
-  single :meth:`RunConfig.from_env` path for every ``REPRO_*`` knob and
-  ``env < file < kwargs`` layering via :meth:`RunConfig.from_sources`.
+  single :meth:`RunConfig.from_env` path for the run's ``REPRO_*`` knobs
+  and ``env < file < kwargs`` layering via :meth:`RunConfig.from_sources`.
 """
 
 from repro.api.config import GenerationConfig, RunConfig, SearchConfig

@@ -2,7 +2,7 @@
 
 Three layers, composed into one :class:`RunConfig`:
 
-* :class:`GenerationConfig` — the RepGen scale (n, q), seed and
+* :class:`GenerationConfig` — the RepGen scale (n, q), seed, pruning and
   persistent-cache knobs;
 * :class:`SearchConfig`     — which :mod:`search strategy
   <repro.optimizer.strategies>` runs and its tuning (gamma, beam width,
@@ -17,9 +17,17 @@ which also accepts the nested fields flat (``cfg.with_overrides(n=2,
 strategy="beam")``) since no field name is ambiguous.
 
 Precedence: ``RunConfig()`` is pure defaults; :meth:`RunConfig.from_env`
-snapshots every ``REPRO_*`` environment knob (the single place the public
-API reads them — parsing itself lives in :mod:`repro.envconfig`);
-:meth:`RunConfig.from_sources` layers ``env < file < kwargs``.
+snapshots the run's ``REPRO_*`` environment knobs (the single place the
+public API reads them — parsing itself lives in :mod:`repro.envconfig`);
+:meth:`RunConfig.from_sources` layers ``env < file < kwargs``.  Knobs of
+the optimization service's worker pool are not run knobs: they live on
+:class:`repro.service.ServiceConfig`.
+
+Every field is one of two kinds.  :data:`OUTPUT_FIELDS` name the fields
+that define a run's output (gate set, (n, q), search settings, ...); the
+rest say where a run keeps its files and how it reports, and never change
+what it returns.  The service keys its jobs by the output fields alone
+and accepts no other field in a request.
 """
 
 from __future__ import annotations
@@ -28,18 +36,37 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Union
 
-from repro.envconfig import (
-    env_cache_dir,
-    env_cache_enabled,
-    env_chunk_retries_optional,
-    env_chunk_timeout_optional,
-    env_resume_optional,
-    env_scale,
-)
+from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume_optional
 from repro.generator.repgen import DEFAULT_SEED
 from repro.ir.gatesets import GateSet
+
+
+#: The fields that define a run's output: two configs that agree on them
+#: return the same circuits.  Every other field is deployment (cache
+#: location, resume, verbosity, the serial-only compatibility fields).
+OUTPUT_FIELDS: FrozenSet[str] = frozenset(
+    {
+        "gate_set",
+        "preprocess",
+        "verify_output",
+        "n",
+        "q",
+        "num_params",
+        "seed",
+        "prune",
+        "strategy",
+        "gamma",
+        "max_iterations",
+        "timeout_seconds",
+        "queue_capacity",
+        "queue_keep",
+        "max_matches_per_transformation",
+        "beam_width",
+        "strategy_options",
+    }
+)
 
 
 def _check_serial(owner: str, name: str, value: Optional[int]) -> None:
@@ -75,12 +102,6 @@ class GenerationConfig:
     verify_workers: Optional[int] = None
     cache_dir: Optional[str] = None
     cache_enabled: Optional[bool] = None
-    #: Per-chunk deadline in seconds of the service's worker pool (None:
-    #: read ``REPRO_CHUNK_TIMEOUT`` at run time; 0 disables the deadline).
-    chunk_timeout: Optional[float] = None
-    #: Re-dispatch budget per failed/timed-out service job (None: read
-    #: ``REPRO_CHUNK_RETRIES`` at run time).
-    chunk_retries: Optional[int] = None
     #: Round-granular checkpointing + crash resume through the persistent
     #: cache (None: read ``REPRO_RESUME`` at run time; default off).
     resume: Optional[bool] = None
@@ -152,7 +173,6 @@ class RunConfig:
     batched: Optional[bool] = None
     preprocess: bool = True
     verify_output: bool = True
-    scale: Optional[str] = None  # informational: the REPRO_SCALE preset name
     generation: GenerationConfig = field(default_factory=GenerationConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
 
@@ -172,22 +192,17 @@ class RunConfig:
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "RunConfig":
-        """Snapshot every ``REPRO_*`` knob into a concrete config.
+        """Snapshot the run's ``REPRO_*`` knobs into a concrete config.
 
         This is the single environment-reading path of the public API:
         ``REPRO_CACHE_DIR``, ``REPRO_CACHE_DISABLE`` (only truthy values
-        disable), ``REPRO_CHUNK_TIMEOUT`` / ``REPRO_CHUNK_RETRIES`` (the
-        service pool's resilience), ``REPRO_RESUME`` (crash-safe
-        checkpointing) and ``REPRO_SCALE``.  ``overrides`` win over the
-        environment.
+        disable) and ``REPRO_RESUME`` (crash-safe checkpointing).
+        ``overrides`` win over the environment.
         """
         config = cls(
-            scale=env_scale(),
             generation=GenerationConfig(
                 cache_dir=env_cache_dir(),
                 cache_enabled=env_cache_enabled(),
-                chunk_timeout=env_chunk_timeout_optional(),
-                chunk_retries=env_chunk_retries_optional(),
                 resume=env_resume_optional(),
             ),
         )
@@ -272,3 +287,9 @@ class RunConfig:
         out["gate_set"] = self.gate_set_name
         out["search"]["strategy_options"] = dict(self.search.strategy_options)
         return out
+
+    def output_dict(self) -> Dict[str, Any]:
+        """The :data:`OUTPUT_FIELDS`, flat and JSON-friendly."""
+        nested = self.as_dict()
+        flat = {**nested.pop("generation"), **nested.pop("search"), **nested}
+        return {name: flat[name] for name in sorted(OUTPUT_FIELDS)}

@@ -45,7 +45,6 @@ from repro.perf import PerfRecorder
 from repro.preprocess import SUPPORTED_GATE_SETS as PREPROCESS_GATE_SETS
 from repro.preprocess import preprocess as run_preprocess
 from repro.semantics.simulator import circuits_equivalent_statevector_batched
-from repro.workerpool import resolve_chunk_retries, resolve_chunk_timeout
 
 _UNSET = object()
 
@@ -60,9 +59,8 @@ VERIFY_MAX_QUBITS = 20
 #: CLI ``--json`` output) can reject payloads they do not understand.
 REPORT_SCHEMA_VERSION = 1
 
-# In-process memoization of generation outputs, shared by every facade (and
-# by the legacy ``repro.experiments.runner`` wrappers), keyed by the same
-# CacheKey as the disk cache.
+# In-process memoization of generation outputs, shared by every facade and
+# by the experiment harnesses, keyed by the same CacheKey as the disk cache.
 _RESULT_MEMO: Dict[CacheKey, GeneratorResult] = {}
 _PRUNED_MEMO: Dict[CacheKey, ECCSet] = {}
 
@@ -540,11 +538,9 @@ class Superoptimizer:
                 or (outcome.stats is not None
                     and outcome.stats.perf.get("cache.warm_hit"))
             ),
-            # Resilience knobs as resolved for this run, plus every
-            # resilience.* counter the run recorded (empty when nothing
-            # happened): checkpoint writes, resumes, resumed rounds, ...
-            "chunk_timeout": resolve_chunk_timeout(generation.chunk_timeout),
-            "chunk_retries": resolve_chunk_retries(generation.chunk_retries),
+            # Resume as resolved for this run, plus every resilience.*
+            # counter the run recorded (empty when nothing happened):
+            # checkpoint writes, resumes, resumed rounds, ...
             "resume": (
                 generation.resume if generation.resume is not None else env_resume()
             ),

@@ -36,11 +36,20 @@ the semantics of a knob cannot drift between call sites:
 * ``REPRO_MICROBENCH_JSON`` — where the micro-benchmark harness writes its
   machine-readable results (empty/unset means the harness default).
 
-The public configuration face of these knobs is
-:meth:`repro.api.RunConfig.from_env`, which snapshots all of them at once;
-this low-level module exists so that :mod:`repro.workerpool` and
-:mod:`repro.generator.cache` can share the exact same parsing without
-importing the API package (which imports them).
+Each knob has one reader above this module:
+
+* :meth:`repro.api.RunConfig.from_env` snapshots the run knobs
+  (``REPRO_CACHE_*``, ``REPRO_RESUME``);
+* :meth:`repro.service.ServiceConfig.from_env` snapshots the serving
+  knobs (``REPRO_SERVICE_*``, ``REPRO_CHUNK_*``);
+* :func:`repro.experiments.config.active_config` reads ``REPRO_SCALE``;
+* :mod:`repro.faults` reads ``REPRO_FAULTS`` and the micro-benchmark
+  harness the ``REPRO_MICROBENCH*`` knobs.
+
+A config field left ``None`` (``cache_dir``, ``cache_enabled``,
+``resume``) is resolved through the same accessors at run time, which is
+why :mod:`repro.generator` imports this low-level module rather than the
+API package (which imports it).
 """
 
 from __future__ import annotations
@@ -72,13 +81,14 @@ DEFAULT_SERVICE_PORT = 8321
 #: Default bound on the service's job queue (a full queue answers 429).
 DEFAULT_SERVICE_MAX_QUEUE = 64
 
-#: Per-chunk deadline (seconds) when neither the argument nor the
-#: environment sets one.  Generous relative to the scales this repo runs
-#: (a service chunk is one job), but finite: a worker killed mid-chunk must
-#: surface as a timeout instead of hanging the request.
+#: Default per-chunk deadline (seconds) of the service's worker pool
+#: (``ServiceConfig.chunk_timeout``).  Generous relative to the scales this
+#: repo runs (a service chunk is one job), but finite: a worker killed
+#: mid-chunk must surface as a timeout instead of hanging the request.
 DEFAULT_CHUNK_TIMEOUT = 120.0
 
-#: Re-dispatch attempts per failed chunk before its jobs fail.
+#: Default re-dispatch attempts per failed chunk before its jobs fail
+#: (``ServiceConfig.chunk_retries``).
 DEFAULT_CHUNK_RETRIES = 2
 
 #: Accepted spellings for boolean environment flags (case-insensitive).
@@ -178,20 +188,6 @@ def env_chunk_timeout(*, default: float = DEFAULT_CHUNK_TIMEOUT) -> Optional[flo
     return parse_chunk_timeout(raw, default=default)
 
 
-def env_chunk_timeout_optional() -> Optional[float]:
-    """Raw chunk-timeout knob, or None when unset (0.0 = explicitly disabled).
-
-    Unlike :func:`env_chunk_timeout` this keeps "unset" and "disabled"
-    apart, which the config snapshot needs: an unset knob stays a runtime
-    decision, an explicit ``0`` is recorded as ``0.0``.
-    """
-    raw = os.environ.get(CHUNK_TIMEOUT_ENV_VAR)
-    if raw is None:
-        return None
-    parsed = parse_chunk_timeout(raw)
-    return 0.0 if parsed is None else parsed
-
-
 def parse_chunk_retries(raw: str, *, default: int = DEFAULT_CHUNK_RETRIES) -> int:
     """Parse a chunk retry budget: non-negative int; invalid warns, default."""
     text = raw.strip()
@@ -222,14 +218,6 @@ def env_chunk_retries(*, default: int = DEFAULT_CHUNK_RETRIES) -> int:
     if raw is None:
         return default
     return parse_chunk_retries(raw, default=default)
-
-
-def env_chunk_retries_optional() -> Optional[int]:
-    """Chunk retry budget from the environment, or None when unset."""
-    raw = os.environ.get(CHUNK_RETRIES_ENV_VAR)
-    if raw is None:
-        return None
-    return parse_chunk_retries(raw)
 
 
 def env_resume(*, default: bool = False) -> bool:

@@ -17,6 +17,11 @@ Shared flags:
 * ``--resume``       — checkpoint RepGen after every round and resume a
   killed run from the last completed one (needs the persistent cache).
 
+``generate``, ``generator-metrics`` and ``optimize`` each build one
+:class:`~repro.api.RunConfig` — :meth:`~repro.api.RunConfig.from_env` with
+the flags given layered on top — and pass it down; the CLI never writes
+the environment.
+
 The ``optimize`` subcommand is a thin shell around
 :class:`repro.api.Superoptimizer`; its JSON output is the facade's
 versioned :meth:`~repro.api.RunReport.to_json_dict` schema — the same
@@ -28,15 +33,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.envconfig import (
-    CACHE_DIR_ENV_VAR,
-    CACHE_DISABLE_ENV_VAR,
-    RESUME_ENV_VAR,
-)
+from repro.api import RunConfig, Superoptimizer, available_strategies, run_generation
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,31 +66,21 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
-def _apply_shared_flags(args: argparse.Namespace) -> None:
-    """Translate shared CLI flags into the env knobs the library reads.
-
-    The flags go through the environment so they reach every RepGen
-    construction, including the ones buried inside the table drivers
-    that do not thread a cache parameter.
-    """
+def _run_config(args: argparse.Namespace, **overrides: Any) -> RunConfig:
+    """The environment snapshot with the shared flags given, then ``overrides``."""
+    flags: Dict[str, Any] = {"gate_set": args.gate_set}
     if args.cache_dir is not None:
-        os.environ[CACHE_DIR_ENV_VAR] = args.cache_dir
+        flags["cache_dir"] = args.cache_dir
     if args.no_cache:
-        os.environ[CACHE_DISABLE_ENV_VAR] = "1"
+        flags["cache_enabled"] = False
     if args.resume:
-        os.environ[RESUME_ENV_VAR] = "1"
+        flags["resume"] = True
+    return RunConfig.from_env().with_overrides(**flags, **overrides)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_generator
-
-    result = run_generator(
-        args.gate_set,
-        args.n,
-        args.q,
-        verbose=not args.json,
-        use_disk_cache=not args.no_cache,
-    )
+    config = _run_config(args, n=args.n, q=args.q, verbose=not args.json)
+    result = run_generation(config.gate_set, config.generation)
     stats = result.stats
     if args.json:
         json.dump(stats.as_dict(), sys.stdout, indent=2, sort_keys=True)
@@ -114,7 +104,9 @@ def _cmd_generator_metrics(args: argparse.Namespace) -> int:
         run_generator_metrics,
     )
 
-    rows = run_generator_metrics(args.gate_set, args.n, q_values=args.q)
+    rows = run_generator_metrics(
+        args.gate_set, args.n, q_values=args.q, generation=_run_config(args).generation
+    )
     if args.json:
         json.dump([row.as_dict() for row in rows], sys.stdout, indent=2)
         print()
@@ -124,30 +116,16 @@ def _cmd_generator_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    from repro.api import RunConfig, Superoptimizer
     from repro.benchmarks_suite import benchmark_circuit
 
     circuit = benchmark_circuit(args.circuit)
-    # Only flags the user actually passed override the from_env snapshot
-    # (the mapping form of with_overrides merges into the nested layer;
-    # note _apply_shared_flags already exported the shared flags to the
-    # environment before this snapshot, so either path agrees).
-    generation_overrides = {"n": args.n, "q": args.q}
-    if args.cache_dir is not None:
-        generation_overrides["cache_dir"] = args.cache_dir
-    if args.no_cache:
-        generation_overrides["cache_enabled"] = False
-    if args.resume:
-        generation_overrides["resume"] = True
-    search_overrides = {
-        "strategy": args.strategy,
-        "max_iterations": args.max_iterations,
-        "timeout_seconds": args.timeout,
-    }
-    config = RunConfig.from_env().with_overrides(
-        gate_set=args.gate_set,
-        generation=generation_overrides,
-        search=search_overrides,
+    config = _run_config(
+        args,
+        n=args.n,
+        q=args.q,
+        strategy=args.strategy,
+        max_iterations=args.max_iterations,
+        timeout_seconds=args.timeout,
     )
     report = Superoptimizer(config).optimize(circuit)
     if args.json:
@@ -172,8 +150,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_registry(args: argparse.Namespace) -> int:
     """List the search strategies this build offers."""
-    from repro.api import available_strategies
-
     strategies = available_strategies()
     if args.json:
         json.dump({"strategies": strategies}, sys.stdout, indent=2, sort_keys=True)
@@ -245,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "no_cache"):
-        _apply_shared_flags(args)
     return args.func(args)
 
 

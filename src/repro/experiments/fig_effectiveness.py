@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Superoptimizer
 from repro.benchmarks_suite import benchmark_circuit
-from repro.experiments.runner import quartz_optimize
-from repro.experiments.table_gate_counts import naive_transpile
+from repro.experiments.table_gate_counts import naive_transpile, table_config
 
 
 @dataclass
@@ -55,18 +55,20 @@ def run_effectiveness_figure(
     points: List[EffectivenessPoint] = []
     for q in q_values:
         for n in n_values:
-            per_circuit: Dict[str, int] = {}
-            for name in circuit_names:
-                _pre, optimized, _res = quartz_optimize(
-                    benchmark_circuit(name),
+            quartz = Superoptimizer(
+                table_config(
                     gate_set_name,
-                    n=n,
-                    q=q,
+                    n,
+                    q,
                     gamma=gamma,
                     max_iterations=max_iterations,
                     timeout_seconds=timeout_seconds,
                 )
-                per_circuit[name] = optimized.gate_count
+            )
+            per_circuit: Dict[str, int] = {
+                name: quartz.optimize(benchmark_circuit(name)).circuit.gate_count
+                for name in circuit_names
+            }
             ratios = [
                 per_circuit[name] / originals[name]
                 for name in circuit_names

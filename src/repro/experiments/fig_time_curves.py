@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import GenerationConfig, build_ecc_set
 from repro.benchmarks_suite import benchmark_circuit
-from repro.experiments.runner import build_transformations
 from repro.experiments.table_gate_counts import naive_transpile
-from repro.optimizer import BacktrackingOptimizer
+from repro.optimizer import BacktrackingOptimizer, transformations_from_ecc_set
 from repro.preprocess import preprocess
 
 
@@ -62,7 +62,9 @@ def run_time_curves(
     # cost_at[(n, circuit)] = function sampling best cost at a given time.
     traces: Dict[Tuple[int, str], List[Tuple[float, float]]] = {}
     for n in n_values:
-        transformations = build_transformations(gate_set_name, n, q)
+        transformations = transformations_from_ecc_set(
+            build_ecc_set(gate_set_name, GenerationConfig(n=n, q=q))
+        )
         for name in circuit_names:
             preprocessed = preprocess(benchmark_circuit(name), gate_set_name)
             optimizer = BacktrackingOptimizer(transformations, gamma=gamma)

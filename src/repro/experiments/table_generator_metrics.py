@@ -8,10 +8,11 @@ generation time, plus the characteristic ch(G, Sigma, q, m).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.runner import run_generator
+from repro.api import GenerationConfig, run_generation
 from repro.generator.brute import characteristic
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
 from repro.ir.gatesets import get_gate_set
@@ -47,14 +48,22 @@ def run_generator_metrics(
     gate_set_name: str,
     n_values: Sequence[int],
     q_values: Sequence[int] = (3,),
+    generation: Optional[GenerationConfig] = None,
 ) -> List[GeneratorMetricsRow]:
-    """Generate ECC sets for each (n, q) and collect the Table 5/8 metrics."""
+    """Generate ECC sets for each (n, q) and collect the Table 5/8 metrics.
+
+    ``generation`` carries every other generation knob (cache, resume,
+    seed, ...); each row replaces only its n and q.
+    """
+    generation = generation or GenerationConfig()
     gate_set = get_gate_set(gate_set_name)
     rows: List[GeneratorMetricsRow] = []
     for q in q_values:
         ch = characteristic(gate_set, q)
         for n in n_values:
-            result = run_generator(gate_set_name, n, q)
+            result = run_generation(
+                gate_set_name, dataclasses.replace(generation, n=n, q=q)
+            )
             pruned = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
             rows.append(
                 GeneratorMetricsRow(

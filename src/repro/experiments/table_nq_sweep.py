@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import Superoptimizer
 from repro.benchmarks_suite import benchmark_circuit
-from repro.experiments.runner import quartz_optimize
+from repro.experiments.table_gate_counts import naive_transpile, table_config
 from repro.preprocess import preprocess
 
 
@@ -48,28 +49,30 @@ def run_nq_sweep(
     timeout_seconds: Optional[float] = 15.0,
 ) -> List[NQSweepRow]:
     """Produce the Table 7 grid (restricted to the requested circuits/pairs)."""
+    quartz = {
+        (n, q): Superoptimizer(
+            table_config(
+                gate_set_name,
+                n,
+                q,
+                gamma=gamma,
+                max_iterations=max_iterations,
+                timeout_seconds=timeout_seconds,
+            )
+        )
+        for n, q in nq_pairs
+    }
     rows: List[NQSweepRow] = []
     for name in circuit_names:
         high_level = benchmark_circuit(name)
         preprocessed = preprocess(high_level, gate_set_name)
-        from repro.experiments.table_gate_counts import naive_transpile
-
         row = NQSweepRow(
             circuit=name,
             original=naive_transpile(high_level, gate_set_name).gate_count,
             preprocessed=preprocessed.gate_count,
         )
-        for n, q in nq_pairs:
-            _pre, optimized, _result = quartz_optimize(
-                high_level,
-                gate_set_name,
-                n=n,
-                q=q,
-                gamma=gamma,
-                max_iterations=max_iterations,
-                timeout_seconds=timeout_seconds,
-            )
-            row.results[(n, q)] = optimized.gate_count
+        for pair, optimizer in quartz.items():
+            row.results[pair] = optimizer.optimize(high_level).circuit.gate_count
         rows.append(row)
     return rows
 

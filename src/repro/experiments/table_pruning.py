@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.runner import run_generator
+from repro.api import GenerationConfig, run_generation
 from repro.generator.brute import count_possible_circuits
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
 from repro.ir.gatesets import get_gate_set
@@ -64,7 +64,7 @@ def run_pruning_table(
     rows: List[PruningRow] = []
     for n in n_values:
         possible = count_possible_circuits(gate_set, n, q)
-        result = run_generator(gate_set_name, n, q)
+        result = run_generation(gate_set_name, GenerationConfig(n=n, q=q))
         simplified = simplify_ecc_set(result.ecc_set)
         pruned = prune_common_subcircuits(simplified)
         rows.append(

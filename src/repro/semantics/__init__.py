@@ -1,4 +1,9 @@
-"""Numeric circuit semantics: simulation, fingerprints, phase-factor search."""
+"""Numeric circuit semantics: simulation, fingerprints, phase-factor search.
+
+The function ``fingerprint`` is not re-exported here: the name belongs to
+the :mod:`repro.semantics.fingerprint` submodule (``repro.fingerprint`` is
+the function).
+"""
 
 from repro.semantics.simulator import (
     apply_circuit,
@@ -6,7 +11,7 @@ from repro.semantics.simulator import (
     circuits_equivalent_statevector,
     random_state,
 )
-from repro.semantics.fingerprint import FingerprintContext, fingerprint
+from repro.semantics.fingerprint import FingerprintContext
 from repro.semantics.phase import PhaseFactor, find_phase_candidates
 
 __all__ = [
@@ -15,7 +20,6 @@ __all__ = [
     "random_state",
     "circuits_equivalent_statevector",
     "FingerprintContext",
-    "fingerprint",
     "PhaseFactor",
     "find_phase_candidates",
 ]

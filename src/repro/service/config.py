@@ -2,12 +2,18 @@
 
 :class:`ServiceConfig` is the service-layer sibling of
 :class:`repro.api.RunConfig`: a frozen snapshot of every serving knob
-(bind address, worker mode, queue bound) plus the *base*
-:class:`~repro.api.RunConfig` each request's overrides are layered onto.
-Like ``RunConfig.from_env`` it is the single place the service reads the
+(bind address, worker mode, queue bound, the worker pool's per-chunk
+deadline and retry budget) plus the *base* :class:`~repro.api.RunConfig`
+each request's overrides are layered onto.  The pool knobs live here and
+nowhere else, because no run outside the service uses a pool.  Like
+``RunConfig.from_env`` it is the single place the service reads the
 environment — parsing itself lives in :mod:`repro.envconfig`
 (rule R002), and the snapshot happens once at server start so a running
 service cannot drift if the environment changes underneath it.
+
+A request may override only the base config's
+:data:`~repro.api.config.OUTPUT_FIELDS`; the deployment fields (cache
+location, resume, verbosity) are the operator's, set here.
 
 One deliberate deviation from the library default: unless the environment
 or the caller says otherwise, the base run config enables round-granular
@@ -22,10 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 from repro.api.config import RunConfig
 from repro.envconfig import (
+    DEFAULT_CHUNK_RETRIES,
+    DEFAULT_CHUNK_TIMEOUT,
+    env_chunk_retries,
+    env_chunk_timeout,
     env_service_max_queue,
     env_service_port,
     env_service_workers,
@@ -58,14 +68,21 @@ class ServiceConfig:
     #: Bound on queued-but-not-yet-running jobs; submissions beyond it are
     #: rejected with :class:`repro.errors.QueueFull` (HTTP 429).
     max_queue: int = 64
+    #: Per-chunk (one job) deadline in seconds of the worker pool's
+    #: dispatch; ``None`` or <= 0 means no deadline.
+    chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT
+    #: Retries of a job whose run failed or timed out, in either mode.
+    chunk_retries: int = DEFAULT_CHUNK_RETRIES
     #: The base configuration requests are layered onto with
     #: ``with_overrides`` — exactly the facade's override routing, so a
-    #: request body may say ``{"config": {"n": 2, "strategy": "beam"}}``.
+    #: request body may say ``{"config": {"n": 2, "strategy": "beam"}}``
+    #: (output fields only).
     run_config: RunConfig = field(default_factory=_default_run_config)
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "ServiceConfig":
-        """Snapshot every ``REPRO_SERVICE_*`` knob (and the ``REPRO_*`` base).
+        """Snapshot the ``REPRO_SERVICE_*`` and ``REPRO_CHUNK_*`` knobs and
+        the ``REPRO_*`` run base.
 
         ``overrides`` win over the environment; ``run_config`` may be given
         explicitly to replace the ``RunConfig.from_env()`` base.
@@ -81,6 +98,8 @@ class ServiceConfig:
             port=env_service_port(),
             workers=env_service_workers(),
             max_queue=env_service_max_queue(),
+            chunk_timeout=env_chunk_timeout(),
+            chunk_retries=env_chunk_retries(),
             run_config=run_config,
         )
         return dataclasses.replace(config, **overrides) if overrides else config

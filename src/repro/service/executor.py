@@ -15,11 +15,11 @@ aside), which is what makes retrying crashed jobs sound.
 Two executors share that entry point:
 
 * :class:`InlineExecutor` (``workers < 2``, the default) runs jobs on the
-  caller's thread with a bounded retry loop.  Only the pool taxonomy
-  (:class:`~repro.errors.PoolError` subclasses and injected faults) is
-  retried — a ``TypeError`` from a bad payload is a bug and propagates —
-  and exhaustion raises :class:`~repro.errors.RetryExhausted`, exactly
-  like a pool would.  The ``runner`` seam exists for the fault tests: a
+  caller's thread with a bounded retry loop (``chunk_retries``).  Only the
+  pool taxonomy (:class:`~repro.errors.PoolError` subclasses and injected
+  faults) is retried — a ``TypeError`` from a bad payload is a bug and
+  propagates — and exhaustion raises :class:`~repro.errors.RetryExhausted`,
+  exactly like a pool would.  The ``runner`` seam exists for the fault tests: a
   flaky runner proves retry-then-recover, an always-failing one proves
   the 500/``RetryExhausted`` path without spawning processes.
 * :class:`PoolExecutor` (``workers >= 2``) dispatches to a persistent
@@ -33,6 +33,11 @@ Two executors share that entry point:
   :class:`~repro.errors.RetryExhausted` it raised.  The pool's
   ``resilience.*`` counters (respawns, timeouts, retries, ...) are
   published after every wave through :meth:`PoolExecutor.counters`.
+
+Both take ``chunk_retries`` (the pool also ``chunk_timeout``) as plain
+values: the :class:`~repro.service.jobs.JobManager` passes its
+:class:`~repro.service.config.ServiceConfig` fields, and nothing here
+reads the environment.
 """
 
 from __future__ import annotations
@@ -46,9 +51,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import faults
 from repro.api.config import RunConfig
 from repro.api.facade import RunReport, Superoptimizer
+from repro.envconfig import DEFAULT_CHUNK_RETRIES, DEFAULT_CHUNK_TIMEOUT
 from repro.errors import FaultInjected, PoolError, RetryExhausted
 from repro.perf import PerfRecorder
-from repro.workerpool import ResilientPool, resolve_chunk_retries
+from repro.workerpool import ResilientPool
 
 __all__ = [
     "execute_job",
@@ -103,10 +109,10 @@ class InlineExecutor:
     def __init__(
         self,
         *,
-        chunk_retries: Optional[int] = None,
+        chunk_retries: int = DEFAULT_CHUNK_RETRIES,
         runner: Callable[[Dict[str, Any]], Dict[str, Any]] = execute_job,
     ) -> None:
-        self.chunk_retries = resolve_chunk_retries(chunk_retries)
+        self.chunk_retries = max(int(chunk_retries), 0)
         self._runner = runner
 
     def run(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -163,8 +169,8 @@ class PoolExecutor:
         base_config: Dict[str, Any],
         workers: int,
         *,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
+        chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT,
+        chunk_retries: int = DEFAULT_CHUNK_RETRIES,
     ) -> None:
         self.workers = workers
         # Written only by the dispatch thread (inside run_chunks); other

@@ -5,13 +5,18 @@ HTTP layer (:mod:`repro.service.http`) is a thin translation onto it, and
 the tests drive it directly.  Lifecycle of a submission:
 
 1. **Validate** — the QASM must parse (:class:`~repro.errors.InvalidRequest`
-   otherwise) and the config overrides must route through
+   otherwise) and the config overrides may name only
+   :data:`~repro.api.config.OUTPUT_FIELDS` (flat or nested under
+   ``generation``/``search``), routed through
    :meth:`RunConfig.with_overrides` onto the service's base config; the
    strategy and gate-set names are resolved eagerly so a typo is a 400
-   at submit time, not a 500 at execution time.
+   at submit time, not a 500 at execution time.  A deployment field
+   (``cache_dir``, ``resume``, ...) is a 400 too: where the service keeps
+   its files is the operator's choice, not a client's.
 2. **Memoize / dedupe** — the job key is a content hash of the *canonical*
    QASM (parse → re-emit, so formatting differences cannot defeat it) plus
-   the canonical effective-config JSON.  A key whose result is memoized is
+   the effective config's output fields, so two requests that must
+   return the same result share one key.  A key whose result is memoized is
    answered instantly (``cached``); a key currently queued or running
    attaches to the in-flight job instead of enqueueing a duplicate
    (``deduped``).
@@ -44,7 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.api.config import RunConfig
+from repro.api.config import OUTPUT_FIELDS, RunConfig
 from repro.api.facade import Superoptimizer
 from repro.errors import (
     InvalidRequest,
@@ -165,18 +170,17 @@ class JobManager:
             "service.dedupe.hits": 0,
             "service.queue.rejected": 0,
         }
-        generation = self._base.generation
         if executor is not None:
             self.executor = executor
         elif self.config.pooled:
             self.executor = PoolExecutor(
                 self._validated(self._base).as_dict(),
                 self.config.workers,
-                chunk_timeout=generation.chunk_timeout,
-                chunk_retries=generation.chunk_retries,
+                chunk_timeout=self.config.chunk_timeout,
+                chunk_retries=self.config.chunk_retries,
             )
         else:
-            self.executor = InlineExecutor(chunk_retries=generation.chunk_retries)
+            self.executor = InlineExecutor(chunk_retries=self.config.chunk_retries)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -305,6 +309,23 @@ class JobManager:
             isinstance(k, str) for k in overrides
         ):
             raise InvalidRequest("config must be an object of field names")
+        layers = ("generation", "search")
+        rejected = [
+            name
+            for name in overrides
+            if name not in OUTPUT_FIELDS and name not in layers
+        ]
+        for layer in layers:
+            nested = overrides.get(layer, {})
+            if not isinstance(nested, Mapping):
+                raise InvalidRequest(f"config.{layer} must be an object")
+            rejected += [
+                f"{layer}.{name}" for name in nested if name not in OUTPUT_FIELDS
+            ]
+        if rejected:
+            raise InvalidRequest(
+                "a request may set only output fields, not " + ", ".join(rejected)
+            )
         try:
             return self._base.with_overrides(**dict(overrides))
         except (TypeError, ValueError) as error:
@@ -393,8 +414,8 @@ class JobManager:
 
 
 def _content_key(canonical_qasm: str, effective: RunConfig) -> str:
-    """Content hash: canonical circuit + canonical effective config."""
-    config_json = json.dumps(effective.as_dict(), sort_keys=True, default=str)
+    """Content hash: canonical circuit + the effective config's output fields."""
+    config_json = json.dumps(effective.output_dict(), sort_keys=True, default=str)
     digest = hashlib.sha256()
     digest.update(canonical_qasm.encode("utf-8"))
     digest.update(b"\x00")

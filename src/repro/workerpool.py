@@ -10,10 +10,10 @@ a slow chunk stalls every request behind it.
 per-chunk dispatch plus a recovery loop:
 
 * every chunk is submitted with ``apply_async`` and collected with a
-  per-chunk deadline (``REPRO_CHUNK_TIMEOUT``); a lost worker's chunk
+  per-chunk deadline (``chunk_timeout``); a lost worker's chunk
   surfaces as :class:`~repro.errors.ChunkTimeout` instead of a hang;
 * failed or timed-out chunks are re-dispatched with bounded exponential
-  backoff (``REPRO_CHUNK_RETRIES``); a timeout additionally terminates and
+  backoff (``chunk_retries``); a timeout additionally terminates and
   respawns the pool first, because a stuck or dead worker may be holding a
   slot (clean in-worker exceptions retry on the live pool);
 * chunks whose result arrived *late* — after the deadline sweep but before
@@ -35,6 +35,11 @@ fires, attaches the corresponding worker-side token to the wave's first
 chunk.  Faults fire on first dispatch only — retried chunks are shipped
 clean, mirroring real transient failures.
 
+Both knobs are plain constructor values: the service passes its
+:class:`~repro.service.config.ServiceConfig` fields (which is where
+``REPRO_CHUNK_TIMEOUT`` and ``REPRO_CHUNK_RETRIES`` are read), and the
+pool reads no environment of its own.
+
 Recovery is observable through ``resilience.*`` perf counters
 (``chunk_timeouts``, ``chunk_failures``, ``chunk_retries``,
 ``pool_respawns``, ``late_results``, ``faults_injected``, ...) in the
@@ -50,7 +55,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.envconfig import env_chunk_retries, env_chunk_timeout
+from repro.envconfig import DEFAULT_CHUNK_RETRIES, DEFAULT_CHUNK_TIMEOUT
 from repro.errors import (
     ChunkTimeout,
     FaultInjected,
@@ -62,8 +67,6 @@ from repro.perf import NULL_RECORDER, PerfRecorder
 
 __all__ = [
     "ResilientPool",
-    "resolve_chunk_timeout",
-    "resolve_chunk_retries",
     "BACKOFF_BASE_SECONDS",
     "BACKOFF_CAP_SECONDS",
 ]
@@ -94,25 +97,6 @@ _RETRYABLE_CHUNK_ERRORS: Tuple[type, ...] = (
 )
 
 
-def resolve_chunk_timeout(chunk_timeout: Optional[float] = None) -> Optional[float]:
-    """Resolve a per-chunk deadline: explicit argument, else environment.
-
-    ``None`` means "ask the environment"; an explicit non-positive value
-    means "no deadline" (and forfeits the no-hang guarantee, so it is an
-    opt-out, never a default).
-    """
-    if chunk_timeout is None:
-        return env_chunk_timeout()
-    return None if chunk_timeout <= 0 else float(chunk_timeout)
-
-
-def resolve_chunk_retries(chunk_retries: Optional[int] = None) -> int:
-    """Resolve a chunk retry budget: explicit argument, else environment."""
-    if chunk_retries is None:
-        return env_chunk_retries()
-    return max(int(chunk_retries), 0)
-
-
 class ResilientPool:
     """A persistent worker pool with timeouts, retries and self-respawn.
 
@@ -124,9 +108,10 @@ class ResilientPool:
         workers: pool size (>= 2; a single worker should run in-process
             instead).
         site: fault-injection site name (``"service"``).
-        chunk_timeout: per-chunk deadline in seconds (None = environment;
-            <= 0 = no deadline).
-        chunk_retries: re-dispatch budget per chunk (None = environment).
+        chunk_timeout: per-chunk deadline in seconds; ``None`` or <= 0
+            means no deadline (and forfeits the no-hang guarantee, so it is
+            an opt-out, never a default).
+        chunk_retries: re-dispatch budget per chunk (negative means 0).
         perf: recorder the ``resilience.*`` counters land in.
     """
 
@@ -138,8 +123,8 @@ class ResilientPool:
         workers: int,
         *,
         site: str,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
+        chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT,
+        chunk_retries: int = DEFAULT_CHUNK_RETRIES,
         perf: Optional[PerfRecorder] = None,
     ) -> None:
         if workers < 2:
@@ -147,8 +132,12 @@ class ResilientPool:
         self.worker_fn = worker_fn
         self.workers = workers
         self.site = site
-        self.chunk_timeout = resolve_chunk_timeout(chunk_timeout)
-        self.chunk_retries = resolve_chunk_retries(chunk_retries)
+        self.chunk_timeout: Optional[float] = (
+            None
+            if chunk_timeout is None or chunk_timeout <= 0
+            else float(chunk_timeout)
+        )
+        self.chunk_retries = max(int(chunk_retries), 0)
         self.perf = perf if perf is not None else NULL_RECORDER
         self._initializer = initializer
         self._initargs = initargs

@@ -29,7 +29,7 @@ from repro.analysis.cli import main as cli_main
 from repro.analysis.core import registered_rules, run_analysis
 from pathlib import Path
 
-RULE_IDS = ("R001", "R002", "R003", "R004", "R005", "R006", "R007")
+RULE_IDS = ("R001", "R002", "R003", "R004", "R006", "R007")
 
 
 def lint(tmp_path, files, select=None):
@@ -184,6 +184,23 @@ class TestR002EnvCentralization:
         )
         assert result.findings == []
 
+    def test_only_envconfig_is_allowed(self, tmp_path):
+        # The experiments CLI passes a RunConfig down; writing the
+        # environment there is a finding like anywhere else.
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/experiments/cli.py": """
+                    import os
+
+                    def apply_flags(cache_dir):
+                        os.environ["REPRO_CACHE_DIR"] = cache_dir
+                """
+            },
+            select=["R002"],
+        )
+        assert rules_hit(result) == {"R002"}
+
 
 class TestR003BlanketExcept:
     def test_seeded_blanket_except_is_caught(self, tmp_path):
@@ -320,61 +337,6 @@ class TestR004WallClockInWorker:
         )
         assert len(result.findings) == 1
         assert result.findings[0].line != 0
-
-
-class TestR005SpecPickleCompleteness:
-    def test_seeded_missing_param_is_caught(self, tmp_path):
-        result = lint(
-            tmp_path,
-            {
-                "src/repro/mod.py": """
-                    class Ctx:
-                        def __init__(self, seed, backend, perf=None):
-                            self.seed = seed
-
-                        def spec(self):
-                            return {"seed": self.seed}
-                """
-            },
-            select=["R005"],
-        )
-        assert rules_hit(result) == {"R005"}
-        assert "backend" in result.findings[0].message
-        assert "perf" in result.findings[0].message
-
-    def test_complete_spec_is_clean(self, tmp_path):
-        result = lint(
-            tmp_path,
-            {
-                "src/repro/mod.py": """
-                    class Ctx:
-                        def __init__(self, seed, backend):
-                            self.seed = seed
-
-                        def spec(self):
-                            return {"seed": self.seed, "backend": "numpy"}
-                """
-            },
-            select=["R005"],
-        )
-        assert result.findings == []
-
-    def test_dynamic_spec_stays_silent(self, tmp_path):
-        result = lint(
-            tmp_path,
-            {
-                "src/repro/mod.py": """
-                    class Ctx:
-                        def __init__(self, seed):
-                            self.seed = seed
-
-                        def spec(self):
-                            return dict(self.__dict__)
-                """
-            },
-            select=["R005"],
-        )
-        assert result.findings == []
 
 
 class TestR006NondeterministicReduction:

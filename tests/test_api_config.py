@@ -8,10 +8,23 @@ import json
 import pytest
 
 from repro.api import GenerationConfig, RunConfig, SearchConfig
-from repro.envconfig import (
-    CACHE_DIR_ENV_VAR,
-    CACHE_DISABLE_ENV_VAR,
-    SCALE_ENV_VAR,
+from repro.api.config import OUTPUT_FIELDS
+from repro.envconfig import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, SCALE_ENV_VAR
+
+#: Every config field that is not an output field: where a run keeps its
+#: files, how it reports, and the serial-only compatibility fields.  A new
+#: field must join this list or ``OUTPUT_FIELDS``.
+DEPLOYMENT_FIELDS = frozenset(
+    {
+        "batched",
+        "workers",
+        "verify_workers",
+        "search_workers",
+        "cache_dir",
+        "cache_enabled",
+        "resume",
+        "verbose",
+    }
 )
 
 
@@ -30,11 +43,37 @@ class TestFromEnv:
     def test_snapshots_every_knob(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "false")
-        monkeypatch.setenv(SCALE_ENV_VAR, "medium")
+        monkeypatch.setenv("REPRO_RESUME", "1")
         config = RunConfig.from_env()
         assert config.generation.cache_dir == str(tmp_path)
         assert config.generation.cache_enabled is True
-        assert config.scale == "medium"
+        assert config.generation.resume is True
+
+    def test_scale_and_pool_knobs_are_not_run_fields(self, monkeypatch, tmp_path):
+        # REPRO_SCALE picks an experiment preset (active_config) and the
+        # REPRO_CHUNK_* knobs configure the service pool (ServiceConfig):
+        # neither is part of a run's config.
+        monkeypatch.setenv(SCALE_ENV_VAR, "medium")
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "7.5")
+        snapshot = RunConfig.from_env().as_dict()
+        assert "scale" not in snapshot
+        assert "chunk_timeout" not in snapshot["generation"]
+        for build in (
+            lambda: GenerationConfig(chunk_timeout=1.0),
+            lambda: GenerationConfig(chunk_retries=1),
+            lambda: RunConfig(scale="quick"),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        for name, value in (
+            ("chunk_timeout", 1.0),
+            ("chunk_retries", 1),
+            ("scale", "quick"),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({name: value}))
+            with pytest.raises(TypeError, match=name):
+                RunConfig.from_file(path)
 
     def test_batched_stays_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
@@ -180,7 +219,6 @@ class TestOverrides:
 class TestSources:
     def test_precedence_env_file_kwargs(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "env"))
-        monkeypatch.setenv(SCALE_ENV_VAR, "quick")
         config_file = tmp_path / "config.json"
         config_file.write_text(
             json.dumps(
@@ -198,7 +236,6 @@ class TestSources:
         assert config.generation.n == 2
         assert config.search.strategy == "beam"
         assert config.gate_set == "rigetti"
-        assert config.scale == "quick"
 
     def test_from_file_rejects_non_object(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -227,3 +264,21 @@ class TestStrategyOptions:
         json.dumps(payload)
         assert payload["gate_set"] == "nam"
         assert payload["generation"]["n"] == 3
+
+
+class TestOutputFields:
+    def test_every_field_is_classified(self):
+        names = {
+            field.name
+            for layer in (RunConfig, GenerationConfig, SearchConfig)
+            for field in dataclasses.fields(layer)
+        } - {"generation", "search"}
+        assert not OUTPUT_FIELDS & DEPLOYMENT_FIELDS
+        assert names == OUTPUT_FIELDS | DEPLOYMENT_FIELDS
+
+    def test_output_dict_is_flat_and_holds_only_output_fields(self):
+        config = RunConfig().with_overrides(n=2, cache_dir="elsewhere")
+        output = config.output_dict()
+        assert set(output) == OUTPUT_FIELDS
+        assert output["n"] == 2 and output["gate_set"] == "nam"
+        assert output == RunConfig(batched=True).with_overrides(n=2).output_dict()

@@ -3,7 +3,8 @@
 The acceptance bar of the API redesign: the facade must reproduce the
 hand-wired pipeline *byte for byte* — identical ``ECCSet.to_json`` for the
 raw and pruned sets and the identical best-circuit cost on the quick
-experiment scale — while every old entry point keeps working.
+experiment scale.  The experiment harnesses call it directly
+(``tests/test_experiments.py``).
 """
 
 from __future__ import annotations
@@ -321,40 +322,6 @@ class TestDiskCacheIntegration:
         assert warm.provenance["generation_source"] == "disk"
         assert warm.provenance["cache_warm_hit"] is True
         assert warm.ecc_set.to_json() == cold.ecc_set.to_json()
-
-
-class TestLegacyShims:
-    def test_runner_wrappers_still_work(self):
-        from repro.experiments.runner import build_ecc_set, quartz_optimize
-
-        clear_memory_caches()
-        ecc = build_ecc_set("nam", 2, 2, use_disk_cache=False)
-        assert len(ecc) > 0
-        preprocessed, optimized, result = quartz_optimize(
-            benchmark_circuit("tof_3"),
-            "nam",
-            n=2,
-            q=2,
-            max_iterations=3,
-            timeout_seconds=20,
-        )
-        assert optimized.gate_count <= preprocessed.gate_count
-        assert result.iterations <= 3
-
-    def test_quartz_optimize_skips_output_verification(self, monkeypatch):
-        """The legacy wrapper stays cost-identical to the pre-facade flow."""
-        from repro.experiments.runner import quartz_optimize
-
-        def _fail(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("legacy quartz_optimize must not verify")
-
-        # ``Superoptimizer.verify`` is the facade's one output screen.
-        monkeypatch.setattr(Superoptimizer, "verify", _fail)
-        clear_memory_caches()
-        quartz_optimize(
-            benchmark_circuit("tof_3"), "nam", n=1, q=1,
-            max_iterations=1, timeout_seconds=5,
-        )
 
 
 class TestReportJSONRoundTrip:

@@ -10,7 +10,6 @@ the verdicts of the per-trial screen.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro.generator import RepGen
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gatesets import NAM
 from repro.preprocess import preprocess
+import repro.semantics.fingerprint as fingerprint_module
 from repro.semantics.simulator import (
     apply_circuit,
     apply_circuit_batch,
@@ -162,14 +162,13 @@ class TestVerifierContextSharing:
         # or a sampled cross-check of the one context; a verifier on other
         # random inputs would replay each circuit it screens.
         replays = []
-        module = sys.modules["repro.semantics.fingerprint"]
-        replay = module.apply_circuit
+        replay = fingerprint_module.apply_circuit
 
         def counting(*args, **kwargs):
             replays.append(1)
             return replay(*args, **kwargs)
 
-        monkeypatch.setattr(module, "apply_circuit", counting)
+        monkeypatch.setattr(fingerprint_module, "apply_circuit", counting)
         perf = RepGen(NAM, 2, seed=12345).generate(3).stats.perf
         assert perf["verifier.matrix_cache.misses"] > 0  # the screen ran
         assert len(replays) == perf["fingerprint.state_cache.misses"] + perf.get(

@@ -17,14 +17,13 @@ happen, never *what* they compute.  Concretely:
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.circuit import Circuit, Instruction
+import repro.semantics.fingerprint as fingerprint_module
 from repro.perf import PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
 from repro.semantics.simulator import (
@@ -37,10 +36,6 @@ from repro.semantics.simulator import (
 )
 
 from reference_kernels import apply_gate_batch_reference, apply_gate_reference
-
-#: The fingerprint module itself (``repro.semantics.fingerprint`` as an
-#: attribute is the re-exported ``fingerprint`` function).
-FINGERPRINT_MODULE = sys.modules["repro.semantics.fingerprint"]
 
 #: (gate name, operand count) pool for random gate draws.
 GATE_POOL = [
@@ -199,7 +194,7 @@ class TestHashKeysBatched:
                 "apply_gate_batch must not run for a degenerate batch of 1"
             )
 
-        monkeypatch.setattr(FINGERPRINT_MODULE, "apply_gate_batch", forbid_batch)
+        monkeypatch.setattr(fingerprint_module, "apply_gate_batch", forbid_batch)
         jobs = [(parent, [inst])]
         assert_matches_full_replay(context, jobs, context.hash_keys_batched(jobs))
         counters = perf.snapshot()

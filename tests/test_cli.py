@@ -3,58 +3,84 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.api import clear_memory_caches
 from repro.experiments import cli
 from repro.envconfig import RESUME_ENV_VAR
 from repro.generator.cache import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
 
 
-class TestSharedFlagTranslation:
-    def test_flags_reach_the_env_knobs(self, monkeypatch, tmp_path):
-        for var in (CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, RESUME_ENV_VAR):
-            # setenv-then-delenv registers the var with monkeypatch so the
-            # values _apply_shared_flags writes are rolled back at teardown
-            # (delenv alone does not record vars that were absent).
-            monkeypatch.setenv(var, "sentinel")
-            monkeypatch.delenv(var)
-        args = cli.build_parser().parse_args(
-            [
-                "generate",
-                "--resume",
-                "--cache-dir",
-                str(tmp_path),
-                "--no-cache",
-            ]
+class TestSharedFlags:
+    """The shared flags travel in the run config, never through os.environ."""
+
+    @pytest.fixture(autouse=True)
+    def _clean(self, monkeypatch, tmp_path):
+        # The environment points elsewhere, so a blob under the flagged
+        # directory can only have come from the flag.
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "env"))
+        monkeypatch.delenv(CACHE_DISABLE_ENV_VAR, raising=False)
+        monkeypatch.delenv(RESUME_ENV_VAR, raising=False)
+        clear_memory_caches()
+        yield
+        clear_memory_caches()
+
+    def test_generate_cache_dir_receives_the_blob(self, tmp_path):
+        flagged = tmp_path / "flagged"
+        assert cli.main(
+            ["generate", "--n", "1", "--q", "1", "--cache-dir", str(flagged), "--json"]
+        ) == 0
+        assert list(flagged.glob("repgen_*"))
+        assert not (tmp_path / "env").exists()
+
+    def test_generator_metrics_no_cache_writes_nothing(self, tmp_path):
+        argv = ["generator-metrics", "--n", "1", "--q", "1", "--json"]
+        assert cli.main(argv + ["--no-cache"]) == 0
+        assert not (tmp_path / "env").exists()
+        # The same harness, with a flagged directory, writes only there.
+        clear_memory_caches()
+        flagged = tmp_path / "flagged"
+        assert cli.main(argv + ["--cache-dir", str(flagged)]) == 0
+        assert list(flagged.glob("repgen_*"))
+        assert not (tmp_path / "env").exists()
+
+    def test_resume_reaches_the_generation_config(self, monkeypatch, tmp_path):
+        from repro.experiments import table_generator_metrics
+
+        seen = []
+
+        def spy(real):
+            def run_generation(gate_set, generation):
+                seen.append(generation)
+                return real(gate_set, generation)
+
+            return run_generation
+
+        monkeypatch.setattr(cli, "run_generation", spy(cli.run_generation))
+        monkeypatch.setattr(
+            table_generator_metrics,
+            "run_generation",
+            spy(table_generator_metrics.run_generation),
         )
-        cli._apply_shared_flags(args)
-        import os
+        flags = ["--n", "1", "--q", "1", "--resume", "--cache-dir", str(tmp_path)]
+        assert cli.main(["generate", *flags, "--json"]) == 0
+        assert cli.main(["generator-metrics", *flags, "--json"]) == 0
+        assert [generation.resume for generation in seen] == [True, True]
+        assert {generation.cache_dir for generation in seen} == {str(tmp_path)}
 
-        # The flags must reach RepGen runs buried inside table drivers that
-        # do not thread a cache parameter, hence the env translation.
-        assert os.environ[RESUME_ENV_VAR] == "1"
-        assert os.environ[CACHE_DIR_ENV_VAR] == str(tmp_path)
-        assert os.environ[CACHE_DISABLE_ENV_VAR] == "1"
-
-    def test_absent_flags_touch_nothing(self, monkeypatch):
-        for var in (CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR, RESUME_ENV_VAR):
-            monkeypatch.setenv(var, "sentinel")
-            monkeypatch.delenv(var)
-        args = cli.build_parser().parse_args(["generate"])
-        cli._apply_shared_flags(args)
-        import os
-
-        assert RESUME_ENV_VAR not in os.environ
-        assert CACHE_DIR_ENV_VAR not in os.environ
-        assert CACHE_DISABLE_ENV_VAR not in os.environ
+    @pytest.mark.parametrize("command", ["generate", "generator-metrics"])
+    def test_main_leaves_the_environment_alone(self, tmp_path, command):
+        before = dict(os.environ)
+        argv = [command, "--n", "1", "--q", "1", "--json", "--resume", "--no-cache"]
+        assert cli.main(argv + ["--cache-dir", str(tmp_path / "flagged")]) == 0
+        assert dict(os.environ) == before
 
 
 class TestCommands:
     def test_generate_json(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        from repro.experiments.runner import clear_memory_caches
-
         clear_memory_caches()
         code = cli.main(
             ["generate", "--gate-set", "nam", "--n", "1", "--q", "1", "--json"]
@@ -67,8 +93,6 @@ class TestCommands:
     def test_generate_warm_hit_message(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.delenv(CACHE_DISABLE_ENV_VAR, raising=False)
-        from repro.experiments.runner import clear_memory_caches
-
         clear_memory_caches()
         assert cli.main(["generate", "--gate-set", "nam", "--n", "1", "--q", "1"]) == 0
         clear_memory_caches()

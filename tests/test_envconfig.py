@@ -90,21 +90,16 @@ class TestChunkTimeout:
     def test_unset_means_the_default_deadline(self, monkeypatch):
         monkeypatch.delenv(envconfig.CHUNK_TIMEOUT_ENV_VAR, raising=False)
         assert envconfig.env_chunk_timeout() == envconfig.DEFAULT_CHUNK_TIMEOUT
-        assert envconfig.env_chunk_timeout_optional() is None
 
     @pytest.mark.parametrize("raw,expected", [("5", 5.0), ("0.5", 0.5), ("120", 120.0)])
     def test_valid_values(self, monkeypatch, raw, expected):
         monkeypatch.setenv(envconfig.CHUNK_TIMEOUT_ENV_VAR, raw)
         assert envconfig.env_chunk_timeout() == expected
-        assert envconfig.env_chunk_timeout_optional() == expected
 
     @pytest.mark.parametrize("raw", ["0", "-3", "-0.1"])
     def test_nonpositive_disables_the_deadline(self, monkeypatch, raw):
         monkeypatch.setenv(envconfig.CHUNK_TIMEOUT_ENV_VAR, raw)
         assert envconfig.env_chunk_timeout() is None
-        # The optional reader keeps "explicitly disabled" distinct from
-        # "unset" so config snapshots can round-trip the knob.
-        assert envconfig.env_chunk_timeout_optional() == 0.0
 
     def test_invalid_values_warn_and_keep_the_default(self, monkeypatch):
         monkeypatch.setenv(envconfig.CHUNK_TIMEOUT_ENV_VAR, "forever")
@@ -116,13 +111,11 @@ class TestChunkRetries:
     def test_unset_means_the_default_budget(self, monkeypatch):
         monkeypatch.delenv(envconfig.CHUNK_RETRIES_ENV_VAR, raising=False)
         assert envconfig.env_chunk_retries() == envconfig.DEFAULT_CHUNK_RETRIES
-        assert envconfig.env_chunk_retries_optional() is None
 
     @pytest.mark.parametrize("raw,expected", [("0", 0), ("1", 1), ("5", 5)])
     def test_valid_values(self, monkeypatch, raw, expected):
         monkeypatch.setenv(envconfig.CHUNK_RETRIES_ENV_VAR, raw)
         assert envconfig.env_chunk_retries() == expected
-        assert envconfig.env_chunk_retries_optional() == expected
 
     @pytest.mark.parametrize("raw,match", [("lots", "non-integer"), ("-2", "negative")])
     def test_invalid_values_warn_and_keep_the_default(self, monkeypatch, raw, match):
@@ -271,6 +264,16 @@ class TestSearchKnobs:
 
 
 class TestRemovedKnobs:
+    def test_pool_knobs_have_one_reader(self):
+        # REPRO_CHUNK_* reach the service pool through ServiceConfig.from_env
+        # alone: the deferred readers and the pool's own resolvers are gone.
+        from repro import workerpool
+
+        assert not hasattr(envconfig, "env_chunk_timeout_optional")
+        assert not hasattr(envconfig, "env_chunk_retries_optional")
+        assert not hasattr(workerpool, "resolve_chunk_timeout")
+        assert not hasattr(workerpool, "resolve_chunk_retries")
+
     def test_run_config_ignores_removed_worker_knobs(self, monkeypatch):
         from repro.api import RunConfig
 

@@ -64,6 +64,21 @@ class TestGateCountTable:
         text = format_table(rows)
         assert "tof_3" in text and "Geo.Mean" in text
 
+    def test_table_runs_do_not_verify(self, monkeypatch):
+        # A table cell is the search's own result: the facade's output
+        # screen stays off, so a table's cost and cells do not move.
+        from repro.api import Superoptimizer
+
+        def _fail(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("table runs must not verify their output")
+
+        monkeypatch.setattr(Superoptimizer, "verify", _fail)
+        rows = run_gate_count_table(
+            "nam", ["tof_3"], n=1, q=1, max_iterations=1, timeout_seconds=5,
+            baselines=[],
+        )
+        assert rows[0].quartz_end_to_end <= rows[0].quartz_preprocess
+
     def test_naive_transpile_targets(self):
         circuit = benchmark_circuit("tof_3")
         for gate_set in ("nam", "ibm", "rigetti"):

@@ -13,6 +13,18 @@ from repro.semantics.phase import PhaseFactor, find_phase_candidates
 
 
 class TestFingerprint:
+    def test_submodule_name_is_the_module(self):
+        # The package does not bind the function over its submodule's
+        # name, so imports and string monkeypatch targets reach the module.
+        import types
+
+        import repro
+        import repro.semantics.fingerprint as module
+
+        assert isinstance(module, types.ModuleType)
+        assert module.fingerprint is fingerprint
+        assert repro.fingerprint is fingerprint
+
     def test_equivalent_circuits_share_fingerprint(self):
         context = FingerprintContext(num_qubits=2, num_params=0)
         a = Circuit(2).h(0).h(1).cx(0, 1).h(0).h(1)

@@ -33,11 +33,8 @@ from repro.ir.gatesets import NAM
 from repro.perf import PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
 from repro.verifier import EquivalenceVerifier
-from repro.workerpool import (
-    ResilientPool,
-    resolve_chunk_retries,
-    resolve_chunk_timeout,
-)
+from repro.service import ServiceConfig
+from repro.workerpool import ResilientPool
 
 #: Small enough that an injected delay/kill is detected in ~a second, large
 #: enough that honest chunks at this scale never time out spuriously.
@@ -410,27 +407,35 @@ class TestProgrammingErrorsSurface:
 
 
 class TestKnobResolution:
+    """The pool knobs are ``ServiceConfig`` fields, read once by ``from_env``."""
+
     def test_timeout_defaults_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHUNK_TIMEOUT", raising=False)
-        assert resolve_chunk_timeout(None) == 120.0
+        assert ServiceConfig().chunk_timeout == 120.0
+        assert ServiceConfig.from_env().chunk_timeout == 120.0
         monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "7.5")
-        assert resolve_chunk_timeout(None) == 7.5
+        assert ServiceConfig.from_env().chunk_timeout == 7.5
 
     def test_explicit_timeout_wins_and_nonpositive_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "7.5")
-        assert resolve_chunk_timeout(3.0) == 3.0
-        assert resolve_chunk_timeout(0) is None
-        assert resolve_chunk_timeout(-1) is None
+        assert ServiceConfig.from_env(chunk_timeout=3.0).chunk_timeout == 3.0
+        for raw in ("0", "-1"):
+            monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", raw)
+            assert ServiceConfig.from_env().chunk_timeout is None
 
     def test_retries_default_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHUNK_RETRIES", raising=False)
-        assert resolve_chunk_retries(None) == 2
+        assert ServiceConfig().chunk_retries == 2
+        assert ServiceConfig.from_env().chunk_retries == 2
         monkeypatch.setenv("REPRO_CHUNK_RETRIES", "5")
-        assert resolve_chunk_retries(None) == 5
+        assert ServiceConfig.from_env().chunk_retries == 5
 
-    def test_explicit_retries_clamp_at_zero(self):
-        assert resolve_chunk_retries(3) == 3
-        assert resolve_chunk_retries(-2) == 0
+    def test_explicit_retries_win_and_negative_warns(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "5")
+        assert ServiceConfig.from_env(chunk_retries=3).chunk_retries == 3
+        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "-2")
+        with pytest.warns(RuntimeWarning, match="negative"):
+            assert ServiceConfig.from_env().chunk_retries == 2
 
     def test_single_worker_pool_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

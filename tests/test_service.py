@@ -38,7 +38,7 @@ from repro.faults import FaultPlan
 from repro.ir.qasm import to_qasm
 from repro.service import Job, JobManager, OptimizationHTTPServer, ServiceConfig
 from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
-from repro.service.jobs import _result_block
+from repro.service.jobs import _content_key, _result_block
 
 #: One base config for the whole module so the warm-facade table is built
 #: once (generation at n=2/q=2 is the only slow step).
@@ -161,6 +161,60 @@ class TestMemoization:
         assert not unverified.cached
         assert stats["service.cache.hits"] == 0
 
+    def test_output_fields_flat_or_nested_share_one_job(self):
+        # perfbench's request config and the base config's own values,
+        # spelled flat or nested, are the same run: one miss, then hits.
+        qasm = qasm_for("tof_3")
+        with manager() as service:
+            first = service.submit(qasm, {"max_iterations": 30, "timeout_seconds": 20.0})
+            assert first.wait(120) and first.status == "completed"
+            for override in (
+                None,
+                {"n": 2, "q": 2},
+                {"generation": {"n": 2}, "search": {"gamma": 1.0001}},
+            ):
+                assert service.submit(qasm, override).cached
+            stats = service.stats()
+        assert stats["service.cache.misses"] == 1
+        assert stats["service.cache.hits"] == 3
+
+
+class TestJobKey:
+    """A job key hashes the circuit and the output fields, nothing else."""
+
+    def test_deployment_fields_do_not_change_the_key(self):
+        key = _content_key("q", RunConfig())
+        assert _content_key("q", RunConfig(batched=True)) == key
+        deployment = RunConfig().with_overrides(
+            workers=1,
+            verify_workers=1,
+            search_workers=1,
+            cache_dir="elsewhere",
+            cache_enabled=False,
+            resume=True,
+            verbose=True,
+        )
+        assert _content_key("q", deployment) == key
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"gate_set": "rigetti"},
+            {"n": 2},
+            {"seed": 7},
+            {"prune": False},
+            {"verify_output": False},
+            {"gamma": 1.5},
+            {"strategy": "beam"},
+            {"strategy_options": {"beam_width": 4}},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_output_fields_change_the_key(self, override):
+        key = _content_key("q", RunConfig())
+        assert _content_key("q", RunConfig().with_overrides(**override)) != key
+        assert _content_key("other", RunConfig()) != key
+
 
 class _BlockingExecutor:
     """Holds every job until released; exposes how many got started."""
@@ -247,6 +301,51 @@ class TestErrorPaths:
                 service.submit(qasm_for("tof_3"), override)
             assert excinfo.value.http_status == 400
             assert service.stats()["service.jobs.failed"] == 0
+
+    def test_a_client_cannot_choose_the_cache_directory(self, tmp_path):
+        client_dir = tmp_path / "client_chosen" / "deep"
+        with manager() as service:
+            with pytest.raises(InvalidRequest, match="cache_dir") as excinfo:
+                service.submit(qasm_for("tof_3"), {"cache_dir": str(client_dir)})
+            assert excinfo.value.http_status == 400
+            assert service.stats()["service.jobs.submitted"] == 0
+        assert not (tmp_path / "client_chosen").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"cache_enabled": True},
+            {"resume": False},
+            {"verbose": True},
+            {"workers": 1},
+            {"verify_workers": 1},
+            {"search_workers": 1},
+            {"batched": True},
+            {"chunk_timeout": 1.0},
+            {"generation": {"n": 2, "cache_dir": "elsewhere"}},
+            {"search": {"max_iterations": 5, "search_workers": 1}},
+            {"generation": "n=2"},
+        ],
+        ids=[
+            "cache_enabled",
+            "resume",
+            "verbose",
+            "workers",
+            "verify_workers",
+            "search_workers",
+            "batched",
+            "chunk_timeout",
+            "nested-cache_dir",
+            "nested-search_workers",
+            "layer-not-an-object",
+        ],
+    )
+    def test_fields_outside_the_output_fields_are_a_400(self, override):
+        with manager() as service:
+            with pytest.raises(InvalidRequest) as excinfo:
+                service.submit(qasm_for("tof_3"), override)
+            assert excinfo.value.http_status == 400
+            assert service.stats()["service.jobs.submitted"] == 0
 
     def test_service_command_line_has_no_backend_flag(self):
         from repro.service.__main__ import build_parser
@@ -354,8 +453,9 @@ class TestPoolMode:
         # The killed worker's job is re-dispatched to a respawned pool; a
         # job is a pure function of its payload, so the retried result
         # equals the serial one — and the recovery is visible in stats().
-        run_config = BASE_RUN.with_overrides(chunk_timeout=3.0, chunk_retries=2)
-        config = ServiceConfig(run_config=run_config, workers=2)
+        config = ServiceConfig(
+            run_config=BASE_RUN, workers=2, chunk_timeout=3.0, chunk_retries=2
+        )
         serial = serial_result_block("tof_3")
         faults.set_fault_plan(FaultPlan.from_string("kill_worker:service"))
         try:
@@ -374,8 +474,9 @@ class TestPoolMode:
         assert stats["resilience.chunk_retries"] >= 1
 
     def test_delayed_chunk_recovers_and_shows_in_stats(self):
-        run_config = BASE_RUN.with_overrides(chunk_timeout=3.0, chunk_retries=2)
-        config = ServiceConfig(run_config=run_config, workers=2)
+        config = ServiceConfig(
+            run_config=BASE_RUN, workers=2, chunk_timeout=3.0, chunk_retries=2
+        )
         serial = serial_result_block("tof_3")
         faults.set_fault_plan(FaultPlan.from_string("delay_chunk:service"))
         try:
@@ -730,8 +831,9 @@ class TestHTTPServer:
     def test_pooled_stats_report_recovery_over_http(self):
         # The pool's resilience.* counters reach /v1/stats, which the
         # server reads on its own thread while the dispatch thread writes.
-        run_config = BASE_RUN.with_overrides(chunk_timeout=60.0, chunk_retries=2)
-        config = ServiceConfig(port=0, run_config=run_config, workers=2)
+        config = ServiceConfig(
+            port=0, run_config=BASE_RUN, workers=2, chunk_timeout=60.0, chunk_retries=2
+        )
         faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service"))
         try:
             with _ServerThread(config) as server:
