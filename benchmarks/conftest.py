@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harnesses.
 
 Each bench regenerates one table or figure of the paper at reproduction
-scale (see DESIGN.md's per-experiment index), records the resulting data in
+scale (see the index in README.md, "Reproduction scope"), records the data in
 ``benchmark.extra_info`` and prints a formatted table so a
 ``pytest benchmarks/ --benchmark-only -s`` run shows the reproduced numbers.
 

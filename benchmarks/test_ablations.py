@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for three design choices (README.md, "Reproduction scope").
 
 * gamma: backtracking (gamma = 1.0001) versus greedy (gamma = 1), the
   Figure 6 story.

@@ -26,7 +26,10 @@ Every run emits a machine-readable JSON file (default
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -83,6 +86,47 @@ def nam_q3_n3_generation():
     result = generator.generate(3)
     elapsed = time.perf_counter() - start
     return result, elapsed
+
+
+#: Paired rounds per ratio pin.
+RATIO_ROUNDS = 5
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Time as ``timeit`` does: collect first, then keep the cyclic GC out
+    of the timed calls, so a collection of objects other tests left alive
+    is not charged to the code under test."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _paired_rounds(fast_round, slow_round):
+    """``(fast seconds, slow seconds, slow/fast ratio)``, medians over
+    :data:`RATIO_ROUNDS` back-to-back pairs of rounds, GC paused.
+
+    Each round call sets up its round and returns the seconds it timed.
+    A shared host can switch between a fast and a slow state, and a fast
+    state can speed up a pure-Python side more than a numpy side, so the
+    two sides' fastest rounds need not come from one state and their
+    quotient reads low.  The two rounds of a pair run back to back and
+    share a state, and the median drops a pair that straddles a switch.
+    """
+    pairs = []
+    with _gc_paused():
+        for _ in range(RATIO_ROUNDS):
+            pairs.append((fast_round(), slow_round()))
+    return (
+        statistics.median(fast for fast, _ in pairs),
+        statistics.median(slow for _, slow in pairs),
+        statistics.median(slow / fast for fast, slow in pairs),
+    )
 
 
 def _best_elapsed(first_elapsed: float, remeasure, required_seconds: float) -> float:
@@ -181,14 +225,16 @@ def test_warm_cache_repgen_under_half_second(nam_q3_n3_generation, tmp_path):
     generator = RepGen(NAM, num_qubits=3, num_params=2)
     cache.store_generator_result(generator._cache_key(3), serial_result)
 
-    start = time.perf_counter()
-    warm = RepGen(NAM, num_qubits=3, num_params=2).generate(3, cache=cache)
-    elapsed = time.perf_counter() - start
+    with _gc_paused():
+        start = time.perf_counter()
+        warm = RepGen(NAM, num_qubits=3, num_params=2).generate(3, cache=cache)
+        elapsed = time.perf_counter() - start
 
     def remeasure() -> float:
-        start = time.perf_counter()
-        RepGen(NAM, num_qubits=3, num_params=2).generate(3, cache=cache)
-        return time.perf_counter() - start
+        with _gc_paused():
+            start = time.perf_counter()
+            RepGen(NAM, num_qubits=3, num_params=2).generate(3, cache=cache)
+            return time.perf_counter() - start
 
     elapsed = _best_elapsed(elapsed, remeasure, REQUIRED_WARM_CACHE_SECONDS)
     _RESULTS["repgen_warm_cache_n3_q3"] = {
@@ -216,20 +262,28 @@ def test_incremental_fingerprint_ratio():
     for i in range(24):
         parent.h(i % num_qubits).cx(i % num_qubits, (i + 1) % num_qubits)
     instructions = [Instruction("t", (q,)) for q in range(num_qubits)] * 40
+    keys: list = []
+    full_keys: list = []
 
-    incremental = FingerprintContext(num_qubits, 0)
-    incremental.evolved_state(parent)  # warm the parent state
-    start = time.perf_counter()
-    [keys] = incremental.hash_keys_batched([(parent, instructions)])
-    incremental_seconds = time.perf_counter() - start
+    def incremental_round() -> float:
+        incremental = FingerprintContext(num_qubits, 0)
+        incremental.evolved_state(parent)  # warm the parent state
+        start = time.perf_counter()
+        [round_keys] = incremental.hash_keys_batched([(parent, instructions)])
+        elapsed = time.perf_counter() - start
+        keys[:] = round_keys
+        return elapsed
 
-    full = FingerprintContext(num_qubits, 0, state_cache_size=1)
-    candidates = [parent.appended(inst) for inst in instructions]
-    start = time.perf_counter()
-    full_keys = [full.hash_key(candidate) for candidate in candidates]
-    full_seconds = time.perf_counter() - start
+    def full_round() -> float:
+        full = FingerprintContext(num_qubits, 0, state_cache_size=1)
+        candidates = [parent.appended(inst) for inst in instructions]
+        start = time.perf_counter()
+        full_keys[:] = [full.hash_key(candidate) for candidate in candidates]
+        return time.perf_counter() - start
 
-    ratio = full_seconds / incremental_seconds
+    incremental_seconds, full_seconds, ratio = _paired_rounds(
+        incremental_round, full_round
+    )
     _RESULTS["fingerprint_incremental"] = {
         "incremental_seconds": incremental_seconds,
         "full_replay_seconds": full_seconds,
@@ -284,19 +338,20 @@ def test_vectorized_embedding_matches_and_beats_reference():
         )
 
     repeats = 20
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for matrix, qubits in cases:
-            expand_to_qubits(matrix, qubits, num_qubits)
-    vectorized_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for matrix, qubits in cases:
-            _expand_to_qubits_reference(matrix, qubits, num_qubits)
-    reference_seconds = time.perf_counter() - start
+    def timed(embed):
+        def timed_round() -> float:
+            start = time.perf_counter()
+            for _ in range(repeats):
+                for matrix, qubits in cases:
+                    embed(matrix, qubits, num_qubits)
+            return time.perf_counter() - start
 
-    ratio = reference_seconds / vectorized_seconds
+        return timed_round
+
+    vectorized_seconds, reference_seconds, ratio = _paired_rounds(
+        timed(expand_to_qubits), timed(_expand_to_qubits_reference)
+    )
     _RESULTS["expand_to_qubits"] = {
         "vectorized_seconds": vectorized_seconds,
         "reference_seconds": reference_seconds,

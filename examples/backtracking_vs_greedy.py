@@ -5,9 +5,9 @@ the first three rewrites do not reduce the gate count at all, but enable a
 later cancellation.  A greedy optimizer (gamma = 1) never takes those
 cost-preserving steps; the backtracking search (gamma = 1.0001) does.  This
 example builds a small circuit with the same character — Hadamard-wrapped
-CNOTs whose flips unlock cancellations — and compares the strategies of the
-search registry (greedy, backtracking, beam) through the Superoptimizer
-facade.
+CNOTs whose flips unlock cancellations — and compares the three search
+strategies a ``SearchConfig`` can name (greedy, backtracking, beam) through
+the Superoptimizer facade.
 
 Run with:  python examples/backtracking_vs_greedy.py
 """

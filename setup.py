@@ -1,11 +1,15 @@
-"""Setup shim so ``pip install -e .`` works without the ``wheel`` package.
+"""Package metadata; ``pip install -e . --no-use-pep517`` installs ``src/repro``.
 
-The offline environment has setuptools but not wheel, so the PEP 517
-editable-install path (which builds a wheel) fails; the legacy
-``setup.py develop`` path used by ``pip install -e . --no-use-pep517`` does
-not need it.  All project metadata lives in ``pyproject.toml``.
+The legacy ``setup.py develop`` path needs only setuptools (the PEP 517
+editable path would also need ``wheel``).  The library's one runtime
+dependency is numpy.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

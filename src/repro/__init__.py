@@ -38,10 +38,10 @@ hand-wire them::
     result = optimizer.optimize(circuit, max_iterations=100)
     print(result.initial_cost, "->", result.final_cost)
 
-See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-table-by-table reproduction results, and README.md ("Public API") for the
-facade, the search-strategy registry, and the configuration precedence
-rules.
+See README.md: "Public API" for the facade, "Search strategies" and
+"Configuration" for the search and configuration rules, "Reproduction
+scope" for the table-by-table harnesses and the substitutions, and
+"Layout" for the package inventory.
 """
 
 from repro.ir import (

@@ -8,14 +8,13 @@ Quickstart::
     print(report.summary())
     optimized = report.circuit
 
-Two seams sit underneath the facade:
-
-* **search strategies** (:mod:`repro.optimizer.strategies`) —
-  ``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``;
-* **configuration** (:mod:`repro.api.config`) — frozen
-  ``RunConfig``/``GenerationConfig``/``SearchConfig`` dataclasses with a
-  single :meth:`RunConfig.from_env` path for the run's ``REPRO_*`` knobs
-  and ``env < file < kwargs`` layering via :meth:`RunConfig.from_sources`.
+The facade is configured by one :class:`RunConfig`
+(:mod:`repro.api.config`): frozen ``RunConfig``/``GenerationConfig``/
+``SearchConfig`` dataclasses with a single :meth:`RunConfig.from_env` path
+for the run's ``REPRO_*`` knobs and ``env < file < kwargs`` layering via
+:meth:`RunConfig.from_sources`.  ``SearchConfig.strategy`` names one of
+the three built-in searches of :mod:`repro.optimizer.strategies`:
+``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``.
 """
 
 from repro.api.config import GenerationConfig, RunConfig, SearchConfig
@@ -28,12 +27,6 @@ from repro.api.facade import (
     generate_ecc_set,
     run_generation,
 )
-from repro.optimizer.strategies import (
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-)
 
 __all__ = [
     "GenerationConfig",
@@ -41,13 +34,9 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "SearchConfig",
-    "SearchStrategy",
     "Superoptimizer",
-    "available_strategies",
     "build_ecc_set",
     "clear_memory_caches",
     "generate_ecc_set",
-    "get_strategy",
-    "register_strategy",
     "run_generation",
 ]

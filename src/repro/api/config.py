@@ -4,9 +4,9 @@ Three layers, composed into one :class:`RunConfig`:
 
 * :class:`GenerationConfig` — the RepGen scale (n, q), seed, pruning and
   persistent-cache knobs;
-* :class:`SearchConfig`     — which :mod:`search strategy
-  <repro.optimizer.strategies>` runs and its tuning (gamma, beam width,
-  budgets);
+* :class:`SearchConfig`     — which of the three :mod:`search strategies
+  <repro.optimizer.strategies>` runs, its tuning (gamma, queue bounds,
+  beam width) and its budgets;
 * :class:`RunConfig`        — gate set, preprocessing and
   output-verification toggles, plus the two layers above.
 
@@ -36,11 +36,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Union
+from typing import Any, Dict, FrozenSet, Optional, Union
 
 from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume_optional
 from repro.generator.repgen import DEFAULT_SEED
 from repro.ir.gatesets import GateSet
+from repro.optimizer.strategies import STRATEGIES, BacktrackingStrategy, BeamStrategy
 
 
 #: The fields that define a run's output: two configs that agree on them
@@ -64,7 +65,6 @@ OUTPUT_FIELDS: FrozenSet[str] = frozenset(
         "queue_keep",
         "max_matches_per_transformation",
         "beam_width",
-        "strategy_options",
     }
 )
 
@@ -115,13 +115,11 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search-strategy selection and tuning.
+    """Which search runs, its tuning and its budgets.
 
-    ``strategy`` names an entry of the
-    :mod:`repro.optimizer.strategies` registry.  Fields that a strategy
-    does not understand are simply not passed to it (gamma and the queue
-    bounds go to ``"backtracking"``, ``beam_width`` to ``"beam"``, ...);
-    ``strategy_options`` adds strategy-specific extras verbatim.
+    ``strategy`` is one of :data:`~repro.optimizer.strategies.STRATEGIES`,
+    and :meth:`runner` builds that strategy from the fields it reads.  The
+    budgets (``max_iterations``, ``timeout_seconds``) bound every run.
     """
 
     strategy: str = "backtracking"
@@ -134,33 +132,40 @@ class SearchConfig:
     beam_width: int = 16
     #: Accepts only ``None`` or ``1``: every strategy searches serially.
     search_workers: Optional[int] = None
-    strategy_options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"SearchConfig.strategy={self.strategy!r}: the search "
+                f"strategies are {', '.join(STRATEGIES)}"
+            )
         _check_serial("SearchConfig", "search_workers", self.search_workers)
 
-    def options_for(self, strategy_name: Optional[str] = None) -> Dict[str, Any]:
-        """The factory kwargs for ``strategy_name`` (default: own strategy)."""
-        name = (strategy_name or self.strategy).lower()
-        options: Dict[str, Any] = {}
-        if name == "backtracking":
-            options.update(
-                gamma=self.gamma,
-                queue_capacity=self.queue_capacity,
-                queue_keep=self.queue_keep,
-                max_matches_per_transformation=self.max_matches_per_transformation,
+    def runner(self) -> Union[BacktrackingStrategy, BeamStrategy]:
+        """The named strategy, built from the fields it reads.
+
+        ``"greedy"`` is backtracking at gamma = 1 with a 64/32 queue, so
+        it reads only the match cap; ``"backtracking"`` reads ``gamma``
+        and the queue bounds, ``"beam"`` reads ``beam_width``.
+        """
+        cap = self.max_matches_per_transformation
+        if self.strategy == "beam":
+            return BeamStrategy(
+                beam_width=self.beam_width, max_matches_per_transformation=cap
             )
-        elif name == "greedy":
-            options.update(
-                max_matches_per_transformation=self.max_matches_per_transformation,
+        if self.strategy == "greedy":
+            return BacktrackingStrategy(
+                gamma=1.0,
+                queue_capacity=64,
+                queue_keep=32,
+                max_matches_per_transformation=cap,
             )
-        elif name == "beam":
-            options.update(
-                beam_width=self.beam_width,
-                max_matches_per_transformation=self.max_matches_per_transformation,
-            )
-        options.update(self.strategy_options)
-        return options
+        return BacktrackingStrategy(
+            gamma=self.gamma,
+            queue_capacity=self.queue_capacity,
+            queue_keep=self.queue_keep,
+            max_matches_per_transformation=cap,
+        )
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,6 @@ class RunConfig:
         """JSON-friendly view (gate-set objects collapse to their name)."""
         out = dataclasses.asdict(self)
         out["gate_set"] = self.gate_set_name
-        out["search"]["strategy_options"] = dict(self.search.strategy_options)
         return out
 
     def output_dict(self) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ counters and cache provenance.
 
 The facade is a composition root, not a re-implementation: every stage is
 the same library code the hand-wired pipeline uses (``RepGen``,
-``transformations_from_ecc_set``, the strategy registry, the preprocessor),
+``transformations_from_ecc_set``, the search strategies, the preprocessor),
 so its outputs are byte-identical to wiring the stages manually — the
 acceptance tests assert exactly that on ``ECCSet.to_json``.
 
@@ -39,14 +39,11 @@ from repro.ir.gatesets import GateSet, get_gate_set
 from repro.ir.qasm import parse_qasm, read_qasm, to_qasm
 from repro.optimizer.cost import CostModel
 from repro.optimizer.search import OptimizationResult
-from repro.optimizer.strategies import SearchStrategy, get_strategy
 from repro.optimizer.xfer import Transformation, transformations_from_ecc_set
 from repro.perf import PerfRecorder
 from repro.preprocess import SUPPORTED_GATE_SETS as PREPROCESS_GATE_SETS
 from repro.preprocess import preprocess as run_preprocess
 from repro.semantics.simulator import circuits_equivalent_statevector_batched
-
-_UNSET = object()
 
 #: Output verification allocates full 2^q statevectors; above this qubit
 #: count it is skipped (``RunReport.verified`` stays ``None``) so wide
@@ -384,11 +381,9 @@ class Superoptimizer:
         if overrides:
             config = config.with_overrides(**overrides)
         self.config = config
-        # Fail fast on unknown names: build the strategy once (it is
-        # reusable across optimize() calls).
-        self._strategy: SearchStrategy = get_strategy(
-            config.search.strategy, **config.search.options_for()
-        )
+        # Fail fast on bad tuning (e.g. beam_width=0): build the runner
+        # once (it is reusable across optimize() calls).
+        self._runner = config.search.runner()
         self._transformations: Optional[List[Transformation]] = None
         self._generation_outcome: Optional[GenerationOutcome] = None
 
@@ -430,14 +425,11 @@ class Superoptimizer:
         self,
         circuit_or_qasm: Union[Circuit, str, os.PathLike],
         *,
-        max_iterations: Any = _UNSET,
-        timeout_seconds: Any = _UNSET,
         cost_model: Optional[CostModel] = None,
     ) -> RunReport:
         """Run preprocess → generate → extract → search → verify.
 
-        ``max_iterations`` / ``timeout_seconds`` override the
-        :class:`SearchConfig` budgets for this run only.
+        The search runs within the :class:`SearchConfig` budgets.
         """
         config = self.config
         stage_seconds: Dict[str, float] = {}
@@ -481,17 +473,12 @@ class Superoptimizer:
         _stage("extract", start)
 
         start = time.perf_counter()
-        search = config.search
-        result = self._strategy.run(
+        result = self._runner.run(
             preprocessed,
             transformations,
             cost_model,
-            timeout_seconds=(
-                search.timeout_seconds if timeout_seconds is _UNSET else timeout_seconds
-            ),
-            max_iterations=(
-                search.max_iterations if max_iterations is _UNSET else max_iterations
-            ),
+            timeout_seconds=config.search.timeout_seconds,
+            max_iterations=config.search.max_iterations,
         )
         _stage("search", start)
 
@@ -517,7 +504,7 @@ class Superoptimizer:
         generation = config.generation
         provenance: Dict[str, Any] = {
             "gate_set": config.gate_set_name,
-            "strategy": self._strategy.name,
+            "strategy": config.search.strategy,
             "n": generation.n,
             "q": generation.q,
             "seed": generation.seed,

@@ -6,7 +6,7 @@ rebuilds the same circuit *families* programmatically in the Clifford+T gate
 set (Toffoli networks for multiply-controlled gates, ripple-carry /
 carry-lookahead / carry-select adders, GF(2^n) multipliers, modular
 arithmetic).  Gate counts are in the same ballpark as the originals but not
-identical — see DESIGN.md, "Substitutions".
+identical — see README.md, "Reproduction scope".
 """
 
 from repro.benchmarks_suite.suite import (

@@ -1,10 +1,10 @@
 """Experiment harnesses that regenerate the paper's tables and figures.
 
 Each module corresponds to one table or figure of the evaluation section;
-DESIGN.md's per-experiment index maps them.  All harnesses accept explicit
-scale parameters (which circuits, which (n, q), what search budget) so that
-the pytest benches can run laptop-sized versions while the same code scales
-up to paper-sized runs.
+the index in README.md ("Reproduction scope") maps them.  All harnesses
+accept explicit scale parameters (which circuits, which (n, q), what search
+budget) so that the pytest benches can run laptop-sized versions while the
+same code scales up to paper-sized runs.
 
 The harnesses call :mod:`repro.api` directly (``run_generation``,
 ``build_ecc_set``, :class:`~repro.api.Superoptimizer`); their search runs

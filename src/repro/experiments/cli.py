@@ -6,7 +6,6 @@ Runs the generation-centric experiments with the cache knobs exposed::
     python -m repro.experiments.cli generator-metrics --gate-set nam --n 1 2 3
     python -m repro.experiments.cli optimize --gate-set nam --circuit tof_3 \
         --strategy beam
-    python -m repro.experiments.cli registry
     python -m repro.experiments.cli serve --port 8321 --n 2 --q 2
 
 Shared flags:
@@ -23,10 +22,11 @@ the flags given layered on top — and pass it down; the CLI never writes
 the environment.
 
 The ``optimize`` subcommand is a thin shell around
-:class:`repro.api.Superoptimizer`; its JSON output is the facade's
-versioned :meth:`~repro.api.RunReport.to_json_dict` schema — the same
-payload the optimization service streams.  ``serve`` starts that service
-(equivalent to ``python -m repro.service``).
+:class:`repro.api.Superoptimizer`, and its ``--strategy`` names one of the
+three built-in searches (backtracking, greedy, beam).  Its JSON output is
+the facade's versioned :meth:`~repro.api.RunReport.to_json_dict` schema —
+the same payload the optimization service streams.  ``serve`` starts that
+service (equivalent to ``python -m repro.service``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import json
 import sys
 from typing import Any, Dict, Optional, Sequence
 
-from repro.api import RunConfig, Superoptimizer, available_strategies, run_generation
+from repro.api import RunConfig, Superoptimizer, run_generation
+from repro.optimizer.strategies import STRATEGIES
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -148,19 +149,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return service_main(forwarded)
 
 
-def _cmd_registry(args: argparse.Namespace) -> int:
-    """List the search strategies this build offers."""
-    strategies = available_strategies()
-    if args.json:
-        json.dump({"strategies": strategies}, sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        print("search strategies:")
-        for name in strategies:
-            print(f"  {name}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.cli",
@@ -195,15 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--strategy",
         default="backtracking",
-        help="search strategy (backtracking, greedy, beam)",
+        choices=STRATEGIES,
+        help="search strategy",
     )
     optimize.set_defaults(func=_cmd_optimize)
-
-    registry = sub.add_parser(
-        "registry", help="list the available search strategies"
-    )
-    registry.add_argument("--json", action="store_true")
-    registry.set_defaults(func=_cmd_registry)
 
     serve = sub.add_parser(
         "serve",

@@ -88,9 +88,9 @@ class RepGen:
         gate_set: the target gate set G.
         num_qubits: q — all generated circuits are over exactly q qubits.
         num_params: m — the number of symbolic parameters (defaults to the
-            gate set's configured value).
-        param_spec: the parameter-expression specification Sigma (defaults to
-            the gate set's, i.e. {p_i, 2 p_i, p_i + p_j} with single use).
+            gate set's configured value).  The parameter-expression
+            specification Sigma is ``ParamSpec(m)``: {p_i, 2 p_i, p_i + p_j}
+            with single use, so m alone fixes it (and the cache key).
         verifier: an :class:`EquivalenceVerifier`; created on demand.
         seed: seed for the fingerprint context's random inputs.  The
             default verifier is built with the same seed, so it shares the
@@ -108,7 +108,6 @@ class RepGen:
         gate_set: GateSet,
         num_qubits: int,
         num_params: Optional[int] = None,
-        param_spec: Optional[ParamSpec] = None,
         verifier: Optional[EquivalenceVerifier] = None,
         seed: int = DEFAULT_SEED,
         resume: Optional[bool] = None,
@@ -118,7 +117,7 @@ class RepGen:
         self.seed = seed
         self.resume = env_resume() if resume is None else bool(resume)
         self.num_params = gate_set.num_params if num_params is None else num_params
-        self.param_spec = param_spec or ParamSpec(self.num_params)
+        self.sigma = ParamSpec(self.num_params)
         self.perf = PerfRecorder()
         self.fingerprints = FingerprintContext(
             num_qubits, self.num_params, seed=seed, perf=self.perf
@@ -165,7 +164,7 @@ class RepGen:
         if slots == 0:
             yield ()
             return
-        for expr in self.param_spec.expressions_avoiding(used):
+        for expr in self.sigma.expressions_avoiding(used):
             newly_used = used | expr.params_used()
             for rest in self._param_choices_rec(slots - 1, newly_used):
                 yield (expr,) + rest

@@ -1,8 +1,9 @@
 """Gate sets (Table 1 of the paper) and a registry for custom ones.
 
-A :class:`GateSet` bundles the gates available on a target device together
-with the default parameter-expression specification Sigma used when
-generating transformations for it.  The three evaluation gate sets are:
+A :class:`GateSet` bundles the gates available on a target device with the
+number m of symbolic parameters used when generating transformations for
+it (the parameter-expression specification Sigma is always
+``ParamSpec(m)``).  The three evaluation gate sets are:
 
 * **Nam**    — H, X, Rz(lambda), CNOT                      (m = 2)
 * **IBM**    — U1(theta), U2(phi, lambda), U3(...), CNOT   (m = 4)
@@ -16,23 +17,20 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.ir.gates import Gate, get_gate
-from repro.ir.params import ParamSpec
 
 
 class GateSet:
-    """A named collection of gates with a default parameter specification."""
+    """A named collection of gates with a parameter count m."""
 
     def __init__(
         self,
         name: str,
         gate_names: Sequence[str],
         num_params: int = 2,
-        param_spec: ParamSpec | None = None,
     ) -> None:
         self.name = name
         self.gates: List[Gate] = [get_gate(g) for g in gate_names]
         self.num_params = num_params
-        self.param_spec = param_spec or ParamSpec(num_params)
 
     def gate_names(self) -> List[str]:
         return [gate.name for gate in self.gates]

@@ -4,18 +4,8 @@ from repro.optimizer.cost import CostModel, GateCountCost, TwoQubitCountCost, TC
 from repro.optimizer.xfer import Transformation, transformations_from_ecc_set
 from repro.optimizer.matcher import PatternMatcher, Match
 from repro.optimizer.search import BacktrackingOptimizer, OptimizationResult
-from repro.optimizer.strategies import (
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-)
 
 __all__ = [
-    "SearchStrategy",
-    "available_strategies",
-    "get_strategy",
-    "register_strategy",
     "CostModel",
     "GateCountCost",
     "TwoQubitCountCost",

@@ -1,24 +1,23 @@
-"""Pluggable search strategies over verified transformations.
+"""The three search strategies a :class:`repro.api.SearchConfig` can name.
 
-The cost-based backtracking search of Algorithm 2 is one point in a design
-space: greedy rewriting (gamma = 1) and beam search are natural siblings
-that share all of the matcher/cost plumbing but explore differently.  This
-module abstracts that seam behind a :class:`SearchStrategy` protocol and a
-registry, so new scenarios plug in a strategy instead of forking
-``search.py``:
+The cost-based backtracking search of Algorithm 2 is the paper's search;
+greedy rewriting is the same search at gamma = 1, and beam search shares
+all of its matcher/cost plumbing but explores differently:
 
-* ``"backtracking"`` — :class:`~repro.optimizer.search.BacktrackingOptimizer`
-  (the paper's Algorithm 2; the default);
-* ``"greedy"``       — gamma = 1 with a small queue: only strictly
-  cost-decreasing rewrites;
-* ``"beam"``         — fixed-width frontier: every iteration expands the
-  whole beam by every applicable transformation and keeps the cheapest
-  ``beam_width`` distinct successors, which tolerates cost-preserving moves
-  without an unbounded queue.
+* ``"backtracking"`` — :class:`BacktrackingStrategy` over
+  :class:`~repro.optimizer.search.BacktrackingOptimizer` (the paper's
+  Algorithm 2; the default);
+* ``"greedy"``       — :class:`BacktrackingStrategy` at gamma = 1 with a
+  small queue: only strictly cost-decreasing rewrites;
+* ``"beam"``         — :class:`BeamStrategy`, a fixed-width frontier:
+  every iteration expands the whole beam by every applicable
+  transformation and keeps the cheapest ``beam_width`` distinct
+  successors, which tolerates cost-preserving moves without an unbounded
+  queue.
 
-Strategies are selected by name through
-:class:`repro.api.SearchConfig` (``strategy="beam"``) or obtained directly
-with :func:`get_strategy`.  All strategies return the same
+The set is closed: :data:`STRATEGIES` lists it, and
+:meth:`repro.api.SearchConfig.runner` builds a named strategy's runner
+from the config fields that strategy reads.  Both runners return the same
 :class:`~repro.optimizer.search.OptimizationResult`.
 """
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
@@ -37,35 +36,16 @@ from repro.optimizer.xfer import Transformation
 from repro.perf import PerfRecorder
 
 
-class SearchStrategy:
-    """Base class for search strategies.
+#: The strategy names a :class:`repro.api.SearchConfig` accepts.
+STRATEGIES: Tuple[str, ...] = ("backtracking", "greedy", "beam")
 
-    A strategy instance holds its tuning options (gamma, beam width, ...)
-    and is reusable across circuits; :meth:`run` receives the per-run
-    inputs.  ``name`` is the registry key and appears in run reports.
+
+class BacktrackingStrategy:
+    """Algorithm 2: cost-based backtracking search (greedy at gamma = 1).
+
+    An instance holds its tuning and is reusable across circuits;
+    :meth:`run` receives the per-run inputs and budgets.
     """
-
-    name: str = "abstract"
-
-    def run(
-        self,
-        circuit: Circuit,
-        transformations: Sequence[Transformation],
-        cost_model: Optional[CostModel] = None,
-        *,
-        timeout_seconds: Optional[float] = None,
-        max_iterations: Optional[int] = None,
-    ) -> OptimizationResult:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r}>"
-
-
-class BacktrackingStrategy(SearchStrategy):
-    """Algorithm 2 (the default): cost-based backtracking search."""
-
-    name = "backtracking"
 
     def __init__(
         self,
@@ -82,13 +62,13 @@ class BacktrackingStrategy(SearchStrategy):
 
     def run(
         self,
-        circuit,
-        transformations,
-        cost_model=None,
+        circuit: Circuit,
+        transformations: Sequence[Transformation],
+        cost_model: Optional[CostModel] = None,
         *,
-        timeout_seconds=None,
-        max_iterations=None,
-    ):
+        timeout_seconds: Optional[float] = None,
+        max_iterations: Optional[int] = None,
+    ) -> OptimizationResult:
         optimizer = BacktrackingOptimizer(
             transformations,
             cost_model,
@@ -104,21 +84,7 @@ class BacktrackingStrategy(SearchStrategy):
         )
 
 
-class GreedyStrategy(BacktrackingStrategy):
-    """Gamma = 1 with a small queue: only strictly cost-decreasing rewrites."""
-
-    name = "greedy"
-
-    def __init__(self, *, max_matches_per_transformation: Optional[int] = 16) -> None:
-        super().__init__(
-            gamma=1.0,
-            queue_capacity=64,
-            queue_keep=32,
-            max_matches_per_transformation=max_matches_per_transformation,
-        )
-
-
-class BeamStrategy(SearchStrategy):
+class BeamStrategy:
     """Fixed-width frontier search sharing the matcher/cost plumbing.
 
     Each iteration expands every beam member by every transformation whose
@@ -137,8 +103,6 @@ class BeamStrategy(SearchStrategy):
     become the gateway to an improvement.
     """
 
-    name = "beam"
-
     def __init__(
         self,
         *,
@@ -152,13 +116,13 @@ class BeamStrategy(SearchStrategy):
 
     def run(
         self,
-        circuit,
-        transformations,
-        cost_model=None,
+        circuit: Circuit,
+        transformations: Sequence[Transformation],
+        cost_model: Optional[CostModel] = None,
         *,
-        timeout_seconds=None,
-        max_iterations=None,
-    ):
+        timeout_seconds: Optional[float] = None,
+        max_iterations: Optional[int] = None,
+    ) -> OptimizationResult:
         start = time.perf_counter()
         cost_model = cost_model or GateCountCost()
         perf = PerfRecorder()
@@ -242,48 +206,3 @@ class BeamStrategy(SearchStrategy):
             cost_trace=cost_trace,
             perf=perf.snapshot(),
         )
-
-
-# -- registry ----------------------------------------------------------------
-
-#: name -> factory taking the strategy's tuning options as keyword args.
-_FACTORIES: Dict[str, Callable[..., SearchStrategy]] = {}
-
-
-def register_strategy(
-    name: str, factory: Callable[..., SearchStrategy], *, replace: bool = False
-) -> None:
-    """Register a strategy factory under ``name``."""
-    key = name.lower()
-    if key in _FACTORIES and not replace:
-        raise ValueError(f"search strategy {name!r} is already registered")
-    # repro: allow(mutable-module-global): registry populated by register_strategy at import time; workers re-register identically when they import the defining module
-    _FACTORIES[key] = factory
-
-
-def get_strategy(name: str | SearchStrategy, **options) -> SearchStrategy:
-    """Build a strategy by name; ``options`` go to the strategy factory.
-
-    Unknown options are rejected by the factory's signature, so a typo in
-    e.g. ``beam_width`` fails loudly instead of being ignored.
-    """
-    if isinstance(name, SearchStrategy):
-        if options:
-            raise ValueError("options cannot be combined with a strategy instance")
-        return name
-    key = str(name).lower()
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        known = ", ".join(sorted(_FACTORIES))
-        raise KeyError(f"unknown search strategy {name!r} (registered: {known})")
-    return factory(**options)
-
-
-def available_strategies() -> List[str]:
-    """All registered strategy names, sorted."""
-    return sorted(_FACTORIES)
-
-
-register_strategy("backtracking", BacktrackingStrategy)
-register_strategy("greedy", GreedyStrategy)
-register_strategy("beam", BeamStrategy)

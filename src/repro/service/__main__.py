@@ -18,6 +18,7 @@ import signal
 import sys
 from typing import Any, Dict, Optional, Sequence
 
+from repro.optimizer.strategies import STRATEGIES
 from repro.service.config import ServiceConfig
 from repro.service.http import OptimizationHTTPServer
 
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="base ECC generation n")
     parser.add_argument("--q", type=int, default=None, help="base ECC generation q")
     parser.add_argument(
-        "--strategy", default=None, help="base search strategy (backtracking, ...)"
+        "--strategy", default=None, choices=STRATEGIES, help="base search strategy"
     )
     return parser
 

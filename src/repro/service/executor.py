@@ -1,16 +1,17 @@
 """Job execution for the optimization service: warm facades, two modes.
 
-A job is a pure payload — ``{"qasm": <text>, "config": <RunConfig
-as_dict>}`` — and executing it returns the
-:meth:`~repro.api.facade.RunReport.to_json_dict` of a facade run.  The
-facade that serves a payload is memoized per canonical config JSON in a
-module-level table, so the expensive state behind it (the generation
-memo, the pruned ECC set, the extracted transformation list, the
-verifier's fingerprint caches) stays **hot across requests**: the first
-request for a configuration pays for generation, every later one reuses
-it.  Payload purity is the contract :class:`~repro.workerpool.ResilientPool`
-relies on: a re-executed job returns a byte-identical report (timings
-aside), which is what makes retrying crashed jobs sound.
+A job is a pure payload — ``{"qasm": <text>, "config": <RunConfig>}``
+(a ``RunConfig`` pickles, custom gate sets included) — and executing it
+returns the :meth:`~repro.api.facade.RunReport.to_json_dict` of a facade
+run.  The facade that serves a payload is memoized per :func:`config_key`
+(the config part of the job key) in a module-level table, so the
+expensive state behind it (the generation memo, the pruned ECC set, the
+extracted transformation list, the verifier's fingerprint caches) stays
+**hot across requests**: the first request for a configuration pays for
+generation, every later one reuses it.  Payload purity is the contract
+:class:`~repro.workerpool.ResilientPool` relies on: a re-executed job
+returns a byte-identical report (timings aside), which is what makes
+retrying crashed jobs sound.
 
 Two executors share that entry point:
 
@@ -24,9 +25,9 @@ Two executors share that entry point:
   the 500/``RetryExhausted`` path without spawning processes.
 * :class:`PoolExecutor` (``workers >= 2``) dispatches to a persistent
   :class:`~repro.workerpool.ResilientPool` whose workers each hold their
-  own warm-facade table (built by the initializer from the picklable
-  base-config dict).  Because ``run_chunks`` is a synchronous wave
-  primitive, a dedicated dispatch thread gathers concurrently submitted
+  own warm-facade table (pre-warmed by the initializer from the base
+  config).  Because ``run_chunks`` is a synchronous wave primitive, a
+  dedicated dispatch thread gathers concurrently submitted
   jobs into one wave of up to ``workers`` single-job chunks, so concurrent
   requests run in parallel on separate workers.  A wave that exhausts its
   retries fails every job in it with the
@@ -53,17 +54,19 @@ from repro.api.config import RunConfig
 from repro.api.facade import RunReport, Superoptimizer
 from repro.envconfig import DEFAULT_CHUNK_RETRIES, DEFAULT_CHUNK_TIMEOUT
 from repro.errors import FaultInjected, PoolError, RetryExhausted
+from repro.ir.gatesets import GateSet
 from repro.perf import PerfRecorder
 from repro.workerpool import ResilientPool
 
 __all__ = [
+    "config_key",
     "execute_job",
     "InlineExecutor",
     "PoolExecutor",
     "facade_for_config",
 ]
 
-#: Canonical config JSON -> warm facade.  Shared by every inline executor
+#: :func:`config_key` -> warm facade.  Shared by every inline executor
 #: (and, in each worker process, by every chunk that worker serves); the
 #: facade's lazy fields are idempotent, so concurrent executor threads
 #: racing on a miss at worst duplicate one construction and agree on the
@@ -73,16 +76,30 @@ _WARM_FACADES: Dict[str, Superoptimizer] = {}  # repro: allow(mutable-module-glo
 _RETRYABLE_JOB_ERRORS: Tuple[type, ...] = (PoolError, FaultInjected)
 
 
-def _canonical_config_json(config_dict: Dict[str, Any]) -> str:
-    return json.dumps(config_dict, sort_keys=True)
+def config_key(config: RunConfig) -> str:
+    """The output fields of ``config`` as canonical JSON.
+
+    A custom :class:`~repro.ir.gatesets.GateSet` enters with its gate list
+    and parameter count, as the generation cache keys it, so two gate sets
+    that share a name never share a key.  The deployment fields stay out:
+    a service takes them from its one base config.
+    """
+    fields = config.output_dict()
+    gate_set = config.gate_set
+    if isinstance(gate_set, GateSet):
+        fields["gate_set"] = {
+            "name": gate_set.name,
+            "gates": gate_set.gate_names(),
+            "num_params": gate_set.num_params,
+        }
+    return json.dumps(fields, sort_keys=True, default=str)
 
 
-def facade_for_config(config_dict: Dict[str, Any]) -> Superoptimizer:
-    """The (warm) facade serving a serialized run configuration."""
-    key = _canonical_config_json(config_dict)
+def facade_for_config(config: RunConfig) -> Superoptimizer:
+    """The (warm) facade serving a run configuration."""
+    key = config_key(config)
     facade = _WARM_FACADES.get(key)
     if facade is None:
-        config = RunConfig().with_overrides(**config_dict)
         facade = Superoptimizer(config)
         _WARM_FACADES[key] = facade  # repro: allow(mutable-module-global): keyed insert of a pure function of the key
     return facade
@@ -133,19 +150,13 @@ class InlineExecutor:
 
 # -- pool mode ----------------------------------------------------------------
 
-_WORKER_BASE_CONFIG: Optional[Dict[str, Any]] = None  # repro: allow(mutable-module-global): set once by the pool initializer, read-only afterwards
-
-
-def _init_service_worker(base_config: Dict[str, Any]) -> None:
-    """Pool initializer: remember the base config and pre-warm its facade.
+def _init_service_worker(base_config: RunConfig) -> None:
+    """Pool initializer: pre-warm the base config's facade.
 
     Pre-warming runs generation + transformation extraction once per
     worker at pool start, so the first real request does not pay for it.
     """
-    global _WORKER_BASE_CONFIG
-    _WORKER_BASE_CONFIG = dict(base_config)
-    facade = facade_for_config(_WORKER_BASE_CONFIG)
-    facade.transformations()
+    facade_for_config(base_config).transformations()
 
 
 def _service_worker(payload: Tuple[Dict[str, Any], Any]) -> Dict[str, Any]:
@@ -166,7 +177,7 @@ class PoolExecutor:
 
     def __init__(
         self,
-        base_config: Dict[str, Any],
+        base_config: RunConfig,
         workers: int,
         *,
         chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT,
@@ -179,7 +190,7 @@ class PoolExecutor:
         self._pool = ResilientPool(
             _service_worker,
             _init_service_worker,
-            (dict(base_config),),
+            (base_config,),
             workers,
             site="service",
             chunk_timeout=chunk_timeout,

@@ -8,14 +8,16 @@ the tests drive it directly.  Lifecycle of a submission:
    otherwise) and the config overrides may name only
    :data:`~repro.api.config.OUTPUT_FIELDS` (flat or nested under
    ``generation``/``search``), routed through
-   :meth:`RunConfig.with_overrides` onto the service's base config; the
-   strategy and gate-set names are resolved eagerly so a typo is a 400
-   at submit time, not a 500 at execution time.  A deployment field
-   (``cache_dir``, ``resume``, ...) is a 400 too: where the service keeps
-   its files is the operator's choice, not a client's.
+   :meth:`RunConfig.with_overrides` onto the service's base config; an
+   unknown strategy fails there, and the gate-set name and the search
+   runner are resolved eagerly, so a typo is a 400 at submit time, not a
+   500 at execution time.  A deployment field (``cache_dir``, ``resume``,
+   ...) is a 400 too: where the service keeps its files is the operator's
+   choice, not a client's.
 2. **Memoize / dedupe** — the job key is a content hash of the *canonical*
    QASM (parse → re-emit, so formatting differences cannot defeat it) plus
-   the effective config's output fields, so two requests that must
+   the effective config's output fields (a custom gate set by its gates
+   and parameter count, not just its name), so two requests that must
    return the same result share one key.  A key whose result is memoized is
    answered instantly (``cached``); a key currently queued or running
    attaches to the in-flight job instead of enqueueing a duplicate
@@ -42,7 +44,6 @@ acceptance test keys on exactly this split.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
@@ -61,7 +62,7 @@ from repro.errors import (
 from repro.ir.gatesets import GateSet, get_gate_set
 from repro.ir.qasm import QasmError, parse_qasm, to_qasm
 from repro.service.config import ServiceConfig
-from repro.service.executor import InlineExecutor, PoolExecutor
+from repro.service.executor import InlineExecutor, PoolExecutor, config_key
 
 __all__ = ["Job", "JobManager", "RESULT_MEMO_CAPACITY"]
 
@@ -174,7 +175,7 @@ class JobManager:
             self.executor = executor
         elif self.config.pooled:
             self.executor = PoolExecutor(
-                self._validated(self._base).as_dict(),
+                self._validated(self._base),
                 self.config.workers,
                 chunk_timeout=self.config.chunk_timeout,
                 chunk_retries=self.config.chunk_retries,
@@ -211,7 +212,7 @@ class JobManager:
         effective = self._validated(self._effective_config(overrides))
         canonical = to_qasm(circuit)
         key = _content_key(canonical, effective)
-        payload = {"qasm": canonical, "config": effective.as_dict()}
+        payload = {"qasm": canonical, "config": effective}
 
         with self._wake:
             if self._closed:
@@ -332,10 +333,11 @@ class JobManager:
             raise InvalidRequest(f"bad config override: {error}") from error
 
     def _validated(self, config: RunConfig) -> RunConfig:
-        """``config`` itself, once its names are known to resolve.
+        """``config`` itself, once its gate set and runner are known to resolve.
 
-        Eager resolution turns unknown strategy and gate-set names into a
-        400 here instead of a failed job later.
+        Eager resolution turns an unknown gate-set name or bad search
+        tuning (``beam_width=0``) into a 400 here instead of a failed job
+        later.
         """
         try:
             if not isinstance(config.gate_set, GateSet):
@@ -414,10 +416,10 @@ class JobManager:
 
 
 def _content_key(canonical_qasm: str, effective: RunConfig) -> str:
-    """Content hash: canonical circuit + the effective config's output fields."""
-    config_json = json.dumps(effective.output_dict(), sort_keys=True, default=str)
+    """Content hash: canonical circuit + the effective config's output
+    fields (:func:`~repro.service.executor.config_key`)."""
     digest = hashlib.sha256()
     digest.update(canonical_qasm.encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(config_json.encode("utf-8"))
+    digest.update(config_key(effective).encode("utf-8"))
     return digest.hexdigest()

@@ -7,7 +7,8 @@ numerically, and (ii) eliminates trigonometric functions by half-angle
 substitution, the angle-addition formulas, and the Pythagorean constraint.
 Where the paper then calls Z3 on a quantifier-free nonlinear-real-arithmetic
 formula, this reproduction compares exact polynomial normal forms — see
-DESIGN.md for why this decides the same verification conditions.
+README.md ("Reproduction scope") and :mod:`repro.linalg.trigpoly` for why
+this decides the same verification conditions.
 """
 
 from repro.verifier.trig import AtomTrigBuilder, SymbolicContext

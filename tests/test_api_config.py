@@ -245,19 +245,44 @@ class TestSources:
 
 
 class TestStrategyOptions:
+    """Each strategy's runner is built from the fields it reads, and only
+    from them: there is no second path to a search knob."""
+
     def test_options_per_builtin_strategy(self):
-        search = SearchConfig(gamma=1.5, beam_width=9, queue_capacity=10)
-        assert search.options_for("backtracking")["gamma"] == 1.5
-        assert search.options_for("backtracking")["queue_capacity"] == 10
-        assert "gamma" not in search.options_for("beam")
-        assert search.options_for("beam")["beam_width"] == 9
-        assert set(search.options_for("greedy")) == {
-            "max_matches_per_transformation"
-        }
+        search = SearchConfig(
+            gamma=1.5, queue_capacity=10, queue_keep=5, beam_width=9,
+            max_matches_per_transformation=4,
+        )
+        backtracking = search.runner()
+        assert (
+            backtracking.gamma,
+            backtracking.queue_capacity,
+            backtracking.queue_keep,
+            backtracking.max_matches_per_transformation,
+        ) == (1.5, 10, 5, 4)
+        # Greedy is backtracking at gamma = 1 with a 64/32 queue.
+        greedy = dataclasses.replace(search, strategy="greedy").runner()
+        assert (
+            greedy.gamma,
+            greedy.queue_capacity,
+            greedy.queue_keep,
+            greedy.max_matches_per_transformation,
+        ) == (1.0, 64, 32, 4)
+        beam = dataclasses.replace(search, strategy="beam").runner()
+        assert (beam.beam_width, beam.max_matches_per_transformation) == (9, 4)
 
     def test_strategy_options_extend_and_override(self):
-        search = SearchConfig(strategy="beam", strategy_options={"beam_width": 3})
-        assert search.options_for()["beam_width"] == 3
+        # The strategy_options side channel is gone: neither the layer
+        # nor the flat override routing accepts it, so beam_width is set
+        # by its field alone.
+        with pytest.raises(TypeError, match="strategy_options"):
+            SearchConfig(strategy="beam", strategy_options={"beam_width": 3})
+        with pytest.raises(TypeError, match="unknown configuration field"):
+            RunConfig().with_overrides(strategy_options={"beam_width": 3})
+        config = RunConfig().with_overrides(strategy="beam", beam_width=3)
+        assert config.search.runner().beam_width == 3
+        assert not hasattr(SearchConfig, "options_for")
+        hash(config)  # every field is hashable now
 
     def test_as_dict_is_json_friendly(self):
         payload = RunConfig(gate_set="nam").as_dict()

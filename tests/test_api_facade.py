@@ -75,7 +75,7 @@ class TestByteIdentity:
         from repro.service.executor import PoolExecutor
 
         _result, pruned, search = hand_wired_quick
-        config = _quick_facade().config.as_dict()
+        config = _quick_facade().config
         executor = PoolExecutor(config, 2, chunk_timeout=120.0)
         try:
             report = executor.run(
@@ -130,10 +130,10 @@ class TestRunReport:
         assert p["generation_source"] in {"generated", "memo", "disk"}
 
     def test_compatibility_batched_field_runs_the_one_path(self):
-        facade = _quick_facade(batched=True, n=2, q=2)
-        report = facade.optimize(
-            Circuit(2).h(0).h(0), max_iterations=2, timeout_seconds=10
+        facade = _quick_facade(
+            batched=True, n=2, q=2, max_iterations=2, timeout_seconds=10
         )
+        report = facade.optimize(Circuit(2).h(0).h(0))
         assert report.final_cost == 0.0
         assert report.perf.get("fingerprint.batched.calls", 0) > 0
         assert "backend" not in report.summary()
@@ -191,8 +191,26 @@ class TestConfigSurface:
             Superoptimizer(gate_set="nam", backend="numpy")
 
     def test_unknown_strategy_fails_fast(self):
-        with pytest.raises(KeyError, match="unknown search strategy"):
+        with pytest.raises(ValueError, match="backtracking, greedy, beam"):
             Superoptimizer(gate_set="nam", strategy="simulated-annealing")
+
+    def test_bad_beam_width_fails_before_any_work(self):
+        with pytest.raises(ValueError, match="beam_width"):
+            Superoptimizer(gate_set="nam", strategy="beam", beam_width=0)
+
+    def test_budgets_come_from_the_config_only(self):
+        facade = _quick_facade(n=2, q=2)
+        with pytest.raises(TypeError, match="max_iterations"):
+            facade.optimize(Circuit(2).h(0).h(0), max_iterations=2)
+        with pytest.raises(TypeError, match="timeout_seconds"):
+            facade.optimize(Circuit(2).h(0).h(0), timeout_seconds=1.0)
+
+    def test_greedy_provenance_names_the_strategy(self):
+        facade = _quick_facade(n=2, q=2, strategy="greedy", max_iterations=5)
+        report = facade.optimize(Circuit(2).h(0).h(0))
+        assert report.provenance["strategy"] == "greedy"
+        assert report.final_cost == 0.0
+        assert "'greedy'" in report.summary()
 
     def test_named_unsupported_gate_set_raises_like_the_preprocessor(self):
         # clifford_t is a registered *named* set the preprocessor cannot

@@ -127,13 +127,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(argv)
 
-    def test_registry_lists_the_serial_strategies(self, capsys):
-        assert cli.main(["registry", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {"strategies": ["backtracking", "beam", "greedy"]}
-
-    def test_registry_text_lists_strategies_only(self, capsys):
-        assert cli.main(["registry"]) == 0
-        out = capsys.readouterr().out
-        assert "search strategies:" in out
-        assert "backend" not in out and "batched" not in out
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize", "--strategy", "anneal"], ["registry", "--json"]],
+        ids=["unknown-strategy", "registry"],
+    )
+    def test_unknown_strategy_and_removed_registry_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2

@@ -12,7 +12,7 @@ from repro.generator import (
     simplify_ecc_set,
 )
 from repro.ir import Circuit
-from repro.ir.gatesets import IBM, NAM, RIGETTI
+from repro.ir.gatesets import CLIFFORD_T, IBM, NAM, RIGETTI, GateSet
 from repro.ir.params import Angle, ParamSpec
 from repro.semantics.simulator import circuits_equivalent_numeric
 
@@ -123,6 +123,24 @@ class TestRepGen:
     def test_characteristic_helper_agrees(self):
         assert characteristic(NAM, 3) == RepGen(NAM, num_qubits=3).characteristic()
         assert characteristic(IBM, 3) == RepGen(IBM, num_qubits=3).characteristic()
+
+    @pytest.mark.parametrize(
+        "gate_set", [NAM, IBM, RIGETTI, CLIFFORD_T], ids=lambda g: g.name
+    )
+    def test_sigma_is_fixed_by_m(self, gate_set):
+        # Sigma is ParamSpec(m) on both sides: RepGen's enumeration and the
+        # brute-force count of Table 6 agree for every built-in gate set.
+        for q in (2, 3):
+            assert RepGen(gate_set, q).characteristic() == characteristic(gate_set, q)
+
+    def test_constructors_reject_param_spec(self):
+        # m alone fixes Sigma (and with it the cache key), so neither the
+        # gate set nor the generator takes a specification of its own.
+        spec = ParamSpec(2, allow_double=False, allow_sum=False)
+        with pytest.raises(TypeError, match="param_spec"):
+            GateSet("rzonly", ["rz"], 2, param_spec=spec)
+        with pytest.raises(TypeError, match="param_spec"):
+            RepGen(NAM, num_qubits=1, param_spec=spec)
 
     def test_generated_classes_contain_only_equivalent_circuits(self, nam_ecc_q2_n2):
         for ecc in nam_ecc_q2_n2:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import SearchConfig
 from repro.ir import Circuit
 from repro.ir.circuit import Instruction
 from repro.ir.params import Angle
@@ -21,7 +22,6 @@ from repro.optimizer import (
     transformations_from_ecc_set,
 )
 from repro.optimizer.matcher import PatternMatcher, compile_match_trie
-from repro.optimizer.strategies import get_strategy
 from repro.semantics.simulator import circuits_equivalent_numeric
 
 
@@ -358,7 +358,7 @@ EQUAL_SUCCESSORS_GOLDEN = [
 )
 def test_equal_successors_are_deduped_by_the_search(strategy, final, explored, digest):
     rule = Transformation(Circuit(1).h(0).h(0), Circuit(1))
-    result = get_strategy(strategy).run(
+    result = SearchConfig(strategy=strategy).runner().run(
         Circuit(1).h(0).h(0).h(0), [rule], max_iterations=30
     )
     assert (result.initial_cost, result.final_cost) == (3, final)
@@ -381,7 +381,7 @@ class TestBacktrackingSearch:
 
     def test_greedy_never_increases_cost(self, nam_transformations_small):
         circuit = Circuit(2).h(0).x(0).h(0).cx(0, 1).cx(0, 1)
-        result = get_strategy("greedy").run(
+        result = SearchConfig(strategy="greedy").runner().run(
             circuit, nam_transformations_small, max_iterations=40
         )
         assert result.final_cost <= result.initial_cost

@@ -98,15 +98,13 @@ BASE_RUN = RunConfig().with_overrides(n=2, q=2, cache_enabled=False)
 #: A circuit with an H·H pair the search removes.
 PAYLOAD = {
     "qasm": to_qasm(Circuit(2).h(0).h(0).cx(0, 1).t(1)),
-    "config": BASE_RUN.as_dict(),
+    "config": BASE_RUN,
 }
 
 
 @pytest.fixture(scope="module")
 def service_pool():
-    executor = PoolExecutor(
-        BASE_RUN.as_dict(), 2, chunk_timeout=TIMEOUT, chunk_retries=2
-    )
+    executor = PoolExecutor(BASE_RUN, 2, chunk_timeout=TIMEOUT, chunk_retries=2)
     yield executor
     executor.close()
 

@@ -20,10 +20,10 @@ import hashlib
 
 import pytest
 
+from repro.api import SearchConfig
 from repro.benchmarks_suite import benchmark_circuit
 from repro.ir.qasm import to_qasm
 from repro.optimizer import BacktrackingOptimizer
-from repro.optimizer.strategies import get_strategy
 from repro.preprocess import preprocess
 
 
@@ -156,7 +156,7 @@ def test_strategy_output_is_pinned(
 ):
     transformations = request.getfixturevalue(f"{gate_set}_transformations_n3_q3")
     circuit = preprocess(benchmark_circuit(name), gate_set)
-    result = get_strategy(strategy, **options).run(
+    result = SearchConfig(strategy=strategy, **options).runner().run(
         circuit, transformations, max_iterations=iterations
     )
     assert (result.initial_cost, result.final_cost) == (initial, final)

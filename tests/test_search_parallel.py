@@ -23,7 +23,7 @@ from repro.faults import FaultPlan
 from repro.generator.ecc import circuit_to_payload
 from repro.ir import Circuit
 from repro.optimizer.search import OptimizationResult
-from repro.optimizer.strategies import available_strategies, get_strategy
+from repro.optimizer.strategies import STRATEGIES
 from repro.perf import PerfRecorder
 from repro.semantics.simulator import circuits_equivalent_numeric
 from repro.workerpool import ResilientPool
@@ -74,7 +74,7 @@ def _summary(result: OptimizationResult):
 
 
 def _search(circuit, transformations):
-    return get_strategy("backtracking", gamma=SEARCH_GAMMA).run(
+    return SearchConfig(gamma=SEARCH_GAMMA).runner().run(
         circuit, transformations, max_iterations=MAX_ITERATIONS
     )
 
@@ -125,27 +125,20 @@ def serial_reference(nam_transformations_small):
 
 class TestRegistryEntries:
     def test_resolve_search_workers(self):
-        # search_workers resolves to no strategy option: every registered
-        # strategy builds from its options without a worker count.
-        config = SearchConfig(search_workers=1)
-        for name in available_strategies():
-            options = config.options_for(name)
-            assert not any("worker" in option for option in options), name
-            assert get_strategy(name, **options).name == name
+        # search_workers reaches no runner: every strategy builds without
+        # a worker count.
+        for name in STRATEGIES:
+            runner = SearchConfig(strategy=name, search_workers=1).runner()
+            assert not any("worker" in option for option in vars(runner)), name
         for workers in (0, 4):
             with pytest.raises(ValueError, match="search_workers"):
                 SearchConfig(search_workers=workers)
 
-
-    def test_worker_support_flags(self, capsys):
-        # No strategy advertises worker support any more, and the CLI's
-        # registry listing carries no such flag.
-        from repro.experiments import cli
-
-        for name in available_strategies():
-            assert not hasattr(get_strategy(name), "supports_workers"), name
-        assert cli.main(["registry", "--json"]) == 0
-        assert "supports_workers" not in capsys.readouterr().out
+    def test_worker_support_flags(self):
+        # No strategy advertises worker support any more.
+        for name in STRATEGIES:
+            runner = SearchConfig(strategy=name).runner()
+            assert not hasattr(runner, "supports_workers"), name
 
 
 class TestByteIdentity:
@@ -206,8 +199,8 @@ class TestByteIdentity:
 
 class TestCancellation:
     def test_budgets_bound_iterations(self, nam_transformations_small):
-        for name in available_strategies():
-            result = get_strategy(name).run(
+        for name in STRATEGIES:
+            result = SearchConfig(strategy=name).runner().run(
                 _figure6_circuit(), nam_transformations_small, max_iterations=5
             )
             assert result.iterations <= 5, name

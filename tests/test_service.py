@@ -35,7 +35,10 @@ from repro.errors import (
     ServiceClosed,
 )
 from repro.faults import FaultPlan
+from repro.ir import Circuit
+from repro.ir.gatesets import GateSet
 from repro.ir.qasm import to_qasm
+from repro.optimizer.strategies import STRATEGIES
 from repro.service import Job, JobManager, OptimizationHTTPServer, ServiceConfig
 from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
 from repro.service.jobs import _content_key, _result_block
@@ -206,7 +209,6 @@ class TestJobKey:
             {"verify_output": False},
             {"gamma": 1.5},
             {"strategy": "beam"},
-            {"strategy_options": {"beam_width": 4}},
         ],
         ids=lambda override: next(iter(override)),
     )
@@ -214,6 +216,40 @@ class TestJobKey:
         key = _content_key("q", RunConfig())
         assert _content_key("q", RunConfig().with_overrides(**override)) != key
         assert _content_key("other", RunConfig()) != key
+
+
+#: A base config holding a GateSet object rather than a registered name.
+CUSTOM_RUN = RunConfig(
+    gate_set=GateSet("svc_custom", ["h", "cx"], 0), preprocess=False
+).with_overrides(n=2, q=2, cache_enabled=False)
+
+
+class TestCustomGateSet:
+    """Jobs carry the RunConfig itself, so a custom gate set reaches the
+    facade that runs them, in-process and in a pool worker."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+    def test_job_matches_a_direct_facade_run(self, workers):
+        circuit = Circuit(2).h(0).h(0)
+        expected = _result_block(
+            Superoptimizer(CUSTOM_RUN).optimize(circuit).to_json_dict()
+        )
+        config = ServiceConfig(run_config=CUSTOM_RUN, workers=workers)
+        with JobManager(config) as service:
+            job = service.submit(to_qasm(circuit))
+            assert job.wait(240)
+        assert job.status == "completed", (job.status, job.error)
+        assert job.result == expected
+        assert job.result["optimized_gates"] == 0
+
+    def test_same_named_gate_sets_get_different_keys(self):
+        def key(gate_names, num_params=0):
+            gate_set = GateSet("c", gate_names, num_params)
+            return _content_key("q", RunConfig(gate_set=gate_set))
+
+        assert key(["h", "cx"]) != key(["h", "cz"])
+        assert key(["h", "rz"], 1) != key(["h", "rz"], 2)
+        assert key(["h", "cx"]) == key(["h", "cx"])
 
 
 class _BlockingExecutor:
@@ -325,6 +361,8 @@ class TestErrorPaths:
             {"generation": {"n": 2, "cache_dir": "elsewhere"}},
             {"search": {"max_iterations": 5, "search_workers": 1}},
             {"generation": "n=2"},
+            {"strategy_options": {"beam_width": 4}},
+            {"search": {"strategy": "beam", "strategy_options": {"beam_width": 4}}},
         ],
         ids=[
             "cache_enabled",
@@ -338,6 +376,8 @@ class TestErrorPaths:
             "nested-cache_dir",
             "nested-search_workers",
             "layer-not-an-object",
+            "strategy_options",
+            "nested-strategy_options",
         ],
     )
     def test_fields_outside_the_output_fields_are_a_400(self, override):
@@ -352,6 +392,15 @@ class TestErrorPaths:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--backend", "numpy"])
+
+    def test_service_command_line_takes_the_three_strategies(self):
+        from repro.service.__main__ import build_parser
+
+        for name in STRATEGIES:
+            assert build_parser().parse_args(["--strategy", name]).strategy == name
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--strategy", "anneal"])
+        assert excinfo.value.code == 2
 
     def test_unknown_job_id_is_404(self):
         with manager() as service:
@@ -557,12 +606,12 @@ class _HeldWaves:
 
 
 def _pool_payload(name: str) -> Dict[str, Any]:
-    return {"qasm": qasm_for(name), "config": BASE_RUN.as_dict()}
+    return {"qasm": qasm_for(name), "config": BASE_RUN}
 
 
 @pytest.fixture
 def pool_executor():
-    executor = PoolExecutor(BASE_RUN.as_dict(), 2, chunk_timeout=60.0)
+    executor = PoolExecutor(BASE_RUN, 2, chunk_timeout=60.0)
     yield executor
     executor.close()
 
@@ -653,7 +702,7 @@ class TestPoolExecutor:
         )
 
     def test_run_after_close_raises_retry_exhausted(self):
-        executor = PoolExecutor(BASE_RUN.as_dict(), 2, chunk_timeout=60.0)
+        executor = PoolExecutor(BASE_RUN, 2, chunk_timeout=60.0)
         executor.close()
         executor.close()  # idempotent
         with pytest.raises(RetryExhausted, match="closed"):

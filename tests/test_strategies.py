@@ -1,19 +1,22 @@
-"""Tests for the search-strategy registry (backtracking / greedy / beam)."""
+"""Tests for the three search strategies (backtracking / greedy / beam).
+
+The set is closed: :class:`~repro.api.SearchConfig` names one of
+:data:`~repro.optimizer.strategies.STRATEGIES` and builds its runner.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.api
+import repro.optimizer
+from repro.api import SearchConfig
 from repro.ir import Circuit
-from repro.optimizer import BacktrackingOptimizer
-from repro.optimizer.search import OptimizationResult
+from repro.optimizer import BacktrackingOptimizer, strategies
 from repro.optimizer.strategies import (
+    STRATEGIES,
+    BacktrackingStrategy,
     BeamStrategy,
-    GreedyStrategy,
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
 )
 from repro.semantics.simulator import circuits_equivalent_numeric
 
@@ -30,61 +33,62 @@ def _figure6_circuit() -> Circuit:
     return circuit
 
 
+def _runner(strategy: str, **fields):
+    return SearchConfig(strategy=strategy, **fields).runner()
+
+
 class TestRegistry:
+    """The closed set of strategies that replaced the registry."""
+
     def test_builtins_are_registered(self):
-        assert {"backtracking", "greedy", "beam"} <= set(available_strategies())
+        assert STRATEGIES == ("backtracking", "greedy", "beam")
+        assert isinstance(_runner("backtracking"), BacktrackingStrategy)
+        assert isinstance(_runner("greedy"), BacktrackingStrategy)
+        assert isinstance(_runner("beam"), BeamStrategy)
 
     def test_unknown_strategy_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="backtracking"):
-            get_strategy("anneal")
+        with pytest.raises(ValueError, match="backtracking, greedy, beam"):
+            SearchConfig(strategy="anneal")
 
-    @pytest.mark.parametrize("name", ["portfolio", "parallel-backtracking"])
+    @pytest.mark.parametrize(
+        "name", ["portfolio", "parallel-backtracking", "Greedy", "BEAM"]
+    )
     def test_removed_strategies_are_unknown(self, name):
-        assert available_strategies() == ["backtracking", "beam", "greedy"]
-        with pytest.raises(KeyError, match="unknown search strategy"):
-            get_strategy(name)
+        # Removed strategies and other spellings of the three names.
+        with pytest.raises(ValueError, match="SearchConfig.strategy"):
+            SearchConfig(strategy=name)
 
     def test_options_reach_the_factory(self):
-        strategy = get_strategy("beam", beam_width=5)
-        assert isinstance(strategy, BeamStrategy)
-        assert strategy.beam_width == 5
+        runner = _runner("beam", beam_width=5, gamma=2.0)
+        assert isinstance(runner, BeamStrategy)
+        assert runner.beam_width == 5
+        assert not hasattr(runner, "gamma")  # beam reads no gamma
         with pytest.raises(TypeError):
-            get_strategy("beam", gamma=2.0)  # beam has no gamma
+            BeamStrategy(gamma=2.0)
+        with pytest.raises(ValueError, match="beam_width"):
+            _runner("beam", beam_width=0)
 
     def test_instance_passthrough_rejects_options(self):
-        strategy = GreedyStrategy()
-        assert get_strategy(strategy) is strategy
-        with pytest.raises(ValueError):
-            get_strategy(strategy, beam_width=2)
+        # A strategy is named, never passed as an instance.
+        with pytest.raises(ValueError, match="SearchConfig.strategy"):
+            SearchConfig(strategy=BacktrackingStrategy())
 
     def test_custom_registration(self):
-        class NoOpStrategy(SearchStrategy):
-            name = "noop"
-
-            def run(self, circuit, transformations, cost_model=None, **_):
-                from repro.optimizer.cost import GateCountCost
-
-                cost = (cost_model or GateCountCost()).cost(circuit)
-                return OptimizationResult(
-                    circuit=circuit,
-                    initial_cost=cost,
-                    final_cost=cost,
-                    iterations=0,
-                    circuits_explored=0,
-                    time_seconds=0.0,
-                    timed_out=False,
-                )
-
-        register_strategy("noop-test", NoOpStrategy)
-        try:
-            result = get_strategy("noop-test").run(Circuit(1).h(0), [])
-            assert result.final_cost == 1.0
-        finally:
-            from repro.optimizer import strategies
-
-            strategies._FACTORIES.pop("noop-test")
-        with pytest.raises(ValueError, match="already registered"):
-            register_strategy("beam", BeamStrategy)
+        # There is no registration hook, no factory table and no base
+        # class to subclass: the three strategies are the whole set.
+        removed = (
+            "register_strategy",
+            "get_strategy",
+            "available_strategies",
+            "SearchStrategy",
+            "GreedyStrategy",
+            "_FACTORIES",
+        )
+        for module in (strategies, repro.optimizer, repro.api):
+            for name in removed:
+                assert not hasattr(module, name), (module.__name__, name)
+        for runner_class in (BacktrackingStrategy, BeamStrategy):
+            assert not hasattr(runner_class, "name")
 
 
 class TestStrategyBehaviour:
@@ -95,21 +99,21 @@ class TestStrategyBehaviour:
         direct = BacktrackingOptimizer(
             nam_transformations_small, gamma=1.0001
         ).optimize(circuit, max_iterations=300)
-        via_registry = get_strategy("backtracking", gamma=1.0001).run(
+        via_config = _runner("backtracking", gamma=1.0001).run(
             circuit, nam_transformations_small, max_iterations=300
         )
-        assert via_registry.final_cost == direct.final_cost
-        assert via_registry.circuit == direct.circuit
+        assert via_config.final_cost == direct.final_cost
+        assert via_config.circuit == direct.circuit
 
     def test_beam_finds_the_cost_preserving_detour(
         self, nam_transformations_small
     ):
         """Beam search, like backtracking, survives the Figure 6 plateau."""
         circuit = _figure6_circuit()
-        greedy = get_strategy("greedy").run(
+        greedy = _runner("greedy").run(
             circuit, nam_transformations_small, max_iterations=300
         )
-        beam = get_strategy("beam", beam_width=16).run(
+        beam = _runner("beam", beam_width=16).run(
             circuit, nam_transformations_small, max_iterations=30
         )
         assert beam.final_cost <= greedy.final_cost
@@ -119,7 +123,7 @@ class TestStrategyBehaviour:
     def test_beam_respects_iteration_budget_and_traces(
         self, nam_transformations_small
     ):
-        result = get_strategy("beam", beam_width=4).run(
+        result = _runner("beam", beam_width=4).run(
             _figure6_circuit(), nam_transformations_small, max_iterations=2
         )
         assert result.iterations <= 2
@@ -127,7 +131,7 @@ class TestStrategyBehaviour:
         assert not result.timed_out
 
     def test_beam_timeout(self, nam_transformations_small):
-        result = get_strategy("beam", beam_width=64).run(
+        result = _runner("beam", beam_width=64).run(
             _figure6_circuit(),
             nam_transformations_small,
             timeout_seconds=0.0,
@@ -142,12 +146,12 @@ class TestStrategyBehaviour:
     def test_strategies_take_no_stop_check(self, nam_transformations_small):
         # The portfolio's cancellation hook and race metadata are gone.
         circuit = Circuit(2).h(0).h(0).cx(0, 1)
-        for name in available_strategies():
+        for name in STRATEGIES:
             with pytest.raises(TypeError, match="stop_check"):
-                get_strategy(name).run(
+                _runner(name).run(
                     circuit, nam_transformations_small, stop_check=lambda: False
                 )
-            result = get_strategy(name).run(
+            result = _runner(name).run(
                 circuit, nam_transformations_small, max_iterations=3
             )
             assert not hasattr(result, "cancelled"), name
@@ -155,8 +159,8 @@ class TestStrategyBehaviour:
 
     def test_all_strategies_preserve_equivalence(self, nam_transformations_small):
         circuit = _figure6_circuit()
-        for name in ("backtracking", "greedy", "beam"):
-            result = get_strategy(name).run(
+        for name in STRATEGIES:
+            result = _runner(name).run(
                 circuit, nam_transformations_small, max_iterations=50
             )
             assert circuits_equivalent_numeric(circuit, result.circuit), name

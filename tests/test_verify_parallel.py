@@ -248,4 +248,4 @@ class TestPoolDirectly:
         # The service never builds a one-worker pool: below 2 workers it
         # runs jobs in-process, and the pool refuses to start with one.
         with pytest.raises(ValueError, match="at least 2"):
-            PoolExecutor(RunConfig().as_dict(), 1)
+            PoolExecutor(RunConfig(), 1)
