@@ -15,8 +15,9 @@ acceptance tests assert exactly that on ``ECCSet.to_json``.
 Generation results are memoized in-process and persisted through the
 content-hash-keyed ``.repro_cache/`` store under one identity, the
 :class:`~repro.generator.cache.CacheKey` (gate-set name and gate list, n,
-q, m, seed), so constructing many facades for the same configuration pays
-for generation once.
+q, m, seed), and the transformation list extracted from an ECC set is
+memoized under that set's key, so constructing many facades for the same
+configuration pays for generation and extraction once.
 """
 
 from __future__ import annotations
@@ -58,14 +59,19 @@ REPORT_SCHEMA_VERSION = 1
 
 # In-process memoization of generation outputs, shared by every facade and
 # by the experiment harnesses, keyed by the same CacheKey as the disk cache.
+# The transformation list extracted from an ECC set sits under that set's
+# key, so a facade built per service job finds it warm.
 _RESULT_MEMO: Dict[CacheKey, GeneratorResult] = {}
 _PRUNED_MEMO: Dict[CacheKey, ECCSet] = {}
+_TRANSFORMATION_MEMO: Dict[CacheKey, List[Transformation]] = {}
 
 
 def clear_memory_caches() -> None:
-    """Drop the in-process generation memo (the disk cache is untouched)."""
+    """Drop the in-process generation memos (the disk cache is untouched)."""
     _RESULT_MEMO.clear()
     _PRUNED_MEMO.clear()
+    # repro: allow(mutable-module-global): a memo of pure functions of the key
+    _TRANSFORMATION_MEMO.clear()
 
 
 def _resolve_gate_set(gate_set: Union[str, GateSet]) -> GateSet:
@@ -398,9 +404,20 @@ class Superoptimizer:
         return self._generation().ecc_set
 
     def transformations(self) -> List[Transformation]:
-        """The rewrite rules the search runs over (cached on the facade)."""
+        """The rewrite rules the search runs over (memoized per ECC set)."""
         if self._transformations is None:
-            self._transformations = transformations_from_ecc_set(self.ecc_set())
+            generation = self.config.generation
+            key = _generation_key(
+                "pruned" if generation.prune else "repgen",
+                _resolve_gate_set(self.config.gate_set),
+                generation,
+            )
+            memoized = _TRANSFORMATION_MEMO.get(key)
+            if memoized is None:
+                memoized = transformations_from_ecc_set(self.ecc_set())
+                # repro: allow(mutable-module-global): keyed insert of a pure function of the key
+                _TRANSFORMATION_MEMO[key] = memoized
+            self._transformations = memoized
         return self._transformations
 
     def verify(self, circuit_a: Circuit, circuit_b: Circuit) -> bool:

@@ -8,12 +8,13 @@ the semantics of a knob cannot drift between call sites:
   the cache, so ``REPRO_CACHE_DISABLE=0`` / ``=false`` / ``=off`` mean
   the cache stays *enabled* (and ``TRUE``/``Yes`` case-insensitively
   disable it);
-* ``REPRO_CHUNK_TIMEOUT`` — per-chunk deadline (seconds, float) for the
-  service worker pool's async dispatch; ``0`` (or any non-positive value)
-  disables the deadline, invalid values warn and use the default;
+* ``REPRO_CHUNK_TIMEOUT`` — per-job deadline (seconds, float) of the
+  service worker pool; ``0`` (or any non-positive value) disables the
+  deadline, invalid values warn and use the default;
 * ``REPRO_CHUNK_RETRIES`` — how many times a failed or timed-out service
-  job is retried (in pool mode with pool respawn and exponential backoff)
-  before it fails; invalid/negative values warn and use the default;
+  job is retried (in pool mode with a pool respawn when a worker died or
+  wedged) before it fails; invalid/negative values warn and use the
+  default;
 * ``REPRO_RESUME``        — boolean flag (default off): write round-granular
   RepGen checkpoints through the persistent cache and resume from the last
   completed round after a crash;
@@ -81,13 +82,13 @@ DEFAULT_SERVICE_PORT = 8321
 #: Default bound on the service's job queue (a full queue answers 429).
 DEFAULT_SERVICE_MAX_QUEUE = 64
 
-#: Default per-chunk deadline (seconds) of the service's worker pool
+#: Default per-job deadline (seconds) of the service's worker pool
 #: (``ServiceConfig.chunk_timeout``).  Generous relative to the scales this
-#: repo runs (a service chunk is one job), but finite: a worker killed
-#: mid-chunk must surface as a timeout instead of hanging the request.
+#: repo runs, but finite: a wedged job must surface as a timeout instead
+#: of hanging the request (a killed worker surfaces at once, without it).
 DEFAULT_CHUNK_TIMEOUT = 120.0
 
-#: Default re-dispatch attempts per failed chunk before its jobs fail
+#: Default re-dispatch attempts per failed job before it fails
 #: (``ServiceConfig.chunk_retries``).
 DEFAULT_CHUNK_RETRIES = 2
 

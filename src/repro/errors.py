@@ -14,14 +14,15 @@ recover from a name, so recovery sites catch exactly what they handle:
     is the contract of the service's retry paths: anything else escaping
     a pool is a bug and should surface.
 
-    * ``ChunkTimeout``  — a dispatched chunk missed its deadline
-      (``REPRO_CHUNK_TIMEOUT``); the usual symptom of a worker killed
-      mid-chunk, since the result then simply never arrives.
-    * ``WorkerCrash``   — a chunk raised inside the worker (or its result
-      could not be shipped back).
-    * ``RetryExhausted``— a chunk kept failing after every retry
-      (``REPRO_CHUNK_RETRIES``) and pool respawn; the service fails the
-      jobs of that batch with it.
+    * ``ChunkTimeout``  — a dispatched job missed its deadline
+      (``REPRO_CHUNK_TIMEOUT``): its worker is wedged or too slow.  A
+      killed worker is not a timeout; it surfaces at once as a
+      ``WorkerCrash``.
+    * ``WorkerCrash``   — a job's worker died (killed, out of memory, or
+      its initializer raised), or the job raised an injected fault.
+    * ``RetryExhausted``— a job kept failing after every retry
+      (``REPRO_CHUNK_RETRIES``) and pool respawn; the service fails that
+      job with it.
 
 ``CacheCorruption``
     A persistent-cache blob failed validation (checksum, schema, key
@@ -90,15 +91,15 @@ class PoolError(ReproError):
 
 
 class ChunkTimeout(PoolError):
-    """A dispatched chunk missed its per-chunk deadline."""
+    """A dispatched job missed its per-job deadline."""
 
 
 class WorkerCrash(PoolError):
-    """A chunk failed inside a worker (exception or lost result)."""
+    """A job's worker died, or the job raised an injected fault."""
 
 
 class RetryExhausted(PoolError):
-    """A chunk still failed after every configured retry and respawn."""
+    """A job still failed after every configured retry and respawn."""
 
 
 class CacheCorruption(ReproError):

@@ -18,13 +18,13 @@ Actions and the sites that execute them:
 ========================  =======  ============================================
 action                    sites    effect when fired
 ========================  =======  ============================================
-``kill_worker``           service  the worker handling the wave's first chunk
-                                   dies hard (``os._exit``) — the chunk result
-                                   never arrives, exercising timeout + respawn
-``delay_chunk``           service  the first chunk sleeps past its deadline,
+``kill_worker``           service  the worker running the job dies hard
+                                   (``os._exit``), which breaks the pool at
+                                   once, exercising respawn + re-dispatch
+``delay_chunk``           service  the job sleeps past its deadline,
                                    exercising the timeout + retry path
-``fail_chunk``            service  the first chunk raises ``FaultInjected``
-                                   inside the worker (clean failure + retry)
+``fail_chunk``            service  the job raises ``FaultInjected`` inside
+                                   the worker (clean failure + retry)
 ``corrupt_blob``          cache    the blob about to be read is bit-flipped
                                    *on disk* (persistent bit-rot: the re-read
                                    also fails, forcing regeneration)

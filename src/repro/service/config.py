@@ -62,14 +62,14 @@ class ServiceConfig:
     port: int = 8321
     #: Job-execution mode: values below 2 run jobs on in-process executor
     #: threads; 2+ dispatches to a persistent ``ResilientPool`` of that
-    #: many worker processes (warm facades, ECC caches and verifier state
-    #: survive across requests in both modes).
+    #: many worker processes (the facade's ECC set and transformation
+    #: memos survive across requests in both modes).
     workers: int = 1
     #: Bound on queued-but-not-yet-running jobs; submissions beyond it are
     #: rejected with :class:`repro.errors.QueueFull` (HTTP 429).
     max_queue: int = 64
-    #: Per-chunk (one job) deadline in seconds of the worker pool's
-    #: dispatch; ``None`` or <= 0 means no deadline.
+    #: Per-job deadline in seconds of the worker pool; ``None`` or <= 0
+    #: means no deadline.
     chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT
     #: Retries of a job whose run failed or timed out, in either mode.
     chunk_retries: int = DEFAULT_CHUNK_RETRIES

@@ -19,7 +19,9 @@ Routes::
     GET  /v1/stats             every ``service.*`` counter + queue gauges
     GET  /v1/healthz           liveness probe
 
-Error discipline (satellite 4): the handler catches exactly
+Error discipline: a ``Content-Length`` that is not a plain digit string
+is a 400 and one past :data:`MAX_BODY_BYTES` a 413, both answered
+without reading the body; past the headers the handler catches exactly
 :class:`~repro.errors.ServiceError` — each subclass carries its HTTP
 status (400 malformed request, 429 queue full + ``Retry-After``, 404
 unknown job, 503 draining) — and a *failed* job polls as HTTP 500 with
@@ -109,6 +111,12 @@ class OptimizationHTTPServer:
             if request is not None:
                 method, path, body = request
                 await self._route(method, path, body, writer)
+        except _RefusedBody as refused:
+            await self._send_json(
+                writer,
+                refused.status,
+                {"error": "InvalidRequest", "detail": str(refused)},
+            )
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -135,9 +143,7 @@ class OptimizationHTTPServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
-            return method, path, b"\x00too-large"
+        length = _content_length(headers.get("content-length", ""))
         body = await reader.readexactly(length) if length else b""
         return method, path, body
 
@@ -149,11 +155,6 @@ class OptimizationHTTPServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         path, _, query = path.partition("?")
-        if body.startswith(b"\x00too-large"):
-            await self._send_json(
-                writer, 413, {"error": "InvalidRequest", "detail": "body too large"}
-            )
-            return
         try:
             if path == "/v1/optimize" and method == "POST":
                 await self._post_optimize(body, writer)
@@ -265,6 +266,30 @@ class OptimizationHTTPServer:
             headers.append(f"{name}: {value}")
         writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
+
+
+class _RefusedBody(Exception):
+    """A request body refused from its ``Content-Length`` alone (never read)."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
+
+
+def _content_length(value: str) -> int:
+    """The declared body length: digits only, at most :data:`MAX_BODY_BYTES`.
+
+    Raises :class:`_RefusedBody` with 400 for a malformed or negative value
+    and with 413 for a body too large to read.
+    """
+    if not value:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _RefusedBody(400, f"malformed Content-Length {value!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise _RefusedBody(413, "body too large")
+    return length
 
 
 def _parse_optimize_body(body: bytes) -> Tuple[str, Optional[Dict[str, Any]]]:

@@ -261,7 +261,7 @@ class JobManager:
             active = len(self._active)
         counters["service.queue.depth"] = depth
         counters["service.jobs.active"] = active
-        # Only the pool executor keeps resilience counters; it publishes
+        # Only the pool executor keeps resilience counters; the pool copies
         # them under its own lock, so this read is safe from any thread.
         pool_counters = getattr(self.executor, "counters", None)
         if pool_counters is not None:

@@ -25,8 +25,15 @@ import pytest
 
 from repro.analysis import baseline as baseline_mod
 from repro.analysis import reporters
+from repro.analysis.callgraph import find_worker_entries, reachable_from
 from repro.analysis.cli import main as cli_main
-from repro.analysis.core import registered_rules, run_analysis
+from repro.analysis.core import (
+    ModuleInfo,
+    ProjectIndex,
+    collect_files,
+    registered_rules,
+    run_analysis,
+)
 from pathlib import Path
 
 RULE_IDS = ("R001", "R002", "R003", "R004", "R006", "R007")
@@ -53,8 +60,8 @@ POOL_PREAMBLE = """
     from repro.workerpool import ResilientPool
 
     def run(spec):
-        with ResilientPool(_chunk_fn, _init, (spec,), 2, site="service") as pool:
-            return pool.run_chunks([1, 2])
+        with ResilientPool(_chunk_fn, _init, (spec,), 2) as pool:
+            return pool.run(1)
 """
 
 
@@ -795,3 +802,21 @@ class TestSelfCheck:
         ]
         assert new_errors == []
         assert stale == []
+
+    def test_worker_entries_of_the_shipped_tree(self):
+        # R004 and R007 see only code reachable from a ResilientPool call's
+        # job function and initializer.  Pinning the shipped entries keeps
+        # a restructured pool from leaving both rules checking nothing.
+        repo_root = Path(__file__).resolve().parent.parent
+        modules = [
+            ModuleInfo(repo_root, path)
+            for path in collect_files([Path("src")], repo_root)
+        ]
+        project = ProjectIndex(modules)
+        entries = find_worker_entries(project)
+        assert sorted(entries) == [
+            ("repro.service.executor", "_init_service_worker"),
+            ("repro.service.executor", "_service_worker"),
+        ]
+        reachable = reachable_from(project, entries)
+        assert ("repro.api.facade", "Superoptimizer.optimize") in reachable

@@ -70,8 +70,8 @@ class TestByteIdentity:
 
     def test_two_worker_facade_matches_hand_wired(self, hand_wired_quick):
         # The facade served by the service's two-worker pool: each worker
-        # builds its own warm facade (generation included) from the config
-        # dict, and the job it runs reports the hand-wired result.
+        # builds its own generation memo from the config, and the job it
+        # runs reports the hand-wired result.
         from repro.service.executor import PoolExecutor
 
         _result, pruned, search = hand_wired_quick

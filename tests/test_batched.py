@@ -325,10 +325,9 @@ class TestGenerationByteIdentity:
         from repro.workerpool import ResilientPool
 
         with ResilientPool(
-            _generation_chunk, _noop_init, (), 2, site="service",
-            chunk_timeout=60.0,
+            _generation_chunk, _noop_init, (), 2, chunk_timeout=60.0
         ) as pool:
-            pooled = pool.run_chunks([0, 1])
+            pooled = [pool.run(0), pool.run(1)]
         serial = RepGen(NAM, num_qubits=2, num_params=2).generate(2)
         assert pooled == [serial.ecc_set.to_json()] * 2
 

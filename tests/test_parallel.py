@@ -3,8 +3,8 @@
 RepGen runs serially — the Section 4 algorithm, pinned byte for byte by
 ``tests/test_ecc_golden.py`` — but it still runs inside worker processes:
 the optimization service's pool (:class:`~repro.workerpool.ResilientPool`
-behind :class:`~repro.service.executor.PoolExecutor`) builds every
-worker's warm facade, generation included, in that worker.  The
+behind :class:`~repro.service.executor.PoolExecutor`) pre-warms every
+worker's generation memo in that worker.  The
 load-bearing property is *determinism across processes*: an ECC set
 generated in a pool worker must be byte-identical (via
 ``ECCSet.to_json``) to the in-process one, or a pooled service response
@@ -19,6 +19,7 @@ process boundary.
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
 from repro.service.jobs import _result_block
 from repro.workerpool import ResilientPool
 
-#: Per-chunk deadline: generous for a Nam (2, 2) run, short enough that a
+#: Per-job deadline: generous for a Nam (2, 2) run, short enough that a
 #: wedged worker fails the test instead of hanging it.
 TIMEOUT = 30.0
 
@@ -60,23 +61,23 @@ def _generate_serially():
 
 
 def _generate_chunk(payload):
-    """Chunk function: generate the Nam (q=2, m=2, n=2) ECC set in a worker."""
+    """Job function: generate the Nam (q=2, m=2, n=2) ECC set in a worker."""
     _chunk, fault_token = payload
     faults.apply_chunk_fault(fault_token)
     return _summary(_generate_serially())
 
 
 def _generate_in_pool(workers):
-    """One generation per worker, each in its own pool process."""
+    """One generation per worker, submitted concurrently to the pool."""
     with ResilientPool(
         _generate_chunk,
         _noop_init,
         (),
         workers,
-        site="service",
         chunk_timeout=TIMEOUT,
     ) as pool:
-        return pool.run_chunks(list(range(workers)))
+        with ThreadPoolExecutor(max_workers=workers) as threads:
+            return list(threads.map(pool.run, range(workers)))
 
 
 @pytest.fixture(autouse=True)
@@ -127,10 +128,9 @@ class TestParallelEqualsSerial:
             assert pooled == _summary(serial_result)
 
     def test_parallel_counters_surfaced(self, service_pool):
-        # The executor hands its pool a recorder and publishes the
-        # resilience.* counters after every wave (JobManager.stats() reads
-        # them); a recovered fault shows up there, and the retried job still
-        # equals the in-process run.
+        # The executor returns its pool's resilience.* counters
+        # (JobManager.stats() reads them); a recovered fault shows up
+        # there, and the retried job still equals the in-process run.
         faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service"))
         report = service_pool.run(PAYLOAD)
         counters = service_pool.counters()
@@ -143,14 +143,14 @@ class TestParallelEqualsSerial:
         assert service_pool.counters()["resilience.chunk_failures"] == 1
 
     def test_non_pool_errors_surface(self, service_pool, monkeypatch):
-        # A non-pool error out of a wave is a bug: it fails the submitting
+        # A non-pool error out of the pool is a bug: it fails the submitting
         # job with its own type instead of being retried or labelled a pool
-        # failure, and the dispatch thread survives it.
-        def explode(chunks):
+        # failure, and the executor keeps serving later jobs.
+        def explode(job):
             raise TypeError("a bug, not an infrastructure failure")
 
         with monkeypatch.context() as patch:
-            patch.setattr(service_pool._pool, "run_chunks", explode)
+            patch.setattr(service_pool._pool, "run", explode)
             with pytest.raises(TypeError, match="a bug"):
                 service_pool.run(PAYLOAD)
         report = service_pool.run(PAYLOAD)

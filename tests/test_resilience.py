@@ -1,16 +1,17 @@
 """Resilience tests for the worker pool: recovery must never change results.
 
 Every fault class :class:`~repro.workerpool.ResilientPool` recovers from —
-killed workers, delayed chunks, clean in-worker failures — is injected at
+killed workers, delayed jobs, clean in-worker failures — is injected at
 the ``service`` site against a real two-worker pool running a pure,
-module-level chunk function, and the results are asserted equal to a
-fault-free run.  Recovery is additionally asserted to be observable (the
-``resilience.*`` perf counters), bounded (an exhausted retry budget raises
-:class:`~repro.errors.RetryExhausted`) and leak-free (no worker process
-outlives its pool, even when an exception escapes the ``with`` block).
+module-level job function from concurrent threads, and the results are
+asserted equal to a fault-free run.  Recovery is additionally asserted to
+be observable (the ``resilience.*`` counters), bounded (an exhausted retry
+budget raises :class:`~repro.errors.RetryExhausted`) and leak-free (no
+worker process outlives its pool, even when an exception escapes the
+``with`` block).
 The same faults are injected while the pool runs real work — RepGen and
-equivalence checks, which the service's workers run for every warm facade
-— and that work's output is asserted byte-identical to the in-process
+equivalence checks, which the service's workers run for their jobs — and
+that work's output is asserted byte-identical to the in-process
 run.  The service-level twin of these tests is ``TestPoolMode`` in
 ``tests/test_service.py``.
 """
@@ -18,7 +19,9 @@ run.  The service-level twin of these tests is ``TestPoolMode`` in
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -30,7 +33,6 @@ from repro.faults import FaultPlan
 from repro.generator import RepGen
 from repro.ir.circuit import Circuit
 from repro.ir.gatesets import NAM
-from repro.perf import PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
 from repro.verifier import EquivalenceVerifier
 from repro.service import ServiceConfig
@@ -40,7 +42,7 @@ from repro.workerpool import ResilientPool
 #: enough that honest chunks at this scale never time out spuriously.
 TIMEOUT = 2.0
 
-#: Chunks every pool test dispatches, and their fault-free results.
+#: Jobs every pool test dispatches, and their fault-free results.
 CHUNKS = [1, 2, 3, 4]
 EXPECTED = [chunk * chunk for chunk in CHUNKS]
 
@@ -57,28 +59,31 @@ def _noop_init() -> None:
 
 
 def _square_chunk(payload):
-    """A pure chunk function: the result depends on the chunk alone."""
+    """A pure job function: the result depends on the job alone."""
     chunk, fault_token = payload
     faults.apply_chunk_fault(fault_token)
     return chunk * chunk
 
 
+def _run_all(pool, jobs):
+    """Every job through ``pool.run``, each from its own thread, in job order."""
+    with ThreadPoolExecutor(max_workers=len(jobs)) as threads:
+        return list(threads.map(pool.run, jobs))
+
+
 def _run(plan=None, *, retries=2, chunk_fn=_square_chunk, chunks=CHUNKS):
-    """Dispatch ``chunks`` once under ``plan``; returns (results, counters)."""
+    """Run ``chunks`` concurrently under ``plan``; returns (results, counters)."""
     faults.set_fault_plan(FaultPlan.from_string(plan) if plan else None)
-    perf = PerfRecorder()
     with ResilientPool(
         chunk_fn,
         _noop_init,
         (),
         2,
-        site="service",
         chunk_timeout=TIMEOUT,
         chunk_retries=retries,
-        perf=perf,
     ) as pool:
-        results = pool.run_chunks(chunks)
-    return results, perf.snapshot()
+        results = _run_all(pool, chunks)
+        return results, pool.counters()
 
 
 def _generation_summary():
@@ -131,11 +136,16 @@ class TestRecoveryUnderFaults:
         assert not any(name.startswith("resilience.") for name in counters)
 
     def test_killed_worker(self):
+        # A dead worker breaks the executor at once: no deadline is waited
+        # out, and every job that was on it re-dispatches to one respawn.
+        start = time.perf_counter()
         results, counters = _run("kill_worker:service")
+        assert time.perf_counter() - start < TIMEOUT
         assert results == EXPECTED
         assert counters.get("resilience.faults_injected") == 1
-        assert counters.get("resilience.chunk_timeouts", 0) >= 1
-        assert counters.get("resilience.pool_respawns", 0) >= 1
+        assert "resilience.chunk_timeouts" not in counters
+        assert counters.get("resilience.chunk_failures", 0) >= 1
+        assert counters.get("resilience.pool_respawns") == 1
         assert counters.get("resilience.chunk_retries", 0) >= 1
 
     def test_delayed_chunk(self):
@@ -156,9 +166,36 @@ class TestRecoveryUnderFaults:
 
     def test_exhausted_retries_raise(self):
         # Faults fire on first dispatch only, so only a zero retry budget
-        # leaves the failed chunk without a result.
+        # leaves the failed job without a result.
         with pytest.raises(RetryExhausted, match="0 retries"):
             _run("fail_chunk:service", retries=0)
+
+
+class TestConcurrentCallers:
+    def test_no_count_is_lost_under_contention(self):
+        # More caller threads than cores share one pool, with thread
+        # switches forced as often as possible.  Every job fires an
+        # always-armed fault once and retries clean, so each counter must
+        # equal the job count exactly: a lost update would break that.
+        jobs = list(range(24))
+        faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service:*"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ResilientPool(
+                _square_chunk, _noop_init, (), 2,
+                chunk_timeout=TIMEOUT, chunk_retries=1,
+            ) as pool:
+                results = _run_all(pool, jobs)
+                counters = pool.counters()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [job * job for job in jobs]
+        assert counters == {
+            "resilience.faults_injected": len(jobs),
+            "resilience.chunk_failures": len(jobs),
+            "resilience.chunk_retries": len(jobs),
+        }
 
 
 class TestByteIdentityUnderFaults:
@@ -170,7 +207,7 @@ class TestByteIdentityUnderFaults:
         )
         assert results == [serial_generation] * 2
         assert counters.get("resilience.faults_injected") == 1
-        assert counters.get("resilience.chunk_timeouts", 0) >= 1
+        assert counters.get("resilience.chunk_failures", 0) >= 1
         assert counters.get("resilience.pool_respawns", 0) >= 1
         assert counters.get("resilience.chunk_retries", 0) >= 1
 
@@ -219,10 +256,9 @@ class TestChunkPurity:
         first = _generate_chunk((0, None))
         second = _generate_chunk((0, None))
         with ResilientPool(
-            _generate_chunk, _noop_init, (), 2, site="service",
-            chunk_timeout=TIMEOUT,
+            _generate_chunk, _noop_init, (), 2, chunk_timeout=TIMEOUT
         ) as pool:
-            pooled = pool.run_chunks([0])[0]
+            pooled = pool.run(0)
         for other in (second, pooled):
             assert other[0] == first[0]
             assert np.array_equal(np.array(other[1]), np.array(first[1]))
@@ -248,10 +284,9 @@ class TestNoLeakedWorkers:
         before = {child.pid for child in multiprocessing.active_children()}
         with pytest.raises(TypeError):
             with ResilientPool(
-                _buggy_chunk_fn, _noop_init, (), 2, site="service",
-                chunk_timeout=TIMEOUT,
+                _buggy_chunk_fn, _noop_init, (), 2, chunk_timeout=TIMEOUT
             ) as pool:
-                pool.run_chunks(CHUNKS)
+                _run_all(pool, CHUNKS)
         self._assert_no_foreign_children(before)
 
     def test_exception_mid_round_terminates_every_worker(self):
@@ -261,83 +296,62 @@ class TestNoLeakedWorkers:
         faults.set_fault_plan(FaultPlan.from_string("crash_run:gen:round1"))
         with pytest.raises(FaultInjected):
             with ResilientPool(
-                _square_chunk, _noop_init, (), 2, site="service",
-                chunk_timeout=TIMEOUT,
+                _square_chunk, _noop_init, (), 2, chunk_timeout=TIMEOUT
             ) as pool:
-                assert pool.run_chunks(CHUNKS) == EXPECTED
+                assert _run_all(pool, CHUNKS) == EXPECTED
                 RepGen(NAM, num_qubits=2, num_params=2).generate(2)
         self._assert_no_foreign_children(before)
 
     def test_pool_context_manager_terminates_workers(self):
         before = {child.pid for child in multiprocessing.active_children()}
         with ResilientPool(
-            _square_chunk, _noop_init, (), 2, site="service",
-            chunk_timeout=TIMEOUT,
+            _square_chunk, _noop_init, (), 2, chunk_timeout=TIMEOUT
         ) as pool:
             assert pool.workers == 2
-            assert pool.run_chunks(CHUNKS) == EXPECTED
+            assert _run_all(pool, CHUNKS) == EXPECTED
         self._assert_no_foreign_children(before)
 
 
 class TestPoolLifecycle:
     def _pool(self, **kwargs):
         kwargs.setdefault("chunk_timeout", TIMEOUT)
-        return ResilientPool(
-            _square_chunk, _noop_init, (), 2, site="service", **kwargs
-        )
+        return ResilientPool(_square_chunk, _noop_init, (), 2, **kwargs)
 
-    def test_run_chunks_on_a_closed_pool_raises_pool_error(self):
+    def test_run_on_a_closed_pool_raises_pool_error(self):
         pool = self._pool()
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(PoolError, match="closed"):
-            pool.run_chunks(CHUNKS)
+            pool.run(1)
 
     def test_dead_pool_dispatch_failure_respawns_and_recovers(self):
-        # A pool whose workers are gone cannot even accept a submission; the
-        # wave counts as failed, the pool is respawned and the chunks rerun.
-        perf = PerfRecorder()
-        with self._pool(perf=perf, chunk_retries=1) as pool:
-            pool._pool.terminate()
-            assert pool.run_chunks(CHUNKS) == EXPECTED
-        counters = perf.snapshot()
-        assert counters["resilience.dispatch_failures"] == 1
-        assert counters["resilience.pool_respawns"] == 1
-        assert counters["resilience.chunk_retries"] == len(CHUNKS)
-
-    def test_late_result_is_recovered_not_re_executed(self):
-        # Chunk 0 misses its 1.5 s deadline but finishes (at ~1.9 s) while
-        # the sweep still waits on chunk 1 (done at ~2.5 s, inside its
-        # window): the late result is kept as-is — no retry, no respawn.
-        perf = PerfRecorder()
-        with ResilientPool(
-            _sleepy_square_chunk, _noop_init, (), 2, site="service",
-            chunk_timeout=1.5, chunk_retries=1, perf=perf,
-        ) as pool:
-            # Warm both workers first so neither timed chunk waits on a start.
-            assert pool.run_chunks([(0.0, 1), (0.0, 2)]) == [1, 4]
-            assert pool.run_chunks([(1.9, 3), (2.5, 4)]) == [9, 16]
-        counters = perf.snapshot()
-        assert counters["resilience.chunk_timeouts"] == 1
-        assert counters["resilience.late_results"] == 1
-        assert "resilience.chunk_retries" not in counters
-        assert "resilience.pool_respawns" not in counters
+        # A pool whose workers are gone fails the next dispatch with a
+        # broken executor; the pool is respawned and the job reruns.
+        with self._pool(chunk_retries=1) as pool:
+            for process in pool._executor._processes.values():
+                process.terminate()
+            assert [pool.run(chunk) for chunk in CHUNKS] == EXPECTED
+            counters = pool.counters()
+        assert counters == {
+            "resilience.chunk_failures": 1,
+            "resilience.pool_respawns": 1,
+            "resilience.chunk_retries": 1,
+        }
 
     def test_faults_fire_on_first_dispatch_only(self):
-        # An always-armed plan still fires once per run_chunks: retried
-        # chunks ship clean, like a real transient failure.
+        # An always-armed plan still fires once per job: its retry ships
+        # clean, like a real transient failure.
         faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service:*"))
-        perf = PerfRecorder()
-        with self._pool(perf=perf, chunk_retries=1) as pool:
-            assert pool.run_chunks(CHUNKS) == EXPECTED
-        counters = perf.snapshot()
+        with self._pool(chunk_retries=1) as pool:
+            assert pool.run(3) == 9
+            counters = pool.counters()
         assert counters["resilience.faults_injected"] == 1
         assert counters["resilience.chunk_failures"] == 1
 
     def test_nonpositive_timeout_means_no_deadline(self):
         with self._pool(chunk_timeout=0) as pool:
             assert pool.chunk_timeout is None
-            assert pool.run_chunks(CHUNKS) == EXPECTED
+            assert _run_all(pool, CHUNKS) == EXPECTED
 
     def test_failed_start_is_a_pool_error(self, monkeypatch):
         def no_processes(self):
@@ -359,51 +373,56 @@ def _buggy_chunk_fn(payload):
     return chunk + None  # seeded TypeError: a bug, not an infrastructure fault
 
 
+def _faulting_chunk_fn(payload):
+    raise FaultInjected("raised by the job itself")
+
+
 class TestProgrammingErrorsSurface:
     def test_seeded_typeerror_in_chunk_fn_propagates(self):
         # The retry loop absorbs infrastructure faults (timeouts, crashes,
-        # FaultInjected) — a TypeError from a buggy chunk function must NOT
+        # FaultInjected) — a TypeError from a buggy job function must NOT
         # be retried into RetryExhausted; it surfaces with its original
         # type so the bug is debuggable.
-        perf = PerfRecorder()
         with ResilientPool(
             _buggy_chunk_fn,
             _noop_init,
             (),
             2,
-            site="service",
             chunk_timeout=TIMEOUT,
             chunk_retries=3,
-            perf=perf,
         ) as pool:
             with pytest.raises(TypeError):
-                pool.run_chunks([1, 2, 3])
-        # No retry budget was burned on the programming error.
-        assert perf.value("resilience.chunk_retries") == 0
-        assert perf.value("resilience.chunk_failures") == 0
+                pool.run(1)
+            # No retry budget was burned on the programming error.
+            assert pool.counters() == {}
 
-    def test_error_surfaces_after_the_wave_delivered(self):
-        # Terminating the pool while a worker is still sending its result
-        # can deadlock Pool.terminate (the killed worker keeps the result
-        # queue's write lock), so the error waits for the wave's other
-        # chunk; the teardown that follows is then prompt.
+    def test_error_propagates_while_another_job_runs(self):
+        # Each job is its own future: a bug in one surfaces at once, while
+        # the job next to it keeps running and delivers its result.
         with ResilientPool(
-            _sleepy_square_chunk, _noop_init, (), 2, site="service",
-            chunk_timeout=TIMEOUT,
+            _sleepy_square_chunk, _noop_init, (), 2, chunk_timeout=TIMEOUT
         ) as pool:
-            start = time.perf_counter()
-            with pytest.raises(TypeError):
-                pool.run_chunks([(0.0, None), (0.5, 3)])
-            assert time.perf_counter() - start >= 0.5
+            with ThreadPoolExecutor(max_workers=1) as threads:
+                slow = threads.submit(pool.run, (1.5, 3))
+                with pytest.raises(TypeError):
+                    pool.run((0.0, None))
+                assert not slow.done()
+                assert slow.result() == 9
+            assert pool.counters() == {}
 
     def test_fault_injected_stays_retryable(self):
-        # Contrast: the chaos machinery's own exception remains on the
-        # absorb-and-retry path (fail_chunk recovery is exercised in
-        # TestRecoveryUnderFaults; this pins the classification).
-        from repro.workerpool import _RETRYABLE_CHUNK_ERRORS
-
-        assert issubclass(FaultInjected, _RETRYABLE_CHUNK_ERRORS)
-        assert not issubclass(TypeError, _RETRYABLE_CHUNK_ERRORS)
+        # Contrast: the chaos machinery's own exception stays on the
+        # absorb-and-retry path even when a job raises it by itself, and
+        # the executor is not respawned for it.
+        with ResilientPool(
+            _faulting_chunk_fn, _noop_init, (), 2,
+            chunk_timeout=TIMEOUT, chunk_retries=1,
+        ) as pool:
+            with pytest.raises(RetryExhausted, match="1 retries"):
+                pool.run(1)
+            counters = pool.counters()
+        assert counters["resilience.chunk_failures"] == 2
+        assert "resilience.pool_respawns" not in counters
 
 
 class TestKnobResolution:
@@ -439,4 +458,4 @@ class TestKnobResolution:
 
     def test_single_worker_pool_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            ResilientPool(print, print, (), 1, site="service")
+            ResilientPool(print, print, (), 1)

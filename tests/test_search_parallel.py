@@ -6,7 +6,7 @@ optimization service runs each job's search inside a worker of its
 :class:`~repro.workerpool.ResilientPool`.  The contract under test: a
 search run in a pool worker is *byte-identical* to the same search in this
 process — for every worker count, whatever order the workers finish in,
-and across injected worker faults, because a retried chunk re-runs a pure
+and across injected worker faults, because a retried job re-runs a pure
 function of its payload.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,12 +25,11 @@ from repro.generator.ecc import circuit_to_payload
 from repro.ir import Circuit
 from repro.optimizer.search import OptimizationResult
 from repro.optimizer.strategies import STRATEGIES
-from repro.perf import PerfRecorder
 from repro.semantics.simulator import circuits_equivalent_numeric
 from repro.workerpool import ResilientPool
 
-#: Per-chunk deadline: a searched chunk finishes in well under a second,
-#: so an injected kill or delay is detected quickly.
+#: Per-job deadline: a searched job finishes in well under a second, so
+#: an injected delay is detected quickly.
 TIMEOUT = 3.0
 
 #: Generous gamma: it admits cost-increasing successors, so the search
@@ -90,25 +90,28 @@ def _init_search_worker(transformations) -> None:
 
 
 def _search_chunk(payload):
-    """Chunk function: ``(circuit, delay)`` -> the search's summary."""
+    """Job function: ``(circuit, delay)`` -> the search's summary."""
     (circuit, delay), fault_token = payload
     faults.apply_chunk_fault(fault_token)
     time.sleep(delay)
     return _summary(_search(circuit, _WORKER_TRANSFORMATIONS))
 
 
-def _search_in_pool(transformations, chunks, workers=2, perf=None):
+def _search_in_pool(transformations, chunks, workers=2):
+    """Every chunk as one pool job, submitted concurrently.
+
+    Returns the results in chunk order and the pool's counters.
+    """
     with ResilientPool(
         _search_chunk,
         _init_search_worker,
         (transformations,),
         workers,
-        site="service",
         chunk_timeout=TIMEOUT,
         chunk_retries=2,
-        perf=perf,
     ) as pool:
-        return pool.run_chunks(chunks)
+        with ThreadPoolExecutor(max_workers=len(chunks)) as threads:
+            return list(threads.map(pool.run, chunks)), pool.counters()
 
 
 @pytest.fixture(autouse=True)
@@ -154,19 +157,19 @@ class TestByteIdentity:
         self, nam_transformations_small, serial_reference, workers
     ):
         chunks = [(_figure6_circuit(), 0.0)] * workers
-        pooled = _search_in_pool(nam_transformations_small, chunks, workers)
+        pooled, _ = _search_in_pool(nam_transformations_small, chunks, workers)
         assert pooled == [_summary(serial_reference)] * workers
 
     def test_shuffled_completion_order_cannot_change_the_merge(
         self, nam_transformations_small, serial_reference
     ):
-        """Chunks finishing in any order come back in chunk order.
+        """Jobs finishing in any order each return their own result.
 
-        The first chunk sleeps before it searches, so the other finishes
-        first; the pool must still return each result in its chunk's slot.
+        The first job sleeps before it searches, so the other finishes
+        first; each caller must still get its own job's result.
         """
         chunks = [(_figure6_circuit(), 0.5), (_hh_circuit(), 0.0)]
-        pooled = _search_in_pool(nam_transformations_small, chunks)
+        pooled, _ = _search_in_pool(nam_transformations_small, chunks)
         assert pooled == [
             _summary(serial_reference),
             _summary(_search(_hh_circuit(), nam_transformations_small)),
@@ -176,25 +179,23 @@ class TestByteIdentity:
         self, nam_transformations_small, serial_reference
     ):
         faults.set_fault_plan(FaultPlan.from_string("kill_worker:service"))
-        perf = PerfRecorder()
-        pooled = _search_in_pool(
-            nam_transformations_small, [(_figure6_circuit(), 0.0)] * 2, perf=perf
+        pooled, counters = _search_in_pool(
+            nam_transformations_small, [(_figure6_circuit(), 0.0)] * 2
         )
         assert pooled == [_summary(serial_reference)] * 2
-        assert perf.value("resilience.faults_injected") == 1
-        assert perf.value("resilience.pool_respawns") >= 1
+        assert counters["resilience.faults_injected"] == 1
+        assert counters["resilience.pool_respawns"] >= 1
 
     def test_identity_across_injected_chunk_failure(
         self, nam_transformations_small, serial_reference
     ):
         faults.set_fault_plan(FaultPlan.from_string("fail_chunk:service"))
-        perf = PerfRecorder()
-        pooled = _search_in_pool(
-            nam_transformations_small, [(_figure6_circuit(), 0.0)] * 2, perf=perf
+        pooled, counters = _search_in_pool(
+            nam_transformations_small, [(_figure6_circuit(), 0.0)] * 2
         )
         assert pooled == [_summary(serial_reference)] * 2
-        assert perf.value("resilience.faults_injected") == 1
-        assert perf.value("resilience.chunk_failures") == 1
+        assert counters["resilience.faults_injected"] == 1
+        assert counters["resilience.chunk_failures"] == 1
 
 
 class TestCancellation:

@@ -40,11 +40,13 @@ from repro.ir.gatesets import GateSet
 from repro.ir.qasm import to_qasm
 from repro.optimizer.strategies import STRATEGIES
 from repro.service import Job, JobManager, OptimizationHTTPServer, ServiceConfig
+from repro.service import executor as executor_module
 from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
+from repro.service.http import MAX_BODY_BYTES
 from repro.service.jobs import _content_key, _result_block
 
-#: One base config for the whole module so the warm-facade table is built
-#: once (generation at n=2/q=2 is the only slow step).
+#: One base config for the whole module so the facade's generation memo
+#: is filled once (generation at n=2/q=2 is the only slow step).
 BASE_RUN = RunConfig().with_overrides(n=2, q=2, cache_enabled=False, verify_output=True)
 
 CIRCUITS = ("tof_3", "barenco_tof_3", "mod5_4")
@@ -180,6 +182,36 @@ class TestMemoization:
             stats = service.stats()
         assert stats["service.cache.misses"] == 1
         assert stats["service.cache.hits"] == 3
+
+    def test_jobs_share_one_transformation_list(self):
+        # Each job runs its own facade; the transformation list is memoized
+        # next to its ECC set, so jobs that differ only in search budget
+        # share one list and leave no per-configuration table behind.
+        from repro.api import facade as facade_module
+
+        memo = facade_module._TRANSFORMATION_MEMO
+        qasm = to_qasm(Circuit(2).h(0).h(0))
+        with manager() as service:
+            first = service.submit(qasm, {"max_iterations": 101})
+            assert first.wait(120) and first.status == "completed"
+            size = len(memo)
+            jobs = [
+                service.submit(qasm, {"max_iterations": budget})
+                for budget in range(102, 161)
+            ]
+            for job in jobs:
+                assert job.wait(120) and job.status == "completed"
+        assert len(memo) == size
+        assert jobs[-1].report["provenance"]["generation_source"] == "memo"
+        shared = Superoptimizer(BASE_RUN).transformations()
+        for budget in (101, 160):
+            config = BASE_RUN.with_overrides(max_iterations=budget)
+            assert Superoptimizer(config).transformations() is shared
+        assert not any(
+            isinstance(value, dict)
+            and any(isinstance(item, Superoptimizer) for item in value.values())
+            for value in vars(executor_module).values()
+        )
 
 
 class TestJobKey:
@@ -558,51 +590,63 @@ class TestPoolMode:
             time.sleep(0.05)
         assert leftover() == set()
 
+    def test_short_job_finishes_while_a_long_one_runs(self):
+        # Each job is its own future on the pool: a short job submitted
+        # with a long one does not wait for it.
+        with JobManager(ServiceConfig(run_config=BASE_RUN, workers=2)) as service:
+            long_job = service.submit(qasm_for("mod5_4"), {"max_iterations": 1000})
+            short_job = service.submit(qasm_for("tof_3"))
+            assert short_job.wait(240)
+            assert not long_job.finished
+            assert long_job.wait(240)
+        assert short_job.status == long_job.status == "completed"
+        assert short_job.result == serial_result_block("tof_3")
 
-class _HeldWaves:
-    """Wrap a pool executor's wave runner; its first wave waits for release.
-
-    While the first wave is held, later submissions pile up in the
-    executor's queue, so the next wave's composition is deterministic.
-    """
-
-    def __init__(self, executor: PoolExecutor, monkeypatch: Any) -> None:
-        self.executor = executor
-        self.sizes: list = []
-        self.started = threading.Event()
-        self.release = threading.Event()
-        original = executor._run_wave
-
-        def run_wave(payloads):
-            self.sizes.append(len(payloads))
-            if len(self.sizes) == 1:
-                self.started.set()
-                assert self.release.wait(60)
-            return original(payloads)
-
-        monkeypatch.setattr(executor, "_run_wave", run_wave)
-
-    def submit(
-        self, payload: Dict[str, Any], results: list, index: int
-    ) -> threading.Thread:
-        def run() -> None:
+    def test_killed_worker_recovers_without_waiting_for_the_deadline(self):
+        # A dead worker breaks the pool at once, so its job re-dispatches
+        # long before the 60 s deadline would have expired.
+        config = ServiceConfig(
+            run_config=BASE_RUN, workers=2, chunk_timeout=60.0, chunk_retries=2
+        )
+        serial = serial_result_block("tof_3")
+        with JobManager(config) as service:
+            faults.set_fault_plan(FaultPlan.from_string("kill_worker:service"))
             try:
-                results[index] = self.executor.run(payload)
-            except Exception as error:  # noqa: BLE001 — asserted by the test
-                results[index] = error
+                start = time.monotonic()
+                job = service.submit(qasm_for("tof_3"))
+                assert job.wait(240)
+                elapsed = time.monotonic() - start
+                stats = service.stats()
+            finally:
+                faults.set_fault_plan(None)
+        assert job.status == "completed", (job.status, job.error)
+        assert elapsed < 10
+        assert json.dumps(job.result, sort_keys=True) == json.dumps(
+            serial, sort_keys=True
+        )
+        assert stats["resilience.faults_injected"] == 1
+        assert stats["resilience.pool_respawns"] >= 1
 
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        return thread
+    def test_failing_initializer_fails_the_job_fast(self, monkeypatch):
+        # An initializer that raises breaks every respawned pool at once,
+        # so the job spends its retries in well under a second each
+        # instead of waiting out the 120 s default deadline per attempt.
+        monkeypatch.setattr(
+            executor_module, "_init_service_worker", _failing_initializer
+        )
+        config = ServiceConfig(run_config=BASE_RUN, workers=2)
+        assert (config.chunk_timeout, config.chunk_retries) == (120.0, 2)
+        start = time.monotonic()
+        with JobManager(config) as service:
+            job = service.submit(qasm_for("tof_3"))
+            assert job.wait(60)
+        assert time.monotonic() - start < 10
+        assert job.status == "failed"
+        assert job.error["type"] == RetryExhausted.__name__
 
-    def wait_queued(self, count: int) -> None:
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            with self.executor._lock:
-                if len(self.executor._queue) >= count:
-                    return
-            time.sleep(0.01)
-        raise AssertionError(f"{count} jobs never queued")
+
+def _failing_initializer(base_config: RunConfig) -> None:
+    raise KeyError("pre-warm failed")
 
 
 def _pool_payload(name: str) -> Dict[str, Any]:
@@ -617,80 +661,7 @@ def pool_executor():
 
 
 class TestPoolExecutor:
-    """The wave-dispatching front of the service's one pool."""
-
-    def test_concurrent_jobs_ride_one_wave(self, pool_executor, monkeypatch):
-        held = _HeldWaves(pool_executor, monkeypatch)
-        results: list = [None] * 3
-        threads = [held.submit(_pool_payload("tof_3"), results, 0)]
-        assert held.started.wait(60)
-        threads += [
-            held.submit(_pool_payload(name), results, index)
-            for index, name in ((1, "barenco_tof_3"), (2, "mod5_4"))
-        ]
-        held.wait_queued(2)
-        held.release.set()
-        for thread in threads:
-            thread.join(240)
-        assert held.sizes == [1, 2]
-        for result, name in zip(results, ("tof_3", "barenco_tof_3", "mod5_4")):
-            assert _result_block(result) == serial_result_block(name)
-
-    def test_waves_are_capped_at_the_worker_count(self, pool_executor, monkeypatch):
-        held = _HeldWaves(pool_executor, monkeypatch)
-        results: list = [None] * 4
-        threads = [held.submit(_pool_payload("tof_3"), results, 0)]
-        assert held.started.wait(60)
-        threads += [
-            held.submit(_pool_payload("tof_3"), results, index)
-            for index in (1, 2, 3)
-        ]
-        held.wait_queued(3)
-        held.release.set()
-        for thread in threads:
-            thread.join(240)
-        assert held.sizes == [1, 2, 1]
-        blocks = [_result_block(result) for result in results]
-        assert blocks == [serial_result_block("tof_3")] * 4
-
-    def test_pool_failure_fails_every_job_of_the_wave(
-        self, pool_executor, monkeypatch
-    ):
-        held = _HeldWaves(pool_executor, monkeypatch)
-        results: list = [None] * 3
-        threads = [held.submit(_pool_payload("tof_3"), results, 0)]
-        assert held.started.wait(60)
-        threads += [
-            held.submit(_pool_payload("tof_3"), results, index) for index in (1, 2)
-        ]
-        held.wait_queued(2)
-        failure = RetryExhausted("every worker died")
-
-        def exhausted(chunks):
-            raise failure
-
-        # The held first wave is already inside run_wave; only the second
-        # wave (both queued jobs) dispatches to the failing pool.
-        original = pool_executor._pool.run_chunks
-        calls: list = []
-
-        def first_clean_then_exhausted(chunks):
-            calls.append(len(chunks))
-            return original(chunks) if len(calls) == 1 else exhausted(chunks)
-
-        monkeypatch.setattr(
-            pool_executor._pool, "run_chunks", first_clean_then_exhausted
-        )
-        held.release.set()
-        for thread in threads:
-            thread.join(240)
-        assert _result_block(results[0]) == serial_result_block("tof_3")
-        assert results[1] is failure and results[2] is failure
-        # The dispatch thread survived: a later job still runs.
-        monkeypatch.setattr(pool_executor._pool, "run_chunks", original)
-        assert _result_block(pool_executor.run(_pool_payload("tof_3"))) == (
-            serial_result_block("tof_3")
-        )
+    """The front of the service's one pool."""
 
     def test_counters_start_empty_and_stay_empty_without_faults(
         self, pool_executor
@@ -779,6 +750,19 @@ class _ServerThread:
             return response.status, headers, payload
         finally:
             conn.close()
+
+
+def _post_declaring_length(port: int, length: str) -> Tuple[int, Dict[str, Any]]:
+    """POST ``/v1/optimize`` with ``Content-Length: <length>`` and no body."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.putrequest("POST", "/v1/optimize")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -879,7 +863,7 @@ class TestHTTPServer:
 
     def test_pooled_stats_report_recovery_over_http(self):
         # The pool's resilience.* counters reach /v1/stats, which the
-        # server reads on its own thread while the dispatch thread writes.
+        # server reads on its own thread while executor threads write.
         config = ServiceConfig(
             port=0, run_config=BASE_RUN, workers=2, chunk_timeout=60.0, chunk_retries=2
         )
@@ -903,6 +887,21 @@ class TestHTTPServer:
         assert stats["resilience.faults_injected"] == 1
         assert stats["resilience.chunk_failures"] == 1
         assert stats["resilience.chunk_retries"] == 1
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_http_400(self, http_server, length):
+        status, payload = _post_declaring_length(http_server.port, length)
+        assert status == 400
+        assert payload["error"] == "InvalidRequest"
+        # The server is still serving.
+        assert http_server.request("GET", "/v1/healthz")[0] == 200
+
+    def test_oversized_body_is_http_413(self, http_server):
+        status, payload = _post_declaring_length(
+            http_server.port, str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert payload == {"error": "InvalidRequest", "detail": "body too large"}
 
     def test_event_stream_ends_with_terminal_status(self, http_server):
         _, _, submitted = http_server.request(

@@ -17,6 +17,8 @@ that a full pairwise sweep over the resulting class representatives finds
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.api import GenerationConfig, RunConfig, Superoptimizer
@@ -24,7 +26,6 @@ from repro.generator import RepGen
 from repro.ir.circuit import Circuit
 from repro.ir.gatesets import NAM, GateSet
 from repro.semantics.fingerprint import FingerprintContext
-from repro.perf import PerfRecorder
 from repro.service.executor import PoolExecutor
 from repro.verifier import EquivalenceVerifier, VerifierStats
 from repro.workerpool import ResilientPool
@@ -63,10 +64,12 @@ def _verify_and_fingerprint_chunk(payload):
 
 
 def _run_in_pool(chunk_fn, chunks, workers=2):
+    """Every chunk as one pool job, submitted concurrently, in chunk order."""
     with ResilientPool(
-        chunk_fn, _noop_init, (), workers, site="service", chunk_timeout=TIMEOUT
+        chunk_fn, _noop_init, (), workers, chunk_timeout=TIMEOUT
     ) as pool:
-        return pool.run_chunks(chunks)
+        with ThreadPoolExecutor(max_workers=workers) as threads:
+            return list(threads.map(pool.run, chunks))
 
 
 def _split(items, parts):
@@ -237,12 +240,9 @@ class TestPoolDirectly:
         assert [counters["checks"] for _, counters in results] == [1, 1, 1]
 
     def test_empty_batch(self):
-        perf = PerfRecorder()
-        with ResilientPool(
-            _verify_chunk, _noop_init, (), 2, site="service", perf=perf
-        ) as pool:
-            assert pool.run_chunks([]) == []
-        assert perf.snapshot() == {}
+        # A pool that is started and closed without a job records nothing.
+        with ResilientPool(_verify_chunk, _noop_init, (), 2) as pool:
+            assert pool.counters() == {}
 
     def test_single_worker_pool_rejected(self):
         # The service never builds a one-worker pool: below 2 workers it
