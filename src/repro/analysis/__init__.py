@@ -1,8 +1,8 @@
 """``repro.analysis`` — the determinism-invariant linter (*reprolint*).
 
 Static enforcement of the invariants this reproduction's test suite can
-only sample at runtime: byte-identical canonical output regardless of
-batching, resume or retries, centralized ``REPRO_*`` parsing, the typed
+only sample at runtime: byte-identical canonical output across
+processes, reruns and retries, centralized ``REPRO_*`` parsing, the typed
 error taxonomy, picklable worker specs, and fork-pool-safe module state.
 
 Run it::

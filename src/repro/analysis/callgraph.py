@@ -15,6 +15,12 @@ does and deliberately over-approximates the rest:
   reachability errs toward inclusion — a missed wall-clock read in a worker
   is worse than an extra line to annotate).
 
+The closure never enters a method of the pool class itself: those run in
+the process that holds the pool, and its workers run only the functions
+handed to it.  Without that cut, any ``obj.run()`` in worker code would
+reach ``ResilientPool.run`` and, through its ``executor.submit()``, the
+service's own ``JobManager.submit``.
+
 Builtins and third-party modules are simply absent from the index, so
 ``.append()`` / ``np.reshape()`` resolve to nothing and cost nothing.
 """
@@ -145,7 +151,7 @@ def _attribute_targets(
 def reachable_from(
     project: ProjectIndex, entries: Iterable[Tuple[str, str]]
 ) -> Set[Tuple[str, str]]:
-    """BFS closure of :func:`call_targets` over the project index."""
+    """BFS closure of :func:`call_targets`, not entering :data:`POOL_CLASS`."""
     seen: Set[Tuple[str, str]] = set()
     frontier = [key for key in entries if key in project.functions]
     seen.update(frontier)
@@ -154,8 +160,11 @@ def reachable_from(
         for key in frontier:
             record = project.functions[key]
             for target in call_targets(record, project):
-                if target not in seen and target in project.functions:
-                    seen.add(target)
-                    next_frontier.append(target)
+                if target in seen or target not in project.functions:
+                    continue
+                if project.functions[target].class_name == POOL_CLASS:
+                    continue
+                seen.add(target)
+                next_frontier.append(target)
         frontier = next_frontier
     return seen

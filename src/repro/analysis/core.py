@@ -1,7 +1,7 @@
 """Core machinery of the determinism-invariant linter (``reprolint``).
 
 The guarantees this reproduction ships — byte-identical ``ECCSet.to_json``
-across fresh and resumed runs, every ``REPRO_*`` knob parsed in
+across processes and reruns, every ``REPRO_*`` knob parsed in
 one place, a typed error taxonomy where only ``PoolError`` is retried —
 are *properties of the source code*, yet until this package they
 were enforced only by runtime tests that sample a handful of

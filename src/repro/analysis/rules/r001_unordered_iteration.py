@@ -1,7 +1,7 @@
 """R001 ``unordered-iteration`` — sets must not feed ordered output.
 
 The repo's headline guarantee is byte-identical ``ECCSet.to_json`` across
-fresh and resumed runs.  Everything between a gate set
+processes and reruns.  Everything between a gate set
 and that JSON — circuit construction, fingerprint bucketing, ECC inserts,
 canonical serialization — is therefore order-sensitive code, and iterating
 a ``set`` (or ``frozenset``) inside it is a latent nondeterminism bug:

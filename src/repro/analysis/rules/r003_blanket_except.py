@@ -46,7 +46,6 @@ _TAXONOMY_NAMES = {
     "WorkerCrash",
     "RetryExhausted",
     "CacheCorruption",
-    "CheckpointError",
     "FaultConfigError",
     "FaultInjected",
 }

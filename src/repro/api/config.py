@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Optional, Union
 
-from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume_optional
+from repro.envconfig import env_cache_dir, env_cache_enabled
 from repro.generator.repgen import DEFAULT_SEED
 from repro.ir.gatesets import GateSet
 from repro.optimizer.strategies import STRATEGIES, BacktrackingStrategy, BeamStrategy
@@ -46,7 +46,7 @@ from repro.optimizer.strategies import STRATEGIES, BacktrackingStrategy, BeamStr
 
 #: The fields that define a run's output: two configs that agree on them
 #: return the same circuits.  Every other field is deployment (cache
-#: location, resume, verbosity, the serial-only compatibility fields).
+#: location, verbosity, the compatibility fields that accept one value).
 OUTPUT_FIELDS: FrozenSet[str] = frozenset(
     {
         "gate_set",
@@ -91,7 +91,9 @@ class GenerationConfig:
     "resolve from the environment at run time" (the behaviour every
     pre-facade entry point had); :meth:`RunConfig.from_env` snapshots them
     into concrete values instead.  ``workers`` and ``verify_workers``
-    accept only ``None`` or ``1``: generation runs serially.
+    accept only ``None`` or ``1``: generation runs serially.  ``resume``
+    accepts only ``None`` or ``False``: generation keeps no round
+    checkpoints, and a killed run reruns to the same bytes.
     """
 
     n: int = 3
@@ -102,8 +104,6 @@ class GenerationConfig:
     verify_workers: Optional[int] = None
     cache_dir: Optional[str] = None
     cache_enabled: Optional[bool] = None
-    #: Round-granular checkpointing + crash resume through the persistent
-    #: cache (None: read ``REPRO_RESUME`` at run time; default off).
     resume: Optional[bool] = None
     prune: bool = True
     verbose: bool = False
@@ -111,6 +111,11 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         _check_serial("GenerationConfig", "workers", self.workers)
         _check_serial("GenerationConfig", "verify_workers", self.verify_workers)
+        if self.resume is not None and self.resume is not False:
+            raise ValueError(
+                f"GenerationConfig.resume={self.resume!r}: generation keeps "
+                "no checkpoints to resume from; only None or False is accepted"
+            )
 
 
 @dataclass(frozen=True)
@@ -200,15 +205,13 @@ class RunConfig:
         """Snapshot the run's ``REPRO_*`` knobs into a concrete config.
 
         This is the single environment-reading path of the public API:
-        ``REPRO_CACHE_DIR``, ``REPRO_CACHE_DISABLE`` (only truthy values
-        disable) and ``REPRO_RESUME`` (crash-safe checkpointing).
-        ``overrides`` win over the environment.
+        ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_DISABLE`` (only truthy values
+        disable).  ``overrides`` win over the environment.
         """
         config = cls(
             generation=GenerationConfig(
                 cache_dir=env_cache_dir(),
                 cache_enabled=env_cache_enabled(),
-                resume=env_resume_optional(),
             ),
         )
         return config.with_overrides(**overrides) if overrides else config

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.api.config import GenerationConfig, RunConfig
-from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume
+from repro.envconfig import env_cache_dir, env_cache_enabled
 from repro.generator.cache import CacheKey, ECCCache, cache_key
 from repro.generator.ecc import ECCSet
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
@@ -128,7 +128,6 @@ def run_generation(
         num_qubits=generation.q,
         num_params=generation.num_params,
         seed=generation.seed,
-        resume=generation.resume,
     )
     disk_cache = ECCCache(
         generation.cache_dir,
@@ -542,17 +541,6 @@ class Superoptimizer:
                 or (outcome.stats is not None
                     and outcome.stats.perf.get("cache.warm_hit"))
             ),
-            # Resume as resolved for this run, plus every resilience.*
-            # counter the run recorded (empty when nothing happened):
-            # checkpoint writes, resumes, resumed rounds, ...
-            "resume": (
-                generation.resume if generation.resume is not None else env_resume()
-            ),
-            "resilience": {
-                key[len("resilience.") :]: value
-                for key, value in merged.snapshot().items()
-                if key.startswith("resilience.")
-            },
         }
 
         return RunReport(

@@ -11,13 +11,10 @@ the semantics of a knob cannot drift between call sites:
 * ``REPRO_CHUNK_TIMEOUT`` — per-job deadline (seconds, float) of the
   service worker pool; ``0`` (or any non-positive value) disables the
   deadline, invalid values warn and use the default;
-* ``REPRO_CHUNK_RETRIES`` — how many times a failed or timed-out service
-  job is retried (in pool mode with a pool respawn when a worker died or
-  wedged) before it fails; invalid/negative values warn and use the
-  default;
-* ``REPRO_RESUME``        — boolean flag (default off): write round-granular
-  RepGen checkpoints through the persistent cache and resume from the last
-  completed round after a crash;
+* ``REPRO_CHUNK_RETRIES`` — how many times a job that failed or timed
+  out in the service worker pool is retried (with a pool respawn when a
+  worker died or wedged) before it fails; invalid/negative values warn
+  and use the default;
 * ``REPRO_FAULTS``        — deterministic fault-injection plan for
   resilience testing (parsed by :mod:`repro.faults`; malformed plans
   raise, they never fail silent);
@@ -40,17 +37,17 @@ the semantics of a knob cannot drift between call sites:
 Each knob has one reader above this module:
 
 * :meth:`repro.api.RunConfig.from_env` snapshots the run knobs
-  (``REPRO_CACHE_*``, ``REPRO_RESUME``);
+  (``REPRO_CACHE_*``);
 * :meth:`repro.service.ServiceConfig.from_env` snapshots the serving
   knobs (``REPRO_SERVICE_*``, ``REPRO_CHUNK_*``);
 * :func:`repro.experiments.config.active_config` reads ``REPRO_SCALE``;
 * :mod:`repro.faults` reads ``REPRO_FAULTS`` and the micro-benchmark
   harness the ``REPRO_MICROBENCH*`` knobs.
 
-A config field left ``None`` (``cache_dir``, ``cache_enabled``,
-``resume``) is resolved through the same accessors at run time, which is
-why :mod:`repro.generator` imports this low-level module rather than the
-API package (which imports it).
+A config field left ``None`` (``cache_dir``, ``cache_enabled``) is
+resolved through the same accessors at run time, which is why
+:mod:`repro.generator` imports this low-level module rather than the API
+package (which imports it).
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV_VAR = "REPRO_CACHE_DISABLE"
 CHUNK_TIMEOUT_ENV_VAR = "REPRO_CHUNK_TIMEOUT"
 CHUNK_RETRIES_ENV_VAR = "REPRO_CHUNK_RETRIES"
-RESUME_ENV_VAR = "REPRO_RESUME"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 SCALE_ENV_VAR = "REPRO_SCALE"
 MICROBENCH_ENV_VAR = "REPRO_MICROBENCH"
@@ -112,14 +108,6 @@ def parse_bool(raw: str, *, default: bool = False, name: str = "") -> bool:
         stacklevel=2,
     )
     return default
-
-
-def env_flag(name: str, *, default: bool = False) -> bool:
-    """Read a boolean environment flag (absent means the default)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return parse_bool(raw, default=default, name=name)
 
 
 def parse_workers(raw: str, *, source: str = SERVICE_WORKERS_ENV_VAR) -> int:
@@ -219,19 +207,6 @@ def env_chunk_retries(*, default: int = DEFAULT_CHUNK_RETRIES) -> int:
     if raw is None:
         return default
     return parse_chunk_retries(raw, default=default)
-
-
-def env_resume(*, default: bool = False) -> bool:
-    """Whether crash-safe RepGen checkpointing/resume is on (``REPRO_RESUME``)."""
-    return env_flag(RESUME_ENV_VAR, default=default)
-
-
-def env_resume_optional() -> Optional[bool]:
-    """Resume flag from the environment, or None when the knob is unset."""
-    raw = os.environ.get(RESUME_ENV_VAR)
-    if raw is None:
-        return None
-    return parse_bool(raw, default=False, name=RESUME_ENV_VAR)
 
 
 def env_faults(*, default: str = "") -> str:

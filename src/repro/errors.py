@@ -29,19 +29,15 @@ recover from a name, so recovery sites catch exactly what they handle:
     mismatch, undecodable JSON).  Internal to :mod:`repro.generator.cache`
     — the public cache contract is still "a read never raises".
 
-``CheckpointError``
-    A RepGen resume checkpoint exists but cannot be used (wrong scale,
-    undeserializable state).  Resume falls back to a fresh run.
-
 ``FaultConfigError``
     A ``REPRO_FAULTS`` spec does not parse.  Deliberately *not* swallowed:
     a typo'd fault plan that silently never fires would make a chaos test
     vacuous.
 
 ``FaultInjected``
-    Raised by an injected fault (``fail_chunk`` inside a worker,
-    ``crash_run`` in the parent).  Test-only by construction — it can only
-    appear when ``REPRO_FAULTS`` is set.
+    Raised by an injected ``fail_chunk`` fault inside a service pool
+    worker.  Test-only by construction — it can only appear when
+    ``REPRO_FAULTS`` is set.
 
 ``ServiceError``
     A request-level failure of the optimization service
@@ -71,7 +67,6 @@ __all__ = [
     "WorkerCrash",
     "RetryExhausted",
     "CacheCorruption",
-    "CheckpointError",
     "FaultConfigError",
     "FaultInjected",
     "ServiceError",
@@ -104,10 +99,6 @@ class RetryExhausted(PoolError):
 
 class CacheCorruption(ReproError):
     """A persistent-cache blob failed checksum/schema/key validation."""
-
-
-class CheckpointError(ReproError):
-    """A resume checkpoint exists but is unusable for this run."""
 
 
 class FaultConfigError(ReproError):

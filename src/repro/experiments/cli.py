@@ -12,9 +12,7 @@ Shared flags:
 
 * ``--cache-dir DIR``— persistent ECC cache location (default
   ``REPRO_CACHE_DIR`` or ``.repro_cache/``);
-* ``--no-cache``     — neither read nor write the persistent cache;
-* ``--resume``       — checkpoint RepGen after every round and resume a
-  killed run from the last completed one (needs the persistent cache).
+* ``--no-cache``     — neither read nor write the persistent cache.
 
 ``generate``, ``generator-metrics`` and ``optimize`` each build one
 :class:`~repro.api.RunConfig` — :meth:`~repro.api.RunConfig.from_env` with
@@ -56,14 +54,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="neither read nor write the persistent .repro_cache/ store",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "checkpoint RepGen after every round through the persistent "
-            "cache and resume a killed run at the last completed round"
-        ),
-    )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
@@ -74,8 +64,6 @@ def _run_config(args: argparse.Namespace, **overrides: Any) -> RunConfig:
         flags["cache_dir"] = args.cache_dir
     if args.no_cache:
         flags["cache_enabled"] = False
-    if args.resume:
-        flags["resume"] = True
     return RunConfig.from_env().with_overrides(**flags, **overrides)
 
 

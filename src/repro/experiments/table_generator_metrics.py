@@ -52,8 +52,8 @@ def run_generator_metrics(
 ) -> List[GeneratorMetricsRow]:
     """Generate ECC sets for each (n, q) and collect the Table 5/8 metrics.
 
-    ``generation`` carries every other generation knob (cache, resume,
-    seed, ...); each row replaces only its n and q.
+    ``generation`` carries every other generation knob (cache, seed,
+    ...); each row replaces only its n and q.
     """
     generation = generation or GenerationConfig()
     gate_set = get_gate_set(gate_set_name)

@@ -1,17 +1,16 @@
 """Deterministic fault injection for resilience testing (``REPRO_FAULTS``).
 
-The failure paths of the service's worker pool, the persistent cache and
-the generator's crash-resume need the same test rigor the fast paths have —
-which requires failures that are *reproducible*.  This module turns a
-declarative plan into deterministic fault firings at named injection
-points threaded through :mod:`repro.workerpool`,
-:mod:`repro.generator.cache` and :mod:`repro.generator.repgen`.
+The failure paths of the service's worker pool and the persistent cache
+need the same test rigor the fast paths have — which requires failures
+that are *reproducible*.  This module turns a declarative plan into
+deterministic fault firings at named injection points threaded through
+:mod:`repro.workerpool` and :mod:`repro.generator.cache`.
 
 Plan grammar (``REPRO_FAULTS``, comma-separated entries)::
 
     action:site[:when]
 
-    REPRO_FAULTS=kill_worker:service,torn_read:cache,crash_run:gen:round2
+    REPRO_FAULTS=kill_worker:service,torn_read:cache:2
 
 Actions and the sites that execute them:
 
@@ -31,11 +30,6 @@ action                    sites    effect when fired
 ``torn_read``             cache    one read attempt sees truncated text
                                    (transient partial read: the immediate
                                    re-read succeeds)
-``crash_run``             gen      ``FaultInjected`` is raised in the parent
-                                   after the round completes (and after its
-                                   checkpoint, when checkpointing is on) —
-                                   a reproducible mid-run crash for testing
-                                   ``--resume``
 ========================  =======  ============================================
 
 ``when`` selects the firing occasion, per spec entry:
@@ -43,9 +37,6 @@ action                    sites    effect when fired
 * ``once`` (the default) — the first time the entry's injection point is
   consulted;
 * a plain integer ``N`` — the N-th consultation (1-based);
-* ``roundN`` — the first consultation that happens during RepGen round N
-  (round boundaries pass the round index; the service pool passes none,
-  so ``roundN`` never fires a chunk action);
 * ``*`` / ``always`` — every consultation.
 
 Every entry fires independently and at most one action is returned per
@@ -98,10 +89,9 @@ _ACTION_SITES = {
     "fail_chunk": {"service"},
     "corrupt_blob": {"cache"},
     "torn_read": {"cache"},
-    "crash_run": {"gen"},
 }
 
-_SITES = {"gen", "cache", "service"}
+_SITES = {"cache", "service"}
 
 
 @dataclass
@@ -110,7 +100,7 @@ class FaultSpec:
 
     action: str
     site: str
-    when_kind: str  # "nth" | "round" | "always"
+    when_kind: str  # "nth" | "always"
     when_value: int = 1
     hits: int = field(default=0, compare=False)
     consumed: bool = field(default=False, compare=False)
@@ -144,44 +134,27 @@ class FaultSpec:
             return cls(action, site, "always")
         if when == "once":
             return cls(action, site, "nth", 1)
-        if when.startswith("round"):
-            try:
-                round_index = int(when[len("round"):])
-            except ValueError:
-                raise FaultConfigError(
-                    f"malformed round trigger {when!r} in {entry!r}"
-                ) from None
-            if round_index < 1:
-                raise FaultConfigError(f"round trigger must be >= 1 in {entry!r}")
-            return cls(action, site, "round", round_index)
         try:
             nth = int(when)
         except ValueError:
             raise FaultConfigError(
                 f"malformed trigger {when!r} in {entry!r} "
-                "(expected once, always, *, roundN or an integer)"
+                "(expected once, always, * or an integer)"
             ) from None
         if nth < 1:
             raise FaultConfigError(f"trigger index must be >= 1 in {entry!r}")
         return cls(action, site, "nth", nth)
 
-    def matches(self, round_index: Optional[int]) -> bool:
+    def matches(self) -> bool:
         """Whether this consultation triggers the spec (after a hit bump)."""
         if self.consumed:
             return False
         if self.when_kind == "always":
             return True
-        if self.when_kind == "round":
-            return round_index is not None and round_index == self.when_value
         return self.hits == self.when_value  # "nth"
 
     def spec_string(self) -> str:
-        if self.when_kind == "always":
-            when = "*"
-        elif self.when_kind == "round":
-            when = f"round{self.when_value}"
-        else:
-            when = str(self.when_value)
+        when = "*" if self.when_kind == "always" else str(self.when_value)
         return f"{self.action}:{self.site}:{when}"
 
 
@@ -211,18 +184,13 @@ class FaultPlan:
             spec.hits = 0
             spec.consumed = False
 
-    def fire(
-        self,
-        site: str,
-        actions: Sequence[str],
-        *,
-        round_index: Optional[int] = None,
-    ) -> Optional[str]:
+    def fire(self, site: str, actions: Sequence[str]) -> Optional[str]:
         """Consult the plan at an injection point; returns an action or None.
 
         ``actions`` is the set of actions the call site knows how to
         execute; only matching specs are consulted (and counted), so e.g.
-        a ``crash_run:gen`` entry is not burned by a chunk dispatch.
+        a ``torn_read:cache`` entry is not burned by the ``corrupt_blob``
+        consultation that precedes every read.
         At most one action fires per consultation — the first armed spec
         in declaration order wins; the others keep their state.
         """
@@ -231,7 +199,7 @@ class FaultPlan:
             if spec.site != site or spec.action not in actions:
                 continue
             spec.hits += 1
-            if fired is None and spec.matches(round_index):
+            if fired is None and spec.matches():
                 if spec.when_kind != "always":
                     spec.consumed = True
                 fired = spec.action
@@ -277,14 +245,12 @@ def reset_fault_plan() -> None:
     _PLAN_LOADED = False
 
 
-def fire(
-    site: str, actions: Sequence[str], *, round_index: Optional[int] = None
-) -> Optional[str]:
+def fire(site: str, actions: Sequence[str]) -> Optional[str]:
     """Consult the active plan; the no-plan fast path is two attribute reads."""
     plan = active_plan()
     if plan is None:
         return None
-    return plan.fire(site, actions, round_index=round_index)
+    return plan.fire(site, actions)
 
 
 # -- worker-side execution ----------------------------------------------------

@@ -73,8 +73,7 @@ SCHEMA_VERSION = 2
 class CacheKey:
     """The identity of one cached generation artifact."""
 
-    #: "repgen" (full generator result), "repgen-ckpt" (a run's resume
-    #: state) or "pruned" (pruned ECC set).
+    #: "repgen" (full generator result) or "pruned" (pruned ECC set).
     kind: str
     gate_set: str
     gates: tuple
@@ -274,23 +273,6 @@ class ECCCache:
             return None
         self.perf.count("cache.stores")
         return path
-
-    def delete(self, key: CacheKey) -> None:
-        """Remove a blob if present; never raises (used for spent checkpoints)."""
-        if not self.enabled:
-            return
-        try:
-            self.path_for(key).unlink()
-        except FileNotFoundError:
-            return
-        except OSError as error:
-            warnings.warn(
-                f"could not delete cache blob {self.path_for(key)} ({error})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return
-        self.perf.count("cache.deletes")
 
     # -- typed layers --------------------------------------------------------
 

@@ -20,8 +20,9 @@ from repro.ir.params import Angle
 # -- payload helpers ---------------------------------------------------------
 #
 # The JSON-friendly payload form of angles, instructions and circuits is
-# shared by ECCSet serialization, the persistent .repro_cache/ store and the
-# RepGen resume checkpoints, so it lives here as module functions.
+# shared by ECCSet serialization and the persistent .repro_cache/ store
+# (which also stores a run's representatives), so it lives here as module
+# functions.
 # Fractions are rendered as strings ("-3/4"), which round-trips exactly.
 
 

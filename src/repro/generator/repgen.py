@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro import faults
-from repro.envconfig import env_resume
-from repro.errors import CheckpointError, FaultInjected
 from repro.generator.cache import CacheKey, ECCCache, cache_key
-from repro.generator.ecc import ECC, ECCSet, circuit_from_payload, circuit_to_payload
+from repro.generator.ecc import ECC, ECCSet
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gates import Gate
 from repro.ir.gatesets import GateSet
@@ -95,12 +91,6 @@ class RepGen:
         seed: seed for the fingerprint context's random inputs.  The
             default verifier is built with the same seed, so it shares the
             generator's context (and its cached evolved states).
-        resume: write a round-granular checkpoint through the persistent
-            cache after every completed round and resume a killed run from
-            the last completed one (None reads ``REPRO_RESUME``, default
-            off).  Effective only when :meth:`generate` gets an enabled
-            cache; a resumed run's final ECC JSON is byte-identical to an
-            uninterrupted one's.
     """
 
     def __init__(
@@ -110,12 +100,10 @@ class RepGen:
         num_params: Optional[int] = None,
         verifier: Optional[EquivalenceVerifier] = None,
         seed: int = DEFAULT_SEED,
-        resume: Optional[bool] = None,
     ) -> None:
         self.gate_set = gate_set
         self.num_qubits = num_qubits
         self.seed = seed
-        self.resume = env_resume() if resume is None else bool(resume)
         self.num_params = gate_set.num_params if num_params is None else num_params
         self.sigma = ParamSpec(self.num_params)
         self.perf = PerfRecorder()
@@ -187,10 +175,6 @@ class RepGen:
         With a ``cache``, a warm hit for this exact configuration (gate
         set, n, q, m, seed — plus the serialization schema version) skips
         generation entirely and a completed run is stored for the next one.
-        With ``resume`` on as well, every completed round checkpoints
-        through the cache (``repgen-ckpt`` kind) and a killed run
-        picks up at the last completed round; the checkpoint is deleted
-        once the run finishes.
         """
         key: Optional[CacheKey] = None
         if cache is not None:
@@ -201,12 +185,9 @@ class RepGen:
                 return cached
             self.perf.count("repgen.cache.misses")
 
-        result = self._generate_uncached(max_gates, verbose, cache=cache)
+        result = self._generate_uncached(max_gates, verbose)
         if cache is not None and key is not None:
             cache.store_generator_result(key, result)
-            if self.resume:
-                # The run completed; its checkpoint is spent.
-                cache.delete(self._checkpoint_key(max_gates))
         return result
 
     def _cache_key(self, max_gates: int) -> CacheKey:
@@ -219,155 +200,17 @@ class RepGen:
             self.seed,
         )
 
-    def _checkpoint_key(self, max_gates: int) -> CacheKey:
-        """The ``repgen-ckpt`` key for this configuration's resume state.
-
-        Same identity fields as the result key — only the kind
-        differs — so a checkpoint can never be confused with a finished
-        result, and a different seed or scale can never resume from it.
-        """
-        return cache_key(
-            "repgen-ckpt",
-            self.gate_set,
-            max_gates,
-            self.num_qubits,
-            self.num_params,
-            self.seed,
-        )
-
-    def _store_checkpoint(
-        self,
-        cache: ECCCache,
-        key: CacheKey,
-        completed_round: int,
-        max_gates: int,
-        eccs: List[ECC],
-        ecc_buckets: Dict[int, List[int]],
-        stats: GeneratorStats,
-    ) -> None:
-        """Persist the loop state a resume needs, atomically, after a round.
-
-        The class list (with every member in insertion order — member order
-        is what ``ECC.representative`` and the verdict anchors depend on)
-        and the fingerprint bucket index are the whole loop state;
-        representatives are recomputed from the classes on restore exactly
-        as the round loop recomputes them.  Goes through the cache's
-        checksummed atomic-write machinery, so a crash *during* a
-        checkpoint write leaves the previous checkpoint intact.
-        """
-        body = {
-            "completed_round": completed_round,
-            "max_gates": max_gates,
-            "eccs": [
-                [circuit_to_payload(circuit) for circuit in ecc.circuits]
-                for ecc in eccs
-            ],
-            "buckets": [
-                [bucket, list(indices)] for bucket, indices in ecc_buckets.items()
-            ],
-            "stats": {
-                "circuits_considered": stats.circuits_considered,
-                "rounds": list(stats.rounds),
-            },
-        }
-        if cache.store(key, body) is not None:
-            self.perf.count("resilience.checkpoint_writes")
-
-    def _restore_checkpoint(
-        self,
-        cache: ECCCache,
-        key: CacheKey,
-        max_gates: int,
-        stats: GeneratorStats,
-    ) -> Optional[Tuple[int, List[ECC], Dict[int, List[int]]]]:
-        """Load resume state; returns (start round, classes, buckets) or None.
-
-        An unusable checkpoint (wrong scale, undeserializable) is dropped
-        with a warning and the run restarts from round 1 — resume is an
-        optimization and must never change whether generation succeeds.
-        """
-        body = cache.load(key)
-        if body is None:
-            return None
-        try:
-            if int(body["max_gates"]) != max_gates:
-                raise CheckpointError(
-                    f"checkpoint is for n={body['max_gates']}, not n={max_gates}"
-                )
-            completed_round = int(body["completed_round"])
-            if not 1 <= completed_round <= max_gates:
-                raise CheckpointError(
-                    f"checkpoint round {completed_round} out of range"
-                )
-            eccs = [
-                ECC(
-                    [
-                        circuit_from_payload(payload, num_params=self.num_params)
-                        for payload in circuits
-                    ]
-                )
-                for circuits in body["eccs"]
-            ]
-            if not eccs:
-                raise CheckpointError("checkpoint has no classes")
-            ecc_buckets: Dict[int, List[int]] = {
-                int(bucket): [int(index) for index in indices]
-                for bucket, indices in body["buckets"]
-            }
-            circuits_considered = int(body["stats"]["circuits_considered"])
-            rounds = list(body["stats"]["rounds"])
-        except Exception as error:  # noqa: BLE001 — resume must never break a run
-            warnings.warn(
-                f"ignoring unusable resume checkpoint ({error}); "
-                "restarting from round 1",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("resilience.checkpoint_rejects")
-            return None
-        stats.circuits_considered = circuits_considered
-        stats.rounds = rounds
-        self.perf.count("resilience.resumes")
-        self.perf.count("resilience.resumed_rounds", completed_round)
-        return completed_round + 1, eccs, ecc_buckets
-
-    def _generate_uncached(
-        self,
-        max_gates: int,
-        verbose: bool,
-        *,
-        cache: Optional[ECCCache] = None,
-    ) -> GeneratorResult:
+    def _generate_uncached(self, max_gates: int, verbose: bool) -> GeneratorResult:
         start_time = time.perf_counter()
         stats = GeneratorStats()
 
         empty = Circuit(self.num_qubits, num_params=self.num_params)
         eccs: List[ECC] = [ECC([empty])]
         ecc_buckets: Dict[int, List[int]] = {}
-        start_round = 1
-        ckpt_key: Optional[CacheKey] = None
-        if cache is not None and cache.enabled and self.resume:
-            ckpt_key = self._checkpoint_key(max_gates)
-            restored = self._restore_checkpoint(cache, ckpt_key, max_gates, stats)
-            if restored is not None:
-                start_round, eccs, ecc_buckets = restored
-                if verbose:
-                    print(f"[repgen] resuming at round {start_round}")
+        self._register_bucket(ecc_buckets, self.fingerprints.hash_key(empty), 0)
+        rep_keys, reps_by_size = self._representatives(eccs)
 
-        if start_round == 1:
-            self._register_bucket(ecc_buckets, self.fingerprints.hash_key(empty), 0)
-
-        # Representatives are recomputed from the classes at the end of
-        # every round; seeding them here (from the restored classes when
-        # resuming) keeps the round loop itself oblivious to resume.
-        rep_keys: Set[tuple] = set()
-        reps_by_size: Dict[int, List[Circuit]] = {}
-        for ecc in eccs:
-            representative = ecc.representative
-            rep_keys.add(representative.sequence_key())
-            reps_by_size.setdefault(len(representative), []).append(representative)
-
-        for round_index in range(start_round, max_gates + 1):
+        for round_index in range(1, max_gates + 1):
             round_start = time.perf_counter()
             parents = reps_by_size.get(round_index - 1, [])
 
@@ -408,15 +251,7 @@ class RepGen:
                         parent.appended(inst), hash_key, eccs, ecc_buckets
                     )
 
-            # Recompute representatives: the minimum of every class.
-            rep_keys = set()
-            reps_by_size = {}
-            for ecc in eccs:
-                representative = ecc.representative
-                rep_keys.add(representative.sequence_key())
-                reps_by_size.setdefault(len(representative), []).append(
-                    representative
-                )
+            rep_keys, reps_by_size = self._representatives(eccs)
 
             stats.rounds.append(
                 {
@@ -430,18 +265,6 @@ class RepGen:
                 print(
                     f"[repgen] round {round_index}: considered "
                     f"{considered_this_round}, classes {len(eccs)}"
-                )
-            if ckpt_key is not None:
-                self._store_checkpoint(
-                    cache, ckpt_key, round_index, max_gates, eccs,
-                    ecc_buckets, stats,
-                )
-            # The reproducible mid-run crash for resume testing fires
-            # *after* the round's checkpoint, so a crashed run always
-            # has its completed rounds on disk.
-            if faults.fire("gen", ("crash_run",), round_index=round_index):
-                raise FaultInjected(
-                    f"injected crash_run after round {round_index}"
                 )
 
         representatives = [ecc.representative for ecc in eccs]
@@ -461,6 +284,19 @@ class RepGen:
         return GeneratorResult(result_set, stats, representatives)
 
     # -- helpers --------------------------------------------------------------------
+
+    @staticmethod
+    def _representatives(
+        eccs: List[ECC],
+    ) -> Tuple[Set[tuple], Dict[int, List[Circuit]]]:
+        """The minimum of every class: its sequence keys and members by size."""
+        rep_keys: Set[tuple] = set()
+        reps_by_size: Dict[int, List[Circuit]] = {}
+        for ecc in eccs:
+            representative = ecc.representative
+            rep_keys.add(representative.sequence_key())
+            reps_by_size.setdefault(len(representative), []).append(representative)
+        return rep_keys, reps_by_size
 
     def _insert_circuit(
         self,

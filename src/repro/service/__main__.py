@@ -3,9 +3,8 @@
 Flags override the ``REPRO_SERVICE_*`` environment snapshot; run-config
 flags (``--n``, ``--q``, ``--gate-set``, ...) override the ``REPRO_*``
 base the same way the facade's ``with_overrides`` does.  SIGINT/SIGTERM
-trigger a graceful shutdown: the listener closes, queued jobs drain
-through the warm executors, and any in-flight generation has been
-checkpointing through the resume machinery all along.
+trigger a graceful shutdown: the listener closes, and every queued and
+running job finishes through the warm executors before the process exits.
 """
 
 from __future__ import annotations

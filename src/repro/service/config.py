@@ -13,15 +13,12 @@ service cannot drift if the environment changes underneath it.
 
 A request may override only the base config's
 :data:`~repro.api.config.OUTPUT_FIELDS`; the deployment fields (cache
-location, resume, verbosity) are the operator's, set here.
+location, verbosity) are the operator's, set here.
 
-One deliberate deviation from the library default: unless the environment
-or the caller says otherwise, the base run config enables round-granular
-RepGen checkpointing (``generation.resume``).  A *library* run that dies
-simply reruns; a *service* draining on shutdown may hold an in-flight job
-mid-generation, and the resume machinery is what turns "drain timed out,
-kill the job" into "the next request continues from the last completed
-round" instead of starting over.
+The base run config is :meth:`RunConfig.from_env` unchanged.  A drain on
+shutdown finishes every in-flight job; a service killed outright loses
+its in-flight generation, and the next run of that configuration
+generates again, to the same bytes, and stores the result in the cache.
 """
 
 from __future__ import annotations
@@ -71,7 +68,8 @@ class ServiceConfig:
     #: Per-job deadline in seconds of the worker pool; ``None`` or <= 0
     #: means no deadline.
     chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT
-    #: Retries of a job whose run failed or timed out, in either mode.
+    #: Retries of a pooled job whose worker failed or timed out (pool mode
+    #: only: an in-process job runs once).
     chunk_retries: int = DEFAULT_CHUNK_RETRIES
     #: The base configuration requests are layered onto with
     #: ``with_overrides`` — exactly the facade's override routing, so a
@@ -90,10 +88,6 @@ class ServiceConfig:
         run_config = overrides.pop("run_config", None)
         if run_config is None:
             run_config = RunConfig.from_env()
-        if run_config.generation.resume is None:
-            # Service default: checkpoint in-flight generation so drained
-            # jobs resume instead of restarting (see module docstring).
-            run_config = run_config.with_overrides(resume=True)
         config = cls(
             port=env_service_port(),
             workers=env_service_workers(),

@@ -15,14 +15,11 @@ aside), which is what makes retrying crashed jobs sound.
 
 Two executors share that entry point:
 
-* :class:`InlineExecutor` (``workers < 2``, the default) runs jobs on the
-  caller's thread with a bounded retry loop (``chunk_retries``).  Only the
-  pool taxonomy (:class:`~repro.errors.PoolError` subclasses and injected
-  faults) is retried — a ``TypeError`` from a bad payload is a bug and
-  propagates — and exhaustion raises :class:`~repro.errors.RetryExhausted`,
-  exactly like a pool would.  The ``runner`` seam exists for the fault tests: a
-  flaky runner proves retry-then-recover, an always-failing one proves
-  the 500/``RetryExhausted`` path without spawning processes.
+* :class:`InlineExecutor` (``workers < 2``, the default) runs each job
+  once on the caller's thread; whatever the run raises fails the job.
+  Nothing in the server process can crash a worker, so there is nothing to
+  retry.  The ``runner`` seam lets a test substitute a failing or
+  blocking run without spawning processes.
 * :class:`PoolExecutor` (``workers >= 2``) hands each job to a persistent
   :class:`~repro.workerpool.ResilientPool` whose workers are pre-warmed
   by the initializer from the base config.  The
@@ -32,8 +29,8 @@ Two executors share that entry point:
   ``resilience.*`` counters (respawns, timeouts, retries, ...) are read
   through :meth:`PoolExecutor.counters`.
 
-Both take ``chunk_retries`` (the pool also ``chunk_timeout``) as plain
-values: the :class:`~repro.service.jobs.JobManager` passes its
+The pool takes ``chunk_timeout`` and ``chunk_retries`` as plain values:
+the :class:`~repro.service.jobs.JobManager` passes its
 :class:`~repro.service.config.ServiceConfig` fields, and nothing here
 reads the environment.
 """
@@ -47,7 +44,6 @@ from repro import faults
 from repro.api.config import RunConfig
 from repro.api.facade import RunReport, Superoptimizer
 from repro.envconfig import DEFAULT_CHUNK_RETRIES, DEFAULT_CHUNK_TIMEOUT
-from repro.errors import FaultInjected, PoolError, RetryExhausted
 from repro.ir.gatesets import GateSet
 from repro.workerpool import ResilientPool
 
@@ -57,8 +53,6 @@ __all__ = [
     "InlineExecutor",
     "PoolExecutor",
 ]
-
-_RETRYABLE_JOB_ERRORS: Tuple[type, ...] = (PoolError, FaultInjected)
 
 
 def config_key(config: RunConfig) -> str:
@@ -91,32 +85,21 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class InlineExecutor:
-    """In-process execution with pool-taxonomy retries.
+    """In-process execution: one call of ``runner`` per job.
 
-    ``runner`` defaults to :func:`execute_job`; tests substitute flaky
-    runners to exercise the retry and exhaustion paths deterministically.
+    ``runner`` defaults to :func:`execute_job`; tests substitute failing
+    or blocking runners.
     """
 
     def __init__(
         self,
         *,
-        chunk_retries: int = DEFAULT_CHUNK_RETRIES,
         runner: Callable[[Dict[str, Any]], Dict[str, Any]] = execute_job,
     ) -> None:
-        self.chunk_retries = max(int(chunk_retries), 0)
         self._runner = runner
 
     def run(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        last_error: Optional[BaseException] = None
-        for _attempt in range(self.chunk_retries + 1):
-            try:
-                return self._runner(payload)
-            except _RETRYABLE_JOB_ERRORS as error:
-                last_error = error
-        raise RetryExhausted(
-            f"job still failing after {self.chunk_retries} retries "
-            f"(last error: {last_error})"
-        )
+        return self._runner(payload)
 
     def close(self) -> None:
         """Nothing to tear down (the facade memos outlive the executor)."""

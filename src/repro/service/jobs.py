@@ -11,7 +11,7 @@ the tests drive it directly.  Lifecycle of a submission:
    :meth:`RunConfig.with_overrides` onto the service's base config; an
    unknown strategy fails there, and the gate-set name and the search
    runner are resolved eagerly, so a typo is a 400 at submit time, not a
-   500 at execution time.  A deployment field (``cache_dir``, ``resume``,
+   500 at execution time.  A deployment field (``cache_dir``, ``verbose``,
    ...) is a 400 too: where the service keeps its files is the operator's
    choice, not a client's.
 2. **Memoize / dedupe** — the job key is a content hash of the *canonical*
@@ -33,6 +33,9 @@ the tests drive it directly.  Lifecycle of a submission:
    the wall-clock cap depends on machine load, and a refuted output
    (``verified`` is ``False``) must never be served as canonical, so a
    repeat of either runs again.
+6. **Forget** — the job table keeps every queued and running job but only
+   the :data:`JOB_TABLE_CAPACITY` most recently finished ones; polling an
+   older id is :class:`~repro.errors.JobNotFound` (HTTP 404).
 
 Responses split determinism from observability: a job's ``result`` block
 is a pure function of (circuit, config) — byte-identical whether the job
@@ -46,9 +49,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.config import OUTPUT_FIELDS, RunConfig
 from repro.api.facade import Superoptimizer
@@ -64,10 +67,14 @@ from repro.ir.qasm import QasmError, parse_qasm, to_qasm
 from repro.service.config import ServiceConfig
 from repro.service.executor import InlineExecutor, PoolExecutor, config_key
 
-__all__ = ["Job", "JobManager", "RESULT_MEMO_CAPACITY"]
+__all__ = ["Job", "JobManager", "JOB_TABLE_CAPACITY", "RESULT_MEMO_CAPACITY"]
 
 #: Completed (result, report) pairs kept per manager; oldest evicted.
 RESULT_MEMO_CAPACITY = 256
+
+#: Finished jobs kept per manager for polls; the one that finished first is
+#: evicted first.  Queued and running jobs are never evicted.
+JOB_TABLE_CAPACITY = 1024
 
 #: Terminal job statuses.
 _TERMINAL = ("completed", "failed")
@@ -158,6 +165,7 @@ class JobManager:
         self._next_id = 1
         self._queue: List[Job] = []
         self._jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = deque()  # finished job ids, oldest first
         self._active: Dict[str, Job] = {}  # content key -> in-flight job
         self._memo: "OrderedDict[str, Tuple[Dict[str, Any], Dict[str, Any]]]" = (
             OrderedDict()
@@ -181,7 +189,7 @@ class JobManager:
                 chunk_retries=self.config.chunk_retries,
             )
         else:
-            self.executor = InlineExecutor(chunk_retries=self.config.chunk_retries)
+            self.executor = InlineExecutor()
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -274,10 +282,10 @@ class JobManager:
         """Stop accepting work; optionally finish what is queued first.
 
         With ``drain`` the executor threads complete every queued job
-        before exiting (in-flight generation checkpoints through the
-        resume machinery regardless — see
-        :class:`~repro.service.config.ServiceConfig`); without it, queued
-        jobs fail with :class:`ServiceClosed` and only running jobs finish.
+        before exiting; without it, queued jobs fail with
+        :class:`ServiceClosed` and only running jobs finish.  Either way
+        the executor threads are joined, with no timeout unless
+        ``timeout`` is given.
         """
         with self._wake:
             if self._closed:
@@ -370,6 +378,9 @@ class JobManager:
         self._event(job, status)
         key = "service.jobs.completed" if status == "completed" else "service.jobs.failed"
         self._counters[key] += 1
+        self._finished.append(job.id)
+        while len(self._finished) > JOB_TABLE_CAPACITY:
+            del self._jobs[self._finished.popleft()]
         job.done.set()
 
     def _fail(self, job: Job, error: BaseException) -> None:

@@ -309,6 +309,46 @@ class TestR004WallClockInWorker:
         )
         assert rules_hit(result) == {"R004"}
 
+    def test_clock_behind_an_unknown_receiver_is_caught_outside_the_pool(
+        self, tmp_path
+    ):
+        # ``job.run(...)`` has no known receiver, so it reaches every
+        # project method named ``run``: ``Runner.run`` is flagged, while
+        # ``ResilientPool.run`` runs in the process that holds the pool.
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/workerpool.py": """
+                    import time
+
+                    class ResilientPool:
+                        def __init__(self, fn, init, args, workers):
+                            self.started = time.monotonic()
+
+                        def run(self, job):
+                            return time.monotonic() - self.started
+                """,
+                "src/repro/mod.py": pool_module("""
+                    import time
+
+                    class Runner:
+                        def run(self, job):
+                            return time.perf_counter()
+
+                    def _init(spec):
+                        pass
+
+                    def _chunk_fn(job):
+                        return job.run(1)
+                """),
+            },
+            select=["R004"],
+        )
+        assert [(f.path, f.rule) for f in result.findings] == [
+            ("src/repro/mod.py", "R004")
+        ]
+        assert "Runner.run" in result.findings[0].message
+
     def test_clock_in_parent_only_code_is_clean(self, tmp_path):
         result = lint(
             tmp_path,
@@ -820,3 +860,13 @@ class TestSelfCheck:
         ]
         reachable = reachable_from(project, entries)
         assert ("repro.api.facade", "Superoptimizer.optimize") in reachable
+        # The pool's own methods run in the process that holds it, and the
+        # job table behind them in the service process only.
+        assert ("repro.service.jobs", "JobManager._new_job") not in reachable
+        pool_methods = [
+            key
+            for key, record in project.functions.items()
+            if record.class_name == "ResilientPool"
+        ]
+        assert ("repro.workerpool", "ResilientPool.run") in pool_methods
+        assert not reachable.intersection(pool_methods)

@@ -43,11 +43,9 @@ class TestFromEnv:
     def test_snapshots_every_knob(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "false")
-        monkeypatch.setenv("REPRO_RESUME", "1")
         config = RunConfig.from_env()
         assert config.generation.cache_dir == str(tmp_path)
         assert config.generation.cache_enabled is True
-        assert config.generation.resume is True
 
     def test_scale_and_pool_knobs_are_not_run_fields(self, monkeypatch, tmp_path):
         # REPRO_SCALE picks an experiment preset (active_config) and the
@@ -129,6 +127,20 @@ class TestSerialOnlyWorkerFields:
             RunConfig(batched=value)
         with pytest.raises(ValueError, match="batched"):
             RunConfig().with_overrides(batched=value)
+
+    @pytest.mark.parametrize("value", [None, False])
+    def test_resume_none_and_false_construct(self, value):
+        assert GenerationConfig(resume=value).resume is value
+        assert RunConfig().with_overrides(resume=value).generation.resume is value
+
+    @pytest.mark.parametrize("value", [True, 1, "yes"])
+    def test_resume_on_raises(self, value):
+        # RepGen keeps no round checkpoints: a config asking to resume
+        # from them fails loudly instead of silently running without.
+        with pytest.raises(ValueError, match="resume"):
+            GenerationConfig(resume=value)
+        with pytest.raises(ValueError, match="resume"):
+            RunConfig().with_overrides(resume=value)
 
     def test_config_file_asking_for_per_state_raises(self, tmp_path):
         path = tmp_path / "config.json"

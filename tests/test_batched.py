@@ -292,7 +292,6 @@ class TestCacheKinds:
         # The kinds blobs have always been stored under, so every existing
         # .repro_cache/ entry stays valid.
         assert generator._cache_key(2).kind == "repgen"
-        assert generator._checkpoint_key(2).kind == "repgen-ckpt"
 
 
 class TestGenerationByteIdentity:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.api import clear_memory_caches
 from repro.experiments import cli
-from repro.envconfig import RESUME_ENV_VAR
 from repro.generator.cache import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
 
 
@@ -22,7 +21,6 @@ class TestSharedFlags:
         # directory can only have come from the flag.
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "env"))
         monkeypatch.delenv(CACHE_DISABLE_ENV_VAR, raising=False)
-        monkeypatch.delenv(RESUME_ENV_VAR, raising=False)
         clear_memory_caches()
         yield
         clear_memory_caches()
@@ -46,34 +44,17 @@ class TestSharedFlags:
         assert list(flagged.glob("repgen_*"))
         assert not (tmp_path / "env").exists()
 
-    def test_resume_reaches_the_generation_config(self, monkeypatch, tmp_path):
-        from repro.experiments import table_generator_metrics
-
-        seen = []
-
-        def spy(real):
-            def run_generation(gate_set, generation):
-                seen.append(generation)
-                return real(gate_set, generation)
-
-            return run_generation
-
-        monkeypatch.setattr(cli, "run_generation", spy(cli.run_generation))
-        monkeypatch.setattr(
-            table_generator_metrics,
-            "run_generation",
-            spy(table_generator_metrics.run_generation),
-        )
-        flags = ["--n", "1", "--q", "1", "--resume", "--cache-dir", str(tmp_path)]
-        assert cli.main(["generate", *flags, "--json"]) == 0
-        assert cli.main(["generator-metrics", *flags, "--json"]) == 0
-        assert [generation.resume for generation in seen] == [True, True]
-        assert {generation.cache_dir for generation in seen} == {str(tmp_path)}
+    def test_resume_flag_is_rejected(self):
+        # RepGen keeps no round checkpoints, so there is nothing to resume.
+        for command in ("generate", "generator-metrics", "optimize"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([command, "--n", "1", "--q", "1", "--resume"])
+            assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("command", ["generate", "generator-metrics"])
     def test_main_leaves_the_environment_alone(self, tmp_path, command):
         before = dict(os.environ)
-        argv = [command, "--n", "1", "--q", "1", "--json", "--resume", "--no-cache"]
+        argv = [command, "--n", "1", "--q", "1", "--json", "--no-cache"]
         assert cli.main(argv + ["--cache-dir", str(tmp_path / "flagged")]) == 0
         assert dict(os.environ) == before
 

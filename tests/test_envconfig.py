@@ -125,22 +125,31 @@ class TestChunkRetries:
 
 
 class TestResume:
+    """``REPRO_RESUME`` is no longer read: RepGen keeps no checkpoints."""
+
+    @staticmethod
+    def _resume_from_env():
+        from repro.api import RunConfig
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return RunConfig.from_env().generation.resume
+
     def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(envconfig.RESUME_ENV_VAR, raising=False)
-        assert envconfig.env_resume() is False
-        assert envconfig.env_resume_optional() is None
+        monkeypatch.delenv("REPRO_RESUME", raising=False)
+        assert self._resume_from_env() is None
+        for name in ("RESUME_ENV_VAR", "env_resume", "env_resume_optional"):
+            assert not hasattr(envconfig, name)
 
     @pytest.mark.parametrize("raw", ["1", "true", "Yes", "ON"])
-    def test_truthy_values_enable(self, monkeypatch, raw):
-        monkeypatch.setenv(envconfig.RESUME_ENV_VAR, raw)
-        assert envconfig.env_resume() is True
-        assert envconfig.env_resume_optional() is True
+    def test_truthy_values_are_ignored(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_RESUME", raw)
+        assert self._resume_from_env() is None
 
     @pytest.mark.parametrize("raw", ["0", "false", "off", ""])
     def test_falsy_values_stay_off(self, monkeypatch, raw):
-        monkeypatch.setenv(envconfig.RESUME_ENV_VAR, raw)
-        assert envconfig.env_resume() is False
-        assert envconfig.env_resume_optional() is False
+        monkeypatch.setenv("REPRO_RESUME", raw)
+        assert self._resume_from_env() is None
 
 
 class TestFaultsEnv:
@@ -242,7 +251,7 @@ class TestServiceKnobs:
         config = ServiceConfig.from_env()
         assert (config.port, config.workers, config.max_queue) == (9100, 3, 9)
         assert config.pooled and config.executor_slots == 3
-        assert config.run_config.generation.resume is True  # service default
+        assert config.run_config.generation.resume is None
         overridden = ServiceConfig.from_env(port=0, workers=1)
         assert overridden.port == 0 and not overridden.pooled
         assert overridden.executor_slots == 2

@@ -5,7 +5,7 @@ that silently never fires would make every recovery-under-faults check
 vacuous.  So parsing is strict (malformed plans raise
 ``FaultConfigError``), firing is deterministic (pinned here entry by
 entry), and the plan state machinery (nth counting, once-consumption,
-round targeting, reset) is covered directly.
+reset) is covered directly.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ class TestSpecParsing:
         assert (spec.when_kind, spec.when_value) == ("nth", 1)
 
     def test_round_trigger(self):
-        spec = FaultSpec.parse("crash_run:gen:round3")
-        assert (spec.when_kind, spec.when_value) == ("round", 3)
+        # RepGen keeps no round checkpoints, so there is no crash_run
+        # action, no gen site and no roundN trigger to aim one with.
+        for entry in ("crash_run:gen:round1", "kill_worker:service:round2"):
+            with pytest.raises(FaultConfigError):
+                FaultSpec.parse(entry)
 
     def test_nth_trigger(self):
         spec = FaultSpec.parse("fail_chunk:service:4")
@@ -48,7 +51,7 @@ class TestSpecParsing:
         assert spec.when_kind == "always"
 
     def test_case_and_whitespace_insensitive(self):
-        spec = FaultSpec.parse("  Kill_Worker : SERVICE : Round2  ".replace(" ", ""))
+        spec = FaultSpec.parse("  Kill_Worker : SERVICE : Always  ".replace(" ", ""))
         assert (spec.action, spec.site) == ("kill_worker", "service")
         spec = FaultSpec.parse(" corrupt_blob : cache ")
         assert (spec.action, spec.site) == ("corrupt_blob", "cache")
@@ -60,10 +63,10 @@ class TestSpecParsing:
             "kill_worker:gen:once:extra",  # too many fields
             "nuke_it:gen",  # unknown action
             "kill_worker:everywhere",  # unknown site
-            "corrupt_blob:gen",  # cache-only action at the gen site
+            "corrupt_blob:gen",  # the gen site is gone
             "corrupt_blob:service",  # cache-only action at the pool site
-            "crash_run:verify",  # the verify site is gone
-            "crash_run:service",  # gen-only action at the pool site
+            "crash_run:verify",  # the crash_run action is gone
+            "crash_run:service",
             # Chunk actions fire only at the service pool's site.
             "kill_worker:gen:roundx",
             "kill_worker:gen:round0",
@@ -71,8 +74,8 @@ class TestSpecParsing:
             "kill_worker:gen:sometimes",
             "delay_chunk:verify",
             "fail_chunk:search",
-            "kill_worker:service:roundx",  # malformed round
-            "kill_worker:service:round0",  # rounds are 1-based
+            "kill_worker:service:roundx",  # no round triggers
+            "kill_worker:service:round0",
             "kill_worker:service:0",  # nth is 1-based
             "kill_worker:service:sometimes",  # unknown trigger
             "kill_worker::once",  # empty field
@@ -83,7 +86,7 @@ class TestSpecParsing:
             FaultSpec.parse(entry)
 
     def test_spec_string_round_trips(self):
-        for entry in ("kill_worker:service:1", "crash_run:gen:round2", "torn_read:cache:*"):
+        for entry in ("kill_worker:service:1", "corrupt_blob:cache:2", "torn_read:cache:*"):
             assert FaultSpec.parse(entry).spec_string() == entry
 
 
@@ -111,22 +114,14 @@ class TestPlanFiring:
         for _ in range(3):
             assert plan.fire("service", faults.CHUNK_ACTIONS) == "delay_chunk"
 
-    def test_round_trigger_waits_for_its_round(self):
-        plan = FaultPlan.from_string("crash_run:gen:round2")
-        crash = ("crash_run",)
-        assert plan.fire("gen", crash, round_index=1) is None
-        assert plan.fire("gen", crash, round_index=3) is None
-        assert plan.fire("gen", crash, round_index=2) == "crash_run"
-        # Consumed: a second consult in the same round stays clean.
-        assert plan.fire("gen", crash, round_index=2) is None
-
     def test_site_and_action_filtering(self):
-        plan = FaultPlan.from_string("kill_worker:service,crash_run:gen")
-        # A chunk consult at the gen site matches neither entry: wrong site
-        # for the first, crash_run is not in the offered action set for the
-        # second — and crucially its trigger is NOT burned by the consult.
-        assert plan.fire("gen", faults.CHUNK_ACTIONS) is None
-        assert plan.fire("gen", ("crash_run",)) == "crash_run"
+        plan = FaultPlan.from_string("kill_worker:service,torn_read:cache")
+        # A corrupt_blob consult at the cache site matches neither entry:
+        # wrong site for the first, torn_read is not in the offered action
+        # set for the second — and crucially its trigger is NOT burned by
+        # the consult.
+        assert plan.fire("cache", ("corrupt_blob",)) is None
+        assert plan.fire("cache", ("torn_read",)) == "torn_read"
         assert plan.fire("service", faults.CHUNK_ACTIONS) == "kill_worker"
 
     def test_first_armed_entry_wins_and_others_keep_state(self):
@@ -150,11 +145,11 @@ class TestPlanFiring:
 
 class TestActivePlan:
     def test_lazy_env_load(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "crash_run:gen:round1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "torn_read:cache:2")
         faults.reset_fault_plan()
         plan = faults.active_plan()
         assert plan is not None
-        assert plan.spec_string() == "crash_run:gen:round1"
+        assert plan.spec_string() == "torn_read:cache:2"
 
     def test_unset_env_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
@@ -176,8 +171,9 @@ class TestActivePlan:
             faults.active_plan()
 
     def test_module_fire_consults_active_plan(self):
-        faults.set_fault_plan(FaultPlan.from_string("crash_run:gen:round2"))
-        assert faults.fire("gen", ("crash_run",), round_index=2) == "crash_run"
+        faults.set_fault_plan(FaultPlan.from_string("torn_read:cache:2"))
+        assert faults.fire("cache", ("torn_read",)) is None
+        assert faults.fire("cache", ("torn_read",)) == "torn_read"
 
 
 class TestChunkTokens:
@@ -199,7 +195,7 @@ class TestChunkTokens:
 
     def test_non_chunk_action_rejected(self):
         with pytest.raises(FaultConfigError):
-            faults.chunk_token("crash_run", None)
+            faults.chunk_token("torn_read", None)
 
     def test_apply_none_is_noop(self):
         faults.apply_chunk_fault(None)

@@ -289,12 +289,15 @@ class TestNoLeakedWorkers:
                 _run_all(pool, CHUNKS)
         self._assert_no_foreign_children(before)
 
-    def test_exception_mid_round_terminates_every_worker(self):
-        # A RepGen round that dies in this process (crash_run raises between
-        # rounds) while a pool is alive must still take every worker down.
+    def test_exception_mid_round_terminates_every_worker(self, monkeypatch):
+        # A RepGen round that dies in this process (its fingerprint pass
+        # raises) while a pool is alive must still take every worker down.
+        def dying_pass(self, jobs):
+            raise RuntimeError("round died")
+
+        monkeypatch.setattr(FingerprintContext, "hash_keys_batched", dying_pass)
         before = {child.pid for child in multiprocessing.active_children()}
-        faults.set_fault_plan(FaultPlan.from_string("crash_run:gen:round1"))
-        with pytest.raises(FaultInjected):
+        with pytest.raises(RuntimeError, match="round died"):
             with ResilientPool(
                 _square_chunk, _noop_init, (), 2, chunk_timeout=TIMEOUT
             ) as pool:

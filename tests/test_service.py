@@ -5,9 +5,10 @@ each get a deterministic ``result`` block **byte-identical** to a serial,
 direct :class:`~repro.api.Superoptimizer` run of the same circuit and
 config, output verification included.  The rest covers the content-hash
 cache (and what it must not keep: timed-out or refuted results), in-flight
-dedupe, the typed error paths (400 / 429 + ``Retry-After`` / 404 /
-worker-crash retries ending in 500 ``RetryExhausted``), graceful drain,
-and the stdlib HTTP front end-to-end on an ephemeral port.
+dedupe, the typed error paths (400 / 429 + ``Retry-After`` / 404 / a
+failed job's typed error as 500, in pool mode ``RetryExhausted`` after
+worker crashes), graceful drain, the bounded job table, and the stdlib
+HTTP front end-to-end on an ephemeral port.
 """
 
 from __future__ import annotations
@@ -24,10 +25,15 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import pytest
 
 from repro import faults
-from repro.api import RunConfig, Superoptimizer
+from repro.api import RunConfig, Superoptimizer, clear_memory_caches
 from repro.benchmarks_suite import benchmark_circuit
+from repro.envconfig import (
+    CACHE_DIR_ENV_VAR,
+    CACHE_DISABLE_ENV_VAR,
+    SERVICE_WORKERS_ENV_VAR,
+)
 from repro.errors import (
-    FaultInjected,
+    FaultConfigError,
     InvalidRequest,
     JobNotFound,
     QueueFull,
@@ -35,12 +41,14 @@ from repro.errors import (
     ServiceClosed,
 )
 from repro.faults import FaultPlan
+from repro.generator.cache import ECCCache
 from repro.ir import Circuit
 from repro.ir.gatesets import GateSet
 from repro.ir.qasm import to_qasm
 from repro.optimizer.strategies import STRATEGIES
 from repro.service import Job, JobManager, OptimizationHTTPServer, ServiceConfig
 from repro.service import executor as executor_module
+from repro.service import jobs as jobs_module
 from repro.service.executor import InlineExecutor, PoolExecutor, execute_job
 from repro.service.http import MAX_BODY_BYTES
 from repro.service.jobs import _content_key, _result_block
@@ -226,7 +234,7 @@ class TestJobKey:
             search_workers=1,
             cache_dir="elsewhere",
             cache_enabled=False,
-            resume=True,
+            resume=False,
             verbose=True,
         )
         assert _content_key("q", deployment) == key
@@ -300,6 +308,34 @@ class _BlockingExecutor:
         pass
 
 
+class TestColdGeneration:
+    def test_cold_job_stores_only_the_results(self, monkeypatch, tmp_path):
+        # A service built from the environment generates a cold
+        # configuration once and stores its raw and pruned results; it
+        # writes no other blob on the way, checkpoints included.
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.delenv(CACHE_DISABLE_ENV_VAR, raising=False)
+        monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
+        stored = []
+        real_store = ECCCache.store
+
+        def recording_store(self, key, body):
+            stored.append(key.kind)
+            return real_store(self, key, body)
+
+        monkeypatch.setattr(ECCCache, "store", recording_store)
+        clear_memory_caches()
+        with JobManager(ServiceConfig.from_env()) as service:
+            job = service.submit(
+                qasm_for("tof_3"), {"n": 2, "q": 2, "max_iterations": 5}
+            )
+            assert job.wait(120)
+        assert job.status == "completed"
+        assert sorted(stored) == ["pruned", "repgen"]
+        blobs = sorted(path.name.split("_")[0] for path in tmp_path.iterdir())
+        assert blobs == ["pruned", "repgen"]
+
+
 class TestQueueAndDedupe:
     def test_queue_full_rejects_with_429_class(self):
         executor = _BlockingExecutor()
@@ -338,6 +374,44 @@ class TestQueueAndDedupe:
             executor.release.set()
             service.close()
         assert first.status == "completed"
+
+
+class TestJobTable:
+    def test_oldest_finished_jobs_go_and_live_jobs_stay(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "JOB_TABLE_CAPACITY", 2)
+        release = threading.Event()
+        default_iterations = BASE_RUN.search.max_iterations
+
+        def runner(payload: Dict[str, Any]) -> Dict[str, Any]:
+            # A job with its own iteration budget waits for the release,
+            # so it stays running or queued while finished jobs pile up.
+            if payload["config"].search.max_iterations != default_iterations:
+                assert release.wait(30), "test never released the runner"
+            return execute_job(payload)
+
+        service = JobManager(
+            ServiceConfig(run_config=BASE_RUN), executor=InlineExecutor(runner=runner)
+        )
+        try:
+            first = service.submit(qasm_for("tof_3"))
+            assert first.wait(120)
+            # Two run on the executor slots, the third waits in the queue.
+            live = [
+                service.submit(qasm_for("tof_3"), {"max_iterations": budget})
+                for budget in (5, 6, 7)
+            ]
+            hits = [service.submit(qasm_for("tof_3")) for _ in range(3)]
+            assert all(hit.cached for hit in hits)
+            for job in (first, hits[0]):
+                with pytest.raises(JobNotFound):
+                    service.get(job.id)
+            for job in (*live, *hits[1:]):
+                assert service.get(job.id) is job
+            assert not any(job.finished for job in live)
+        finally:
+            release.set()
+            service.close()
+        assert all(job.status == "completed" for job in live)
 
 
 class TestErrorPaths:
@@ -439,43 +513,6 @@ class TestErrorPaths:
             with pytest.raises(JobNotFound) as excinfo:
                 service.get("job-999")
             assert excinfo.value.http_status == 404
-
-    def test_crashing_worker_retries_then_recovers(self):
-        crashes = {"left": 2}
-
-        def flaky(payload: Dict[str, Any]) -> Dict[str, Any]:
-            if crashes["left"]:
-                crashes["left"] -= 1
-                raise FaultInjected("injected worker crash")
-            return execute_job(payload)
-
-        service = JobManager(
-            ServiceConfig(run_config=BASE_RUN),
-            executor=InlineExecutor(chunk_retries=2, runner=flaky),
-        )
-        with service:
-            job = service.submit(qasm_for("tof_3"))
-            assert job.wait(120)
-        assert job.status == "completed"
-        assert crashes["left"] == 0
-        assert json.dumps(job.result, sort_keys=True) == json.dumps(
-            serial_result_block("tof_3"), sort_keys=True
-        )
-
-    def test_retry_exhaustion_fails_the_job_with_the_taxonomy(self):
-        def always_crashing(payload: Dict[str, Any]) -> Dict[str, Any]:
-            raise FaultInjected("injected worker crash")
-
-        service = JobManager(
-            ServiceConfig(run_config=BASE_RUN),
-            executor=InlineExecutor(chunk_retries=1, runner=always_crashing),
-        )
-        with service:
-            job = service.submit(qasm_for("tof_3"))
-            assert job.wait(30)
-        assert job.status == "failed"
-        assert job.error["type"] == RetryExhausted.__name__
-        assert service.stats()["service.jobs.failed"] == 1
 
 
 class TestShutdown:
@@ -954,12 +991,16 @@ class TestHTTPServer:
             service.close()
 
     def test_failed_job_polls_as_http_500(self):
-        def always_crashing(payload: Dict[str, Any]) -> Dict[str, Any]:
-            raise FaultInjected("injected worker crash")
+        runs = []
+
+        def malformed_fault_plan(payload: Dict[str, Any]) -> Dict[str, Any]:
+            # What an in-process job raises when REPRO_FAULTS does not parse.
+            runs.append(payload)
+            raise FaultConfigError("malformed fault entry 'bogus'")
 
         service = JobManager(
             ServiceConfig(port=0, run_config=BASE_RUN),
-            executor=InlineExecutor(chunk_retries=0, runner=always_crashing),
+            executor=InlineExecutor(runner=malformed_fault_plan),
         )
         try:
             with _ServerThread(manager=service) as server:
@@ -971,6 +1012,8 @@ class TestHTTPServer:
                 )
                 assert status == 500
                 assert record["status"] == "failed"
-                assert record["error"]["type"] == "RetryExhausted"
+                assert record["error"]["type"] == "FaultConfigError"
+                assert "bogus" in record["error"]["detail"]
         finally:
             service.close()
+        assert len(runs) == 1  # an in-process job runs once
