@@ -10,7 +10,7 @@
 
 from conftest import emit, run_once
 
-from repro.api import GenerationConfig, build_ecc_set, run_generation
+from repro.api import RunConfig, build_ecc_set, run_generation
 from repro.benchmarks_suite import benchmark_circuit
 from repro.experiments.config import active_config
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
@@ -22,7 +22,9 @@ from repro.preprocess.pipeline import QuartzPreprocessor
 def test_ablation_gamma_backtracking_vs_greedy(benchmark):
     config = active_config()
     transformations = transformations_from_ecc_set(
-        build_ecc_set("nam", GenerationConfig(n=config.n_for("nam"), q=config.ecc_q))
+        build_ecc_set(
+            "nam", RunConfig.from_env(n=config.n_for("nam"), q=config.ecc_q).generation
+        )
     )
     circuit = preprocess(benchmark_circuit("barenco_tof_3"), "nam")
 
@@ -57,7 +59,7 @@ def test_ablation_pruning_preserves_quality(benchmark):
     circuit = preprocess(benchmark_circuit("tof_3"), "nam")
 
     def run():
-        raw = run_generation("nam", GenerationConfig(n=n, q=q)).ecc_set
+        raw = run_generation("nam", RunConfig.from_env(n=n, q=q).generation).ecc_set
         pruned = prune_common_subcircuits(simplify_ecc_set(raw))
         raw_xf = transformations_from_ecc_set(raw)
         pruned_xf = transformations_from_ecc_set(pruned)

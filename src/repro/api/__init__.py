@@ -10,9 +10,10 @@ Quickstart::
 
 The facade is configured by one :class:`RunConfig`
 (:mod:`repro.api.config`): frozen ``RunConfig``/``GenerationConfig``/
-``SearchConfig`` dataclasses with a single :meth:`RunConfig.from_env` path
-for the run's ``REPRO_*`` knobs and ``env < file < kwargs`` layering via
-:meth:`RunConfig.from_sources`.  ``SearchConfig.strategy`` names one of
+``SearchConfig`` dataclasses.  ``RunConfig()`` is pure defaults, and
+:meth:`RunConfig.from_env` is the single path for the run's ``REPRO_*``
+knobs, with keyword overrides winning over its snapshot; a facade built
+without a config takes that snapshot.  ``SearchConfig.strategy`` names one of
 the three built-in searches of :mod:`repro.optimizer.strategies`:
 ``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``.
 """

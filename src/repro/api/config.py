@@ -16,12 +16,12 @@ freely.  Derived configs are built with :meth:`RunConfig.with_overrides`,
 which also accepts the nested fields flat (``cfg.with_overrides(n=2,
 strategy="beam")``) since no field name is ambiguous.
 
-Precedence: ``RunConfig()`` is pure defaults; :meth:`RunConfig.from_env`
-snapshots the run's ``REPRO_*`` environment knobs (the single place the
-public API reads them — parsing itself lives in :mod:`repro.envconfig`);
-:meth:`RunConfig.from_sources` layers ``env < file < kwargs``.  Knobs of
-the optimization service's worker pool are not run knobs: they live on
-:class:`repro.service.ServiceConfig`.
+Precedence: ``RunConfig()`` is pure defaults, whatever the environment
+holds; :meth:`RunConfig.from_env` snapshots the run's ``REPRO_*`` knobs
+(the single place the public API reads them — parsing itself lives in
+:mod:`repro.envconfig`), and keyword overrides win over that snapshot.
+Knobs of the optimization service's worker pool are not run knobs: they
+live on :class:`repro.service.ServiceConfig`.
 
 Every field is one of two kinds.  :data:`OUTPUT_FIELDS` name the fields
 that define a run's output (gate set, (n, q), search settings, ...); the
@@ -33,12 +33,10 @@ and accepts no other field in a request.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Dict, FrozenSet, Optional, Union
 
-from repro.envconfig import env_cache_dir, env_cache_enabled
+from repro.envconfig import DEFAULT_CACHE_DIR, env_cache_dir, env_cache_enabled
 from repro.generator.repgen import DEFAULT_SEED
 from repro.ir.gatesets import GateSet
 from repro.optimizer.strategies import STRATEGIES, BacktrackingStrategy, BeamStrategy
@@ -87,13 +85,12 @@ def _check_serial(owner: str, name: str, value: Optional[int]) -> None:
 class GenerationConfig:
     """ECC-generation scale and infrastructure knobs.
 
-    ``cache_dir`` and ``cache_enabled`` default to ``None``, meaning
-    "resolve from the environment at run time" (the behaviour every
-    pre-facade entry point had); :meth:`RunConfig.from_env` snapshots them
-    into concrete values instead.  ``workers`` and ``verify_workers``
-    accept only ``None`` or ``1``: generation runs serially.  ``resume``
-    accepts only ``None`` or ``False``: generation keeps no round
-    checkpoints, and a killed run reruns to the same bytes.
+    ``cache_dir`` and ``cache_enabled`` are plain values (``.repro_cache``
+    and ``True`` by default); :meth:`RunConfig.from_env` fills them from
+    ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_DISABLE``.  ``workers`` and
+    ``verify_workers`` accept only ``None`` or ``1``: generation runs
+    serially.  ``resume`` accepts only ``None`` or ``False``: generation
+    keeps no round checkpoints, and a killed run reruns to the same bytes.
     """
 
     n: int = 3
@@ -102,8 +99,8 @@ class GenerationConfig:
     seed: int = DEFAULT_SEED
     workers: Optional[int] = None
     verify_workers: Optional[int] = None
-    cache_dir: Optional[str] = None
-    cache_enabled: Optional[bool] = None
+    cache_dir: str = DEFAULT_CACHE_DIR
+    cache_enabled: bool = True
     resume: Optional[bool] = None
     prune: bool = True
     verbose: bool = False
@@ -198,7 +195,7 @@ class RunConfig:
         gate_set = self.gate_set
         return gate_set.name if isinstance(gate_set, GateSet) else str(gate_set)
 
-    # -- construction paths ---------------------------------------------------
+    # -- construction from the environment -----------------------------------
 
     @classmethod
     def from_env(cls, **overrides: Any) -> "RunConfig":
@@ -214,31 +211,6 @@ class RunConfig:
                 cache_enabled=env_cache_enabled(),
             ),
         )
-        return config.with_overrides(**overrides) if overrides else config
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path], *, base: Optional["RunConfig"] = None) -> "RunConfig":
-        """Load a JSON config file on top of ``base`` (default: pure defaults).
-
-        The file holds a flat or nested mapping of config fields::
-
-            {"gate_set": "ibm", "preprocess": false,
-             "generation": {"n": 2, "prune": false},
-             "search": {"strategy": "beam", "beam_width": 32}}
-        """
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        return (base if base is not None else cls()).with_overrides(**data)
-
-    @classmethod
-    def from_sources(
-        cls, *, file: Union[str, Path, None] = None, **overrides: Any
-    ) -> "RunConfig":
-        """Layer the three sources: environment < file < keyword overrides."""
-        config = cls.from_env()
-        if file is not None:
-            config = cls.from_file(file, base=config)
         return config.with_overrides(**overrides) if overrides else config
 
     # -- derivation -----------------------------------------------------------

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.api.config import GenerationConfig, RunConfig
-from repro.envconfig import env_cache_dir, env_cache_enabled
 from repro.generator.cache import CacheKey, ECCCache, cache_key
 from repro.generator.ecc import ECCSet
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
@@ -116,7 +115,11 @@ def run_generation(
     gate_set: Union[str, GateSet],
     generation: Optional[GenerationConfig] = None,
 ) -> GeneratorResult:
-    """Run RepGen (memoized in memory and on disk) for a configuration."""
+    """Run RepGen (memoized in memory and on disk) for a configuration.
+
+    Without ``generation`` the defaults hold (``.repro_cache``, enabled);
+    pass ``RunConfig.from_env().generation`` to follow the environment.
+    """
     gate_set = _resolve_gate_set(gate_set)
     generation = generation or GenerationConfig()
     key = _generation_key("repgen", gate_set, generation)
@@ -134,9 +137,10 @@ def run_generation(
         enabled=generation.cache_enabled,
         perf=generator.perf,
     )
-    result = generator.generate(
-        generation.n, verbose=generation.verbose, cache=disk_cache
-    )
+    result = disk_cache.load_generator_result(key)
+    if result is None:
+        result = generator.generate(generation.n, verbose=generation.verbose)
+        disk_cache.store_generator_result(key, result)
     _RESULT_MEMO[key] = result
     return result
 
@@ -225,32 +229,13 @@ class RunReport:
     def timed_out(self) -> bool:
         return self.search_result.timed_out
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly summary (circuits reported as gate counts)."""
-        return {
-            "input_gates": self.input_circuit.gate_count,
-            "preprocessed_gates": self.preprocessed_circuit.gate_count,
-            "optimized_gates": self.circuit.gate_count,
-            "initial_cost": self.initial_cost,
-            "final_cost": self.final_cost,
-            "reduction": self.reduction,
-            "iterations": self.search_result.iterations,
-            "circuits_explored": self.search_result.circuits_explored,
-            "timed_out": self.timed_out,
-            "num_transformations": self.num_transformations,
-            "verified": self.verified,
-            "stage_seconds": dict(self.stage_seconds),
-            "provenance": dict(self.provenance),
-            "perf": dict(self.perf),
-        }
-
     def to_json_dict(self) -> Dict[str, Any]:
         """The stable, versioned JSON schema of this report.
 
-        Unlike :meth:`as_dict` (a loose summary for logs), this schema is a
-        contract: circuits are carried as QASM so a report can be
-        reconstructed by :meth:`from_json`, and
-        ``to_json(from_json(to_json(r))) == to_json(r)`` holds byte-for-byte.
+        The one serialization of a report, and a contract: circuits are
+        carried as QASM so a report can be reconstructed by
+        :meth:`from_json`, and ``to_json(from_json(to_json(r))) ==
+        to_json(r)`` holds byte-for-byte.
         """
         return {
             "schema": REPORT_SCHEMA_VERSION,
@@ -524,16 +509,8 @@ class Superoptimizer:
             "n": generation.n,
             "q": generation.q,
             "seed": generation.seed,
-            "cache_dir": str(
-                generation.cache_dir
-                if generation.cache_dir is not None
-                else env_cache_dir()
-            ),
-            "cache_enabled": (
-                generation.cache_enabled
-                if generation.cache_enabled is not None
-                else env_cache_enabled()
-            ),
+            "cache_dir": str(generation.cache_dir),
+            "cache_enabled": generation.cache_enabled,
             "preprocessed": bool(config.preprocess and preprocess_supported),
             "generation_source": outcome.source,
             "cache_warm_hit": bool(

@@ -44,17 +44,16 @@ Each knob has one reader above this module:
 * :mod:`repro.faults` reads ``REPRO_FAULTS`` and the micro-benchmark
   harness the ``REPRO_MICROBENCH*`` knobs.
 
-A config field left ``None`` (``cache_dir``, ``cache_enabled``) is
-resolved through the same accessors at run time, which is why
-:mod:`repro.generator` imports this low-level module rather than the API
-package (which imports it).
+Nothing else reads them: a config built without ``from_env`` holds its
+defaults whatever the environment says, and :mod:`repro.generator` takes
+the cache directory and flag as plain values.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV_VAR = "REPRO_CACHE_DISABLE"
@@ -110,26 +109,42 @@ def parse_bool(raw: str, *, default: bool = False, name: str = "") -> bool:
     return default
 
 
-def parse_workers(raw: str, *, source: str = SERVICE_WORKERS_ENV_VAR) -> int:
-    """Parse a worker count: invalid or negative values warn and mean serial."""
-    text = raw.strip()
+_Number = TypeVar("_Number", int, float)
+
+
+def _env_number(
+    name: str,
+    convert: Callable[[str], _Number],
+    default: _Number,
+    *,
+    in_range: Callable[[_Number], bool] = lambda value: value >= 0,
+    out_of_range: str = "negative",
+) -> _Number:
+    """The number held by environment variable ``name``, or ``default``.
+
+    Unset or blank means ``default``.  A value ``convert`` rejects warns
+    as non-integer (``int``) or non-numeric (``float``), one ``in_range``
+    (by default: non-negative) rejects warns as ``out_of_range``, and both
+    then mean ``default``.
+    """
+    raw = os.environ.get(name)
+    text = (raw or "").strip()
+    if not text:
+        return default
     try:
-        workers = int(text) if text else 1
+        value = convert(text)
     except ValueError:
-        warnings.warn(
-            f"ignoring non-integer {source}={raw!r}; running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    if workers < 0:
-        warnings.warn(
-            f"ignoring negative {source}={raw!r}; running serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    return max(workers, 1)
+        problem = "non-integer" if convert is int else "non-numeric"
+    else:
+        if in_range(value):
+            return value
+        problem = out_of_range
+    warnings.warn(
+        f"ignoring {problem} {name}={raw!r}; using default {default}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return default
 
 
 def env_cache_dir(*, default: str = DEFAULT_CACHE_DIR) -> str:
@@ -149,64 +164,22 @@ def env_cache_enabled(*, default: bool = True) -> bool:
     return not parse_bool(raw, default=not default, name=CACHE_DISABLE_ENV_VAR)
 
 
-def parse_chunk_timeout(raw: str, *, default: float = DEFAULT_CHUNK_TIMEOUT) -> Optional[float]:
-    """Parse a per-chunk deadline: seconds, ``<= 0`` means "no deadline".
+def env_chunk_timeout(*, default: float = DEFAULT_CHUNK_TIMEOUT) -> Optional[float]:
+    """Per-job deadline from ``REPRO_CHUNK_TIMEOUT`` (None = no deadline).
 
-    Invalid values warn and use the default — a malformed knob must not
-    silently disable the no-hang guarantee.
+    Seconds; ``<= 0`` disables the deadline.  Invalid values warn and use
+    the default — a malformed knob must not silently disable the no-hang
+    guarantee.
     """
-    text = raw.strip()
-    try:
-        seconds = float(text) if text else default
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-numeric {CHUNK_TIMEOUT_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
+    seconds = _env_number(
+        CHUNK_TIMEOUT_ENV_VAR, float, default, in_range=lambda value: True
+    )
     return None if seconds <= 0 else seconds
 
 
-def env_chunk_timeout(*, default: float = DEFAULT_CHUNK_TIMEOUT) -> Optional[float]:
-    """Per-chunk deadline from ``REPRO_CHUNK_TIMEOUT`` (None = disabled)."""
-    raw = os.environ.get(CHUNK_TIMEOUT_ENV_VAR)
-    if raw is None:
-        return default
-    return parse_chunk_timeout(raw, default=default)
-
-
-def parse_chunk_retries(raw: str, *, default: int = DEFAULT_CHUNK_RETRIES) -> int:
-    """Parse a chunk retry budget: non-negative int; invalid warns, default."""
-    text = raw.strip()
-    try:
-        retries = int(text) if text else default
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer {CHUNK_RETRIES_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if retries < 0:
-        warnings.warn(
-            f"ignoring negative {CHUNK_RETRIES_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return retries
-
-
 def env_chunk_retries(*, default: int = DEFAULT_CHUNK_RETRIES) -> int:
-    """Chunk retry budget from ``REPRO_CHUNK_RETRIES``."""
-    raw = os.environ.get(CHUNK_RETRIES_ENV_VAR)
-    if raw is None:
-        return default
-    return parse_chunk_retries(raw, default=default)
+    """Job retry budget from ``REPRO_CHUNK_RETRIES``: a non-negative int."""
+    return _env_number(CHUNK_RETRIES_ENV_VAR, int, default)
 
 
 def env_faults(*, default: str = "") -> str:
@@ -248,80 +221,33 @@ def env_microbench_json(*, default: str = "") -> str:
 # -- optimization-service knobs ----------------------------------------------
 
 
-def parse_service_port(raw: str, *, default: int = DEFAULT_SERVICE_PORT) -> int:
-    """Parse a TCP port: 0 (ephemeral) through 65535; invalid warns, default."""
-    text = raw.strip()
-    try:
-        port = int(text) if text else default
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer {SERVICE_PORT_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if not 0 <= port <= 65535:
-        warnings.warn(
-            f"ignoring out-of-range {SERVICE_PORT_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return port
-
-
 def env_service_port(*, default: int = DEFAULT_SERVICE_PORT) -> int:
     """Service TCP port from ``REPRO_SERVICE_PORT`` (0 means ephemeral)."""
-    raw = os.environ.get(SERVICE_PORT_ENV_VAR)
-    if raw is None:
-        return default
-    return parse_service_port(raw, default=default)
+    return _env_number(
+        SERVICE_PORT_ENV_VAR,
+        int,
+        default,
+        in_range=lambda port: 0 <= port <= 65535,
+        out_of_range="out-of-range",
+    )
 
 
 def env_service_workers(*, default: int = 1) -> int:
     """Service worker processes from ``REPRO_SERVICE_WORKERS``.
 
-    Invalid and negative values warn and mean 1.  Values below 2 run jobs
-    inside the server process; 2+ dispatches to a persistent multiprocess
-    worker pool.
+    Invalid and negative values warn and mean the default, 1; 0 means 1.
+    Values below 2 run jobs inside the server process; 2+ dispatches to a
+    persistent multiprocess worker pool.
     """
-    raw = os.environ.get(SERVICE_WORKERS_ENV_VAR)
-    if raw is None:
-        return default
-    return parse_workers(raw, source=SERVICE_WORKERS_ENV_VAR)
-
-
-def parse_service_max_queue(
-    raw: str, *, default: int = DEFAULT_SERVICE_MAX_QUEUE
-) -> int:
-    """Parse the job-queue bound: a positive int; invalid warns, default."""
-    text = raw.strip()
-    try:
-        bound = int(text) if text else default
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer {SERVICE_MAX_QUEUE_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if bound < 1:
-        warnings.warn(
-            f"ignoring non-positive {SERVICE_MAX_QUEUE_ENV_VAR}={raw!r}; "
-            f"using default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return bound
+    return max(_env_number(SERVICE_WORKERS_ENV_VAR, int, default), 1)
 
 
 def env_service_max_queue(*, default: int = DEFAULT_SERVICE_MAX_QUEUE) -> int:
-    """Job-queue bound from ``REPRO_SERVICE_MAX_QUEUE``."""
-    raw = os.environ.get(SERVICE_MAX_QUEUE_ENV_VAR)
-    if raw is None:
-        return default
-    return parse_service_max_queue(raw, default=default)
+    """Job-queue bound from ``REPRO_SERVICE_MAX_QUEUE``: a positive int."""
+    return _env_number(
+        SERVICE_MAX_QUEUE_ENV_VAR,
+        int,
+        default,
+        in_range=lambda bound: bound >= 1,
+        out_of_range="non-positive",
+    )

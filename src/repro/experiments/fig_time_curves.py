@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import GenerationConfig, build_ecc_set
+from repro.api import RunConfig, build_ecc_set
 from repro.benchmarks_suite import benchmark_circuit
 from repro.experiments.table_gate_counts import naive_transpile
 from repro.optimizer import BacktrackingOptimizer, transformations_from_ecc_set
@@ -63,7 +63,7 @@ def run_time_curves(
     traces: Dict[Tuple[int, str], List[Tuple[float, float]]] = {}
     for n in n_values:
         transformations = transformations_from_ecc_set(
-            build_ecc_set(gate_set_name, GenerationConfig(n=n, q=q))
+            build_ecc_set(gate_set_name, RunConfig.from_env(n=n, q=q).generation)
         )
         for name in circuit_names:
             preprocessed = preprocess(benchmark_circuit(name), gate_set_name)

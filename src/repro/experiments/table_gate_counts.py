@@ -59,9 +59,12 @@ def table_config(
     """The run config of a table cell (Tables 2-4 and 7, Figure 7).
 
     A cell is the search's own result, so the facade's output screen stays
-    off and a table's cost and cells do not depend on it.
+    off and a table's cost and cells do not depend on it.  The cache
+    settings are :meth:`RunConfig.from_env`'s.
     """
-    return RunConfig(gate_set=gate_set_name, verify_output=False).with_overrides(
+    return RunConfig.from_env(
+        gate_set=gate_set_name,
+        verify_output=False,
         n=n,
         q=q,
         gamma=gamma,

@@ -12,7 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import GenerationConfig, run_generation
+from repro.api import GenerationConfig, RunConfig, run_generation
 from repro.generator.brute import characteristic
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
 from repro.ir.gatesets import get_gate_set
@@ -52,10 +52,11 @@ def run_generator_metrics(
 ) -> List[GeneratorMetricsRow]:
     """Generate ECC sets for each (n, q) and collect the Table 5/8 metrics.
 
-    ``generation`` carries every other generation knob (cache, seed,
-    ...); each row replaces only its n and q.
+    ``generation`` (default: ``RunConfig.from_env().generation``) carries
+    every other generation knob (cache, seed, ...); each row replaces only
+    its n and q.
     """
-    generation = generation or GenerationConfig()
+    generation = generation or RunConfig.from_env().generation
     gate_set = get_gate_set(gate_set_name)
     rows: List[GeneratorMetricsRow] = []
     for q in q_values:

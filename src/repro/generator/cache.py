@@ -36,9 +36,13 @@ supports ``corrupt_blob`` (the blob about to be read is bit-flipped on
 disk — persistent, both read attempts fail) and ``torn_read`` (one read
 attempt sees truncated text — transient, the re-read succeeds).
 
-Knobs: the directory defaults to ``.repro_cache/`` and can be moved with
-``REPRO_CACHE_DIR``; ``REPRO_CACHE_DISABLE=1`` turns the cache into a no-op
-(every load misses, every store is skipped).
+An :class:`ECCCache` takes its directory and an ``enabled`` flag as plain
+values and never reads the environment; a disabled cache is a no-op
+(every load misses, every store is skipped).  The callers pass the
+``cache_dir``/``cache_enabled`` fields of their
+:class:`~repro.api.GenerationConfig`, which :meth:`RunConfig.from_env
+<repro.api.RunConfig.from_env>` fills from ``REPRO_CACHE_DIR`` and
+``REPRO_CACHE_DISABLE``.
 """
 
 from __future__ import annotations
@@ -53,15 +57,9 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro import faults
-from repro.envconfig import (
-    CACHE_DIR_ENV_VAR,
-    CACHE_DISABLE_ENV_VAR,
-    DEFAULT_CACHE_DIR,
-    env_cache_dir,
-    env_cache_enabled,
-)
 from repro.errors import CacheCorruption
 from repro.generator.ecc import ECCSet, circuit_from_payload, circuit_to_payload
+from repro.generator.repgen import GeneratorResult, GeneratorStats
 from repro.ir.gatesets import GateSet
 from repro.perf import NULL_RECORDER, PerfRecorder
 
@@ -146,19 +144,12 @@ class ECCCache:
 
     def __init__(
         self,
-        directory: str | os.PathLike | None = None,
+        directory: str | os.PathLike,
         *,
-        enabled: Optional[bool] = None,
+        enabled: bool = True,
         perf: Optional[PerfRecorder] = None,
     ) -> None:
-        if directory is None:
-            directory = env_cache_dir()
         self.directory = Path(directory)
-        if enabled is None:
-            # REPRO_CACHE_DISABLE only disables on truthy values ("1",
-            # "true", "yes", "on", any case); "0"/"false"/"off" keep the
-            # cache enabled — see repro.envconfig.
-            enabled = env_cache_enabled()
         self.enabled = enabled
         self.perf = perf if perf is not None else NULL_RECORDER
 
@@ -295,13 +286,11 @@ class ECCCache:
     def store_ecc_set(self, key: CacheKey, ecc_set: ECCSet) -> Optional[Path]:
         return self.store(key, {"ecc_set": ecc_set.to_payload()})
 
-    def load_generator_result(self, key: CacheKey):
+    def load_generator_result(self, key: CacheKey) -> Optional[GeneratorResult]:
         """Rebuild a full :class:`~repro.generator.repgen.GeneratorResult`."""
         body = self.load(key)
         if body is None:
             return None
-        from repro.generator.repgen import GeneratorResult, GeneratorStats
-
         try:
             ecc_set = ECCSet.from_payload(body["ecc_set"])
             num_params = ecc_set.num_params
@@ -326,7 +315,9 @@ class ECCCache:
         self.perf.count("cache.result_hits")
         return GeneratorResult(ecc_set, stats, representatives)
 
-    def store_generator_result(self, key: CacheKey, result) -> Optional[Path]:
+    def store_generator_result(
+        self, key: CacheKey, result: GeneratorResult
+    ) -> Optional[Path]:
         stats = result.stats.as_dict()
         stats["rounds"] = list(result.stats.rounds)
         body = {

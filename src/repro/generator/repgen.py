@@ -8,6 +8,11 @@ the resulting circuits by fingerprint, and verifies equivalence only within
 circuits of their classes, so the number of circuits examined is bounded by
 |R_n| * ch(G, Sigma, q, m) * n (Theorem 3) instead of the exponential count
 of all circuits.
+
+Generation is a pure function of (gate set, n, q, m, seed): a
+:class:`RepGen` never reads or writes the persistent cache.  Where a
+result is kept is the caller's decision — :func:`repro.api.run_generation`
+loads it from, and stores it in, ``.repro_cache/``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.generator.cache import CacheKey, ECCCache, cache_key
 from repro.generator.ecc import ECC, ECCSet
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gates import Gate
@@ -163,44 +167,8 @@ class RepGen:
 
     # -- the main algorithm -------------------------------------------------------
 
-    def generate(
-        self,
-        max_gates: int,
-        verbose: bool = False,
-        *,
-        cache: Optional[ECCCache] = None,
-    ) -> GeneratorResult:
-        """Run RepGen and return an (n, q)-complete ECC set (n = max_gates).
-
-        With a ``cache``, a warm hit for this exact configuration (gate
-        set, n, q, m, seed — plus the serialization schema version) skips
-        generation entirely and a completed run is stored for the next one.
-        """
-        key: Optional[CacheKey] = None
-        if cache is not None:
-            key = self._cache_key(max_gates)
-            cached = cache.load_generator_result(key)
-            if cached is not None:
-                self.perf.count("repgen.cache.hits")
-                return cached
-            self.perf.count("repgen.cache.misses")
-
-        result = self._generate_uncached(max_gates, verbose)
-        if cache is not None and key is not None:
-            cache.store_generator_result(key, result)
-        return result
-
-    def _cache_key(self, max_gates: int) -> CacheKey:
-        return cache_key(
-            "repgen",
-            self.gate_set,
-            max_gates,
-            self.num_qubits,
-            self.num_params,
-            self.seed,
-        )
-
-    def _generate_uncached(self, max_gates: int, verbose: bool) -> GeneratorResult:
+    def generate(self, max_gates: int, verbose: bool = False) -> GeneratorResult:
+        """Run RepGen and return an (n, q)-complete ECC set (n = max_gates)."""
         start_time = time.perf_counter()
         stats = GeneratorStats()
 

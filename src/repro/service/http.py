@@ -12,10 +12,10 @@ Routes::
 
     POST /v1/optimize          {"qasm": "...", "config": {...}} (or raw
                                QASM text) -> the created job's record
-    GET  /v1/jobs/<id>         job record; ``?wait=<seconds>`` long-polls
-                               until the job finishes (or the wait ends)
-    GET  /v1/jobs/<id>/events  chunked stream of status-transition events
-                               as JSON lines, closing when the job ends
+    GET  /v1/jobs/<id>         job record (its ``events`` list holds the
+                               status transitions); ``?wait=<seconds>``
+                               long-polls until the job finishes (or the
+                               wait ends)
     GET  /v1/stats             every ``service.*`` counter + queue gauges
     GET  /v1/healthz           liveness probe
 
@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import InvalidRequest, ServiceError
 from repro.service.config import ServiceConfig
-from repro.service.jobs import Job, JobManager
+from repro.service.jobs import JobManager
 
 __all__ = ["OptimizationHTTPServer", "MAX_BODY_BYTES"]
 
@@ -48,9 +48,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Long-poll waits are capped so a dropped client cannot pin a thread.
 MAX_WAIT_SECONDS = 60.0
-
-#: Poll cadence of the chunked event stream.
-EVENT_POLL_SECONDS = 0.05
 
 _STATUS_TEXT = {
     200: "OK",
@@ -205,9 +202,6 @@ class OptimizationHTTPServer:
         remainder = path[len("/v1/jobs/") :]
         job_id, _, tail = remainder.partition("/")
         job = self.manager.get(job_id)  # raises JobNotFound -> 404
-        if tail == "events":
-            await self._stream_events(job, writer)
-            return
         if tail:
             raise InvalidRequest(f"unknown job sub-resource {tail!r}")
         wait = _parse_wait(query)
@@ -218,34 +212,6 @@ class OptimizationHTTPServer:
         record["service"] = self.manager.stats()
         status = 500 if job.status == "failed" else 200
         await self._send_json(writer, status, record)
-
-    async def _stream_events(self, job: Job, writer: asyncio.StreamWriter) -> None:
-        """Chunked stream: one JSON line per status transition, then EOF."""
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
-        sent = 0
-        while True:
-            events = list(job.events)
-            for event in events[sent:]:
-                await self._write_chunk(
-                    writer, (json.dumps(event, sort_keys=True) + "\n").encode()
-                )
-            sent = len(events)
-            if job.finished and sent == len(job.events):
-                break
-            await asyncio.sleep(EVENT_POLL_SECONDS)
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
-    @staticmethod
-    async def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
-        writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
-        await writer.drain()
 
     @staticmethod
     async def _send_json(

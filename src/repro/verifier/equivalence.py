@@ -244,23 +244,21 @@ class EquivalenceVerifier:
         matrix_cache = self._matrix_cache
         perf = self.perf
 
-        full_key = (num_qubits, sequence, denominators)
-        cached = matrix_cache.get(full_key)
-        if cached is not None:
-            perf.count("verifier.matrix_cache.hits")
-            return cached
-        perf.count("verifier.matrix_cache.misses")
-
-        # Longest cached prefix (the empty prefix is the identity).
+        # Longest cached prefix, the whole circuit first (the empty prefix
+        # is the identity).
         total = len(sequence)
         prefix_len = 0
         matrix = None
-        for length in range(total - 1, 0, -1):
+        for length in range(total, 0, -1):
             candidate_key = (num_qubits, sequence[:length], denominators)
             matrix = matrix_cache.get(candidate_key)
             if matrix is not None:
                 prefix_len = length
                 break
+        if matrix is not None and prefix_len == total:
+            perf.count("verifier.matrix_cache.hits")
+            return matrix
+        perf.count("verifier.matrix_cache.misses")
         if matrix is None:
             matrix = SymMatrix.identity(1 << num_qubits)
         perf.count("verifier.matrix_prefix_reuse", prefix_len)

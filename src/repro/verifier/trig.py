@@ -14,8 +14,6 @@ module implements the machinery behind those steps:
   protocol on top of a context: it turns ``cos(angle)``, ``sin(angle)`` and
   ``e^{i angle}`` into :class:`TrigPoly` values over the atoms, with the
   constant part of the angle folded into exact Q[sqrt(2)] coefficients.
-* :func:`symbolic_circuit_matrix` composes gate matrices into the symbolic
-  unitary of a whole circuit.
 """
 
 from __future__ import annotations
@@ -194,11 +192,3 @@ def symbolic_instruction_matrix(
     gate_matrix = inst.gate.symbolic(builder, inst.params)
     return embed_symbolic(gate_matrix, inst.qubits, num_qubits)
 
-
-def symbolic_circuit_matrix(circuit: Circuit, builder: AtomTrigBuilder) -> SymMatrix:
-    """The exact symbolic unitary of a circuit over the builder's atoms."""
-    result = SymMatrix.identity(1 << circuit.num_qubits)
-    for inst in circuit.instructions:
-        full = symbolic_instruction_matrix(inst, builder, circuit.num_qubits)
-        result = full @ result
-    return result

@@ -42,7 +42,8 @@ def nam_transformations_small(nam_ecc_q2_n3):
 
 
 def _transformations_n3_q3(gate_set):
-    # No cache argument: generation runs from scratch and stores nothing.
+    # RepGen never touches the disk cache: this generates from scratch
+    # and stores nothing.
     result = RepGen(gate_set, num_qubits=3).generate(3)
     return transformations_from_ecc_set(
         prune_common_subcircuits(simplify_ecc_set(result.ecc_set))

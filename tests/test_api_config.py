@@ -28,6 +28,12 @@ DEPLOYMENT_FIELDS = frozenset(
 )
 
 
+def _load_config_file(path):
+    """A JSON config file read the one way there is: a mapping of fields
+    (flat or nested) handed to ``with_overrides``."""
+    return RunConfig.from_env().with_overrides(**json.loads(path.read_text()))
+
+
 class TestFrozen:
     def test_all_layers_are_frozen(self):
         config = RunConfig()
@@ -40,6 +46,18 @@ class TestFrozen:
 
 
 class TestFromEnv:
+    def test_pure_defaults_ignore_the_environment(self, monkeypatch, tmp_path):
+        # Only from_env reads the environment: a config built without it
+        # holds its defaults, and its cache fields are plain values.
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "1")
+        for generation in (RunConfig().generation, GenerationConfig()):
+            assert generation.cache_dir == ".repro_cache"
+            assert generation.cache_enabled is True
+        snapshot = RunConfig.from_env().generation
+        assert snapshot.cache_dir == str(tmp_path)
+        assert snapshot.cache_enabled is False
+
     def test_snapshots_every_knob(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "false")
@@ -47,7 +65,7 @@ class TestFromEnv:
         assert config.generation.cache_dir == str(tmp_path)
         assert config.generation.cache_enabled is True
 
-    def test_scale_and_pool_knobs_are_not_run_fields(self, monkeypatch, tmp_path):
+    def test_scale_and_pool_knobs_are_not_run_fields(self, monkeypatch):
         # REPRO_SCALE picks an experiment preset (active_config) and the
         # REPRO_CHUNK_* knobs configure the service pool (ServiceConfig):
         # neither is part of a run's config.
@@ -68,10 +86,10 @@ class TestFromEnv:
             ("chunk_retries", 1),
             ("scale", "quick"),
         ):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps({name: value}))
             with pytest.raises(TypeError, match=name):
-                RunConfig.from_file(path)
+                RunConfig.from_env().with_overrides(**{name: value})
+            with pytest.raises(TypeError, match=name):
+                RunConfig().with_overrides(generation={name: value})
 
     def test_batched_stays_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
@@ -146,7 +164,7 @@ class TestSerialOnlyWorkerFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"batched": False}))
         with pytest.raises(ValueError, match="batched=False"):
-            RunConfig.from_file(path)
+            _load_config_file(path)
 
     def test_backend_is_not_a_field(self, tmp_path):
         with pytest.raises(TypeError):
@@ -156,7 +174,7 @@ class TestSerialOnlyWorkerFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"backend": "numpy"}))
         with pytest.raises(TypeError, match="backend"):
-            RunConfig.from_file(path)
+            _load_config_file(path)
 
     @pytest.mark.parametrize(
         "build",
@@ -183,7 +201,7 @@ class TestSerialOnlyWorkerFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"generation": {"workers": 4}}))
         with pytest.raises(ValueError, match="workers=4"):
-            RunConfig.from_file(path)
+            _load_config_file(path)
 
     @pytest.mark.parametrize(
         "layer, field",
@@ -195,7 +213,7 @@ class TestSerialOnlyWorkerFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({layer: {field: 2}}))
         with pytest.raises(ValueError, match=f"{field}=2"):
-            RunConfig.from_file(path)
+            _load_config_file(path)
 
 
 class TestOverrides:
@@ -226,34 +244,6 @@ class TestOverrides:
         base = RunConfig()
         base.with_overrides(n=7)
         assert base.generation.n == 3
-
-
-class TestSources:
-    def test_precedence_env_file_kwargs(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "env"))
-        config_file = tmp_path / "config.json"
-        config_file.write_text(
-            json.dumps(
-                {
-                    "gate_set": "ibm",
-                    "generation": {"cache_dir": str(tmp_path / "file"), "n": 2},
-                    "search": {"strategy": "beam"},
-                }
-            )
-        )
-        config = RunConfig.from_sources(file=config_file, gate_set="rigetti")
-        # env set the cache dir, the file overrode it, kwargs overrode the
-        # file's gate set.
-        assert config.generation.cache_dir == str(tmp_path / "file")
-        assert config.generation.n == 2
-        assert config.search.strategy == "beam"
-        assert config.gate_set == "rigetti"
-
-    def test_from_file_rejects_non_object(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="JSON object"):
-            RunConfig.from_file(path)
 
 
 class TestStrategyOptions:

@@ -143,12 +143,14 @@ class TestRunReport:
         assert any(key.startswith("fingerprint.") for key in perf)
         assert any(key.startswith("search.") for key in perf)
 
-    def test_as_dict_and_summary(self, small_report):
+    def test_json_dict_and_summary(self, small_report):
         import json
 
-        payload = small_report.as_dict()
+        # to_json_dict is a report's one serialization.
+        assert not hasattr(small_report, "as_dict")
+        payload = small_report.to_json_dict()
         json.dumps(payload)
-        assert payload["optimized_gates"] == 1
+        assert payload["circuits"]["optimized_gates"] == 1
         text = small_report.summary()
         assert "backtracking" in text
         assert "verification: OK" in text

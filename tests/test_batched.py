@@ -285,13 +285,17 @@ class TestHashKeysBatched:
 
 class TestCacheKinds:
     def test_repgen_cache_kinds_are_bare(self):
-        from repro.generator import RepGen
+        from repro.api import GenerationConfig
+        from repro.api.facade import _generation_key
         from repro.ir.gatesets import NAM
 
-        generator = RepGen(NAM, num_qubits=2, num_params=2)
-        # The kinds blobs have always been stored under, so every existing
-        # .repro_cache/ entry stays valid.
-        assert generator._cache_key(2).kind == "repgen"
+        generation = GenerationConfig(n=2, q=2)
+        # The kinds and names blobs have always been stored under, so every
+        # existing .repro_cache/ entry stays valid.
+        for kind in ("repgen", "pruned"):
+            key = _generation_key(kind, NAM, generation)
+            assert key.kind == kind
+            assert key.filename().startswith(f"{kind}_nam_n2_q2_m2_s20220433_")
 
 
 class TestGenerationByteIdentity:

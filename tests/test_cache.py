@@ -8,17 +8,15 @@ regeneration, never a crash.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
+from repro.api import GenerationConfig, RunConfig, clear_memory_caches, run_generation
+from repro.envconfig import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
 from repro.generator import RepGen
-from repro.generator.cache import (
-    CACHE_DISABLE_ENV_VAR,
-    ECCCache,
-    SCHEMA_VERSION,
-    cache_key,
-)
+from repro.generator.cache import ECCCache, SCHEMA_VERSION, cache_key
 from repro.ir.gatesets import GateSet, NAM, RIGETTI
 from repro.perf import PerfRecorder
 
@@ -30,9 +28,26 @@ def nam_result():
 
 @pytest.fixture()
 def cache(tmp_path):
-    # enabled=True: these tests must exercise the real store even when the
+    # The store never reads the environment: it is enabled even where the
     # surrounding environment (e.g. the cold-cache CI job) disables caching.
-    return ECCCache(tmp_path / "cache", enabled=True)
+    return ECCCache(tmp_path / "cache")
+
+
+@pytest.fixture()
+def fresh_memo():
+    clear_memory_caches()
+    yield
+    clear_memory_caches()
+
+
+def _run_generation(cache):
+    """The facade's generation of the Nam (2, 2) set through ``cache``'s
+    directory, past the in-process memo."""
+    clear_memory_caches()
+    return run_generation(
+        NAM,
+        GenerationConfig(n=2, q=2, num_params=2, cache_dir=str(cache.directory)),
+    )
 
 
 BASE_KEY_ARGS = dict(kind="repgen", gate_set=NAM, n=2, q=2, m=2, seed=20220433)
@@ -98,15 +113,41 @@ class TestRoundTrip:
         assert stats.rounds == nam_result.stats.rounds
         assert stats.perf.get("cache.warm_hit") == 1
 
-    def test_repgen_warm_hit_skips_generation(self, cache, nam_result):
-        generator = RepGen(NAM, num_qubits=2, num_params=2)
-        cold = generator.generate(2, cache=cache)
-        warm_generator = RepGen(NAM, num_qubits=2, num_params=2)
-        warm = warm_generator.generate(2, cache=cache)
+    def test_repgen_warm_hit_skips_generation(
+        self, cache, nam_result, fresh_memo, monkeypatch
+    ):
+        runs = []
+        generate = RepGen.generate
+
+        def counted(self, *args, **kwargs):
+            runs.append(self)
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(RepGen, "generate", counted)
+        cold = _run_generation(cache)
+        warm = _run_generation(cache)
         assert warm.ecc_set.to_json() == cold.ecc_set.to_json()
         assert warm.ecc_set.to_json() == nam_result.ecc_set.to_json()
-        # The warm run performed no verification of its own.
-        assert warm_generator.verifier.stats.checks == 0
+        assert warm.stats.perf.get("cache.warm_hit") == 1
+        # Only the cold run generated (and verified).
+        assert len(runs) == 1 and runs[0].verifier.stats.checks > 0
+
+    def test_run_generation_loads_the_stored_result(
+        self, cache, fresh_memo, monkeypatch
+    ):
+        # The facade, not RepGen, finds a warm hit: with generation
+        # forbidden, a cache filled by an earlier run still answers.
+        stored = _run_generation(cache)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("RepGen.generate ran on a warm cache")
+
+        monkeypatch.setattr(RepGen, "generate", forbidden)
+        loaded = _run_generation(cache)
+        assert loaded is not stored
+        assert loaded.ecc_set.to_json() == stored.ecc_set.to_json()
+        assert loaded.stats.perf.get("cache.warm_hit") == 1
+        assert "cache" not in inspect.signature(RepGen.generate).parameters
 
     def test_ecc_set_roundtrip(self, cache, nam_result):
         key = _key(kind="pruned")
@@ -158,13 +199,12 @@ class TestCorruptionTolerance:
         with pytest.warns(RuntimeWarning, match="schema"):
             assert cache.load(key) is None
 
-    def test_corrupt_blob_triggers_regeneration_not_crash(self, cache):
+    def test_corrupt_blob_triggers_regeneration_not_crash(self, cache, fresh_memo):
         key = cache_key("repgen", NAM, 2, 2, 2, 20220433)
         cache.directory.mkdir(parents=True, exist_ok=True)
         cache.path_for(key).write_text("corrupt")
-        generator = RepGen(NAM, num_qubits=2, num_params=2)
         with pytest.warns(RuntimeWarning):
-            result = generator.generate(2, cache=cache)
+            result = _run_generation(cache)
         assert result.stats.num_eccs > 0
         # The bad blob was overwritten by the fresh result.
         assert cache.load_generator_result(key) is not None
@@ -174,13 +214,13 @@ class TestCorruptionTolerance:
     ):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the cache dir should be")
-        cache = ECCCache(blocker, enabled=True)  # mkdir() will fail
+        cache = ECCCache(blocker)  # mkdir() will fail
         with pytest.warns(RuntimeWarning, match="could not write"):
             assert cache.store_generator_result(_key(), nam_result) is None
 
     def test_perf_counters(self, tmp_path, nam_result):
         perf = PerfRecorder()
-        cache = ECCCache(tmp_path / "cache", enabled=True, perf=perf)
+        cache = ECCCache(tmp_path / "cache", perf=perf)
         key = _key()
         assert cache.load(key) is None
         cache.store_generator_result(key, nam_result)
@@ -190,10 +230,16 @@ class TestCorruptionTolerance:
         assert perf.value("cache.hits") == 1
 
 
+def _cache_from_env(**overrides):
+    """The store a facade run opens for ``RunConfig.from_env(...)``."""
+    generation = RunConfig.from_env(**overrides).generation
+    return ECCCache(generation.cache_dir, enabled=generation.cache_enabled)
+
+
 class TestDisabling:
     def test_env_var_disables(self, tmp_path, nam_result, monkeypatch):
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "1")
-        cache = ECCCache(tmp_path / "cache")
+        cache = _cache_from_env(cache_dir=str(tmp_path / "cache"))
         assert not cache.enabled
         key = _key()
         assert cache.store_generator_result(key, nam_result) is None
@@ -202,8 +248,10 @@ class TestDisabling:
 
     def test_explicit_enabled_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "1")
-        assert ECCCache(tmp_path, enabled=True).enabled
+        assert _cache_from_env(cache_enabled=True).enabled
+        # The store itself never reads the variable.
+        assert ECCCache(tmp_path).enabled
 
     def test_cache_dir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert ECCCache().directory == tmp_path / "elsewhere"
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path / "elsewhere"))
+        assert _cache_from_env().directory == tmp_path / "elsewhere"

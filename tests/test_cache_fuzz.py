@@ -23,6 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.api import GenerationConfig, clear_memory_caches, run_generation
+from repro.api.facade import _generation_key
 from repro.faults import FaultPlan
 from repro.generator import RepGen
 from repro.generator.cache import ECCCache
@@ -37,17 +39,26 @@ def _clean_fault_plan():
     faults.set_fault_plan(None)
 
 
-def _repgen():
-    return RepGen(NAM, num_qubits=2, num_params=2)
+def _generation(cache):
+    return GenerationConfig(n=1, q=2, num_params=2, cache_dir=str(cache.directory))
+
+
+def _regenerate(cache):
+    """The caller's recovery path: the facade loads the blob and, on a
+    miss, generates and stores over it (past the in-process memo)."""
+    clear_memory_caches()
+    try:
+        return run_generation(NAM, _generation(cache))
+    finally:
+        clear_memory_caches()
 
 
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
     """One stored n=1 generator result: (cache, key, blob path, bytes, json)."""
-    cache = ECCCache(tmp_path_factory.mktemp("fuzz") / "cache", enabled=True)
-    generator = _repgen()
-    result = generator.generate(1)
-    key = generator._cache_key(1)
+    cache = ECCCache(tmp_path_factory.mktemp("fuzz") / "cache")
+    result = RepGen(NAM, num_qubits=2, num_params=2).generate(1)
+    key = _generation_key("repgen", NAM, _generation(cache))
     path = cache.store_generator_result(key, result)
     assert path is not None
     return {
@@ -112,7 +123,7 @@ def test_mutated_blobs_never_raise_and_regeneration_is_byte_identical(
                 assert loaded.ecc_set.to_json() == pristine["ecc_json"]
             else:
                 # The caller's recovery path: regenerate over the bad blob.
-                regenerated = _repgen().generate(1, cache=cache)
+                regenerated = _regenerate(cache)
                 assert regenerated.ecc_set.to_json() == pristine["ecc_json"]
     finally:
         path.write_bytes(pristine["blob"])
@@ -121,7 +132,7 @@ def test_mutated_blobs_never_raise_and_regeneration_is_byte_identical(
 class TestInjectedReadFaults:
     def test_torn_read_heals_on_reread(self, pristine):
         perf = PerfRecorder()
-        cache = ECCCache(pristine["cache"].directory, enabled=True, perf=perf)
+        cache = ECCCache(pristine["cache"].directory, perf=perf)
         faults.set_fault_plan(FaultPlan.from_string("torn_read:cache"))
         loaded = cache.load_generator_result(pristine["key"])
         assert loaded is not None
@@ -135,7 +146,7 @@ class TestInjectedReadFaults:
     ):
         # A private copy: the injected corruption persists on disk.
         perf = PerfRecorder()
-        cache = ECCCache(tmp_path / "cache", enabled=True, perf=perf)
+        cache = ECCCache(tmp_path / "cache", perf=perf)
         copy = cache.directory / pristine["path"].name
         copy.parent.mkdir(parents=True)
         copy.write_bytes(pristine["blob"])
@@ -149,7 +160,7 @@ class TestInjectedReadFaults:
         # Regeneration reads the still-rotten blob once more (warns), then
         # overwrites it.
         with pytest.warns(RuntimeWarning, match="unusable cache blob"):
-            regenerated = _repgen().generate(1, cache=cache)
+            regenerated = _regenerate(cache)
         assert regenerated.ecc_set.to_json() == pristine["ecc_json"]
         # The regeneration overwrote the rotten blob: the next load hits.
         assert cache.load_generator_result(pristine["key"]) is not None
@@ -158,7 +169,7 @@ class TestInjectedReadFaults:
         # A reader racing a writer of the same deterministic blob: one torn
         # attempt, then the (atomically replaced) blob reads clean.  This is
         # exactly what two simultaneous CI jobs sharing a cache dir do.
-        cache = ECCCache(tmp_path / "cache", enabled=True)
+        cache = ECCCache(tmp_path / "cache")
         copy = cache.directory / pristine["path"].name
         copy.parent.mkdir(parents=True)
         copy.write_bytes(pristine["blob"])

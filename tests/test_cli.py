@@ -8,8 +8,8 @@ import os
 import pytest
 
 from repro.api import clear_memory_caches
+from repro.envconfig import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
 from repro.experiments import cli
-from repro.generator.cache import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
 
 
 class TestSharedFlags:

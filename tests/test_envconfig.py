@@ -8,18 +8,20 @@ only disables on truthy values — ``0``/``false``/``off`` keep the cache
 
 from __future__ import annotations
 
+import ast
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import envconfig
+from repro.api import RunConfig
 from repro.envconfig import (
     CACHE_DIR_ENV_VAR,
     CACHE_DISABLE_ENV_VAR,
     SCALE_ENV_VAR,
     SERVICE_WORKERS_ENV_VAR,
 )
-from repro.generator.cache import ECCCache
 
 
 class TestWorkers:
@@ -68,13 +70,13 @@ class TestCacheDisable:
     def test_falsy_values_keep_the_cache_enabled(self, monkeypatch, raw):
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, raw)
         assert envconfig.env_cache_enabled() is True
-        assert ECCCache().enabled is True
+        assert RunConfig.from_env().generation.cache_enabled is True
 
     @pytest.mark.parametrize("raw", ["1", "true", "True", "TRUE", "yes", "Yes", "on", "ON"])
     def test_truthy_values_disable(self, monkeypatch, raw):
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, raw)
         assert envconfig.env_cache_enabled() is False
-        assert ECCCache().enabled is False
+        assert RunConfig.from_env().generation.cache_enabled is False
 
     def test_unset_means_enabled(self, monkeypatch):
         monkeypatch.delenv(CACHE_DISABLE_ENV_VAR, raising=False)
@@ -129,8 +131,6 @@ class TestResume:
 
     @staticmethod
     def _resume_from_env():
-        from repro.api import RunConfig
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return RunConfig.from_env().generation.resume
@@ -170,7 +170,7 @@ class TestCacheDirAndScale:
         assert envconfig.env_cache_dir() == envconfig.DEFAULT_CACHE_DIR
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         assert envconfig.env_cache_dir() == str(tmp_path)
-        assert ECCCache().directory == tmp_path
+        assert RunConfig.from_env().generation.cache_dir == str(tmp_path)
 
     def test_scale_normalizes_case_and_defaults(self, monkeypatch):
         monkeypatch.delenv(SCALE_ENV_VAR, raising=False)
@@ -261,8 +261,6 @@ class TestSearchKnobs:
     def test_search_workers_default_valid_and_invalid(self, monkeypatch):
         # REPRO_SEARCH_WORKERS is no longer read: unset, once-valid and
         # invalid values all leave the search serial, without a warning.
-        from repro.api import RunConfig
-
         monkeypatch.delenv("REPRO_SEARCH_WORKERS", raising=False)
         assert RunConfig.from_env().search.search_workers is None
         for raw in (" 4 ", "many", "-2", "2.5"):
@@ -284,8 +282,6 @@ class TestRemovedKnobs:
         assert not hasattr(workerpool, "resolve_chunk_retries")
 
     def test_run_config_ignores_removed_worker_knobs(self, monkeypatch):
-        from repro.api import RunConfig
-
         for var, raw in (
             ("REPRO_GEN_WORKERS", "4"),
             ("REPRO_VERIFY_WORKERS", "3"),
@@ -302,11 +298,28 @@ class TestRemovedKnobs:
     def test_run_config_ignores_removed_batched_knob(self, monkeypatch, raw):
         # REPRO_BATCHED is no longer read: fingerprints are always batched,
         # and no value (not even an unparseable one) warns.
-        from repro.api import RunConfig
-
         monkeypatch.setenv("REPRO_BATCHED", raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = RunConfig.from_env()
         assert config.batched is None
         assert not hasattr(envconfig, "BATCHED_ENV_VAR")
+
+
+class TestOneReader:
+    def test_generator_does_not_import_envconfig(self):
+        # Generation takes its cache directory and flag as plain values:
+        # no module of repro.generator reaches the environment readers.
+        import repro.generator
+
+        package = Path(repro.generator.__file__).parent
+        imported = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add(node.module)
+                    imported.update(f"{node.module}.{a.name}" for a in node.names)
+        assert "repro.faults" in imported  # the walk sees the package's imports
+        assert "repro.envconfig" not in imported

@@ -941,25 +941,22 @@ class TestHTTPServer:
         assert payload == {"error": "InvalidRequest", "detail": "body too large"}
 
     def test_event_stream_ends_with_terminal_status(self, http_server):
+        # A job is followed one way: long-poll its record, whose events
+        # list the status transitions.  There is no streaming route.
         _, _, submitted = http_server.request(
             "POST", "/v1/optimize", json.dumps({"qasm": qasm_for("mod5_4")})
         )
         job_id = submitted["job_id"]
-        http_server.request("GET", f"/v1/jobs/{job_id}?wait=120")
-        conn = http.client.HTTPConnection("127.0.0.1", http_server.port, timeout=30)
-        try:
-            conn.request("GET", f"/v1/jobs/{job_id}/events")
-            response = conn.getresponse()
-            assert response.status == 200
-            lines = [
-                json.loads(line)
-                for line in response.read().decode("utf-8").splitlines()
-                if line.strip()
-            ]
-        finally:
-            conn.close()
-        assert lines[0]["status"] == "queued"
-        assert lines[-1]["status"] in ("completed", "failed")
+        status, _, record = http_server.request(
+            "GET", f"/v1/jobs/{job_id}?wait=120"
+        )
+        assert status == 200
+        events = [event["status"] for event in record["events"]]
+        assert events[0] == "queued"
+        assert events[-1] == record["status"] == "completed"
+        status, _, payload = http_server.request("GET", f"/v1/jobs/{job_id}/events")
+        assert status == 400
+        assert payload["error"] == "InvalidRequest"
 
     def test_queue_full_is_http_429_with_retry_after(self):
         executor = _BlockingExecutor()
