@@ -18,10 +18,15 @@ is authoritative.  Changing any key field — or bumping ``SCHEMA_VERSION``
 when the serialization format changes — changes the hash, so stale blobs
 are simply never looked up.
 
+A blob is one header line, ``{"schema": 3, "key": "<content hash>",
+"sha256": "<body digest>"}``, followed by the body's JSON text.  The body is
+serialized once, and the digest is taken over exactly those bytes, so a
+load checks the sum over the bytes it read and then parses the body once.
+
 Robustness contract: a cache *read* never raises.  Truncated, corrupted,
 mismatched or otherwise unreadable blobs produce a ``RuntimeWarning`` and a
-miss, and the caller regenerates (and overwrites the bad blob).  Each blob
-carries a SHA-256 checksum of its body so silent bit-rot is detected, and
+miss, and the caller regenerates (and overwrites the bad blob).  The body
+checksum detects silent bit-rot, and
 writes go through a temp file + ``os.replace`` so a crashed writer cannot
 leave a half-written blob under the final name.  A failed validation is
 retried with one immediate re-read first: a *transient* bad read (partial
@@ -52,7 +57,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -64,7 +69,7 @@ from repro.ir.gatesets import GateSet
 from repro.perf import NULL_RECORDER, PerfRecorder
 
 #: Bump whenever the serialized payload or key derivation changes shape.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,13 @@ class CacheKey:
     q: int
     m: int
     seed: int
+    #: SHA-256 of the canonical JSON of :meth:`fields`, computed once.
+    _digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        canonical = json.dumps(self.fields(), sort_keys=True)
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_digest", digest)
 
     def fields(self) -> Dict[str, object]:
         return {
@@ -93,8 +105,7 @@ class CacheKey:
         }
 
     def content_hash(self) -> str:
-        canonical = json.dumps(self.fields(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self._digest
 
     def filename(self) -> str:
         return (
@@ -116,12 +127,6 @@ def cache_key(
         m=int(m),
         seed=int(seed),
     )
-
-
-def _body_checksum(body: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")
-    ).hexdigest()
 
 
 def _flip_byte_on_disk(path: Path) -> None:
@@ -201,51 +206,53 @@ class ECCCache:
 
     def _read_validated(self, path: Path, key: CacheKey) -> dict:
         """One read + validation pass; raises :class:`CacheCorruption`."""
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
         if faults.fire("cache", ("torn_read",)) is not None:
-            text = text[: len(text) // 2]
+            data = data[: len(data) // 2]
+        header_line, newline, body_bytes = data.partition(b"\n")
+        if not newline:
+            raise CacheCorruption("no header line")
         try:
-            envelope = json.loads(text)
+            header = json.loads(header_line)
         except ValueError as error:
-            raise CacheCorruption(f"undecodable JSON ({error})") from error
-        if not isinstance(envelope, dict):
-            raise CacheCorruption("envelope is not a JSON object")
-        if envelope.get("schema") != SCHEMA_VERSION:
+            raise CacheCorruption(f"undecodable header ({error})") from error
+        if not isinstance(header, dict):
+            raise CacheCorruption("header is not a JSON object")
+        if header.get("schema") != SCHEMA_VERSION:
             raise CacheCorruption(
-                f"schema {envelope.get('schema')!r} != {SCHEMA_VERSION}"
+                f"schema {header.get('schema')!r} != {SCHEMA_VERSION}"
             )
-        if envelope.get("key") != key.fields():
-            raise CacheCorruption(
-                "key fields do not match (hash collision or stale blob)"
-            )
-        if "body" not in envelope:
-            raise CacheCorruption("envelope has no body")
-        body = envelope["body"]
-        if envelope.get("sha256") != _body_checksum(body):
+        if header.get("key") != key.content_hash():
+            raise CacheCorruption("key hash does not match (stale blob)")
+        if header.get("sha256") != hashlib.sha256(body_bytes).hexdigest():
             raise CacheCorruption("body checksum mismatch")
-        return body
+        try:
+            return json.loads(body_bytes)
+        except ValueError as error:
+            raise CacheCorruption(f"undecodable body ({error})") from error
 
     def store(self, key: CacheKey, body: dict) -> Optional[Path]:
         """Atomically write a blob; returns its path (None when disabled)."""
         if not self.enabled:
             return None
         path = self.path_for(key)
-        envelope = {
-            "schema": SCHEMA_VERSION,
-            "key": key.fields(),
-            "sha256": _body_checksum(body),
-            "body": body,
-        }
+        # The body's one serialization: the checksum covers these bytes.
+        # json.dump always takes the pure-Python encoder, the one-shot
+        # json.dumps the C one (same text).
+        body_bytes = json.dumps(body).encode("utf-8")
+        header = (
+            f'{{"schema": {SCHEMA_VERSION}, "key": "{key.content_hash()}", '
+            f'"sha256": "{hashlib.sha256(body_bytes).hexdigest()}"}}\n'
+        )
         tmp_name = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
                 dir=self.directory, prefix=path.name, suffix=".tmp"
             )
-            # One json.dumps call: json.dump always takes the pure-Python
-            # encoder, the one-shot form the C one (same text).
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(envelope))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(header.encode("ascii"))
+                handle.write(body_bytes)
             os.replace(tmp_name, path)
         except OSError as error:
             # A read-only or full cache directory must not break generation

@@ -1,22 +1,22 @@
 """Exact symbolic linear-algebra substrate used by the Quartz verifier.
 
 The verifier reduces circuit equivalence (up to a global phase) to an
-identity between matrices whose entries are multivariate polynomials in
-``sin``/``cos`` atoms with coefficients in the ring Q[sqrt(2)].  This package
-provides that tower:
+identity between matrices whose entries are Laurent polynomials in
+``z_k = e^{i*atom_k}`` with coefficients in Q[sqrt(2)] + i*Q[sqrt(2)].  This
+package provides that tower:
 
 * :mod:`repro.linalg.qsqrt2`   — the exact scalar ring Q[sqrt(2)].
 * :mod:`repro.linalg.cnumber`  — exact complex numbers over Q[sqrt(2)].
-* :mod:`repro.linalg.trigpoly` — multivariate polynomials in sin/cos atoms,
-  normalised modulo the Pythagorean ideal (sin^2 + cos^2 = 1).
+* :mod:`repro.linalg.trigpoly` — Laurent polynomials in the ``z_k``, equal
+  as functions exactly when their coefficients are equal.
 * :mod:`repro.linalg.symmatrix`— dense symbolic matrices over those
-  polynomials with the operations circuit semantics needs (matrix product,
-  tensor product, scalar multiplication, conjugate transpose).
+  polynomials with the operations the verifier needs (matrix product and
+  comparison up to a symbolic scalar).
 """
 
 from repro.linalg.qsqrt2 import QSqrt2
 from repro.linalg.cnumber import CNumber
-from repro.linalg.trigpoly import TrigPoly, TrigVar
+from repro.linalg.trigpoly import TrigPoly
 from repro.linalg.symmatrix import SymMatrix
 
-__all__ = ["QSqrt2", "CNumber", "TrigPoly", "TrigVar", "SymMatrix"]
+__all__ = ["QSqrt2", "CNumber", "TrigPoly", "SymMatrix"]

@@ -1,14 +1,14 @@
 """Exact complex numbers over the ring Q[sqrt(2)].
 
 A :class:`CNumber` is ``re + i*im`` where both parts are :class:`QSqrt2`
-elements.  These are the coefficients of the trig polynomials used by the
-verifier: every constant scalar that appears in the symbolic matrices of the
-supported gates — 0, 1, -1, i, 1/sqrt(2), e^{i k pi/4} — lives in this ring.
+elements.  These are the coefficients of the verifier's Laurent polynomials
+in ``z_k = e^{i*atom_k}``: every constant scalar that appears in the symbolic
+matrices of the supported gates — 0, 1, -1, i, 1/sqrt(2), e^{i k pi/4} —
+lives in this ring.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import Union
 
@@ -74,16 +74,6 @@ class CNumber:
             7: CNumber(half, -half),
         }
         return table[k]
-
-    @staticmethod
-    def cos_pi_multiple(multiple: Fraction) -> "CNumber":
-        """Return ``cos(multiple * pi)`` for ``multiple`` a multiple of 1/4."""
-        return CNumber(CNumber.from_exp_i_pi_multiple(multiple).re, 0)
-
-    @staticmethod
-    def sin_pi_multiple(multiple: Fraction) -> "CNumber":
-        """Return ``sin(multiple * pi)`` for ``multiple`` a multiple of 1/4."""
-        return CNumber(CNumber.from_exp_i_pi_multiple(multiple).im, 0)
 
     # -- predicates --------------------------------------------------------
 
@@ -197,13 +187,6 @@ class CNumber:
         if self.re.is_zero():
             return f"({self.im})*i"
         return f"({self.re}) + ({self.im})*i"
-
-    def approx(self) -> complex:
-        """Return a floating-point approximation (alias of ``complex(self)``)."""
-        return complex(self)
-
-    def is_close_to(self, value: complex, tol: float = 1e-9) -> bool:
-        return cmath.isclose(complex(self), value, rel_tol=0.0, abs_tol=tol)
 
 
 def _coerce(value: object) -> "CNumber":

@@ -88,10 +88,6 @@ class QSqrt2:
         """Return ``sqrt(2)/2``, i.e. ``1/sqrt(2)`` — ubiquitous in gates."""
         return QSqrt2(0, Fraction(1, 2))
 
-    @staticmethod
-    def from_rational(value: RationalLike) -> "QSqrt2":
-        return QSqrt2(Fraction(value), 0)
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -99,9 +95,6 @@ class QSqrt2:
 
     def is_one(self) -> bool:
         return self.p == 1 and not self.q and self.d == 1
-
-    def is_rational(self) -> bool:
-        return not self.q
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -1,15 +1,14 @@
 """Dense symbolic matrices over trig polynomials.
 
-Circuit semantics composes gate matrices with matrix multiplication
-(sequential composition) and tensor products (parallel composition); the
-verifier additionally needs scalar multiplication by a symbolic phase and the
-conjugate transpose.  Matrices here are small — ``2^q x 2^q`` with ``q <= 4``
-in all experiments — so a simple dense row-major representation is adequate.
+The verifier composes embedded gate matrices by matrix multiplication and
+compares two circuit matrices up to a symbolic phase factor.  Matrices here
+are small — ``2^q x 2^q`` with ``q <= 4`` in all experiments — so a simple
+dense row-major representation is adequate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from repro.linalg.cnumber import CNumber
 from repro.linalg.trigpoly import TrigPoly
@@ -42,12 +41,6 @@ class SymMatrix:
                 [TrigPoly.one() if i == j else TrigPoly.zero() for j in range(size)]
                 for i in range(size)
             ]
-        )
-
-    @staticmethod
-    def zeros(num_rows: int, num_cols: int) -> "SymMatrix":
-        return SymMatrix(
-            [[TrigPoly.zero() for _ in range(num_cols)] for _ in range(num_rows)]
         )
 
     @staticmethod
@@ -101,28 +94,6 @@ class SymMatrix:
             result.append(row)
         return SymMatrix(result)
 
-    def tensor(self, other: "SymMatrix") -> "SymMatrix":
-        """Return the Kronecker product ``self (x) other``."""
-        result = []
-        for i in range(self.num_rows):
-            for k in range(other.num_rows):
-                row = []
-                for j in range(self.num_cols):
-                    left = self.rows[i][j]
-                    for l in range(other.num_cols):
-                        if left.is_zero():
-                            row.append(TrigPoly.zero())
-                        else:
-                            row.append(left * other.rows[k][l])
-                result.append(row)
-        return SymMatrix(result)
-
-    def scalar_mul(self, scalar: TrigPoly | CNumber) -> "SymMatrix":
-        poly = scalar if isinstance(scalar, TrigPoly) else TrigPoly.constant(scalar)
-        return SymMatrix(
-            [[poly * entry for entry in row] for row in self.rows]
-        )
-
     def equals_scaled(self, other: "SymMatrix", scalar: TrigPoly | CNumber) -> bool:
         """Check ``scalar * self == other`` without materializing the product.
 
@@ -162,17 +133,6 @@ class SymMatrix:
                 for i in range(self.num_rows)
             ]
         )
-
-    def conjugate_transpose(self) -> "SymMatrix":
-        return SymMatrix(
-            [
-                [self.rows[i][j].conjugate() for i in range(self.num_rows)]
-                for j in range(self.num_cols)
-            ]
-        )
-
-    def map_entries(self, func: Callable[[TrigPoly], TrigPoly]) -> "SymMatrix":
-        return SymMatrix([[func(entry) for entry in row] for row in self.rows])
 
     # -- predicates -----------------------------------------------------------
 

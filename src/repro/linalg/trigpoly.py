@@ -1,79 +1,52 @@
-"""Multivariate polynomials in sin/cos atoms over exact complex coefficients.
+"""Laurent polynomials in ``z_k = e^{i*atom_k}`` over exact complex coefficients.
 
 The Quartz verifier eliminates trigonometric functions from its verification
-conditions by (i) halving angles so that every trig argument is an integer
-combination of *atoms* (one atom per symbolic parameter), (ii) expanding with
-the angle-addition formulas, and (iii) replacing ``sin(t)``/``cos(t)`` by
-fresh variables ``s_t``/``c_t`` constrained by ``s_t^2 + c_t^2 = 1``.
+conditions by halving angles so that every trig argument is an integer
+combination of *atoms* (one atom per symbolic parameter) and then expanding
+the trig functions.  This reproduction expands in the exponential basis:
+with ``z_k = e^{i*atom_k}``,
 
-This module implements the resulting algebra.  A :class:`TrigPoly` is a
-polynomial in the variables ``s_0, c_0, s_1, c_1, ...`` with coefficients in
-Q[sqrt(2)] + i*Q[sqrt(2)] (:class:`repro.linalg.cnumber.CNumber`).  Every
-polynomial is kept in the normal form obtained by rewriting ``s_i^2`` to
-``1 - c_i^2`` until each sine exponent is 0 or 1.  Because
-``{s^2 + c^2 - 1}`` is a Groebner basis (lexicographic order with ``s > c``),
-two polynomials represent the same function of the atoms if and only if their
-normal forms are identical — this is what replaces the Z3 validity check of
-the paper in this reproduction.
+    e^{i*n*atom_k} = z_k^n,   cos(t) = (e^{it} + e^{-it}) / 2,
+    sin(t) = (e^{it} - e^{-it}) / (2i),
+
+so every symbolic matrix entry is a Laurent polynomial in the ``z_k`` with
+coefficients in Q[sqrt(2)] + i*Q[sqrt(2)]
+(:class:`repro.linalg.cnumber.CNumber`).  On real atoms the monomials
+``z^e = e^{i*(e . atoms)}`` for distinct integer exponent vectors ``e`` are
+distinct characters of the torus, hence linearly independent.  So two
+polynomials are equal as functions of the atoms exactly when their
+coefficient maps are equal: nothing is ever rewritten or reduced, and
+comparing coefficient maps is what replaces the Z3 validity check of the
+paper.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from repro.linalg.cnumber import CNumber
 from repro.linalg.qsqrt2 import QSqrt2
 
-# A monomial maps a variable index to a pair (sin_exponent, cos_exponent).
-# It is stored as a sorted tuple of (var_index, sin_exp, cos_exp) entries with
-# at least one nonzero exponent each, which makes it hashable.
-Monomial = Tuple[Tuple[int, int, int], ...]
+# A monomial prod_k z_k^{e_k} is the sorted tuple of its (atom, e_k) pairs
+# with e_k a nonzero integer; the empty tuple is the constant monomial.
+Monomial = Tuple[Tuple[int, int], ...]
 
 CoeffLike = Union[CNumber, QSqrt2, int, Fraction]
 
 
-class TrigVar:
-    """Identifies the sin/cos atom of one symbolic parameter.
-
-    ``TrigVar(i)`` stands for the pair of variables ``s_i = sin(atom_i)`` and
-    ``c_i = cos(atom_i)``.  The mapping from atoms to actual angles (e.g.
-    ``atom_i = p_i / 2``) is chosen by the verifier, not here.
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def sin(self) -> "TrigPoly":
-        return TrigPoly({((self.index, 1, 0),): CNumber.one()})
-
-    def cos(self) -> "TrigPoly":
-        return TrigPoly({((self.index, 0, 1),): CNumber.one()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TrigVar) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(("TrigVar", self.index))
-
-    def __repr__(self) -> str:
-        return f"TrigVar({self.index})"
-
-
 class TrigPoly:
-    """A normal-form polynomial in sin/cos atoms with exact coefficients."""
+    """A Laurent polynomial in the ``z_k`` with exact coefficients.
+
+    ``terms`` maps each monomial to its nonzero coefficient.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, CNumber] | None = None) -> None:
-        reduced: Dict[Monomial, CNumber] = {}
-        if terms:
-            for monomial, coeff in terms.items():
-                _accumulate_reduced(reduced, monomial, coeff)
         self.terms: Dict[Monomial, CNumber] = {
-            m: c for m, c in reduced.items() if not c.is_zero()
+            m: c for m, c in (terms or {}).items() if not c.is_zero()
         }
 
     # -- constructors -----------------------------------------------------
@@ -88,22 +61,11 @@ class TrigPoly:
 
     @staticmethod
     def constant(value: CoeffLike) -> "TrigPoly":
-        coeff = _coerce_coeff(value)
-        if coeff.is_zero():
-            return TrigPoly()
-        return TrigPoly({(): coeff})
+        return TrigPoly({(): _coerce_coeff(value)})
 
     @staticmethod
     def i() -> "TrigPoly":
         return TrigPoly.constant(CNumber.i())
-
-    @staticmethod
-    def sin_atom(index: int) -> "TrigPoly":
-        return TrigVar(index).sin()
-
-    @staticmethod
-    def cos_atom(index: int) -> "TrigPoly":
-        return TrigVar(index).cos()
 
     # -- predicates --------------------------------------------------------
 
@@ -112,26 +74,6 @@ class TrigPoly:
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def constant_value(self) -> CNumber:
-        """Return the value of a constant polynomial.
-
-        Raises:
-            ValueError: if the polynomial mentions any atom.
-        """
-        if self.is_zero():
-            return CNumber.zero()
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant polynomial")
-        return self.terms[()]
-
-    def atoms(self) -> set[int]:
-        """Return the set of atom indices appearing in the polynomial."""
-        found: set[int] = set()
-        for monomial in self.terms:
-            for var_index, _s, _c in monomial:
-                found.add(var_index)
-        return found
 
     # -- ring operations ----------------------------------------------------
 
@@ -176,10 +118,10 @@ class TrigPoly:
             return NotImplemented
         a_terms = self.terms
         b_terms = other.terms
-        # Scaling by a constant polynomial needs no monomial merging or
-        # Pythagorean reduction (CNumber is a field, so products of nonzero
-        # coefficients stay nonzero); this is the dominant case when the
-        # verifier applies phase factors and gate constants.
+        # Scaling by a constant polynomial needs no monomial merging (CNumber
+        # is a field, so products of nonzero coefficients stay nonzero);
+        # this is the dominant case when the verifier applies phase factors
+        # and gate constants.
         if len(b_terms) == 1 and () in b_terms:
             scale = b_terms[()]
             out = TrigPoly.__new__(TrigPoly)
@@ -190,15 +132,15 @@ class TrigPoly:
             out = TrigPoly.__new__(TrigPoly)
             out.terms = {m: scale * c for m, c in b_terms.items()}
             return out
-        reduced: Dict[Monomial, CNumber] = {}
+        product: Dict[Monomial, CNumber] = {}
         for mono_a, coeff_a in a_terms.items():
             for mono_b, coeff_b in b_terms.items():
-                product = coeff_a * coeff_b
-                if product.is_zero():
-                    continue
-                _accumulate_reduced(reduced, _merge_monomials(mono_a, mono_b), product)
+                monomial = _merge_monomials(mono_a, mono_b)
+                term = coeff_a * coeff_b
+                existing = product.get(monomial)
+                product[monomial] = term if existing is None else existing + term
         out = TrigPoly.__new__(TrigPoly)
-        out.terms = {m: c for m, c in reduced.items() if not c.is_zero()}
+        out.terms = {m: c for m, c in product.items() if not c.is_zero()}
         return out
 
     __rmul__ = __mul__
@@ -215,32 +157,14 @@ class TrigPoly:
             exponent >>= 1
         return result
 
-    def conjugate(self) -> "TrigPoly":
-        """Complex-conjugate the coefficients.
-
-        The atoms stand for real-valued sines and cosines, so conjugating a
-        polynomial means conjugating its coefficients only.
-        """
-        out = TrigPoly.__new__(TrigPoly)
-        out.terms = {m: c.conjugate() for m, c in self.terms.items()}
-        return out
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, atom_values: Mapping[int, float]) -> complex:
         """Numerically evaluate at concrete atom angle values (in radians)."""
-        import math
-
         total = 0j
         for monomial, coeff in self.terms.items():
-            value = complex(coeff)
-            for var_index, s_exp, c_exp in monomial:
-                angle = atom_values[var_index]
-                if s_exp:
-                    value *= math.sin(angle) ** s_exp
-                if c_exp:
-                    value *= math.cos(angle) ** c_exp
-            total += value
+            angle = sum(exponent * atom_values[atom] for atom, exponent in monomial)
+            total += complex(coeff) * cmath.exp(1j * angle)
         return total
 
     # -- comparisons --------------------------------------------------------
@@ -265,98 +189,34 @@ class TrigPoly:
             return "0"
         parts = []
         for monomial in sorted(self.terms):
-            coeff = self.terms[monomial]
-            factors = [f"({coeff})"]
-            for var_index, s_exp, c_exp in monomial:
-                if s_exp:
-                    factors.append(f"s{var_index}" + (f"^{s_exp}" if s_exp > 1 else ""))
-                if c_exp:
-                    factors.append(f"c{var_index}" + (f"^{c_exp}" if c_exp > 1 else ""))
+            factors = [f"({self.terms[monomial]})"]
+            for atom, exponent in monomial:
+                factors.append(f"z{atom}" + (f"^{exponent}" if exponent != 1 else ""))
             parts.append("*".join(factors))
         return " + ".join(parts)
 
 
-def sin_of_multiple(n: int, var_index: int) -> TrigPoly:
-    """Return ``sin(n * atom)`` as a polynomial in ``s``/``c`` of the atom."""
-    sin_p, _cos_p = _sin_cos_of_multiple(n, var_index)
-    return sin_p
-
-
-def cos_of_multiple(n: int, var_index: int) -> TrigPoly:
-    """Return ``cos(n * atom)`` as a polynomial in ``s``/``c`` of the atom."""
-    _sin_p, cos_p = _sin_cos_of_multiple(n, var_index)
-    return cos_p
-
-
-def exp_i_multiple(n: int, var_index: int) -> TrigPoly:
-    """Return ``e^{i * n * atom} = cos(n*atom) + i*sin(n*atom)``."""
-    sin_p, cos_p = _sin_cos_of_multiple(n, var_index)
-    return cos_p + TrigPoly.i() * sin_p
-
-
-def _sin_cos_of_multiple(n: int, var_index: int) -> Tuple[TrigPoly, TrigPoly]:
-    """Return ``(sin(n*atom), cos(n*atom))`` using the addition formulas."""
+def exp_i_multiple(n: int, atom: int) -> TrigPoly:
+    """Return ``e^{i * n * atom} = z_atom^n``, a single term."""
     if n == 0:
-        return TrigPoly.zero(), TrigPoly.one()
-    negate_sin = n < 0
-    n = abs(n)
-    sin_acc = TrigPoly.sin_atom(var_index)
-    cos_acc = TrigPoly.cos_atom(var_index)
-    sin_atom = sin_acc
-    cos_atom = cos_acc
-    for _ in range(n - 1):
-        sin_acc, cos_acc = (
-            sin_acc * cos_atom + cos_acc * sin_atom,
-            cos_acc * cos_atom - sin_acc * sin_atom,
-        )
-    if negate_sin:
-        sin_acc = -sin_acc
-    return sin_acc, cos_acc
+        return TrigPoly.one()
+    return TrigPoly({((atom, n),): CNumber.one()})
 
 
 def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
-    merged: Dict[int, Tuple[int, int]] = {}
-    for var_index, s_exp, c_exp in mono_a:
-        merged[var_index] = (s_exp, c_exp)
-    for var_index, s_exp, c_exp in mono_b:
-        prev_s, prev_c = merged.get(var_index, (0, 0))
-        merged[var_index] = (prev_s + s_exp, prev_c + c_exp)
-    return tuple(
-        (var_index, s_exp, c_exp)
-        for var_index, (s_exp, c_exp) in sorted(merged.items())
-        if s_exp or c_exp
-    )
-
-
-def _accumulate_reduced(
-    accumulator: Dict[Monomial, CNumber], monomial: Monomial, coeff: CNumber
-) -> None:
-    """Add ``coeff * monomial`` to ``accumulator`` in Pythagorean normal form.
-
-    The reduction repeatedly rewrites ``s_i^2`` to ``1 - c_i^2``, distributing
-    over the other factors, until every sine exponent is 0 or 1.
-    """
-    if coeff.is_zero():
-        return
-    for position, (var_index, s_exp, c_exp) in enumerate(monomial):
-        if s_exp >= 2:
-            rest = monomial[:position] + monomial[position + 1 :]
-            reduced_entry = (var_index, s_exp - 2, c_exp)
-            base = rest if reduced_entry[1] == 0 and reduced_entry[2] == 0 else _merge_monomials(
-                rest, (reduced_entry,)
-            )
-            # s^2 -> 1 - c^2
-            _accumulate_reduced(accumulator, base, coeff)
-            _accumulate_reduced(
-                accumulator, _merge_monomials(base, ((var_index, 0, 2),)), -coeff
-            )
-            return
-    existing = accumulator.get(monomial)
-    total = coeff if existing is None else existing + coeff
-    if total.is_zero():
-        accumulator.pop(monomial, None)
-    else:
-        accumulator[monomial] = total
+    """The monomial ``mono_a * mono_b``: exponents add, zeros drop out."""
+    if not mono_a:
+        return mono_b
+    if not mono_b:
+        return mono_a
+    merged = dict(mono_a)
+    for atom, exponent in mono_b:
+        total = merged.get(atom, 0) + exponent
+        if total:
+            merged[atom] = total
+        else:
+            del merged[atom]
+    return tuple(sorted(merged.items()))
 
 
 def _coerce_coeff(value: CoeffLike) -> CNumber:

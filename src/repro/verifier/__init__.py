@@ -4,11 +4,12 @@ The verifier checks that two symbolic circuits are equivalent up to a global
 phase for *all* parameter values.  Following the paper it (i) eliminates the
 existential quantifier over the phase by searching a finite candidate space
 numerically, and (ii) eliminates trigonometric functions by half-angle
-substitution, the angle-addition formulas, and the Pythagorean constraint.
-Where the paper then calls Z3 on a quantifier-free nonlinear-real-arithmetic
-formula, this reproduction compares exact polynomial normal forms — see
-README.md ("Reproduction scope") and :mod:`repro.linalg.trigpoly` for why
-this decides the same verification conditions.
+substitution.  Where the paper then expands with the angle-addition formulas
+and calls Z3 on a quantifier-free nonlinear-real-arithmetic formula, this
+reproduction expands every entry as a Laurent polynomial in ``z_k =
+e^{i*atom_k}`` and compares exact coefficients — see README.md ("Reproduction
+scope") and :mod:`repro.linalg.trigpoly` for why this decides the same
+verification conditions.
 """
 
 from repro.verifier.trig import AtomTrigBuilder, SymbolicContext

@@ -9,10 +9,12 @@ global phase (Definition 1 of the paper):
    immediately.  Otherwise the finite space of candidate phase factors
    ``beta(p) = a.p + b`` is searched numerically (Section 4).
 2. **Symbolic proof.**  For each surviving candidate, the verifier builds the
-   exact symbolic unitaries of both circuits over sin/cos atoms (half-angle
-   substitution + angle addition + Pythagorean normal form) and checks the
-   matrix identity ``[[C1]] = e^{i beta(p)} [[C2]]`` by comparing polynomial
-   normal forms — the step that replaces the Z3 query of the paper.
+   exact symbolic unitaries of both circuits as Laurent polynomials in
+   ``z_k = e^{i*atom_k}`` (half-angle substitution, then cos/sin/e^{i.}
+   expanded in the ``z_k``) and checks the matrix identity
+   ``[[C1]] = e^{i beta(p)} [[C2]]`` by comparing coefficients, which decides
+   equality of the entries as functions — the step that replaces the Z3 query
+   of the paper.
 
 The verifier records how many checks it performed and how much time it spent,
 which the generator-metrics experiments (Table 5 / Table 8) report.

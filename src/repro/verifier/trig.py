@@ -1,19 +1,19 @@
-"""Trigonometric elimination: from symbolic angles to trig polynomials.
+"""Trigonometric elimination: from symbolic angles to Laurent polynomials.
 
-The paper's reduction (Section 4) has three steps: halve angles so every
-trig argument is a linear combination with integer coefficients, expand with
-Euler's formula and the angle-addition identities, and replace ``sin``/``cos``
-of each parameter by fresh variables constrained by s^2 + c^2 = 1.  This
-module implements the machinery behind those steps:
+The paper's reduction (Section 4) halves angles so every trig argument is a
+linear combination with integer coefficients and then expands the trig
+functions.  This module expands in the exponential basis ``z_k =
+e^{i*atom_k}``, where a product of trig terms is a product of monomials and
+no Pythagorean constraint is needed (see :mod:`repro.linalg.trigpoly`):
 
 * :class:`SymbolicContext` fixes, for every parameter, the *atom*
   ``p_i / denominator_i`` fine enough that every angle occurring in the
   circuits (after the gates' internal half-angles) is an integer multiple of
   the atom.
 * :class:`AtomTrigBuilder` implements the :class:`repro.ir.gates.TrigBuilder`
-  protocol on top of a context: it turns ``cos(angle)``, ``sin(angle)`` and
-  ``e^{i angle}`` into :class:`TrigPoly` values over the atoms, with the
-  constant part of the angle folded into exact Q[sqrt(2)] coefficients.
+  protocol on top of a context: ``e^{i angle}`` is one term (a monomial in
+  the ``z_k`` times the exact Q[sqrt(2)] value of the angle's constant
+  part), and ``cos(angle)``/``sin(angle)`` are two terms each.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ class SymbolicContext:
                 )
             result[index] = int(scaled)
         return result
-
-    def atom_values(self, param_values: Sequence[float]) -> Dict[int, float]:
-        """Map numeric parameter values to numeric atom values (for tests)."""
-        return {
-            index: param_values[index] / self.denominators[index]
-            for index in range(self.num_params)
-        }
 
 
 class AtomTrigBuilder:

@@ -8,6 +8,7 @@ regeneration, never a crash.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 
@@ -59,6 +60,16 @@ def _key(**overrides):
     return cache_key(
         args["kind"], args["gate_set"], args["n"], args["q"], args["m"], args["seed"]
     )
+
+
+def _split_blob(path):
+    """A blob's parsed header line and its body text."""
+    header_line, body_text = path.read_text(encoding="utf-8").split("\n", 1)
+    return json.loads(header_line), body_text
+
+
+def _write_blob(path, header, body_text):
+    path.write_text(json.dumps(header) + "\n" + body_text, encoding="utf-8")
 
 
 class TestKeyInvalidation:
@@ -157,13 +168,36 @@ class TestRoundTrip:
         assert restored.to_json() == nam_result.ecc_set.to_json()
 
     def test_blob_text_is_one_shot_json_of_its_envelope(self, cache, nam_result):
-        # The store writes json.dumps(envelope); the text must be exactly
-        # what the default encoder gives for the envelope read back.
-        path = cache.store_generator_result(_key(), nam_result)
-        text = path.read_text(encoding="utf-8")
-        envelope = json.loads(text)
-        assert set(envelope) == {"schema", "key", "sha256", "body"}
-        assert text == json.dumps(envelope)
+        # A blob is a header line and then json.dumps(body): the body text
+        # is exactly what the default encoder gives for the body read back,
+        # and the header's sha256 is taken over those bytes.
+        key = _key()
+        path = cache.store_generator_result(key, nam_result)
+        header, body_text = _split_blob(path)
+        assert header == {
+            "schema": SCHEMA_VERSION,
+            "key": key.content_hash(),
+            "sha256": hashlib.sha256(body_text.encode("utf-8")).hexdigest(),
+        }
+        assert body_text == json.dumps(json.loads(body_text))
+
+    def test_body_is_serialized_once(self, cache, nam_result, monkeypatch):
+        # A store dumps the body once; a load checks the sum over the bytes
+        # it read and parses them, with no dumps on either side.
+        key = _key()
+        calls = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        cache.store_generator_result(key, nam_result)
+        assert len(calls) == 1
+        calls.clear()
+        assert cache.load_generator_result(key) is not None
+        assert calls == []
 
 
 class TestCorruptionTolerance:
@@ -184,18 +218,19 @@ class TestCorruptionTolerance:
     def test_checksum_mismatch_warns_and_misses(self, cache, nam_result):
         key = _key()
         path = cache.store_generator_result(key, nam_result)
-        envelope = json.loads(path.read_text())
-        envelope["body"]["stats"]["num_eccs"] = 99999  # silent bit-rot
-        path.write_text(json.dumps(envelope))
+        header, body_text = _split_blob(path)
+        body = json.loads(body_text)
+        body["stats"]["num_eccs"] = 99999  # silent bit-rot
+        _write_blob(path, header, json.dumps(body))
         with pytest.warns(RuntimeWarning, match="checksum"):
             assert cache.load(key) is None
 
     def test_wrong_schema_warns_and_misses(self, cache, nam_result):
         key = _key()
         path = cache.store_generator_result(key, nam_result)
-        envelope = json.loads(path.read_text())
-        envelope["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(envelope))
+        header, body_text = _split_blob(path)
+        header["schema"] = SCHEMA_VERSION - 1
+        _write_blob(path, header, body_text)
         with pytest.warns(RuntimeWarning, match="schema"):
             assert cache.load(key) is None
 

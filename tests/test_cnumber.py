@@ -26,7 +26,7 @@ class TestConstruction:
         for k in range(8):
             value = CNumber.from_exp_i_pi_multiple(Fraction(k, 4))
             expected = cmath.exp(1j * math.pi * k / 4)
-            assert value.is_close_to(expected)
+            assert cmath.isclose(complex(value), expected, abs_tol=1e-9)
 
     def test_exp_periodicity(self):
         assert CNumber.from_exp_i_pi_multiple(Fraction(9, 4)) == CNumber.from_exp_i_pi_multiple(
@@ -38,9 +38,10 @@ class TestConstruction:
             CNumber.from_exp_i_pi_multiple(Fraction(1, 8))
 
     def test_cos_sin_pi_multiples(self):
-        assert CNumber.cos_pi_multiple(Fraction(1, 2)).is_zero()
-        assert CNumber.sin_pi_multiple(Fraction(1, 2)) == CNumber.one()
-        assert CNumber.cos_pi_multiple(Fraction(1)) == CNumber(-1)
+        # cos and sin of a multiple of pi/4 are the parts of e^{i k pi/4}.
+        assert CNumber.from_exp_i_pi_multiple(Fraction(1, 2)).re.is_zero()
+        assert CNumber.from_exp_i_pi_multiple(Fraction(1, 2)).im == 1
+        assert CNumber.from_exp_i_pi_multiple(Fraction(1)) == CNumber(-1)
 
     def test_str_and_repr(self):
         assert "i" in str(CNumber(0, 1))

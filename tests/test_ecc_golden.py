@@ -20,6 +20,9 @@ from repro.api.facade import build_ecc_set, clear_memory_caches, run_generation
 
 # (gate set, n, q, candidates considered, raw ECCs, sha256 of the raw
 # ``ECCSet.to_json``, pruned ECCs, sha256 of the pruned ``ECCSet.to_json``).
+# IBM (2, 2) is the one row over the three-parameter ``u2``/``u3`` symbolic
+# matrices; pruning its 3,785 ECCs takes longer than tier-1 affords, so its
+# pruned values are None and only the raw set is pinned.
 GOLDEN = [
     (
         "nam", 2, 2, 204, 53,
@@ -57,6 +60,11 @@ GOLDEN = [
         21,
         "e07c188639e20f0d6e5043b54bcc47a38a853a9b9e0ef4c4716f7bc9976eff65",
     ),
+    (
+        "ibm", 2, 2, 12230, 3785,
+        "7d94e4ba3359de8c6eafc79fe74198bce3d242b38072480bac41f93fe2840a26",
+        None, None,
+    ),
 ]
 
 
@@ -87,6 +95,8 @@ def test_generation_output_is_pinned(
     assert raw.stats.circuits_considered == candidates
     assert len(raw.ecc_set) == raw_eccs
     assert _digest(raw.ecc_set) == raw_digest
+    if pruned_eccs is None:
+        return
 
     clear_memory_caches()
     pruned = build_ecc_set(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import clear_memory_caches
+from repro.envconfig import CACHE_DISABLE_ENV_VAR
 from repro.experiments import (
     run_effectiveness_figure,
     run_gate_count_table,
@@ -148,3 +150,40 @@ class TestSweepAndFigures:
                 b >= c - 1e-9
                 for b, c in zip(best.effectiveness, curve.effectiveness)
             )
+
+
+# Each table harness at its smallest input.  A harness that should honour
+# REPRO_CACHE_DISABLE=1 builds its config from RunConfig.from_env().
+HARNESSES = {
+    "pruning_table": lambda: run_pruning_table("nam", n_values=[1], q=1),
+    "generator_metrics": lambda: run_generator_metrics(
+        "nam", n_values=[1], q_values=[1]
+    ),
+    "gate_count_table": lambda: run_gate_count_table(
+        "nam", ["tof_3"], n=1, q=1, max_iterations=1, timeout_seconds=5,
+        baselines=[],
+    ),
+    "nq_sweep": lambda: run_nq_sweep(
+        ["tof_3"], [(1, 1)], max_iterations=1, timeout_seconds=5
+    ),
+    "effectiveness_figure": lambda: run_effectiveness_figure(
+        ["tof_3"], n_values=[1], q_values=[1], max_iterations=1, timeout_seconds=5
+    ),
+    "time_curves": lambda: run_time_curves(
+        ["tof_3"], n_values=[1], q=1, time_budget_seconds=0.2, num_samples=2
+    ),
+}
+
+
+@pytest.mark.parametrize("harness", sorted(HARNESSES))
+def test_harness_honours_cache_disable(harness, tmp_path, monkeypatch):
+    # The in-process memo is emptied first, so the harness generates here
+    # whatever earlier tests memoized, and a disk cache would appear.
+    clear_memory_caches()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "1")
+    try:
+        HARNESSES[harness]()
+    finally:
+        clear_memory_caches()
+    assert not (tmp_path / ".repro_cache").exists()

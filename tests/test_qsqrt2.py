@@ -32,11 +32,9 @@ class TestBasics:
         assert QSqrt2(3, 1) != 3
 
     def test_from_rational(self):
-        assert QSqrt2.from_rational(Fraction(1, 3)).a == Fraction(1, 3)
-
-    def test_is_rational(self):
-        assert QSqrt2(5).is_rational()
-        assert not QSqrt2(0, 1).is_rational()
+        value = QSqrt2(Fraction(1, 3))
+        assert value.a == Fraction(1, 3)
+        assert value.b == 0
 
     def test_repr_and_str(self):
         assert "sqrt2" in str(QSqrt2(1, 2))

@@ -1,29 +1,35 @@
-"""Tests for trig polynomials: ring laws, Pythagorean normal form, evaluation."""
+"""Tests for trig polynomials: ring laws, the exponential basis, evaluation."""
 
 import cmath
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ir.params import Angle
 from repro.linalg.cnumber import CNumber
-from repro.linalg.trigpoly import (
-    TrigPoly,
-    TrigVar,
-    cos_of_multiple,
-    exp_i_multiple,
-    sin_of_multiple,
-)
+from repro.linalg.trigpoly import TrigPoly, exp_i_multiple
+from repro.verifier.trig import AtomTrigBuilder, SymbolicContext
+
+# Atom k is p_k itself, so ``sin(n * p_k)`` is ``sin(n * atom_k)``.
+BUILDER = AtomTrigBuilder(SymbolicContext(4, [1, 1, 1, 1]))
+
+
+def sin_of(n, atom=0):
+    return BUILDER.sin(Angle.param(atom, n))
+
+
+def cos_of(n, atom=0):
+    return BUILDER.cos(Angle.param(atom, n))
 
 
 def sin0():
-    return TrigPoly.sin_atom(0)
+    return sin_of(1)
 
 
 def cos0():
-    return TrigPoly.cos_atom(0)
+    return cos_of(1)
 
 
 class TestNormalForm:
@@ -31,11 +37,19 @@ class TestNormalForm:
         assert sin0() * sin0() + cos0() * cos0() == TrigPoly.one()
 
     def test_sin_squared_reduces(self):
+        # sin^2 t = (2 - z^2 - z^-2) / 4: three terms, each monomial a sorted
+        # tuple of (atom, nonzero integer exponent) pairs.
         poly = sin0() * sin0()
-        # Normal form must not contain a squared sine.
+        quarter = CNumber(Fraction(1, 4))
+        assert poly.terms == {
+            ((0, -2),): -quarter,
+            (): CNumber(Fraction(1, 2)),
+            ((0, 2),): -quarter,
+        }
         for monomial in poly.terms:
-            for _var, s_exp, _c_exp in monomial:
-                assert s_exp <= 1
+            assert list(monomial) == sorted(monomial)
+            for _atom, exponent in monomial:
+                assert isinstance(exponent, int) and exponent != 0
 
     def test_sin_fourth_reduces(self):
         poly = sin0() ** 4
@@ -44,16 +58,19 @@ class TestNormalForm:
 
     def test_zero_and_constant(self):
         assert TrigPoly.zero().is_zero()
-        assert TrigPoly.constant(5).constant_value() == CNumber(5)
+        assert TrigPoly.constant(5).terms == {(): CNumber(5)}
+        assert TrigPoly.constant(0).is_zero()
         assert TrigPoly.one().is_constant()
-
-    def test_constant_value_raises_for_non_constant(self):
-        with pytest.raises(ValueError):
-            sin0().constant_value()
+        assert not sin0().is_constant()
 
     def test_atoms(self):
-        poly = sin0() * TrigPoly.cos_atom(3)
-        assert poly.atoms() == {0, 3}
+        poly = sin0() * cos_of(1, atom=3)
+        found = {atom for monomial in poly.terms for atom, _exp in monomial}
+        assert found == {0, 3}
+        # Exponents add per atom and a zero exponent drops out.
+        assert exp_i_multiple(2, 3) * exp_i_multiple(1, 0) * exp_i_multiple(-2, 3) == (
+            exp_i_multiple(1, 0)
+        )
 
     def test_equality_independent_of_construction_order(self):
         a = sin0() + cos0()
@@ -62,7 +79,9 @@ class TestNormalForm:
         assert hash(a) == hash(b)
 
     def test_str_contains_variables(self):
-        assert "s0" in str(sin0())
+        assert str(exp_i_multiple(1, 0)) == "(1)*z0"
+        assert "z0^-1" in str(cos0())
+        assert "z2^3" in str(exp_i_multiple(3, 2))
         assert str(TrigPoly.zero()) == "0"
 
 
@@ -76,33 +95,26 @@ class TestRingLaws:
         assert x * (y + z) == x * y + x * z
 
     def test_multiplication_commutes(self):
-        x = sin0() + TrigPoly.cos_atom(1)
-        y = cos0() * TrigPoly.sin_atom(1) + TrigPoly.constant(2)
+        x = sin0() + cos_of(1, atom=1)
+        y = cos0() * sin_of(1, atom=1) + TrigPoly.constant(2)
         assert x * y == y * x
 
     def test_pow_matches_repeated_multiplication(self):
         x = sin0() + cos0()
         assert x ** 3 == x * x * x
 
-    def test_conjugate_distributes_over_product(self):
-        x = TrigPoly.i() * sin0() + TrigPoly.constant(CNumber(1, 2))
-        y = cos0() - TrigPoly.i()
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-
 
 class TestMultipleAngles:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(-5, 5), st.floats(-3.0, 3.0, allow_nan=False))
     def test_sin_of_multiple_matches_numeric(self, n, angle):
-        poly = sin_of_multiple(n, 0)
-        value = poly.evaluate({0: angle})
+        value = sin_of(n).evaluate({0: angle})
         assert cmath.isclose(value, math.sin(n * angle), abs_tol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(-5, 5), st.floats(-3.0, 3.0, allow_nan=False))
     def test_cos_of_multiple_matches_numeric(self, n, angle):
-        poly = cos_of_multiple(n, 0)
-        value = poly.evaluate({0: angle})
+        value = cos_of(n).evaluate({0: angle})
         assert cmath.isclose(value, math.cos(n * angle), abs_tol=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -112,9 +124,19 @@ class TestMultipleAngles:
         value = poly.evaluate({0: angle})
         assert cmath.isclose(value, cmath.exp(1j * n * angle), abs_tol=1e-9)
 
+    @given(st.integers(-50, 50).filter(bool), st.integers(0, 3))
+    def test_exp_of_multiple_is_one_term(self, n, atom):
+        assert exp_i_multiple(n, atom).terms == {((atom, n),): CNumber.one()}
+        assert exp_i_multiple(0, atom) == TrigPoly.one()
+
+    def test_cos_and_sin_are_two_terms(self):
+        for n in (1, -2, 3):
+            assert len(cos_of(n).terms) == 2
+            assert len(sin_of(n).terms) == 2
+
     def test_double_angle_identity(self):
         # sin(2t) = 2 sin t cos t
-        assert sin_of_multiple(2, 0) == TrigPoly.constant(2) * sin0() * cos0()
+        assert sin_of(2) == TrigPoly.constant(2) * sin0() * cos0()
 
     def test_exp_multiples_add(self):
         # e^{i 2t} * e^{i 3t} = e^{i 5t}
@@ -128,8 +150,8 @@ class TestEvaluation:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(-3.0, 3.0, allow_nan=False), st.floats(-3.0, 3.0, allow_nan=False))
     def test_evaluation_is_ring_homomorphism(self, a, b):
-        x = sin0() * TrigPoly.cos_atom(1) + TrigPoly.i()
-        y = TrigPoly.sin_atom(1) - cos0()
+        x = sin0() * cos_of(1, atom=1) + TrigPoly.i()
+        y = sin_of(1, atom=1) - cos0()
         values = {0: a, 1: b}
         assert cmath.isclose(
             (x * y).evaluate(values), x.evaluate(values) * y.evaluate(values), abs_tol=1e-9

@@ -1,5 +1,6 @@
 """Tests for the symbolic equivalence verifier on known (non-)identities."""
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,8 @@ class TestSymbolicContext:
             SymbolicContext.for_circuits([circuit], 1)
 
     def test_atom_values(self):
+        # Atom k is p_k / denominators[k]: e^{i p_1} is z_1^4 when the
+        # denominator of p_1 is 4, so it evaluates at atom value p_1 / 4.
         context = SymbolicContext(2, [2, 4])
-        values = context.atom_values([1.0, 2.0])
-        assert values == {0: 0.5, 1: 0.5}
+        poly = AtomTrigBuilder(context).exp_i(Angle.param(1))
+        assert cmath.isclose(poly.evaluate({1: 2.0 / 4}), cmath.exp(2.0j), abs_tol=1e-12)
