@@ -613,8 +613,8 @@ def test_lazy_successors_vs_forced(mod5_4_popped):
     assert rows(outputs["lazy"]) == rows(outputs["forced"])
     assert lazy_builds == 0
 
-    # The search these circuits come from splices exactly these
-    # successors, and builds the ones it pops.
+    # The search these circuits come from splices these successors, less
+    # the ones its cost gate skips, and builds the ones it pops.
     builds[0] = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dag_module, "_spliced_instructions", counting_build)

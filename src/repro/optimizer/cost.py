@@ -8,7 +8,12 @@ these are provided and exercised by the ablation benches.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 from repro.ir.circuit import Circuit
+
+if TYPE_CHECKING:
+    from repro.optimizer.xfer import Transformation
 
 
 class CostModel:
@@ -18,6 +23,17 @@ class CostModel:
 
     def cost(self, circuit: Circuit) -> float:
         raise NotImplementedError
+
+    def rule_delta(self, transformation: Transformation) -> Optional[int]:
+        """The change in cost ``transformation`` makes at every match, or
+        ``None`` when the model cannot tell before the match is spliced.
+
+        A model that returns a number promises that
+        ``cost(successor) == cost(parent) + delta`` holds bit for bit for
+        every successor the rule splices, so a search may compare
+        ``cost(parent) + delta`` with its bound and skip the splice.
+        """
+        return None
 
     def __call__(self, circuit: Circuit) -> float:
         return self.cost(circuit)
@@ -33,6 +49,11 @@ class GateCountCost(CostModel):
 
     def cost(self, circuit: Circuit) -> float:
         return float(circuit.gate_count)
+
+    def rule_delta(self, transformation: Transformation) -> Optional[int]:
+        # A splice removes the matched source gates and inserts the
+        # target's, and float sums of integers this small are exact.
+        return transformation.gate_delta
 
 
 class TwoQubitCountCost(CostModel):
@@ -74,14 +95,3 @@ class DepthCost(CostModel):
     def cost(self, circuit: Circuit) -> float:
         return float(circuit.depth())
 
-
-class WeightedCost(CostModel):
-    """A weighted combination of other cost models."""
-
-    name = "weighted"
-
-    def __init__(self, components: list[tuple[CostModel, float]]) -> None:
-        self.components = components
-
-    def cost(self, circuit: Circuit) -> float:
-        return sum(weight * model.cost(circuit) for model, weight in self.components)

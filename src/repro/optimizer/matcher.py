@@ -685,6 +685,25 @@ class PatternMatcher:
         rules = trie.rules
         return [rules[position] for position in positions]
 
+    def successor_count(
+        self,
+        transformation: Transformation,
+        max_matches: Optional[int] = None,
+    ) -> int:
+        """``len(self.apply_all(transformation, max_matches))``, without
+        splicing.
+
+        :meth:`apply` fails only when the target needs more qubits outside
+        the match than the circuit has, and every match of a source claims
+        as many qubits as the source uses, so it fails at all of a rule's
+        matches or at none.
+        """
+        matches = self.matches_for(transformation, max_matches=max_matches)
+        extra_qubits = len(transformation.target_template.extra_qubits)
+        if matches and self.circuit.num_qubits - len(matches[0].qubit_map) < extra_qubits:
+            return 0
+        return len(matches)
+
     def _match_table(
         self, trie: MatchTrie, max_matches: Optional[int]
     ) -> List[List[Match]]:

@@ -11,6 +11,13 @@ each qubit's gate sequence, equal exactly for circuits that differ only by
 reordering independent gates) avoids revisiting circuits, and the queue is
 pruned to its best half whenever it exceeds a capacity bound (2,000 -> 1,000
 in the paper).
+
+When the cost model knows a rule's cost change before the splice
+(:meth:`CostModel.rule_delta`; gate count does), a rule whose successors
+would cost at least ``gamma`` times the best is not spliced at all, and
+``search.splices_skipped`` counts the successors it would have made.  The
+seen-set and cost rejects (``search.seen_rejects``,
+``search.cost_rejects``) count spliced successors only.
 """
 
 from __future__ import annotations
@@ -45,7 +52,9 @@ class OptimizationResult:
     # Hot-path instrumentation: matchers built, transformations visited
     # (``search.transformations_matched``: their source has a match on the
     # popped circuit) and skipped (``search.transformations_skipped``: it
-    # has none), seen and cost rejects (see repro.perf).
+    # has none), successors left unspliced by the cost gate
+    # (``search.splices_skipped``), and seen and cost rejects among the
+    # spliced ones (see repro.perf).
     perf: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -113,6 +122,10 @@ class BacktrackingOptimizer:
         timed_out = False
         max_matches = self.max_matches_per_transformation
         trie = compile_match_trie(self.transformations)
+        # Per rule position, the exact cost change of the rule's every
+        # successor, or None where the cost model needs the spliced circuit.
+        deltas = [self.cost_model.rule_delta(rule) for rule in trie.rules]
+        rule_positions = trie.rule_positions
 
         while queue:
             # One clock read per iteration serves the timeout check and the
@@ -156,6 +169,17 @@ class BacktrackingOptimizer:
                         timed_out = True
                         break
                 perf.count("search.transformations_matched")
+                # Every successor of the rule costs cost + delta, which the
+                # check below would turn away.  best_cost only falls, so it
+                # would turn away any later copy too: leaving these out of
+                # the seen-set admits nothing new.
+                delta = deltas[rule_positions[id(transformation)]]
+                if delta is not None and cost + delta >= self.gamma * best_cost:
+                    perf.count(
+                        "search.splices_skipped",
+                        matcher.successor_count(transformation, max_matches),
+                    )
+                    continue
                 for new_circuit in matcher.apply_all(
                     transformation, max_matches=max_matches
                 ):

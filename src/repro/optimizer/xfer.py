@@ -54,8 +54,8 @@ class Transformation:
 
     @cached_property
     def target_template(self) -> TargetTemplate:
-        """The target compiled for instantiation at a match (once per rule),
-        including its gate counts for the successor's histogram."""
+        """The target compiled for instantiation at a match (once per rule):
+        its instructions and the qubits and params the source lacks."""
         return compile_target_template(self.source, self.target)
 
     def __repr__(self) -> str:
@@ -65,17 +65,9 @@ class Transformation:
         )
 
 
-def transformations_from_ecc_set(
-    ecc_set: ECCSet, include_cost_increasing: bool = True
-) -> List[Transformation]:
-    """Expand an ECC set into explicit transformations.
-
-    Args:
-        ecc_set: the (pruned) ECC set produced by the generator.
-        include_cost_increasing: when False, transformations whose target has
-            more gates than their source are omitted (useful for the greedy
-            baseline; the backtracking search wants them for gamma > 1).
-    """
+def transformations_from_ecc_set(ecc_set: ECCSet) -> List[Transformation]:
+    """Expand an ECC set (the generator's, usually pruned) into explicit
+    transformations."""
     transformations: List[Transformation] = []
     for ecc_index, ecc in enumerate(ecc_set):
         representative = ecc.representative
@@ -86,8 +78,6 @@ def transformations_from_ecc_set(
             ]
             for source, target in pairs:
                 if len(source) == 0:
-                    continue
-                if not include_cost_increasing and len(target) > len(source):
                     continue
                 transformations.append(
                     Transformation(

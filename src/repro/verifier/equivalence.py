@@ -109,7 +109,9 @@ class EquivalenceVerifier:
 
     #: Bound on cached symbolic matrices; the cache is halved (oldest first)
     #: when it grows past this, which keeps long generator runs bounded.
-    MATRIX_CACHE_LIMIT = 100_000
+    #: Cold Nam and Rigetti (3,3) generation cache at most 1,305 prefixes,
+    #: so they never evict; raw IBM (2,3) evicts, with the same ECC set.
+    MATRIX_CACHE_LIMIT = 5_000
 
     def __init__(
         self,

@@ -206,7 +206,9 @@ class SearchRun(NamedTuple):
     cap: int
     #: Every matcher the search built, in pop order.
     matchers: list
-    #: ``(matcher, transformation, successors)`` per ``apply_all`` call.
+    #: ``(matcher, transformation, successors)`` per rule the search
+    #: visits: its ``apply_all`` call, or for a rule the cost gate skips,
+    #: what ``apply_all`` would have returned.
     calls: list
     #: The search's result.
     result: object
@@ -223,8 +225,8 @@ SEARCHES = [("nam", "barenco_tof_3"), ("nam", "mod5_4"), ("rigetti", "tof_3")]
     scope="module", params=SEARCHES, ids=[f"{g}-{n}" for g, n in SEARCHES]
 )
 def search_run(request):
-    """One search per circuit, recording its matchers and ``apply_all``
-    calls for the tests below to replay."""
+    """One search per circuit, recording its matchers and the rules it
+    visits for the tests below to replay."""
     gate_set, name = request.param
     transformations = request.getfixturevalue(f"{gate_set}_transformations_n3_q3")
     matchers = []
@@ -232,6 +234,7 @@ def search_run(request):
     builds = [0]
     build = PatternMatcher.__init__
     apply_all = PatternMatcher.apply_all
+    successor_count = PatternMatcher.successor_count
     build_instructions = dag_module._spliced_instructions
 
     def recording_init(self, *args, **kwargs):
@@ -243,6 +246,15 @@ def search_run(request):
         calls.append((self, transformation, successors))
         return successors
 
+    def recording_successor_count(self, transformation, max_matches=None):
+        # The cost gate skips this rule's splices; record the successors
+        # they would have made, which the count must agree with.
+        successors = apply_all(self, transformation, max_matches)
+        calls.append((self, transformation, successors))
+        count = successor_count(self, transformation, max_matches)
+        assert count == len(successors)
+        return count
+
     def counting_build(*args):
         builds[0] += 1
         return build_instructions(*args)
@@ -251,6 +263,7 @@ def search_run(request):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PatternMatcher, "__init__", recording_init)
         patch.setattr(PatternMatcher, "apply_all", recording_apply_all)
+        patch.setattr(PatternMatcher, "successor_count", recording_successor_count)
         patch.setattr(dag_module, "_spliced_instructions", counting_build)
         result = optimizer.optimize(
             preprocess(benchmark_circuit(name), gate_set), max_iterations=30
