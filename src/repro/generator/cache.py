@@ -18,10 +18,30 @@ is authoritative.  Changing any key field — or bumping ``SCHEMA_VERSION``
 when the serialization format changes — changes the hash, so stale blobs
 are simply never looked up.
 
-A blob is one header line, ``{"schema": 3, "key": "<content hash>",
+A blob is one header line, ``{"schema": 4, "key": "<content hash>",
 "sha256": "<body digest>"}``, followed by the body's JSON text.  The body is
 serialized once, and the digest is taken over exactly those bytes, so a
 load checks the sum over the bytes it read and then parses the body once.
+
+The body lists each distinct instruction once and every circuit as indices
+into that list::
+
+    {"instructions": [{"gate": "rz", "qubits": [0],
+                       "params": [{"pi": "0", "coeffs": {"0": "1"}}]}, ...],
+     "ecc_set": {"num_qubits": 3, "num_params": 2,
+                 "eccs": [[[3, [0, 5]], [3, [2]]], ...]},
+     "representatives": [[3, []], [3, [0]], ...],    # repgen blobs only
+     "stats": {...}}                                  # repgen blobs only
+
+A table entry is :func:`~repro.generator.ecc.instruction_to_payload` of
+the instruction, in first-use order; a circuit is ``[num_qubits, [table
+indices]]``.  A set of a few thousand circuits names a few dozen distinct
+instructions, so a load parses and checks each of those once instead of
+once per occurrence.  Decoding still goes through the checking
+constructors (:func:`~repro.generator.ecc.instruction_from_payload` and
+:class:`~repro.ir.circuit.Circuit`), so a body naming an unknown gate, a
+wrong qubit or parameter count, a qubit out of range or a missing table
+entry is a miss like any other unusable blob.
 
 Robustness contract: a cache *read* never raises.  Truncated, corrupted,
 mismatched or otherwise unreadable blobs produce a ``RuntimeWarning`` and a
@@ -59,17 +79,23 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.errors import CacheCorruption
-from repro.generator.ecc import ECCSet, circuit_from_payload, circuit_to_payload
+from repro.generator.ecc import (
+    ECC,
+    ECCSet,
+    instruction_from_payload,
+    instruction_to_payload,
+)
 from repro.generator.repgen import GeneratorResult, GeneratorStats
+from repro.ir.circuit import Circuit
 from repro.ir.gatesets import GateSet
 from repro.perf import NULL_RECORDER, PerfRecorder
 
 #: Bump whenever the serialized payload or key derivation changes shape.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -279,19 +305,13 @@ class ECCCache:
         if body is None:
             return None
         try:
-            return ECCSet.from_payload(body["ecc_set"])
+            return _decode_body(body)[0]
         except Exception as error:  # noqa: BLE001
-            self.perf.count("cache.corrupt")
-            warnings.warn(
-                f"cache blob for {key.filename()} does not deserialize "
-                f"({error}); regenerating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self._undecodable(key, error)
             return None
 
     def store_ecc_set(self, key: CacheKey, ecc_set: ECCSet) -> Optional[Path]:
-        return self.store(key, {"ecc_set": ecc_set.to_payload()})
+        return self.store(key, _encode_body(ecc_set))
 
     def load_generator_result(self, key: CacheKey) -> Optional[GeneratorResult]:
         """Rebuild a full :class:`~repro.generator.repgen.GeneratorResult`."""
@@ -299,25 +319,15 @@ class ECCCache:
         if body is None:
             return None
         try:
-            ecc_set = ECCSet.from_payload(body["ecc_set"])
-            num_params = ecc_set.num_params
-            representatives = [
-                circuit_from_payload(payload, num_params=num_params)
-                for payload in body["representatives"]
-            ]
+            ecc_set, decode = _decode_body(body)
+            representatives = [decode(row) for row in body["representatives"]]
             stored = dict(body["stats"])
             rounds = stored.pop("rounds", [])
             perf = dict(stored.pop("perf", {}))
             perf["cache.warm_hit"] = perf.get("cache.warm_hit", 0) + 1
             stats = GeneratorStats(rounds=list(rounds), perf=perf, **stored)
         except Exception as error:  # noqa: BLE001
-            self.perf.count("cache.corrupt")
-            warnings.warn(
-                f"cache blob for {key.filename()} does not deserialize "
-                f"({error}); regenerating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            self._undecodable(key, error)
             return None
         self.perf.count("cache.result_hits")
         return GeneratorResult(ecc_set, stats, representatives)
@@ -327,11 +337,70 @@ class ECCCache:
     ) -> Optional[Path]:
         stats = result.stats.as_dict()
         stats["rounds"] = list(result.stats.rounds)
-        body = {
-            "ecc_set": result.ecc_set.to_payload(),
-            "representatives": [
-                circuit_to_payload(circuit) for circuit in result.representatives
-            ],
-            "stats": stats,
-        }
+        body = _encode_body(result.ecc_set, result.representatives)
+        body["stats"] = stats
         return self.store(key, body)
+
+    def _undecodable(self, key: CacheKey, error: Exception) -> None:
+        self.perf.count("cache.corrupt")
+        warnings.warn(
+            f"cache blob for {key.filename()} does not deserialize "
+            f"({error}); regenerating",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+# -- body codec ------------------------------------------------------------------
+
+
+def _encode_body(
+    ecc_set: ECCSet, representatives: Optional[Sequence[Circuit]] = None
+) -> dict:
+    """The body of ``ecc_set`` (and of a run's representatives, if given)."""
+    payloads: List[dict] = []
+    indices: Dict[tuple, int] = {}
+
+    def row(circuit: Circuit) -> list:
+        entries = []
+        for inst in circuit.instructions:
+            sort_key = inst.sort_key()
+            index = indices.get(sort_key)
+            if index is None:
+                index = indices[sort_key] = len(payloads)
+                payloads.append(instruction_to_payload(inst))
+            entries.append(index)
+        return [circuit.num_qubits, entries]
+
+    # ``payloads`` grows as rows are encoded, representatives' included.
+    body: dict = {
+        "instructions": payloads,
+        "ecc_set": {
+            "num_qubits": ecc_set.num_qubits,
+            "num_params": ecc_set.num_params,
+            "eccs": [[row(circuit) for circuit in ecc] for ecc in ecc_set],
+        },
+    }
+    if representatives is not None:
+        body["representatives"] = [row(circuit) for circuit in representatives]
+    return body
+
+
+def _decode_body(body: dict) -> Tuple[ECCSet, Callable[[list], Circuit]]:
+    """The body's ECC set, and the decoder of its other circuit rows.
+
+    Each table entry is built once, through the checking constructor; a
+    row's circuit shares the entries it indexes.  Raises on any fault.
+    """
+    table = [instruction_from_payload(payload) for payload in body["instructions"]]
+    payload = body["ecc_set"]
+    num_params = payload["num_params"]
+
+    def decode(row: list) -> Circuit:
+        num_qubits, entries = row
+        if entries and min(entries) < 0:
+            raise IndexError(f"instruction index {min(entries)} is negative")
+        return Circuit(num_qubits, [table[index] for index in entries], num_params)
+
+    eccs = [ECC(decode(row) for row in ecc_rows) for ecc_rows in payload["eccs"]]
+    return ECCSet(eccs, payload["num_qubits"], num_params), decode

@@ -13,16 +13,16 @@ import json
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.ir.circuit import Circuit
+from repro.ir.circuit import Circuit, Instruction
 from repro.ir.params import Angle
 
 
 # -- payload helpers ---------------------------------------------------------
 #
-# The JSON-friendly payload form of angles, instructions and circuits is
-# shared by ECCSet serialization and the persistent .repro_cache/ store
-# (which also stores a run's representatives), so it lives here as module
-# functions.
+# The JSON-friendly payload form of angles, instructions and circuits.
+# ECCSet serialization writes circuit payloads; the persistent
+# .repro_cache/ store writes only instruction payloads, each distinct one
+# once in a table its circuits index into (see repro.generator.cache).
 # Fractions are rendered as strings ("-3/4"), which round-trips exactly.
 
 
@@ -46,12 +46,25 @@ def angle_from_payload(data: dict) -> Angle:
     )
 
 
-def instruction_to_payload(inst) -> dict:
+def instruction_to_payload(inst: Instruction) -> dict:
     return {
         "gate": inst.gate.name,
         "qubits": list(inst.qubits),
         "params": [angle_to_payload(p) for p in inst.params],
     }
+
+
+def instruction_from_payload(data: dict) -> Instruction:
+    """The instruction of a payload, through the checking constructor.
+
+    An unknown gate name, a wrong qubit or parameter count and repeated
+    qubits raise here, as they do when a circuit is built by hand.
+    """
+    return Instruction(
+        data["gate"],
+        data["qubits"],
+        [angle_from_payload(p) for p in data["params"]],
+    )
 
 
 def circuit_to_payload(circuit: Circuit) -> dict:
@@ -64,14 +77,11 @@ def circuit_to_payload(circuit: Circuit) -> dict:
 
 
 def circuit_from_payload(data: dict, num_params: int = 0) -> Circuit:
-    circuit = Circuit(data["num_qubits"], num_params=num_params)
-    for inst in data["instructions"]:
-        circuit.append(
-            inst["gate"],
-            inst["qubits"],
-            [angle_from_payload(p) for p in inst["params"]],
-        )
-    return circuit
+    return Circuit(
+        data["num_qubits"],
+        [instruction_from_payload(inst) for inst in data["instructions"]],
+        num_params,
+    )
 
 
 class ECC:

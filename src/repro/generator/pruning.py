@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.generator.ecc import ECC, ECCSet
 from repro.ir.circuit import Circuit, Instruction
+from repro.ir.params import Angle
 
 
 # ---------------------------------------------------------------------------
@@ -29,34 +30,46 @@ from repro.ir.circuit import Circuit, Instruction
 def simplify_ecc_set(ecc_set: ECCSet) -> ECCSet:
     """Remove unused qubits/parameters and merge classes that become equal."""
     simplified: Dict[tuple, ECC] = {}
+    # Remapped instructions by (used qubits, used params), then by the
+    # original's sort key: the classes of a set share most instructions.
+    remapped: Dict[tuple, Dict[tuple, Instruction]] = {}
     for ecc in ecc_set:
-        new_ecc = _simplify_ecc(ecc)
+        new_ecc = _simplify_ecc(ecc, remapped)
         key = _ecc_key_up_to_param_permutation(new_ecc, ecc_set.num_params)
         if key not in simplified:
             simplified[key] = new_ecc
     return ECCSet(list(simplified.values()), ecc_set.num_qubits, ecc_set.num_params)
 
 
-def _simplify_ecc(ecc: ECC) -> ECC:
+def _simplify_ecc(
+    ecc: ECC, remapped: Dict[tuple, Dict[tuple, Instruction]]
+) -> ECC:
     used_qubits: Set[int] = set()
     used_params: Set[int] = set()
     for circuit in ecc:
         used_qubits |= circuit.used_qubits()
         used_params |= circuit.used_params()
-
-    qubit_map = {old: new for new, old in enumerate(sorted(used_qubits))}
-    param_map = {old: new for new, old in enumerate(sorted(used_params))}
-    num_qubits = len(qubit_map)
+    qubits = tuple(sorted(used_qubits))
+    params = tuple(sorted(used_params))
+    qubit_map = {old: new for new, old in enumerate(qubits)}
+    assignment = {
+        old: Angle.param(new) for new, old in enumerate(params) if old != new
+    }
+    memo = remapped.setdefault((qubits, params), {})
 
     new_circuits = []
     for circuit in ecc:
-        remapped = circuit.remap_qubits(qubit_map, num_qubits=max(num_qubits, 1) if used_qubits else 0)
-        if param_map and any(old != new for old, new in param_map.items()):
-            from repro.ir.params import Angle
-
-            assignment = {old: Angle.param(new) for old, new in param_map.items()}
-            remapped = remapped.substitute_params(assignment)
-        new_circuits.append(remapped)
+        instructions = []
+        for inst in circuit.instructions:
+            sort_key = inst.sort_key()
+            new_inst = memo.get(sort_key)
+            if new_inst is None:
+                new_inst = inst.remap_qubits(qubit_map)
+                if assignment:
+                    new_inst = new_inst.substitute_params(assignment)
+                memo[sort_key] = new_inst
+            instructions.append(new_inst)
+        new_circuits.append(Circuit(len(qubits), instructions, circuit.num_params))
     return ECC(new_circuits)
 
 
@@ -67,6 +80,12 @@ def _ecc_key_up_to_param_permutation(ecc: ECC, num_params: int) -> tuple:
     only by renaming p_0 <-> p_1 are duplicates; the canonical key is the
     lexicographically smallest circuit-key tuple over all permutations of the
     parameters actually used.
+
+    Each permutation renames the parameter indices inside the members'
+    sequence keys, which is exactly the key of the renamed circuits: a
+    bijective renaming with coefficient 1 merges or cancels no term, so
+    only the index order of each angle's ``(index, coefficient)`` pairs
+    changes, and re-sorting restores :meth:`Angle.sort_key`'s order.
     """
     used_params: Set[int] = set()
     for circuit in ecc:
@@ -75,17 +94,37 @@ def _ecc_key_up_to_param_permutation(ecc: ECC, num_params: int) -> tuple:
     if len(used) <= 1:
         return ecc.canonical_key()
 
-    from repro.ir.params import Angle
-
+    sequence_keys = [circuit.sequence_key() for circuit in ecc]
     best: tuple | None = None
     for permutation in itertools.permutations(used):
-        assignment = {old: Angle.param(new) for old, new in zip(used, permutation)}
-        permuted = ECC(circuit.substitute_params(assignment) for circuit in ecc)
-        key = permuted.canonical_key()
+        rename = dict(zip(used, permutation))
+        key = tuple(
+            sorted(_renamed_sequence_key(seq, rename) for seq in sequence_keys)
+        )
         if best is None or key < best:
             best = key
     assert best is not None
     return best
+
+
+def _renamed_sequence_key(sequence_key: tuple, rename: Dict[int, int]) -> tuple:
+    """``sequence_key`` with every parameter ``i`` renamed to ``rename[i]``."""
+    return tuple(
+        (
+            name,
+            qubits,
+            tuple((pi, _renamed_pairs(pairs, rename)) for pi, pairs in angle_keys),
+        )
+        for name, qubits, angle_keys in sequence_key
+    )
+
+
+def _renamed_pairs(pairs: tuple, rename: Dict[int, int]) -> tuple:
+    """An angle key's ``(index, coefficient)`` pairs, renamed, in index order."""
+    if len(pairs) == 1:  # p_i or 2·p_i: nothing to re-sort
+        ((index, coefficient),) = pairs
+        return ((rename[index], coefficient),)
+    return tuple(sorted((rename[index], c) for index, c in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.generator.ecc import ECC, ECCSet
 from repro.ir.circuit import Circuit, Instruction
@@ -110,6 +110,7 @@ class RepGen:
         self.seed = seed
         self.num_params = gate_set.num_params if num_params is None else num_params
         self.sigma = ParamSpec(self.num_params)
+        self._single_gate_memo: Dict[FrozenSet[int], Tuple[Instruction, ...]] = {}
         self.perf = PerfRecorder()
         self.fingerprints = FingerprintContext(
             num_qubits, self.num_params, seed=seed, perf=self.perf
@@ -134,16 +135,24 @@ class RepGen:
 
         ``used_params`` is the set of parameters already consumed by the
         circuit being extended; under the single-use restriction, expressions
-        touching them are skipped.
+        touching them are skipped.  The list is built once per set of used
+        parameters, so every call for one set yields the same instructions.
         """
-        used = set(used_params)
-        for gate in self.gate_set.gates:
-            for qubits in itertools.permutations(range(self.num_qubits), gate.num_qubits):
-                for params in self._param_choices(gate, used):
-                    yield Instruction(gate, qubits, params)
+        used = frozenset(used_params)
+        instructions = self._single_gate_memo.get(used)
+        if instructions is None:
+            instructions = self._single_gate_memo[used] = tuple(
+                Instruction(gate, qubits, params)
+                for gate in self.gate_set.gates
+                for qubits in itertools.permutations(
+                    range(self.num_qubits), gate.num_qubits
+                )
+                for params in self._param_choices(gate, used)
+            )
+        return iter(instructions)
 
     def _param_choices(
-        self, gate: Gate, used: Set[int]
+        self, gate: Gate, used: FrozenSet[int]
     ) -> Iterator[Tuple[Angle, ...]]:
         if gate.num_params == 0:
             yield ()
@@ -151,7 +160,7 @@ class RepGen:
         yield from self._param_choices_rec(gate.num_params, used)
 
     def _param_choices_rec(
-        self, slots: int, used: Set[int]
+        self, slots: int, used: FrozenSet[int]
     ) -> Iterator[Tuple[Angle, ...]]:
         if slots == 0:
             yield ()

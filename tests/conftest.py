@@ -41,25 +41,38 @@ def nam_transformations_small(nam_ecc_q2_n3):
     return transformations_from_ecc_set(nam_ecc_q2_n3)
 
 
-def _transformations_n3_q3(gate_set):
-    # RepGen never touches the disk cache: this generates from scratch
-    # and stores nothing.
-    result = RepGen(gate_set, num_qubits=3).generate(3)
+@pytest.fixture(scope="session")
+def nam_raw_n3_q3():
+    """The raw (3, 3)-complete Nam ECC set.
+
+    RepGen never touches the disk cache: this generates from scratch and
+    stores nothing.
+    """
+    return RepGen(NAM, num_qubits=3).generate(3).ecc_set
+
+
+@pytest.fixture(scope="session")
+def rigetti_raw_n3_q3():
+    """The raw (3, 3)-complete Rigetti ECC set."""
+    return RepGen(RIGETTI, num_qubits=3).generate(3).ecc_set
+
+
+def _pruned_transformations(raw_ecc_set):
     return transformations_from_ecc_set(
-        prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
+        prune_common_subcircuits(simplify_ecc_set(raw_ecc_set))
     )
 
 
 @pytest.fixture(scope="session")
-def nam_transformations_n3_q3():
+def nam_transformations_n3_q3(nam_raw_n3_q3):
     """Transformations of the pruned (3, 3) Nam ECC set the searches use."""
-    return _transformations_n3_q3(NAM)
+    return _pruned_transformations(nam_raw_n3_q3)
 
 
 @pytest.fixture(scope="session")
-def rigetti_transformations_n3_q3():
+def rigetti_transformations_n3_q3(rigetti_raw_n3_q3):
     """Transformations of the pruned (3, 3) Rigetti ECC set."""
-    return _transformations_n3_q3(RIGETTI)
+    return _pruned_transformations(rigetti_raw_n3_q3)
 
 
 def random_clifford_t_circuit(

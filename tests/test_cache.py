@@ -271,6 +271,112 @@ def _cache_from_env(**overrides):
     return ECCCache(generation.cache_dir, enabled=generation.cache_enabled)
 
 
+def _first_entry(body, gate):
+    return next(entry for entry in body["instructions"] if entry["gate"] == gate)
+
+
+def _first_nonempty_row(body):
+    return next(
+        row[1] for ecc_rows in body["ecc_set"]["eccs"] for row in ecc_rows if row[1]
+    )
+
+
+def _unknown_gate(body):
+    _first_entry(body, "h")["gate"] = "not_a_gate"
+
+
+def _qubit_out_of_range(body):
+    _first_entry(body, "h")["qubits"] = [2]
+
+
+def _wrong_param_count(body):
+    entry = _first_entry(body, "rz")
+    entry["params"] = entry["params"] * 2
+
+
+def _index_past_the_end(body):
+    _first_nonempty_row(body)[0] = len(body["instructions"])
+
+
+def _negative_index(body):
+    _first_nonempty_row(body)[0] = -1
+
+
+class TestIndexedBody:
+    """A body lists each distinct instruction once and every circuit as
+    indices into that table; decoding still checks what it builds."""
+
+    def test_each_distinct_instruction_is_stored_once(self, cache, nam_result):
+        path = cache.store_generator_result(_key(), nam_result)
+        body = json.loads(_split_blob(path)[1])
+        table = [json.dumps(entry, sort_keys=True) for entry in body["instructions"]]
+        assert len(set(table)) == len(table)
+        circuits = [c for ecc in nam_result.ecc_set for c in ecc]
+        circuits += nam_result.representatives
+        distinct = {inst.sort_key() for c in circuits for inst in c.instructions}
+        assert len(table) == len(distinct)
+        rows = [row for ecc_rows in body["ecc_set"]["eccs"] for row in ecc_rows]
+        rows += body["representatives"]
+        assert {i for _, indices in rows for i in indices} == set(range(len(table)))
+
+    def test_storing_twice_gives_identical_bytes(self, tmp_path, nam_result):
+        first = ECCCache(tmp_path / "a").store_generator_result(_key(), nam_result)
+        second = ECCCache(tmp_path / "b").store_generator_result(_key(), nam_result)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_decoded_circuits_share_their_table_entries(self, cache, nam_result):
+        key = _key()
+        cache.store_generator_result(key, nam_result)
+        restored = cache.load_generator_result(key)
+        circuits = [c for ecc in restored.ecc_set for c in ecc]
+        circuits += restored.representatives
+        entries = {}
+        for circuit in circuits:
+            for inst in circuit.instructions:
+                assert entries.setdefault(inst.sort_key(), inst) is inst
+
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            pytest.param(_unknown_gate, "unknown gate", id="unknown_gate"),
+            pytest.param(
+                _qubit_out_of_range, "out of range for circuit", id="qubit_range"
+            ),
+            pytest.param(_wrong_param_count, "takes 1 parameters", id="param_count"),
+            pytest.param(_index_past_the_end, "index out of range", id="index_past_end"),
+            pytest.param(_negative_index, "is negative", id="negative_index"),
+        ],
+    )
+    def test_a_body_the_decoder_rejects_is_a_miss(
+        self, cache, fresh_memo, fault, reason
+    ):
+        stored = _run_generation(cache)
+        key = cache_key("repgen", NAM, 2, 2, 2, 20220433)
+        path = cache.path_for(key)
+        header, body_text = _split_blob(path)
+        body = json.loads(body_text)
+        fault(body)
+        # A well-formed envelope: only the decoder can catch the fault.
+        body_text = json.dumps(body)
+        header["sha256"] = hashlib.sha256(body_text.encode("utf-8")).hexdigest()
+        _write_blob(path, header, body_text)
+
+        perf = PerfRecorder()
+        with pytest.warns(RuntimeWarning, match=f"does not deserialize.*{reason}"):
+            assert ECCCache(cache.directory, perf=perf).load_generator_result(key) is None
+        assert perf.value("cache.corrupt") == 1
+        assert perf.value("cache.hits") == 1
+
+        with pytest.warns(RuntimeWarning, match="does not deserialize"):
+            regenerated = _run_generation(cache)
+        assert regenerated.stats.perf.get("cache.corrupt") == 1
+        assert "cache.warm_hit" not in regenerated.stats.perf
+        assert regenerated.ecc_set.to_json() == stored.ecc_set.to_json()
+        # The regeneration overwrote the bad blob.
+        reloaded = cache.load_generator_result(key)
+        assert reloaded.ecc_set.to_json() == stored.ecc_set.to_json()
+
+
 class TestDisabling:
     def test_env_var_disables(self, tmp_path, nam_result, monkeypatch):
         monkeypatch.setenv(CACHE_DISABLE_ENV_VAR, "1")

@@ -1,6 +1,11 @@
 """Tests for ECC data structures, RepGen, pruning and brute-force counting."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.generator import (
     ECC,
@@ -11,6 +16,7 @@ from repro.generator import (
     prune_common_subcircuits,
     simplify_ecc_set,
 )
+from repro.generator.pruning import _ecc_key_up_to_param_permutation
 from repro.ir import Circuit
 from repro.ir.gatesets import CLIFFORD_T, IBM, NAM, RIGETTI, GateSet
 from repro.ir.params import Angle, ParamSpec
@@ -219,6 +225,78 @@ class TestPruning:
             rep = ecc.representative
             for other in ecc.others():
                 assert circuits_equivalent_numeric(rep, other)
+
+
+def _rebuilt_key(ecc):
+    """The class key as pruning used to compute it: rebuild the class with
+    its parameters renamed under every permutation and take the least
+    canonical key."""
+    used = sorted(set().union(*(circuit.used_params() for circuit in ecc)))
+    if len(used) <= 1:
+        return ecc.canonical_key()
+    return min(
+        ECC(
+            circuit.substitute_params(
+                {old: Angle.param(new) for old, new in zip(used, permutation)}
+            )
+            for circuit in ecc
+        ).canonical_key()
+        for permutation in itertools.permutations(used)
+    )
+
+
+_IBM_EXPRESSIONS = ParamSpec(IBM.num_params).expressions()
+
+
+@st.composite
+def _ibm_instructions(draw, num_qubits):
+    gate = draw(st.sampled_from(["u1", "u2", "u3", "cx"]))
+    if gate == "cx":
+        return gate, draw(st.permutations(range(num_qubits)))[:2], []
+    arity = {"u1": 1, "u2": 2, "u3": 3}[gate]
+    params = [
+        draw(st.sampled_from(_IBM_EXPRESSIONS))
+        + Angle.pi(Fraction(draw(st.integers(-3, 4)), 4))
+        for _ in range(arity)
+    ]
+    return gate, [draw(st.integers(0, num_qubits - 1))], params
+
+
+@st.composite
+def _ibm_eccs(draw):
+    """An ECC of random IBM circuits whose angles are Sigma expressions over
+    4 parameters plus multiples of pi/4 (the members need not be
+    equivalent: the key does not look at semantics)."""
+    num_qubits = draw(st.integers(2, 3))
+    circuits = []
+    for _ in range(draw(st.integers(1, 4))):
+        circuit = Circuit(num_qubits, num_params=IBM.num_params)
+        for gate, qubits, params in draw(
+            st.lists(_ibm_instructions(num_qubits), max_size=3)
+        ):
+            circuit.append(gate, qubits, params)
+        circuits.append(circuit)
+    return ECC(circuits)
+
+
+class TestParamPermutationKey:
+    """Pruning renames parameters inside sequence keys instead of
+    rebuilding each class under every permutation; the keys must agree."""
+
+    @pytest.mark.parametrize("raw", ["nam_raw_n3_q3", "rigetti_raw_n3_q3"])
+    def test_matches_the_rebuild_on_every_raw_class(self, request, raw):
+        ecc_set = request.getfixturevalue(raw)
+        for ecc in ecc_set:
+            assert _ecc_key_up_to_param_permutation(
+                ecc, ecc_set.num_params
+            ) == _rebuilt_key(ecc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ecc=_ibm_eccs())
+    def test_matches_the_rebuild_on_random_ibm_classes(self, ecc):
+        assert _ecc_key_up_to_param_permutation(ecc, IBM.num_params) == _rebuilt_key(
+            ecc
+        )
 
 
 class TestBruteForceCounts:
