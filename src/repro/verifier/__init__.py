@@ -9,7 +9,9 @@ and calls Z3 on a quantifier-free nonlinear-real-arithmetic formula, this
 reproduction expands every entry as a Laurent polynomial in ``z_k =
 e^{i*atom_k}`` and compares exact coefficients — see README.md ("Reproduction
 scope") and :mod:`repro.linalg.trigpoly` for why this decides the same
-verification conditions.
+verification conditions.  The coefficients live in Z[zeta8][1/2], so the
+verifier composes and compares whole unitaries as integer numpy arrays
+(:mod:`repro.linalg.laurent`).
 """
 
 from repro.verifier.trig import AtomTrigBuilder, SymbolicContext

@@ -9,12 +9,17 @@ global phase (Definition 1 of the paper):
    immediately.  Otherwise the finite space of candidate phase factors
    ``beta(p) = a.p + b`` is searched numerically (Section 4).
 2. **Symbolic proof.**  For each surviving candidate, the verifier builds the
-   exact symbolic unitaries of both circuits as Laurent polynomials in
+   exact unitaries of both circuits, whose entries are Laurent polynomials in
    ``z_k = e^{i*atom_k}`` (half-angle substitution, then cos/sin/e^{i.}
-   expanded in the ``z_k``) and checks the matrix identity
-   ``[[C1]] = e^{i beta(p)} [[C2]]`` by comparing coefficients, which decides
-   equality of the entries as functions — the step that replaces the Z3 query
-   of the paper.
+   expanded in the ``z_k``) with coefficients in Z[zeta8][1/2], and checks the
+   matrix identity ``[[C1]] = e^{i beta(p)} [[C2]]`` by comparing exact
+   coefficients, which decides equality of the entries as functions — the
+   step that replaces the Z3 query of the paper.  Gates define their
+   semantics as :class:`repro.linalg.symmatrix.SymMatrix` values; each
+   embedded instruction is converted once to a
+   :class:`repro.linalg.laurent.LaurentMatrix`, and circuits are composed
+   and compared on those integer arrays.  The phase ``e^{i*b*pi}`` is the
+   power ``zeta^{4b}`` and the linear part a shift of the exponents.
 
 The verifier records how many checks it performed and how much time it spent,
 which the generator-metrics experiments (Table 5 / Table 8) report.
@@ -27,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.circuit import Circuit
+from repro.linalg.laurent import LaurentMatrix
 from repro.perf import NULL_RECORDER, PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
 from repro.semantics.phase import PhaseFactor, find_phase_candidates
@@ -107,10 +113,13 @@ class EquivalenceVerifier:
             :meth:`set_fingerprint_context` must have been built with it.
     """
 
-    #: Bound on cached symbolic matrices; the cache is halved (oldest first)
+    #: Bound on cached prefix matrices; the cache is halved (oldest first)
     #: when it grows past this, which keeps long generator runs bounded.
     #: Cold Nam and Rigetti (3,3) generation cache at most 1,305 prefixes,
-    #: so they never evict; raw IBM (2,3) evicts, with the same ECC set.
+    #: so they never evict.  Raw IBM (2,3) evicts 9 times and keeps its ECC
+    #: set; rebuilding the evicted prefixes costs no measurable CPU (4.1-4.6 s
+    #: at this limit against 4.1-4.5 s at 100,000, 3 alternating runs each),
+    #: while the limit holds its peak RSS at 127 MB instead of 191 MB.
     MATRIX_CACHE_LIMIT = 5_000
 
     def __init__(
@@ -133,9 +142,12 @@ class EquivalenceVerifier:
         # prefix, atom denominators).  Because a RepGen candidate is always
         # parent + one gate, caching every *prefix* makes the candidate's
         # matrix a single sparse gate multiplication away from a cache hit.
-        self._matrix_cache: Dict[Tuple, object] = {}
+        self._matrix_cache: Dict[Tuple, LaurentMatrix] = {}
         # Embedded single-instruction matrices keyed the same way.
-        self._instruction_cache: Dict[Tuple, object] = {}
+        self._instruction_cache: Dict[Tuple, LaurentMatrix] = {}
+        # One trig builder per tuple of atom denominators, built on the
+        # first instruction-cache miss that needs it.
+        self._builders: Dict[Tuple[int, ...], AtomTrigBuilder] = {}
 
     def set_fingerprint_context(self, context: FingerprintContext) -> None:
         """Share an externally-owned fingerprint context (same seed).
@@ -187,17 +199,24 @@ class EquivalenceVerifier:
                 self.num_params,
                 extra_angles=[c.as_angle() for c in candidates],
             )
-            builder = AtomTrigBuilder(symbolic_context)
-            matrix_a = self._symbolic_matrix(circuit_a, builder, symbolic_context)
-            matrix_b = self._symbolic_matrix(circuit_b, builder, symbolic_context)
+            matrix_a = self._symbolic_matrix(circuit_a, symbolic_context)
+            matrix_b = self._symbolic_matrix(circuit_b, symbolic_context)
         except UnrepresentableAngleError as error:
             if not self.allow_numeric_fallback:
                 raise
             return self._numeric_fallback(circuit_a, circuit_b, str(error))
 
         for candidate in candidates:
-            phase_poly = builder.exp_i(candidate.as_angle())
-            if matrix_b.equals_scaled(matrix_a, phase_poly):
+            # e^{i*(b*pi + sum_k c_k*p_k)} = zeta^{4b} * prod_k z_k^{c_k*d_k}.
+            eighths = candidate.constant_pi_multiple * 4
+            if eighths.denominator != 1:
+                raise UnrepresentableAngleError(
+                    f"phase constant {candidate.constant_pi_multiple}*pi is not "
+                    "a multiple of pi/4"
+                )
+            atoms = symbolic_context.atom_coefficients(candidate.as_angle())
+            exponents = [atoms.get(index, 0) for index in range(self.num_params)]
+            if matrix_b.equals_scaled(matrix_a, int(eighths) % 8, exponents):
                 self.stats.symbolic_proofs += 1
                 return VerificationResult(True, phase=candidate, method="symbolic")
 
@@ -232,16 +251,14 @@ class EquivalenceVerifier:
             )
         return self._fingerprint_contexts[num_qubits]
 
-    def _symbolic_matrix(self, circuit: Circuit, builder: AtomTrigBuilder, context: SymbolicContext):
-        """Symbolic unitary of ``circuit``, built incrementally.
+    def _symbolic_matrix(self, circuit: Circuit, context: SymbolicContext) -> LaurentMatrix:
+        """Exact unitary of ``circuit``, built incrementally.
 
         Matrices for every instruction-sequence *prefix* are cached, so a
         circuit extending an already-verified one (the common case in
         RepGen, where each candidate is a representative plus one gate)
         costs a single gate multiplication instead of a full rebuild.
         """
-        from repro.linalg.symmatrix import SymMatrix
-
         num_qubits = circuit.num_qubits
         denominators = tuple(context.denominators)
         sequence = circuit.sequence_key()
@@ -264,21 +281,19 @@ class EquivalenceVerifier:
             return matrix
         perf.count("verifier.matrix_cache.misses")
         if matrix is None:
-            matrix = SymMatrix.identity(1 << num_qubits)
+            matrix = LaurentMatrix.identity(1 << num_qubits, self.num_params)
         perf.count("verifier.matrix_prefix_reuse", prefix_len)
 
         for position in range(prefix_len, total):
             inst = circuit.instructions[position]
-            gate_matrix = self._symbolic_instruction(
-                inst, builder, num_qubits, denominators
-            )
+            gate_matrix = self._symbolic_instruction(inst, num_qubits, denominators)
             matrix = gate_matrix @ matrix
             self._cache_matrix(
                 (num_qubits, sequence[: position + 1], denominators), matrix
             )
         return matrix
 
-    def _cache_matrix(self, key: Tuple, matrix) -> None:
+    def _cache_matrix(self, key: Tuple, matrix: LaurentMatrix) -> None:
         """Insert a prefix matrix, evicting when the cache is at its bound.
 
         The bound is enforced per *insertion*, not per verify call: a single
@@ -296,14 +311,22 @@ class EquivalenceVerifier:
         cache[key] = matrix
 
     def _symbolic_instruction(
-        self, inst, builder: AtomTrigBuilder, num_qubits: int, denominators: Tuple
-    ):
-        """Cached full-space symbolic matrix of a single instruction."""
+        self, inst, num_qubits: int, denominators: Tuple[int, ...]
+    ) -> LaurentMatrix:
+        """Cached full-space exact matrix of a single instruction."""
         key = (inst.sort_key(), num_qubits, denominators)
         cached = self._instruction_cache.get(key)
         if cached is None:
             self.perf.count("verifier.instruction_cache.misses")
-            cached = symbolic_instruction_matrix(inst, builder, num_qubits)
+            builder = self._builders.get(denominators)
+            if builder is None:
+                builder = AtomTrigBuilder(SymbolicContext(self.num_params, denominators))
+                self._builders[denominators] = builder
+            symbolic = symbolic_instruction_matrix(inst, builder, num_qubits)
+            try:
+                cached = LaurentMatrix.from_symbolic(symbolic, self.num_params)
+            except ValueError as error:  # a constant outside Z[zeta8][1/2]
+                raise UnrepresentableAngleError(str(error)) from error
             self._instruction_cache[key] = cached
         else:
             self.perf.count("verifier.instruction_cache.hits")

@@ -99,7 +99,8 @@ def test_generation_output_is_pinned(
     if pruned_eccs is None:
         return
 
-    clear_memory_caches()
+    # The memo keeps the raw set just checked, so this prunes it rather
+    # than generating it again.
     pruned = build_ecc_set(
         gate_set, GenerationConfig(n=n, q=q, cache_enabled=False, prune=True)
     )
